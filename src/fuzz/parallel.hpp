@@ -1,40 +1,44 @@
-// Parallel multi-worker fuzzing engine.
+// Multi-worker fuzzing: one deterministic round driver, two lane transports.
 //
-// N workers each run a full sequential Fuzzer (own vm::Machine, own
+// N lanes each run a full sequential Fuzzer (own vm::Machine, own
 // CoverageSink, own corpus view, own Rng stream forked from the campaign
 // seed) in round-based lockstep against shared campaign state:
 //
-//   round:  every live worker advances its loop by `sync_every` executions
-//           on its own thread (no shared mutable state is touched while
-//           worker threads run — workers only read the shared Programs);
-//   barrier: the driver joins all threads, then — single-threaded, in
-//           worker-id order — performs the merge:
-//             * corpus sync: entries admitted by one worker this round are
-//               imported into every other worker, deduplicated by coverage
-//               signature (first worker in id order wins a signature);
-//             * frontier merge: worker sinks fold into a global
-//               CoverageSink (CoverageSink::MergeFrom) for aggregated
-//               heartbeats and the final union report;
-//             * telemetry: one aggregated `stat` heartbeat when due.
+//   round:   every live lane advances its loop by `sync_every` executions,
+//            all lanes at once (lanes share only the read-only Programs);
+//   barrier: the driver — single-threaded, in lane-id order — performs the
+//            merge:
+//              * corpus sync: entries admitted by one lane this round are
+//                imported into every other lane, deduplicated by coverage
+//                signature (first lane in id order wins a signature);
+//              * frontier merge: lane coverage folds into a global
+//                CoverageSink (CoverageSink::MergeFrom) for aggregated
+//                heartbeats and the final union report;
+//              * telemetry and durability: one aggregated `stat` heartbeat
+//                when due, the merged /profile snapshot, periodic
+//                checkpoints, the interrupt check.
+//
+// The driver (RunLaneCampaign, fuzz/lane.hpp) is shared by both engines;
+// only the lane transport differs. ParallelFuzzer runs each lane on a
+// thread of its own; Supervisor (fuzz/supervisor.hpp) runs each in a
+// forked, crash-isolated process.
 //
 // Rounds are bounded by *execution counts*, never wall time, and imports
-// draw nothing from worker RNG streams, so for a fixed (seed, num_workers)
-// the whole campaign is deterministic regardless of thread scheduling —
-// same coverage report, same corpus signature set, same merged first-hit
-// attribution (ties broken by worker id). Wall-clock budgets still work
-// (each worker checks its own clock) but trade that determinism away, as
+// draw nothing from lane RNG streams, so for a fixed (seed, num_workers)
+// the whole campaign is deterministic regardless of scheduling or
+// transport — same coverage report, same corpus signature set, same merged
+// first-hit attribution (ties broken by lane id). Wall-clock budgets still
+// work (each lane checks its own clock) but trade that determinism away, as
 // they already do in the sequential engine.
 //
-// With num_workers == 1 the single worker runs with the campaign seed
-// itself and no imports ever occur, so the run is bit-identical to the
-// sequential Fuzzer::Run for the same options.
+// With num_workers == 1 the single lane runs with the campaign seed itself
+// and no imports ever occur, so the run is bit-identical to the sequential
+// Fuzzer::Run for the same options.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "coverage/provenance.hpp"
 #include "fuzz/fuzzer.hpp"
 
 namespace cftcg::fuzz {
@@ -86,7 +90,6 @@ class ParallelFuzzer {
   ParallelFuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
                  FuzzerOptions options, ParallelOptions parallel,
                  const vm::Program* fuzz_only_program = nullptr);
-  ~ParallelFuzzer();
 
   ParallelCampaignResult Run(const FuzzBudget& budget);
 
@@ -96,8 +99,6 @@ class ParallelFuzzer {
   const coverage::CoverageSpec* spec_;
   FuzzerOptions options_;
   ParallelOptions parallel_;
-  std::vector<std::unique_ptr<Fuzzer>> workers_;
-  std::vector<std::unique_ptr<coverage::ProvenanceMap>> worker_prov_;
 };
 
 }  // namespace cftcg::fuzz

@@ -13,23 +13,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
-#include <unordered_set>
+#include <new>
 
-#include "coverage/report.hpp"
-#include "obs/clock.hpp"
+#include "fuzz/lane.hpp"
 #include "obs/monitor.hpp"
-#include "obs/profiler.hpp"
-#include "obs/timer.hpp"
 #include "support/atomic_file.hpp"
 #include "support/io.hpp"
-#include "support/rng.hpp"
 
 namespace cftcg::fuzz {
 
@@ -60,6 +54,10 @@ constexpr std::uint8_t kNoFault = 0xFF;
 // Child exit codes (diagnostic only; any abnormal exit triggers recovery).
 constexpr int kExitCrashFault = 77;  // injected crash
 constexpr int kExitProtocol = 70;    // malformed command frame
+
+// While it waits on a lane, the parent wakes at least this often to relay
+// every lane's mid-round progress to the status board.
+constexpr double kProgressPollS = 0.2;
 
 std::uint64_t Fnv64(const char* data, std::size_t size) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -117,55 +115,56 @@ bool ChildReadFrame(int fd, std::uint8_t* type, std::string* payload) {
   return Fnv64(payload->data(), payload->size()) == sum;
 }
 
-// -- Crash-input capture ---------------------------------------------------
+// -- Lane window -----------------------------------------------------------
 // A shared-memory window the worker stamps before every execution (via
-// FuzzerOptions::input_tap). When the process dies mid-execution, the
-// supervisor reads the window and quarantines the in-flight input. The
-// sequence counter is even when the stamp is complete; with the writer dead
-// a torn stamp is still usable forensics, just flagged as such.
+// FuzzerOptions::input_tap). It carries the input bytes — when the process
+// dies mid-execution the supervisor quarantines the in-flight input — and
+// the lane's execution count, which the supervisor relays to the status
+// board while it waits on a round, so an isolated lane shows mid-round
+// progress the way a thread does. The sequence counter is even when the
+// stamp is complete; with the writer dead a torn stamp is still usable
+// forensics, just flagged as such.
 
 constexpr std::size_t kCaptureCap = 1 << 16;
 
 struct InputCapture {
   std::atomic<std::uint32_t> seq;
-  std::uint32_t len;       // stamped bytes (truncated to kCaptureCap)
-  std::uint32_t full_len;  // original input size
+  std::atomic<std::uint64_t> executions;  // lane executions before this input
+  std::uint32_t len;                      // stamped bytes (truncated to kCaptureCap)
+  std::uint32_t full_len;                 // original input size
   std::uint8_t data[kCaptureCap];
+};
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "the lane window is shared across processes");
+
+// The child's tap context: the window and the engine whose count it relays.
+struct ChildTap {
+  InputCapture* capture = nullptr;
+  const Fuzzer* fuzzer = nullptr;
 };
 
 void StampInput(void* ctx, const std::uint8_t* data, std::size_t size) {
-  auto* cap = static_cast<InputCapture*>(ctx);
+  const auto* tap = static_cast<const ChildTap*>(ctx);
+  InputCapture* cap = tap->capture;
   cap->seq.fetch_add(1, std::memory_order_release);  // odd: stamp in progress
   cap->full_len = static_cast<std::uint32_t>(size);
   cap->len = static_cast<std::uint32_t>(std::min(size, kCaptureCap));
   std::memcpy(cap->data, data, cap->len);
   cap->seq.fetch_add(1, std::memory_order_release);  // even: stamp complete
-}
-
-// -- SIGCHLD notification --------------------------------------------------
-// The handler writes one byte into a self-pipe the supervisor polls along
-// with the worker pipes, so a lane death wakes the driver immediately even
-// when it is idling between replies. Reaping happens synchronously in the
-// driver (waitpid), never in the handler.
-
-int g_sigchld_pipe = -1;
-
-void SigchldHandler(int) {
-  if (g_sigchld_pipe >= 0) {
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(g_sigchld_pipe, &b, 1);
+  if (tap->fuzzer != nullptr) {
+    cap->executions.store(tap->fuzzer->executions(), std::memory_order_relaxed);
   }
 }
 
 // -- Worker process --------------------------------------------------------
 
 struct ChildSpec {
-  FuzzerOptions wopts;          // per-lane options (telemetry/board stripped)
+  FuzzerOptions wopts;
   FuzzBudget budget;
   const FuzzerState* resume = nullptr;
   bool want_provenance = false;
-  int cmd_fd = -1;              // commands in
-  int res_fd = -1;              // replies out
+  int cmd_fd = -1;  // commands in
+  int res_fd = -1;  // replies out
   InputCapture* capture = nullptr;
 };
 
@@ -176,24 +175,28 @@ struct ChildSpec {
   // supervisor itself.
   std::signal(SIGINT, SIG_IGN);
   std::signal(SIGTERM, SIG_IGN);
-  std::signal(SIGCHLD, SIG_DFL);
 #ifdef __linux__
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
 
   FuzzerOptions wopts = cs.wopts;
+  // The parent's status board is not in this address space; progress
+  // reaches it through the lane window instead.
+  wopts.status_board = nullptr;
   std::unique_ptr<coverage::ProvenanceMap> prov;
   if (cs.want_provenance) {
     prov = std::make_unique<coverage::ProvenanceMap>(spec);
     wopts.provenance = prov.get();
   }
   wopts.resume = cs.resume;
+  ChildTap tap{cs.capture, nullptr};
   if (cs.capture != nullptr) {
     wopts.input_tap = StampInput;
-    wopts.input_tap_ctx = cs.capture;
+    wopts.input_tap_ctx = &tap;
   }
 
   Fuzzer fuzzer(instrumented, spec, wopts, fuzz_only);
+  tap.fuzzer = &fuzzer;
   fuzzer.Begin(cs.budget);
   // Entries the supervisor already knows about: everything restored from a
   // resume state was scanned at the barrier that produced the state.
@@ -261,7 +264,6 @@ struct ChildSpec {
       wire::Writer w;
       AppendFuzzerState(w, st);
       w.U64(res.corpus_fingerprint);
-      w.U64(res.exec_profile.strobe_period);
       w.U64Vec(res.focus_stats.executions);
       w.U64Vec(res.focus_stats.credited);
       // Post-Finish provenance: includes the "unretained" MCDC sweep the
@@ -292,10 +294,10 @@ struct ChildSpec {
 
 // Parsed ROUND / HELLO reply.
 struct RoundReply {
-  std::uint64_t base = 0;
+  std::uint64_t base = 0;  // corpus index of entries[0]
   bool done = false;
   std::uint64_t executions = 0;
-  std::vector<std::pair<std::vector<std::uint8_t>, std::uint64_t>> entries;
+  std::vector<CorpusEntry> entries;  // data and signature only
 };
 
 bool ParseRoundReply(const std::string& payload, RoundReply* out) {
@@ -306,29 +308,21 @@ bool ParseRoundReply(const std::string& payload, RoundReply* out) {
   const std::uint64_t count = r.U64();
   out->entries.clear();
   for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
-    std::vector<std::uint8_t> data = r.Bytes();
-    const std::uint64_t sig = r.U64();
-    out->entries.emplace_back(std::move(data), sig);
+    CorpusEntry& e = out->entries.emplace_back();
+    e.data = r.Bytes();
+    e.signature = r.U64();
   }
   return !r.failed();
 }
 
-struct LaneResult {
-  FuzzerState state;
-  std::uint64_t corpus_fingerprint = 0;
-  std::uint64_t strobe_period = 0;
-  FocusStats focus_stats;
-  std::vector<coverage::ObjectiveFirstHit> hits;
-  bool from_finish = false;  // false: reconstructed from the last barrier state
-};
-
-bool ParseLaneResult(const std::string& payload, LaneResult* out) {
+// Parsed RESULT: the final state plus the Finish-time extras.
+bool ParseLaneResult(const std::string& payload, FuzzerState* state, CampaignResult* result,
+                     std::vector<coverage::ObjectiveFirstHit>* hits) {
   wire::Reader r(payload);
-  if (!ReadFuzzerState(r, out->state)) return false;
-  out->corpus_fingerprint = r.U64();
-  out->strobe_period = r.U64();
-  out->focus_stats.executions = r.U64Vec();
-  out->focus_stats.credited = r.U64Vec();
+  if (!ReadFuzzerState(r, *state)) return false;
+  result->corpus_fingerprint = r.U64();
+  result->focus_stats.executions = r.U64Vec();
+  result->focus_stats.credited = r.U64Vec();
   const std::uint64_t num_hits = r.U64();
   for (std::uint64_t i = 0; i < num_hits && !r.failed(); ++i) {
     coverage::ObjectiveFirstHit h;
@@ -342,221 +336,393 @@ bool ParseLaneResult(const std::string& payload, LaneResult* out) {
     h.time_s = r.F64();
     h.entry_id = r.I64();
     h.chain = r.Str();
-    out->hits.push_back(std::move(h));
+    hits->push_back(std::move(h));
   }
-  out->from_finish = true;
   return !r.failed();
 }
 
-}  // namespace
+class ProcessLane;
 
-Supervisor::Supervisor(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
-                       FuzzerOptions options, SupervisorOptions supervise,
-                       const vm::Program* fuzz_only_program)
-    : instrumented_(&instrumented),
-      fuzz_only_(fuzz_only_program),
-      spec_(&spec),
-      options_(options),
-      supervise_(supervise) {
-  supervise_.num_workers = std::max(supervise_.num_workers, 1);
-  supervise_.sync_every = std::max<std::uint64_t>(supervise_.sync_every, 1);
-  assert(supervise_.resume == nullptr ||
-         supervise_.resume->workers.size() ==
-             static_cast<std::size_t>(supervise_.num_workers));
-}
+// What the process lanes of one campaign share: the programs the children
+// run, the supervision policy and its accounting, and the lane registry — a
+// forked child closes every sibling's pipe ends, because holding one would
+// mask that sibling's EOF from the parent.
+struct ProcessTransport {
+  ProcessTransport(const vm::Program& instrumented_program,
+                   const coverage::CoverageSpec& coverage_spec,
+                   const vm::Program* fuzz_only_program, const FuzzerOptions& campaign,
+                   const SupervisorOptions& policy, SupervisionStats& accounting)
+      : instrumented(instrumented_program),
+        spec(coverage_spec),
+        fuzz_only(fuzz_only_program),
+        options(campaign),
+        supervise(policy),
+        stats(accounting) {}
+  ~ProcessTransport() { std::signal(SIGPIPE, old_sigpipe); }
+  ProcessTransport(const ProcessTransport&) = delete;
+  ProcessTransport& operator=(const ProcessTransport&) = delete;
 
-Supervisor::~Supervisor() = default;
+  /// Relays every lane's mid-round execution count to the status board.
+  void StampProgress() const;
 
-SupervisedCampaignResult Supervisor::Run(const FuzzBudget& budget) {
-  const auto n = static_cast<std::size_t>(supervise_.num_workers);
-  SupervisedCampaignResult out;
-  obs::Stopwatch watch;
-  obs::CampaignTelemetry* tm = options_.telemetry;
-  obs::CampaignStatusBoard* const board = options_.status_board;
-  support::FaultInjector* const faults = supervise_.faults;
+  const vm::Program& instrumented;
+  const coverage::CoverageSpec& spec;
+  const vm::Program* fuzz_only;
+  const FuzzerOptions& options;  // the campaign's: telemetry and status board
+  const SupervisorOptions& supervise;
+  SupervisionStats& stats;
+  std::vector<ProcessLane*> lanes;
+  // A dead lane's command pipe must surface as EPIPE, not kill the parent.
+  void (*old_sigpipe)(int) = std::signal(SIGPIPE, SIG_IGN);
+};
 
-  const double time_base = supervise_.resume != nullptr ? supervise_.resume->elapsed_s : 0;
-  const auto elapsed = [&]() { return time_base + watch.Elapsed(); };
-
-  if (tm != nullptr && tm->trace != nullptr) {
-    obs::TraceEvent ev(supervise_.resume != nullptr ? "resume" : "start");
-    ev.Str("mode", options_.model_oriented ? "cftcg" : "fuzz_only")
-        .U64("seed", options_.seed)
-        .U64("workers", n)
-        .U64("sync_every", supervise_.sync_every)
-        .U64("isolated", 1);
-    if (supervise_.resume != nullptr) {
-      ev.U64("rounds", supervise_.resume->rounds).F64("resumed_elapsed_s", time_base);
-    } else {
-      ev.F64("budget_s", budget.wall_seconds)
-          .I64("fuzz_slots", spec_->FuzzBranchCount())
-          .I64("outcome_slots", spec_->num_outcome_slots());
-    }
-    tm->trace->Emit(std::move(ev));
-  }
-
-  // Per-lane options and budgets: identical construction order to the
-  // threaded engine (worker 0 keeps the campaign seed; the master stream is
-  // drawn in lane order), so the RNG schedule matches bit for bit.
-  std::vector<FuzzerOptions> lane_opts;
-  std::vector<FuzzBudget> lane_budget(n, budget);
-  {
-    Rng master(options_.seed);
-    if (budget.max_executions != std::numeric_limits<std::uint64_t>::max()) {
-      const std::uint64_t base = budget.max_executions / n;
-      const std::uint64_t rem = budget.max_executions % n;
-      for (std::size_t i = 0; i < n; ++i) {
-        lane_budget[i].max_executions = base + (i < rem ? 1 : 0);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      FuzzerOptions wopts = options_;
-      wopts.seed = i == 0 ? options_.seed : master.NextU64();
-      wopts.status_worker = static_cast<int>(i);
-      // Everything driver-owned in the threaded engine is parent-owned
-      // here; a forked child must additionally drop the board (its copy of
-      // the parent's memory is invisible to the real /status page).
-      wopts.telemetry = nullptr;
-      wopts.margins = nullptr;
-      wopts.interrupt = nullptr;
-      wopts.checkpoint_path.clear();
-      wopts.checkpoint_every = 0;
-      wopts.profile_publisher = nullptr;
-      wopts.status_board = nullptr;
-      wopts.provenance = nullptr;  // child builds its own map (want_provenance)
-      if (n > 1) wopts.collect_signatures = true;
-      lane_opts.push_back(std::move(wopts));
-    }
-  }
-
-  // -- Lane bookkeeping ----------------------------------------------------
-  struct Lane {
-    pid_t pid = -1;
-    int cmd = -1;  // parent writes commands
-    int res = -1;  // parent reads replies
-    InputCapture* capture = nullptr;
-    bool retired = false;
-    bool done = false;
-    std::uint64_t executions = 0;
-    std::uint64_t run_target = 0;  // this round's RUN target, latched at round top
-    FuzzerState state;           // last post-sync barrier state (respawn point)
-    bool has_state = false;
-    int restarts = 0;
-    double backoff_s = 0;  // seeded from supervise_.restart_backoff_s below
-    RoundReply reply;
-    bool ran_this_round = false;
-    std::string sync_payload;    // kept until STATE lands, for replay
-    double round_t0 = 0;
-    double round_dur = -1;
-  };
-  std::vector<Lane> lanes(n);
-  for (Lane& lane : lanes) lane.backoff_s = supervise_.restart_backoff_s;
-  std::vector<void*> maps(n, nullptr);
-  for (std::size_t i = 0; i < n; ++i) {
+// Forked-process transport: the lane's Fuzzer lives in a child commanded
+// over a pair of pipes (RUN / SYNC / FINISH in; HELLO / ROUND / STATE /
+// RESULT out). The parent keeps the lane's last post-sync barrier state: it
+// is what heartbeats, checkpoints and /profile read, and what a respawned
+// child resumes from after a crash, a hang or a torn frame.
+class ProcessLane final : public Lane {
+ public:
+  ProcessLane(ProcessTransport& transport, const LaneSpec& spec)
+      : t_(transport), spec_(spec), backoff_s_(transport.supervise.restart_backoff_s) {
     void* m = ::mmap(nullptr, sizeof(InputCapture), PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    if (m != MAP_FAILED) {
-      maps[i] = m;
-      lanes[i].capture = new (m) InputCapture();
-      lanes[i].capture->seq.store(0, std::memory_order_relaxed);
-      lanes[i].capture->len = 0;
+    if (m != MAP_FAILED) capture_ = new (m) InputCapture();
+    t_.lanes.push_back(this);
+  }
+  ~ProcessLane() override {
+    ClosePipes();
+    Reap(/*force_kill=*/true);
+    if (capture_ != nullptr) ::munmap(capture_, sizeof(InputCapture));
+    std::erase(t_.lanes, this);
+  }
+
+  void Begin() override {
+    expect_ = kMsgHello;
+    if (!Spawn()) Retire();
+  }
+
+  void StartRound(std::uint64_t target) override {
+    run_target_ = target;
+    expect_ = kMsgRound;
+    ran_since_state_ = true;
+    round_s_ = -1;
+    round_t0_ = Now();
+    if (SendRun()) return;
+    OnDeath("died before round", /*hang=*/false);
+    if (Respawn() && !SendRun()) Retire();
+  }
+
+  void AwaitRound() override {
+    const bool seeding = expect_ == kMsgHello;
+    while (!retired_) {
+      std::string payload;
+      const Io io = Await(expect_, &payload);
+      if (io == Io::kOk && ParseRoundReply(payload, &reply_)) {
+        if (!seeding) round_s_ = Now() - round_t0_;
+        done_ = reply_.done;
+        executions_ = reply_.executions;
+        StampBoard(executions_);
+        return;
+      }
+      const bool hang = io == Io::kTimeout;
+      OnDeath(hang ? "heartbeat timeout" : seeding ? "died during seeding" : "died mid-round",
+              hang);
+      if (!Respawn()) return;
+      if (seeding || SendRun()) continue;
+      OnDeath("died at respawn", /*hang=*/false);
+      if (Respawn() && !SendRun()) Retire();
     }
   }
 
-  // Signal plumbing: SIGCHLD self-pipe (death wakes the driver poll) and
-  // SIGPIPE ignored (a dead lane's command pipe surfaces as EPIPE).
-  int chld_pipe[2] = {-1, -1};
-  if (::pipe(chld_pipe) == 0) {
-    ::fcntl(chld_pipe[0], F_SETFL, O_NONBLOCK);
-    ::fcntl(chld_pipe[1], F_SETFL, O_NONBLOCK);
+  std::vector<const CorpusEntry*> NewEntries(std::size_t from) const override {
+    // Base-aware window: a report replayed after a respawn re-sends entries
+    // the barrier already scanned; they fall below `from`.
+    const auto base = static_cast<std::size_t>(reply_.base);
+    std::vector<const CorpusEntry*> out;
+    for (std::size_t k = std::max(from, base); k < base + reply_.entries.size(); ++k) {
+      out.push_back(&reply_.entries[k - base]);
+    }
+    return out;
   }
-  g_sigchld_pipe = chld_pipe[1];
-  struct sigaction old_chld {};
-  struct sigaction sa {};
-  sa.sa_handler = SigchldHandler;
-  ::sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART | SA_NOCLDSTOP;
-  ::sigaction(SIGCHLD, &sa, &old_chld);
-  void (*old_pipe)(int) = std::signal(SIGPIPE, SIG_IGN);
 
-  // -- Parent-side framed I/O with deadlines -------------------------------
+  void Sync(const std::vector<const CorpusEntry*>& imports) override {
+    wire::Writer w;
+    w.U64(imports.size());
+    for (const CorpusEntry* e : imports) {
+      w.Bytes(e->data);
+      w.U64(e->signature);
+    }
+    const std::string payload = w.take();
+    ++syncs_;
+    bool replay = false;
+    while (!retired_) {
+      if (replay) {
+        // The respawned child restored the pre-round state: redo the round
+        // (deterministic: same state, same RNG, no fault — it was consumed
+        // at arming). Its entries were already scanned at this barrier.
+        std::string round;
+        if (!SendRun() || Await(kMsgRound, &round) != Io::kOk ||
+            !ParseRoundReply(round, &reply_)) {
+          OnDeath("died replaying round", /*hang=*/false);
+          if (!Respawn()) return;
+          continue;
+        }
+        replay = false;
+      }
+      bool corrupt = false;
+      if (support::FaultInjector* faults = t_.supervise.faults) {
+        if (support::FaultEvent* ev = faults->NextCorruptDelta(spec_.index, syncs_)) {
+          ev->fired = true;
+          corrupt = true;
+          Trace(obs::TraceEvent("fault_injected")
+                    .F64("time_s", Now())
+                    .Str("kind", "corrupt")
+                    .U64("worker", static_cast<std::uint64_t>(spec_.index))
+                    .U64("at", syncs_));
+        }
+      }
+      std::string reply;
+      if (Send(kMsgSync, payload, corrupt) && Await(kMsgState, &reply) == Io::kOk) {
+        wire::Reader r(reply);
+        FuzzerState st;
+        if (ReadFuzzerState(r, st)) {
+          state_ = std::move(st);
+          has_state_ = true;
+          executions_ = state_.executions;
+          ran_since_state_ = false;
+          if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+            board->SetWorkerRestarting(spec_.index, false);
+            StampBoard(executions_);
+            if (done_) board->SetWorkerDone(spec_.index);
+          }
+          return;
+        }
+      }
+      // Death (or an unparseable state, treated the same) anywhere in the
+      // exchange: respawn from the last barrier state and replay the phase.
+      OnDeath(corrupt ? "corrupted delta" : "died in sync", /*hang=*/false);
+      if (!Respawn()) return;
+      replay = ran_since_state_;
+    }
+  }
+
+  CampaignResult Finish() override {
+    CampaignResult r;
+    std::vector<coverage::ObjectiveFirstHit> hits;
+    bool collected = false;
+    if (!retired_ && pid_ >= 0) {
+      std::string payload;
+      FuzzerState final_state;
+      if (Send(kMsgFinish, std::string()) && Await(kMsgResult, &payload) == Io::kOk &&
+          ParseLaneResult(payload, &final_state, &r, &hits)) {
+        state_ = std::move(final_state);
+        has_state_ = true;
+        collected = true;
+        ClosePipes();
+        Reap(/*force_kill=*/false);
+      } else {
+        OnDeath("died during finish", /*hang=*/false);
+      }
+    }
+    if (!collected) {
+      // Retired or just-died lane: its last barrier state still joins the
+      // merge (coverage and corpus up to the barrier are valid campaign
+      // output); only the Finish-time extras are reconstructed.
+      r = CampaignResult{};
+      hits = state_.provenance_hits;
+      r.corpus_fingerprint = CorpusEntriesFingerprint(state_.corpus);
+    }
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->SetWorkerDone(spec_.index);
+    }
+    if (spec_.want_provenance) {
+      provenance_ = std::make_unique<coverage::ProvenanceMap>(t_.spec);
+      for (const coverage::ObjectiveFirstHit& h : hits) provenance_->AbsorbHit(h);
+    }
+    r.executions = state_.executions;
+    r.model_iterations = state_.model_iterations;
+    r.measure_iterations = state_.measure_iterations;
+    r.hangs = state_.hangs;
+    r.strategy_stats = state_.strategy_stats;
+    r.test_cases = state_.test_cases;
+    r.exec_profile = state_.exec_profile;
+    r.fuzz_exec_profile = state_.fuzz_exec_profile;
+    r.phase_profile = state_.phase_profile;
+    return r;
+  }
+
+  bool live() const override { return !retired_; }
+  bool done() const override { return done_; }
+  std::uint64_t executions() const override { return executions_; }
+  std::uint64_t model_iterations() const override { return state_.model_iterations; }
+  std::size_t corpus_size() const override { return state_.corpus.size(); }
+  double round_seconds() const override { return round_s_; }
+  void MergeCoverageInto(coverage::CoverageSink& global) const override {
+    if (!has_state_) return;
+    coverage::CoverageSink scratch(t_.spec);
+    if (scratch.RestoreCampaign(state_.total_words, state_.evals)) global.MergeFrom(scratch);
+  }
+  const vm::ExecProfile& exec_profile() const override { return state_.exec_profile; }
+  const obs::PhaseProfile& phase_profile() const override { return state_.phase_profile; }
+  FuzzerState SaveState() const override { return state_; }
+  std::vector<std::uint64_t> CorpusSignatures() const override {
+    std::vector<std::uint64_t> out;
+    out.reserve(state_.corpus.size());
+    for (const CorpusEntry& e : state_.corpus) out.push_back(e.signature);
+    return out;
+  }
+  const coverage::ProvenanceMap* provenance() const override { return provenance_.get(); }
+
+  /// Relays the child's execution count (stamped before each input) to the
+  /// status board. Only a count that moved is stamped: a wedged lane must
+  /// still look stalled to the watchdog.
+  void StampProgress() {
+    if (capture_ == nullptr || pid_ < 0) return;
+    const std::uint64_t e = capture_->executions.load(std::memory_order_relaxed);
+    if (e > relayed_) StampBoard(e);
+  }
+
+  /// Drops this lane's parent-side descriptors (also in a forked sibling).
+  void ClosePipes() {
+    if (cmd_ >= 0) ::close(cmd_);
+    if (res_ >= 0) ::close(res_);
+    cmd_ = res_ = -1;
+  }
+
+ private:
   enum class Io { kOk, kDead, kTimeout };
 
-  const auto read_exact = [&](int fd, char* buf, std::size_t size, double deadline) -> Io {
+  [[nodiscard]] double Now() const { return spec_.clock->Now(); }
+
+  void StampBoard(std::uint64_t executions) {
+    obs::CampaignStatusBoard* board = t_.options.status_board;
+    if (board == nullptr) return;
+    relayed_ = std::max(relayed_, executions);
+    board->StampWorker(spec_.index, executions);
+  }
+  void Trace(const obs::TraceEvent& ev) const {
+    if (t_.options.telemetry != nullptr && t_.options.telemetry->trace != nullptr) {
+      t_.options.telemetry->trace->Emit(ev);
+    }
+  }
+  void Count(const char* counter) const {
+    if (t_.options.telemetry != nullptr && t_.options.telemetry->registry != nullptr) {
+      t_.options.telemetry->registry->GetCounter(counter).Increment();
+    }
+  }
+
+  // -- Framed I/O with deadlines ------------------------------------------
+
+  Io ReadExact(char* buf, std::size_t size, double deadline) {
     std::size_t got = 0;
     while (got < size) {
-      const ssize_t r = ::read(fd, buf + got, size - got);
+      const ssize_t r = ::read(res_, buf + got, size - got);
       if (r > 0) {
         got += static_cast<std::size_t>(r);
         continue;
       }
       if (r == 0) return Io::kDead;
       if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) return Io::kDead;
-      const double left = deadline - elapsed();
+      const double left = deadline - Now();
       if (left <= 0) return Io::kTimeout;
-      struct pollfd pfd {fd, POLLIN, 0};
-      const int pr = support::io::PollRetry(&pfd, 1, static_cast<int>(left * 1000) + 1);
-      if (pr == 0) return Io::kTimeout;
+      struct pollfd pfd {res_, POLLIN, 0};
+      const int wait_ms = static_cast<int>(std::min(left, kProgressPollS) * 1000) + 1;
+      const int pr = support::io::PollRetry(&pfd, 1, wait_ms);
       if (pr < 0) return Io::kDead;
+      if (pr == 0) t_.StampProgress();
     }
     return Io::kOk;
-  };
+  }
 
-  const auto write_exact = [&](int fd, const char* buf, std::size_t size,
-                               double deadline) -> Io {
+  Io WriteExact(const char* buf, std::size_t size, double deadline) {
     std::size_t sent = 0;
     while (sent < size) {
-      const ssize_t r = ::write(fd, buf + sent, size - sent);
+      const ssize_t r = ::write(cmd_, buf + sent, size - sent);
       if (r > 0) {
         sent += static_cast<std::size_t>(r);
         continue;
       }
       if (r < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) return Io::kDead;
-      const double left = deadline - elapsed();
+      const double left = deadline - Now();
       if (left <= 0) return Io::kTimeout;
-      struct pollfd pfd {fd, POLLOUT, 0};
+      struct pollfd pfd {cmd_, POLLOUT, 0};
       const int pr = support::io::PollRetry(&pfd, 1, static_cast<int>(left * 1000) + 1);
       if (pr == 0) return Io::kTimeout;
       if (pr < 0) return Io::kDead;
     }
     return Io::kOk;
-  };
+  }
 
-  const auto send_frame = [&](Lane& lane, std::uint8_t type, const std::string& payload,
-                              bool corrupt = false) -> bool {
-    std::string header = FrameHeader(type, payload);
-    std::string body = payload;
-    if (corrupt && !body.empty()) body[body.size() / 2] ^= 0x20;  // checksum now lies
-    const double deadline = elapsed() + supervise_.lane_timeout_s;
-    if (write_exact(lane.cmd, header.data(), header.size(), deadline) != Io::kOk) return false;
-    return write_exact(lane.cmd, body.data(), body.size(), deadline) == Io::kOk;
-  };
-
-  const auto read_frame = [&](Lane& lane, std::uint8_t* type, std::string* payload,
-                              double deadline) -> Io {
-    char header[kHeaderSize];
-    Io io = read_exact(lane.res, header, sizeof(header), deadline);
-    if (io != Io::kOk) return io;
-    if (GetU32(&header[0]) != kFrameMagic) return Io::kDead;
-    *type = static_cast<std::uint8_t>(header[4]);
-    const std::uint64_t len = GetU64(&header[5]);
-    const std::uint64_t sum = GetU64(&header[13]);
-    if (len > kMaxFrame) return Io::kDead;
-    payload->assign(len, '\0');
-    if (len > 0) {
-      io = read_exact(lane.res, payload->data(), len, deadline);
-      if (io != Io::kOk) return io;
+  bool Send(std::uint8_t type, const std::string& payload, bool corrupt = false) {
+    if (cmd_ < 0) return false;
+    const std::string header = FrameHeader(type, payload);
+    const double deadline = Now() + t_.supervise.lane_timeout_s;
+    if (WriteExact(header.data(), header.size(), deadline) != Io::kOk) return false;
+    if (!corrupt || payload.empty()) {
+      return WriteExact(payload.data(), payload.size(), deadline) == Io::kOk;
     }
-    return Fnv64(payload->data(), payload->size()) == sum ? Io::kOk : Io::kDead;
-  };
+    std::string body = payload;
+    body[body.size() / 2] ^= 0x20;  // the checksum now lies
+    return WriteExact(body.data(), body.size(), deadline) == Io::kOk;
+  }
 
-  // -- Spawn / death / recovery --------------------------------------------
-  const auto lane_id = [&](const Lane& lane) {
-    return static_cast<int>(&lane - lanes.data());
-  };
+  // Awaits one frame of `want` type, discarding HELLOs from respawned
+  // children. kDead / kTimeout go to the caller, which owns the recovery
+  // sequence for its protocol phase.
+  Io Await(std::uint8_t want, std::string* payload) {
+    if (res_ < 0) return Io::kDead;
+    const double deadline = Now() + t_.supervise.lane_timeout_s;
+    while (true) {
+      char header[kHeaderSize];
+      Io io = ReadExact(header, sizeof(header), deadline);
+      if (io != Io::kOk) return io;
+      if (GetU32(&header[0]) != kFrameMagic) return Io::kDead;
+      const auto type = static_cast<std::uint8_t>(header[4]);
+      const std::uint64_t len = GetU64(&header[5]);
+      const std::uint64_t sum = GetU64(&header[13]);
+      if (len > kMaxFrame) return Io::kDead;
+      payload->assign(len, '\0');
+      if (len > 0 && (io = ReadExact(payload->data(), len, deadline)) != Io::kOk) return io;
+      if (Fnv64(payload->data(), payload->size()) != sum) return Io::kDead;
+      if (type == want) return Io::kOk;
+      if (type != kMsgHello) return Io::kDead;  // protocol violation: treat as dead
+    }
+  }
 
-  const auto spawn = [&](Lane& lane) -> bool {
-    const int i = lane_id(lane);
+  // Sends RUN for the current round. Arms at most one injected lane fault,
+  // consumed at arming so a respawn never re-fires it. The target is latched
+  // at the round top: a replay after a death in the sync phase must redo
+  // THIS round, not skip a barrier.
+  bool SendRun() {
+    std::uint8_t fault_kind = kNoFault;
+    std::uint64_t fault_at = 0;
+    std::uint64_t fault_param = 0;
+    if (support::FaultInjector* faults = t_.supervise.faults) {
+      if (support::FaultEvent* ev = faults->NextLaneFault(spec_.index, run_target_)) {
+        ev->armed = true;
+        ev->fired = true;
+        fault_kind = static_cast<std::uint8_t>(ev->kind);
+        fault_at = ev->at;
+        fault_param = ev->param;
+        Trace(obs::TraceEvent("fault_injected")
+                  .F64("time_s", Now())
+                  .Str("kind", support::FaultKindName(ev->kind))
+                  .U64("worker", static_cast<std::uint64_t>(spec_.index))
+                  .U64("at", ev->at));
+      }
+    }
+    wire::Writer w;
+    w.U64(run_target_);
+    w.U8(fault_kind);
+    w.U64(fault_at);
+    w.U64(fault_param);
+    return Send(kMsgRun, w.take());
+  }
+
+  // -- Spawn / death / recovery -------------------------------------------
+
+  bool Spawn() {
     int cmd_pipe[2];
     int res_pipe[2];
     if (::pipe(cmd_pipe) != 0) return false;
@@ -571,816 +737,171 @@ SupervisedCampaignResult Supervisor::Run(const FuzzBudget& budget) {
       return false;
     }
     if (pid == 0) {
-      // Child: drop every inherited supervisor-side descriptor — holding a
-      // sibling's pipe end would mask that sibling's EOF from the parent.
-      for (const Lane& other : lanes) {
-        if (other.cmd >= 0) ::close(other.cmd);
-        if (other.res >= 0) ::close(other.res);
-      }
-      if (chld_pipe[0] >= 0) ::close(chld_pipe[0]);
-      if (chld_pipe[1] >= 0) ::close(chld_pipe[1]);
+      for (ProcessLane* other : t_.lanes) other->ClosePipes();
       ::close(cmd_pipe[1]);
       ::close(res_pipe[0]);
       ChildSpec cs;
-      cs.wopts = lane_opts[static_cast<std::size_t>(i)];
-      cs.budget = lane_budget[static_cast<std::size_t>(i)];
-      if (lane.has_state) {
-        cs.resume = &lane.state;
-      } else if (supervise_.resume != nullptr) {
-        cs.resume = &supervise_.resume->workers[static_cast<std::size_t>(i)];
-      }
-      cs.want_provenance = options_.provenance != nullptr;
+      cs.wopts = spec_.options;
+      cs.budget = spec_.budget;
+      cs.resume = has_state_ ? &state_ : spec_.resume;
+      cs.want_provenance = spec_.want_provenance;
       cs.cmd_fd = cmd_pipe[0];
       cs.res_fd = res_pipe[1];
-      cs.capture = lane.capture;
-      ChildRun(*instrumented_, *spec_, fuzz_only_, std::move(cs));  // never returns
+      cs.capture = capture_;
+      ChildRun(t_.instrumented, t_.spec, t_.fuzz_only, std::move(cs));  // never returns
     }
     ::close(cmd_pipe[0]);
     ::close(res_pipe[1]);
     ::fcntl(cmd_pipe[1], F_SETFL, O_NONBLOCK);
     ::fcntl(res_pipe[0], F_SETFL, O_NONBLOCK);
-    lane.pid = pid;
-    lane.cmd = cmd_pipe[1];
-    lane.res = res_pipe[0];
+    pid_ = pid;
+    cmd_ = cmd_pipe[1];
+    res_ = res_pipe[0];
     return true;
-  };
+  }
 
-  const auto close_lane = [&](Lane& lane) {
-    if (lane.cmd >= 0) ::close(lane.cmd);
-    if (lane.res >= 0) ::close(lane.res);
-    lane.cmd = lane.res = -1;
-  };
-
-  const auto reap = [&](Lane& lane, bool force_kill) {
-    if (lane.pid < 0) return;
-    if (force_kill) ::kill(lane.pid, SIGKILL);
+  void Reap(bool force_kill) {
+    if (pid_ < 0) return;
+    if (force_kill) ::kill(pid_, SIGKILL);
     int status = 0;
-    ::waitpid(lane.pid, &status, 0);
-    lane.pid = -1;
-  };
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+  }
 
   // Quarantines the input that was executing when the lane died.
-  const auto quarantine_crash = [&](Lane& lane) -> std::string {
-    InputCapture* cap = lane.capture;
-    if (cap == nullptr) return {};
-    const std::uint32_t len = std::min<std::uint32_t>(cap->len, kCaptureCap);
+  std::string QuarantineCrash() const {
+    if (capture_ == nullptr || t_.supervise.crashes_dir.empty()) return {};
+    const std::uint32_t len = std::min<std::uint32_t>(capture_->len, kCaptureCap);
     if (len == 0) return {};
-    std::vector<std::uint8_t> data(cap->data, cap->data + len);
-    if (supervise_.crashes_dir.empty()) return {};
     std::uint64_t h = 1469598103934665603ULL;
-    for (std::uint8_t b : data) {
-      h ^= b;
+    for (std::uint32_t i = 0; i < len; ++i) {
+      h ^= capture_->data[i];
       h *= 1099511628211ULL;
     }
     char name[32];
     std::snprintf(name, sizeof(name), "crash-%016llx.bin", static_cast<unsigned long long>(h));
-    if (!support::EnsureDir(supervise_.crashes_dir).ok()) return {};
-    const std::string path = supervise_.crashes_dir + "/" + name;
-    std::string bytes(reinterpret_cast<const char*>(data.data()), data.size());
+    if (!support::EnsureDir(t_.supervise.crashes_dir).ok()) return {};
+    const std::string path = t_.supervise.crashes_dir + "/" + name;
+    const std::string bytes(reinterpret_cast<const char*>(capture_->data), len);
     if (!support::WriteFileAtomic(path, bytes).ok()) return {};
     return path;
-  };
+  }
 
-  const auto on_lane_death = [&](Lane& lane, const char* reason, bool hang) {
-    const int i = lane_id(lane);
-    reap(lane, /*force_kill=*/hang);
-    close_lane(lane);
-    ++out.crashes;
-    if (hang) ++out.hang_kills;
-    const std::string artifact = quarantine_crash(lane);
-    if (board != nullptr) {
-      board->LogInstant(hang ? "hang_kill" : "crash", i + 1, elapsed());
-      board->SetWorkerRestarting(i, true);
+  void OnDeath(const char* reason, bool hang) {
+    // A dead lane is finished off either way: the kill also ends a live
+    // child that sent garbage, so the reap cannot wedge.
+    ClosePipes();
+    Reap(/*force_kill=*/true);
+    ++t_.stats.crashes;
+    if (hang) ++t_.stats.hang_kills;
+    const std::string artifact = QuarantineCrash();
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->LogInstant(hang ? "hang_kill" : "crash", spec_.index + 1, Now());
+      board->SetWorkerRestarting(spec_.index, true);
     }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetCounter("fuzz.worker_crashes").Increment();
-      if (hang) tm->registry->GetCounter("fuzz.worker_hang_kills").Increment();
-    }
-    if (tm != nullptr && tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("worker_crash")
-                          .F64("time_s", elapsed())
-                          .U64("worker", static_cast<std::uint64_t>(i))
-                          .U64("exec", lane.executions)
-                          .Str("reason", reason)
-                          .Str("artifact", artifact));
-    }
-  };
+    Count("fuzz.worker_crashes");
+    if (hang) Count("fuzz.worker_hang_kills");
+    Trace(obs::TraceEvent("worker_crash")
+              .F64("time_s", Now())
+              .U64("worker", static_cast<std::uint64_t>(spec_.index))
+              .U64("exec", executions_)
+              .Str("reason", reason)
+              .Str("artifact", artifact));
+  }
 
-  const auto retire = [&](Lane& lane) {
-    const int i = lane_id(lane);
-    lane.retired = true;
-    ++out.lanes_retired;
-    if (board != nullptr) {
-      board->SetWorkerRestarting(i, false);
-      board->SetWorkerDone(i);
-      board->LogInstant("lane_retired", i + 1, elapsed());
+  void Retire() {
+    ClosePipes();
+    Reap(/*force_kill=*/true);
+    retired_ = true;
+    ++t_.stats.lanes_retired;
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->SetWorkerRestarting(spec_.index, false);
+      board->SetWorkerDone(spec_.index);
+      board->LogInstant("lane_retired", spec_.index + 1, Now());
     }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetCounter("fuzz.lanes_retired").Increment();
-    }
-    if (tm != nullptr && tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("lane_retired")
-                          .F64("time_s", elapsed())
-                          .U64("worker", static_cast<std::uint64_t>(i))
-                          .U64("restarts", static_cast<std::uint64_t>(lane.restarts)));
-    }
-  };
+    Count("fuzz.lanes_retired");
+    Trace(obs::TraceEvent("lane_retired")
+              .F64("time_s", Now())
+              .U64("worker", static_cast<std::uint64_t>(spec_.index))
+              .U64("restarts", static_cast<std::uint64_t>(restarts_)));
+  }
 
-  // Respawns a dead lane with capped exponential backoff. Returns false if
-  // the lane hit its restart cap and was retired instead.
-  const auto respawn = [&](Lane& lane) -> bool {
-    const int i = lane_id(lane);
-    if (lane.restarts >= supervise_.max_restarts) {
-      retire(lane);
+  // Respawns the dead lane with capped exponential backoff. Returns false
+  // if the lane hit its restart cap (or could not fork) and was retired.
+  bool Respawn() {
+    if (restarts_ >= t_.supervise.max_restarts) {
+      Retire();
       return false;
     }
-    support::io::SleepMs(static_cast<int>(lane.backoff_s * 1000));
-    lane.backoff_s = std::min(lane.backoff_s * 2, supervise_.restart_backoff_cap_s);
-    ++lane.restarts;
-    ++out.restarts;
-    if (!spawn(lane)) {
-      retire(lane);
+    support::io::SleepMs(static_cast<int>(backoff_s_ * 1000));
+    backoff_s_ = std::min(backoff_s_ * 2, t_.supervise.restart_backoff_cap_s);
+    ++restarts_;
+    ++t_.stats.restarts;
+    if (!Spawn()) {
+      Retire();
       return false;
     }
-    if (board != nullptr) {
-      board->CountWorkerRestart(i);
-      board->LogInstant("respawn", i + 1, elapsed());
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->CountWorkerRestart(spec_.index);
+      board->LogInstant("respawn", spec_.index + 1, Now());
     }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetCounter("fuzz.worker_restarts").Increment();
-    }
-    if (tm != nullptr && tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("worker_respawn")
-                          .F64("time_s", elapsed())
-                          .U64("worker", static_cast<std::uint64_t>(i))
-                          .U64("restarts", static_cast<std::uint64_t>(lane.restarts)));
-    }
+    Count("fuzz.worker_restarts");
+    Trace(obs::TraceEvent("worker_respawn")
+              .F64("time_s", Now())
+              .U64("worker", static_cast<std::uint64_t>(spec_.index))
+              .U64("restarts", static_cast<std::uint64_t>(restarts_)));
     return true;
-  };
-
-  const auto alive = [](const Lane& lane) { return !lane.retired; };
-
-  // Awaits one frame of `want` type, discarding HELLOs from respawned
-  // children. kDead / kTimeout are reported to the caller, which owns the
-  // recovery sequence for its protocol phase.
-  const auto await = [&](Lane& lane, std::uint8_t want, std::string* payload) -> Io {
-    const double deadline = elapsed() + supervise_.lane_timeout_s;
-    while (true) {
-      std::uint8_t type = 0;
-      const Io io = read_frame(lane, &type, payload, deadline);
-      if (io != Io::kOk) return io;
-      if (type == want) return Io::kOk;
-      if (type == kMsgHello) continue;  // respawned child announcing itself
-      return Io::kDead;                 // protocol violation: treat as dead
-    }
-  };
-
-  // The supervised RUN for the current round of `lane`; arms at most one
-  // injected lane fault, consumed at arming so a respawn never re-fires it.
-  // The target is latched in lane.run_target at the round top: a replay
-  // after a death in the sync phase (when lane.executions has already been
-  // advanced by the barrier scan) must redo THIS round, not skip a barrier.
-  const auto send_run = [&](Lane& lane) -> bool {
-    const int i = lane_id(lane);
-    const std::uint64_t target = lane.run_target;
-    std::uint8_t fault_kind = kNoFault;
-    std::uint64_t fault_at = 0;
-    std::uint64_t fault_param = 0;
-    if (faults != nullptr) {
-      if (support::FaultEvent* ev = faults->NextLaneFault(i, target)) {
-        ev->armed = true;
-        ev->fired = true;
-        fault_kind = static_cast<std::uint8_t>(ev->kind);
-        fault_at = ev->at;
-        fault_param = ev->param;
-        if (tm != nullptr && tm->trace != nullptr) {
-          tm->trace->Emit(obs::TraceEvent("fault_injected")
-                              .F64("time_s", elapsed())
-                              .Str("kind", support::FaultKindName(ev->kind))
-                              .U64("worker", static_cast<std::uint64_t>(i))
-                              .U64("at", ev->at));
-        }
-      }
-    }
-    wire::Writer w;
-    w.U64(target);
-    w.U8(fault_kind);
-    w.U64(fault_at);
-    w.U64(fault_param);
-    return send_frame(lane, kMsgRun, w.take());
-  };
-
-  // -- Deterministic barrier state (mirrors the threaded driver) -----------
-  coverage::CoverageSink global(*spec_);
-  std::unordered_set<std::uint64_t> seen_sigs;
-  std::vector<std::size_t> scanned(n, 0);
-  if (supervise_.resume != nullptr) {
-    seen_sigs.insert(supervise_.resume->seen_signatures.begin(),
-                     supervise_.resume->seen_signatures.end());
-    for (std::size_t i = 0; i < n && i < supervise_.resume->scanned.size(); ++i) {
-      scanned[i] = static_cast<std::size_t>(supervise_.resume->scanned[i]);
-    }
-    out.rounds = supervise_.resume->rounds;
-    out.imports = supervise_.resume->imports;
   }
 
-  struct Export {
-    std::size_t worker = 0;
-    const std::vector<std::uint8_t>* data = nullptr;
-    std::uint64_t signature = 0;
-  };
+  ProcessTransport& t_;
+  const LaneSpec spec_;
+  pid_t pid_ = -1;
+  int cmd_ = -1;                     // parent writes commands
+  int res_ = -1;                     // parent reads replies
+  InputCapture* capture_ = nullptr;  // the lane window, shared with the child
+  bool retired_ = false;
+  bool done_ = false;
+  std::uint64_t executions_ = 0;
+  std::uint64_t run_target_ = 0;     // this round's RUN target
+  std::uint8_t expect_ = kMsgHello;  // reply the next AwaitRound collects
+  bool ran_since_state_ = false;     // a RUN went out after the last STATE
+  FuzzerState state_;                // last post-sync barrier state (respawn point)
+  bool has_state_ = false;
+  std::uint64_t syncs_ = 0;          // SYNC exchanges (the corrupt-delta fault ordinal)
+  int restarts_ = 0;
+  double backoff_s_;
+  RoundReply reply_;
+  double round_t0_ = 0;
+  double round_s_ = -1;
+  std::uint64_t relayed_ = 0;        // highest count shown on the status board
+  std::unique_ptr<coverage::ProvenanceMap> provenance_;
+};
 
-  // Pass 1 of the barrier: scan this round's replies in lane-id order; the
-  // base-aware window makes a replayed (post-respawn) report idempotent.
-  const auto scan_exports = [&](std::vector<Export>* exports) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Lane& lane = lanes[i];
-      if (!lane.ran_this_round) continue;
-      const RoundReply& rep = lane.reply;
-      const std::size_t end = static_cast<std::size_t>(rep.base) + rep.entries.size();
-      for (std::size_t k = std::max(scanned[i], static_cast<std::size_t>(rep.base)); k < end;
-           ++k) {
-        const auto& [data, sig] = rep.entries[k - static_cast<std::size_t>(rep.base)];
-        if (seen_sigs.insert(sig).second) {
-          exports->push_back(Export{i, &data, sig});
-        }
-      }
-      scanned[i] = std::max(scanned[i], end);
-      lane.executions = rep.executions;
-      lane.done = rep.done;
-    }
-  };
+void ProcessTransport::StampProgress() const {
+  if (options.status_board == nullptr) return;
+  for (ProcessLane* lane : lanes) lane->StampProgress();
+}
 
-  // Pass 2: per-lane import payloads in export order (identical to the
-  // threaded engine's import loop nesting).
-  const auto build_imports = [&](const std::vector<Export>& exports,
-                                 std::vector<std::string>* payloads) {
-    std::vector<wire::Writer> writers(n);
-    std::vector<std::uint64_t> counts(n, 0);
-    for (const Export& e : exports) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == e.worker || !alive(lanes[j]) || lanes[j].done) continue;
-        writers[j].Bytes(*e.data);
-        writers[j].U64(e.signature);
-        ++counts[j];
-        ++out.imports;
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      wire::Writer w;
-      w.U64(counts[j]);
-      std::string body = writers[j].take();
-      std::string head = w.take();
-      (*payloads)[j] = head + body;
-    }
-  };
+}  // namespace
 
-  std::uint64_t sync_ordinal = 0;  // counts sync phases (pre-loop included)
+Supervisor::Supervisor(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
+                       FuzzerOptions options, SupervisorOptions supervise,
+                       const vm::Program* fuzz_only_program)
+    : instrumented_(&instrumented),
+      fuzz_only_(fuzz_only_program),
+      spec_(&spec),
+      options_(std::move(options)),
+      supervise_(std::move(supervise)) {}
 
-  // Runs the SYNC → STATE exchange for one lane, including the full
-  // replay-from-last-state recovery ladder. `in_round` selects whether a
-  // recovered lane must redo a RUN before the SYNC replay.
-  const auto sync_lane = [&](Lane& lane, bool in_round) -> bool {
-    const int i = lane_id(lane);
-    while (alive(lane)) {
-      bool corrupt = false;
-      if (faults != nullptr) {
-        if (support::FaultEvent* ev = faults->NextCorruptDelta(i, sync_ordinal)) {
-          ev->fired = true;
-          corrupt = true;
-          if (tm != nullptr && tm->trace != nullptr) {
-            tm->trace->Emit(obs::TraceEvent("fault_injected")
-                                .F64("time_s", elapsed())
-                                .Str("kind", "corrupt")
-                                .U64("worker", static_cast<std::uint64_t>(i))
-                                .U64("at", sync_ordinal));
-          }
-        }
-      }
-      std::string payload;
-      if (send_frame(lane, kMsgSync, lane.sync_payload, corrupt) &&
-          await(lane, kMsgState, &payload) == Io::kOk) {
-        wire::Reader r(payload);
-        FuzzerState st;
-        if (ReadFuzzerState(r, st)) {
-          lane.state = std::move(st);
-          lane.has_state = true;
-          lane.executions = lane.state.executions;
-          scanned[i] = lane.state.corpus.size();
-          if (board != nullptr) {
-            board->SetWorkerRestarting(i, false);
-            board->StampWorker(i, lane.executions);
-            if (lane.done) board->SetWorkerDone(i);
-          }
-          return true;
-        }
-      }
-      // Death (or an unparseable state, treated the same) anywhere in the
-      // exchange: respawn from the last barrier state and replay the phase.
-      on_lane_death(lane, corrupt ? "corrupted delta" : "died in sync", /*hang=*/false);
-      if (!respawn(lane)) return false;
-      if (in_round) {
-        // Redo the round (deterministic: same state, same RNG, no fault —
-        // it was consumed at arming). The re-reported entries fall below
-        // scanned[i], so the barrier scan ignores them.
-        std::string round_payload;
-        if (!send_run(lane) || await(lane, kMsgRound, &round_payload) != Io::kOk ||
-            !ParseRoundReply(round_payload, &lane.reply)) {
-          on_lane_death(lane, "died replaying round", /*hang=*/false);
-          if (!respawn(lane)) return false;
-          continue;  // retry the whole ladder with the fresh process
-        }
-        lane.done = lane.reply.done;
-      }
-    }
-    return false;
-  };
-
-  // Collects the ROUND reply for one lane, recovering through deaths and
-  // hangs. Returns false when the lane retired instead.
-  const auto collect_round = [&](Lane& lane) -> bool {
-    while (alive(lane)) {
-      std::string payload;
-      const Io io = await(lane, kMsgRound, &payload);
-      if (io == Io::kOk && ParseRoundReply(payload, &lane.reply)) {
-        lane.round_dur = elapsed() - lane.round_t0;
-        if (board != nullptr) board->StampWorker(lane_id(lane), lane.reply.executions);
-        return true;
-      }
-      on_lane_death(lane, io == Io::kTimeout ? "heartbeat timeout" : "died mid-round",
-                    /*hang=*/io == Io::kTimeout);
-      if (!respawn(lane)) return false;
-      if (!send_run(lane)) {
-        on_lane_death(lane, "died at respawn", /*hang=*/false);
-        if (!respawn(lane)) return false;
-        if (!send_run(lane)) {
-          retire(lane);
-          return false;
-        }
-      }
-    }
-    return false;
-  };
-
-  // -- Heartbeats / checkpoints (parent-side, from barrier states) ---------
-  double next_stat = tm != nullptr && tm->stats_every_s > 0
-                         ? tm->stats_every_s
-                         : std::numeric_limits<double>::infinity();
-  std::uint64_t last_stat_exec = 0;
-  double last_stat_time = 0;
-  obs::PhaseProfile driver_phases;
-  std::vector<obs::PhaseAccumulator> phase;
-  phase.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    phase.emplace_back("fuzz.worker" + std::to_string(i));
-  }
-
-  const auto total_executions = [&]() {
-    std::uint64_t exec = 0;
-    for (const Lane& lane : lanes) exec += lane.executions;
-    return exec;
-  };
-
-  const auto merge_lane_sinks = [&]() {
-    for (const Lane& lane : lanes) {
-      if (!lane.has_state) continue;
-      coverage::CoverageSink scratch(*spec_);
-      if (scratch.RestoreCampaign(lane.state.total_words, lane.state.evals)) {
-        global.MergeFrom(scratch);
-      }
-    }
-  };
-
-  const auto heartbeat = [&]() {
-    const double now = elapsed();
-    if (now < next_stat) return;
-    do next_stat += tm->stats_every_s;
-    while (next_stat <= now);
-    merge_lane_sinks();
-    const coverage::MetricReport report = coverage::ComputeReport(global, options_.justifications);
-    std::uint64_t exec = 0;
-    std::uint64_t corpus = 0;
-    std::uint64_t iters = 0;
-    for (const Lane& lane : lanes) {
-      exec += lane.executions;
-      corpus += lane.state.corpus.size();
-      iters += lane.state.model_iterations;
-    }
-    const double window = now - last_stat_time;
-    const double exec_per_s = window > 0 ? static_cast<double>(exec - last_stat_exec) / window : 0;
-    last_stat_time = now;
-    last_stat_exec = exec;
-    if (board != nullptr) {
-      obs::CampaignAggregates agg;
-      agg.elapsed_s = now;
-      agg.executions = exec;
-      agg.model_iterations = iters;
-      agg.exec_per_s = exec_per_s;
-      agg.corpus = corpus;
-      agg.decision_pct = report.DecisionPct();
-      agg.condition_pct = report.ConditionPct();
-      agg.mcdc_pct = report.McdcPct();
-      agg.adj_decision_pct = report.AdjustedDecisionPct();
-      agg.adj_condition_pct = report.AdjustedConditionPct();
-      agg.adj_mcdc_pct = report.AdjustedMcdcPct();
-      board->UpdateAggregates(agg);
-    }
-    if (tm->registry != nullptr) {
-      tm->registry->GetGauge("fuzz.exec_per_s").Set(exec_per_s);
-      tm->registry->GetGauge("fuzz.corpus_size").Set(static_cast<double>(corpus));
-      tm->registry->GetGauge("fuzz.coverage.decision_pct").Set(report.DecisionPct());
-      tm->registry->GetGauge("fuzz.coverage.condition_pct").Set(report.ConditionPct());
-      tm->registry->GetGauge("fuzz.coverage.mcdc_pct").Set(report.McdcPct());
-    }
-    if (tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("stat")
-                          .F64("time_s", now)
-                          .U64("exec", exec)
-                          .F64("exec_per_s", exec_per_s)
-                          .U64("workers", n)
-                          .U64("rounds", out.rounds)
-                          .U64("imports", out.imports)
-                          .U64("corpus", corpus)
-                          .U64("crashes", out.crashes)
-                          .U64("restarts", out.restarts)
-                          .F64("decision_pct", report.DecisionPct())
-                          .F64("condition_pct", report.ConditionPct())
-                          .F64("mcdc_pct", report.McdcPct()));
-    }
-    if (tm->status_stream != nullptr) {
-      std::fprintf(tm->status_stream,
-                   "#%llu\tcov: %.1f/%.1f/%.1f corp: %llu exec/s: %.0f (j%zu iso)\n",
-                   static_cast<unsigned long long>(exec), report.DecisionPct(),
-                   report.ConditionPct(), report.McdcPct(),
-                   static_cast<unsigned long long>(corpus), exec_per_s, n);
-    }
-  };
-
-  std::uint64_t next_checkpoint = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t checkpoint_ordinal = 0;
-  const std::uint64_t spec_fp = SpecFingerprint(*spec_, *instrumented_);
-
-  const auto write_checkpoint = [&]() {
-    const double ckpt_t0 = elapsed();
-    CampaignCheckpoint ckpt;
-    ckpt.spec_fingerprint = spec_fp;
-    ckpt.seed = options_.seed;
-    ckpt.model_oriented = options_.model_oriented;
-    ckpt.use_idc_energy = options_.use_idc_energy;
-    ckpt.analyzed = options_.justifications != nullptr;
-    ckpt.max_tuples = options_.max_tuples;
-    ckpt.step_budget = options_.step_budget;
-    ckpt.num_workers = static_cast<std::uint32_t>(n);
-    ckpt.sync_every = supervise_.sync_every;
-    ckpt.rounds = out.rounds;
-    ckpt.imports = out.imports;
-    ckpt.seen_signatures.assign(seen_sigs.begin(), seen_sigs.end());
-    std::sort(ckpt.seen_signatures.begin(), ckpt.seen_signatures.end());
-    ckpt.scanned.assign(scanned.begin(), scanned.end());
-    ckpt.elapsed_s = elapsed();
-    ckpt.workers.reserve(n);
-    for (const Lane& lane : lanes) ckpt.workers.push_back(lane.state);
-    std::string bytes = SerializeCheckpoint(ckpt);
-    ++checkpoint_ordinal;
-    Status status = Status::Ok();
-    bool torn = false;
-    if (faults != nullptr) {
-      if (support::FaultEvent* ev =
-              faults->NextDriverFault(support::FaultKind::kTornCheckpoint, checkpoint_ordinal)) {
-        // Simulated power-cut mid-write: a truncated blob lands at the final
-        // path without the temp+rename dance. The next read must reject it
-        // with a structured diagnostic, never crash (satellite: --resume
-        // hardening); the next periodic checkpoint heals the file.
-        ev->fired = true;
-        torn = true;
-        bytes.resize(bytes.size() / 3);
-        std::FILE* f = std::fopen(options_.checkpoint_path.c_str(), "wb");
-        if (f != nullptr) {
-          std::fwrite(bytes.data(), 1, bytes.size(), f);
-          std::fclose(f);
-        }
-        if (tm != nullptr && tm->trace != nullptr) {
-          tm->trace->Emit(obs::TraceEvent("fault_injected")
-                              .F64("time_s", elapsed())
-                              .Str("kind", "torn")
-                              .U64("at", checkpoint_ordinal));
-        }
-      }
-    }
-    if (!torn) {
-      status = support::WriteFileAtomic(options_.checkpoint_path, bytes);
-      if (!status.ok()) {
-        std::fprintf(stderr, "cftcg: checkpoint write failed: %s\n", status.message().c_str());
-      }
-    }
-    if (tm != nullptr && tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("checkpoint")
-                          .F64("time_s", elapsed())
-                          .U64("exec", total_executions())
-                          .U64("bytes", bytes.size())
-                          .U64("ok", status.ok() && !torn ? 1 : 0));
-    }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetCounter("fuzz.checkpoints").Increment();
-    }
-    driver_phases.Add(obs::ProfilePhase::kCheckpoint, elapsed() - ckpt_t0);
-  };
-
-  // -- Campaign ------------------------------------------------------------
-  // Spawn every lane; collect HELLOs (seed corpora); pre-loop sync.
-  for (Lane& lane : lanes) {
-    if (!spawn(lane)) retire(lane);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    Lane& lane = lanes[i];
-    while (alive(lane)) {
-      std::string payload;
-      if (await(lane, kMsgHello, &payload) == Io::kOk &&
-          ParseRoundReply(payload, &lane.reply)) {
-        lane.ran_this_round = true;  // the seed "round"
-        break;
-      }
-      on_lane_death(lane, "died during seeding", /*hang=*/false);
-      respawn(lane);
-    }
-  }
-
-  const auto run_sync_phase = [&](bool in_round) {
-    ++sync_ordinal;
-    std::vector<Export> exports;
-    scan_exports(&exports);
-    std::vector<std::string> payloads(n);
-    build_imports(exports, &payloads);
-    for (std::size_t j = 0; j < n; ++j) {
-      Lane& lane = lanes[j];
-      if (!alive(lane)) continue;
-      if (lane.done) {
-        // Done lanes receive no imports (threaded semantics) but still
-        // hand over their final barrier state.
-        wire::Writer w;
-        w.U64(0);
-        lane.sync_payload = w.take();
-      } else {
-        lane.sync_payload = std::move(payloads[j]);
-      }
-      sync_lane(lane, in_round);
-      lane.sync_payload.clear();
-    }
-  };
-
-  // Seed-corpus sync before the first round (threaded pre-loop sync_round).
-  run_sync_phase(/*in_round=*/false);
-
-  while (true) {
-    bool any_alive = false;
-    for (const Lane& lane : lanes) any_alive |= alive(lane) && !lane.done;
-    if (!any_alive) break;
-
-    // Drain SIGCHLD notifications; actual recovery happens at the await
-    // sites (a death between replies surfaces as EOF on its reply pipe).
-    if (chld_pipe[0] >= 0) {
-      char buf[64];
-      while (::read(chld_pipe[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-
-    for (Lane& lane : lanes) {
-      lane.ran_this_round = false;
-      lane.round_dur = -1;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      Lane& lane = lanes[i];
-      if (!alive(lane) || lane.done) continue;
-      lane.round_t0 = elapsed();
-      lane.run_target = lane.executions + supervise_.sync_every;
-      if (!send_run(lane)) {
-        on_lane_death(lane, "died before round", /*hang=*/false);
-        if (!respawn(lane) || !send_run(lane)) {
-          if (!lane.retired) retire(lane);
-          continue;
-        }
-      }
-      lane.ran_this_round = true;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      Lane& lane = lanes[i];
-      if (!lane.ran_this_round) continue;
-      if (!collect_round(lane)) lane.ran_this_round = false;  // retired mid-round
-    }
-    ++out.rounds;
-    double round_span = 0;
-    for (const Lane& lane : lanes) round_span = std::max(round_span, lane.round_dur);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (lanes[i].round_dur >= 0) {
-        phase[i].Add(lanes[i].round_dur);
-        if (board != nullptr) {
-          board->LogSpan("round", static_cast<int>(i) + 1, lanes[i].round_t0,
-                         lanes[i].round_dur);
-        }
-        if (round_span > lanes[i].round_dur) {
-          driver_phases.Add(obs::ProfilePhase::kIdle, round_span - lanes[i].round_dur);
-        }
-      }
-    }
-
-    const double sync_t0 = elapsed();
-    run_sync_phase(/*in_round=*/true);
-    driver_phases.Add(obs::ProfilePhase::kCorpusSync, elapsed() - sync_t0);
-    if (board != nullptr && n > 1) board->LogSpan("sync", 0, sync_t0, elapsed() - sync_t0);
-    if (tm != nullptr) heartbeat();
-
-    if (next_checkpoint == std::numeric_limits<std::uint64_t>::max() &&
-        options_.checkpoint_every > 0 && !options_.checkpoint_path.empty()) {
-      next_checkpoint =
-          (total_executions() / options_.checkpoint_every + 1) * options_.checkpoint_every;
-    } else if (total_executions() >= next_checkpoint) {
-      write_checkpoint();
-      next_checkpoint += options_.checkpoint_every;
-    }
-    if (options_.interrupt != nullptr && options_.interrupt->load(std::memory_order_relaxed)) {
-      out.interrupted = true;
-      if (!options_.checkpoint_path.empty()) write_checkpoint();
-      break;
-    }
-  }
-
-  // -- Finish: collect final states, reap every child ----------------------
-  std::vector<LaneResult> results(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Lane& lane = lanes[i];
-    bool collected = false;
-    if (alive(lane) && lane.pid >= 0) {
-      std::string payload;
-      if (send_frame(lane, kMsgFinish, std::string()) &&
-          await(lane, kMsgResult, &payload) == Io::kOk &&
-          ParseLaneResult(payload, &results[i])) {
-        collected = true;
-        reap(lane, /*force_kill=*/false);
-      } else {
-        on_lane_death(lane, "died during finish", /*hang=*/false);
-      }
-    }
-    if (!collected) {
-      // Retired or just-died lane: its last barrier state still joins the
-      // merge (coverage and corpus up to the barrier are valid campaign
-      // output); only the Finish-time extras are reconstructed.
-      results[i].state = lane.state;
-      results[i].corpus_fingerprint = CorpusEntriesFingerprint(lane.state.corpus);
-      results[i].strobe_period = lane.state.exec_profile.strobe_period;
-      for (const coverage::ObjectiveFirstHit& h : lane.state.provenance_hits) {
-        results[i].hits.push_back(h);
-      }
-      results[i].from_finish = false;
-    }
-    close_lane(lane);
-    if (board != nullptr) board->SetWorkerDone(static_cast<int>(i));
-  }
-  // Sweep any stragglers (a lane that died after its last reply).
-  while (::waitpid(-1, nullptr, WNOHANG) > 0) {
-  }
-
-  // -- Final merge (worker-id order, mirroring the threaded engine) --------
-  CampaignResult& merged = out.merged;
-  for (std::size_t i = 0; i < n; ++i) {
-    const FuzzerState& st = results[i].state;
-    merged.executions += st.executions;
-    merged.model_iterations += st.model_iterations;
-    merged.measure_iterations += st.measure_iterations;
-    merged.hangs += st.hangs;
-    merged.strategy_stats.MergeFrom(st.strategy_stats);
-    merged.focus_stats.MergeFrom(results[i].focus_stats);
-    merged.test_cases.insert(merged.test_cases.end(), st.test_cases.begin(),
-                             st.test_cases.end());
-    merged.exec_profile.MergeFrom(st.exec_profile);
-    merged.fuzz_exec_profile.MergeFrom(st.fuzz_exec_profile);
-    merged.phase_profile.MergeFrom(st.phase_profile);
-    out.worker_executions.push_back(st.executions);
-    coverage::CoverageSink scratch(*spec_);
-    if (scratch.RestoreCampaign(st.total_words, st.evals)) global.MergeFrom(scratch);
-    merged.corpus_fingerprint =
-        (merged.corpus_fingerprint ^ results[i].corpus_fingerprint) * 1099511628211ULL;
-  }
-  merged.report = coverage::ComputeReport(global, options_.justifications);
-  merged.coverage_fingerprint = CoverageFingerprint(global);
-  merged.elapsed_s = elapsed();
-  merged.interrupted = out.interrupted;
-  merged.exec_profile.strobe_period = results.empty() ? 0 : results[0].strobe_period;
-  merged.phase_profile.MergeFrom(driver_phases);
-
-  obs::CampaignAggregates final_agg;
-  final_agg.elapsed_s = merged.elapsed_s;
-  final_agg.executions = merged.executions;
-  final_agg.model_iterations = merged.model_iterations;
-  final_agg.exec_per_s =
-      merged.elapsed_s > 0 ? static_cast<double>(merged.executions) / merged.elapsed_s : 0;
-  for (const LaneResult& r : results) final_agg.corpus += r.state.corpus.size();
-  final_agg.test_cases = merged.test_cases.size();
-  final_agg.decision_pct = merged.report.DecisionPct();
-  final_agg.condition_pct = merged.report.ConditionPct();
-  final_agg.mcdc_pct = merged.report.McdcPct();
-  final_agg.adj_decision_pct = merged.report.AdjustedDecisionPct();
-  final_agg.adj_condition_pct = merged.report.AdjustedConditionPct();
-  final_agg.adj_mcdc_pct = merged.report.AdjustedMcdcPct();
-  final_agg.hangs = merged.hangs;
-
-  {
-    std::unordered_set<std::uint64_t> sigs;
-    for (const LaneResult& r : results) {
-      for (const CorpusEntry& e : r.state.corpus) sigs.insert(e.signature);
-    }
-    out.corpus_signatures.assign(sigs.begin(), sigs.end());
-    std::sort(out.corpus_signatures.begin(), out.corpus_signatures.end());
-  }
-
-  if (options_.provenance != nullptr) {
-    // Rebuild per-lane maps from the shipped hit lists, then merge with the
-    // same earliest-iteration / lowest-lane-id tie-break as the threaded
-    // engine.
-    std::vector<std::unique_ptr<coverage::ProvenanceMap>> lane_maps;
-    std::vector<const coverage::ProvenanceMap*> maps;
-    for (const LaneResult& r : results) {
-      auto m = std::make_unique<coverage::ProvenanceMap>(*spec_);
-      for (const coverage::ObjectiveFirstHit& h : r.hits) m->AbsorbHit(h);
-      maps.push_back(m.get());
-      lane_maps.push_back(std::move(m));
-    }
-    const auto hits = coverage::MergeFirstHits(maps);
-    for (const auto& h : hits) options_.provenance->AbsorbHit(h);
-    if (tm != nullptr && tm->trace != nullptr) {
-      for (const auto& h : options_.provenance->hits()) {
-        tm->trace->Emit(obs::TraceEvent("objective")
-                            .Str("kind", coverage::ObjectiveKindName(h.kind))
-                            .Str("name", h.name)
-                            .I64("outcome", h.outcome)
-                            .I64("slot", h.slot)
-                            .U64("iter", h.iteration)
-                            .F64("time_s", h.time_s)
-                            .I64("entry", h.entry_id)
-                            .Str("chain", h.chain));
-      }
-      tm->trace->Emit(obs::TraceEvent("provenance")
-                          .U64("covered", options_.provenance->num_covered())
-                          .U64("total", options_.provenance->num_objectives()));
-    }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetGauge("fuzz.objectives_covered")
-          .Set(static_cast<double>(options_.provenance->num_covered()));
-      tm->registry->GetGauge("fuzz.objectives_total")
-          .Set(static_cast<double>(options_.provenance->num_objectives()));
-    }
-    final_agg.objectives_covered = options_.provenance->num_covered();
-    final_agg.objectives_total = options_.provenance->num_objectives();
-  }
-  if (board != nullptr) board->UpdateAggregates(final_agg);
-
-  if (tm != nullptr) {
-    if (tm->registry != nullptr) {
-      obs::Registry& reg = *tm->registry;
-      reg.GetCounter("fuzz.executions").Add(merged.executions);
-      reg.GetCounter("fuzz.model_iterations").Add(merged.model_iterations);
-      reg.GetCounter("fuzz.measure_iterations").Add(merged.measure_iterations);
-      reg.GetGauge("fuzz.workers").Set(static_cast<double>(n));
-      reg.GetGauge("fuzz.coverage.decision_pct").Set(merged.report.DecisionPct());
-      reg.GetGauge("fuzz.coverage.condition_pct").Set(merged.report.ConditionPct());
-      reg.GetGauge("fuzz.coverage.mcdc_pct").Set(merged.report.McdcPct());
-    }
-    for (std::size_t i = 0; i < n; ++i) phase[i].Commit(tm->registry, tm->trace);
-    if (tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("supervision")
-                          .F64("time_s", merged.elapsed_s)
-                          .U64("crashes", out.crashes)
-                          .U64("hang_kills", out.hang_kills)
-                          .U64("restarts", out.restarts)
-                          .U64("lanes_retired", out.lanes_retired));
-      tm->trace->Emit(obs::TraceEvent("stop")
-                          .F64("elapsed_s", merged.elapsed_s)
-                          .U64("exec", merged.executions)
-                          .U64("iters", merged.model_iterations)
-                          .U64("measure_iters", merged.measure_iterations)
-                          .F64("exec_per_s",
-                               merged.elapsed_s > 0
-                                   ? static_cast<double>(merged.executions) / merged.elapsed_s
-                                   : 0)
-                          .U64("workers", n)
-                          .U64("rounds", out.rounds)
-                          .U64("imports", out.imports)
-                          .U64("test_cases", merged.test_cases.size())
-                          .F64("decision_pct", merged.report.DecisionPct())
-                          .F64("condition_pct", merged.report.ConditionPct())
-                          .F64("mcdc_pct", merged.report.McdcPct()));
-      tm->trace->Flush();
-    }
-  }
-
-  // -- Teardown ------------------------------------------------------------
-  ::sigaction(SIGCHLD, &old_chld, nullptr);
-  g_sigchld_pipe = -1;
-  std::signal(SIGPIPE, old_pipe);
-  if (chld_pipe[0] >= 0) ::close(chld_pipe[0]);
-  if (chld_pipe[1] >= 0) ::close(chld_pipe[1]);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (maps[i] != nullptr) ::munmap(maps[i], sizeof(InputCapture));
-  }
+SupervisedCampaignResult Supervisor::Run(const FuzzBudget& budget) {
+  SupervisedCampaignResult out;
+  ProcessTransport transport(*instrumented_, *spec_, fuzz_only_, options_, supervise_, out);
+  static_cast<ParallelCampaignResult&>(out) = RunLaneCampaign(
+      *instrumented_, *spec_, options_, supervise_, budget,
+      [&transport](const LaneSpec& lane) -> std::unique_ptr<Lane> {
+        return std::make_unique<ProcessLane>(transport, lane);
+      },
+      supervise_.faults, &out);
   return out;
 }
 

@@ -1,11 +1,12 @@
 // Crash-isolated supervised execution engine.
 //
-// The Supervisor runs the same deterministic round-barrier campaign as
-// fuzz::ParallelFuzzer, but each worker lives in its own forked process
-// instead of a thread: a VM bug, a malformed model, or a hostile input can
-// kill one lane without taking the campaign down. Worker state crosses the
-// process boundary as checkpoint-format messages (fuzz/wire.hpp, the exact
-// FuzzerState encoding of PR 5 checkpoints) over a pair of pipes per lane:
+// The Supervisor runs the round-barrier campaign of parallel.hpp — the same
+// driver, RunLaneCampaign (fuzz/lane.hpp) — over the forked-process lane
+// transport: each worker lives in its own process instead of a thread, so a
+// VM bug, a malformed model, or a hostile input can kill one lane without
+// taking the campaign down. Worker state crosses the process boundary as
+// checkpoint-format messages (fuzz/wire.hpp, the exact FuzzerState encoding
+// of checkpoints) over a pair of pipes per lane:
 //
 //   parent → child:  RUN(target [, armed fault])   one round of executions
 //                    SYNC(import list)             round-barrier corpus merge
@@ -13,23 +14,26 @@
 //   child → parent:  HELLO(seed entries)           after Fuzzer::Begin
 //                    ROUND(done, execs, new corpus entries since the cursor)
 //                    STATE(full FuzzerState)       post-sync barrier state
-//                    RESULT(state + fingerprints + provenance)
+//                    RESULT(state + fingerprint + provenance)
 //
-// Fault containment: the supervisor detects worker death (SIGCHLD + pipe
-// EOF), kills lanes that miss their reply deadline (heartbeat timeout),
-// quarantines the input that was executing at the time of death to a
-// content-hashed crashes/ artifact (the shared-memory input stamp mirrors
-// the hang quarantine of PR 5), and respawns the lane from its last
-// post-sync state with capped exponential backoff. A lane that keeps dying
-// is retired and the campaign degrades gracefully to fewer workers.
+// Fault containment: the supervisor detects worker death (pipe EOF), kills
+// lanes that miss their reply deadline (heartbeat timeout), quarantines the
+// input that was executing at the time of death to a content-hashed
+// crashes/ artifact (a shared-memory window the worker stamps before every
+// execution, mirroring the hang quarantine), and respawns the lane from its
+// last post-sync state with capped exponential backoff. A lane that keeps
+// dying is retired and the campaign degrades gracefully to fewer workers.
+//
+// Live views: the same window carries the lane's execution count, which the
+// supervisor relays to the status board while it waits on a round, and the
+// driver publishes /profile from the lanes' barrier states — /status, the
+// stall watchdog and /profile behave as they do for threads.
 //
 // Determinism: with no faults injected and no lane deaths, the supervised
 // campaign is bit-identical to the threaded engine for the same seed and
-// worker count — same RNG forking, same budget split, same export/import
-// ordering at every barrier, same worker-id-order final merge. A respawned
-// lane replays its round from the last barrier state, so even a faulted
-// campaign re-joins the deterministic schedule unless the crashing input is
-// quarantined out of it.
+// worker count — it is the same driver. A respawned lane replays its round
+// from the last barrier state, so even a faulted campaign re-joins the
+// deterministic schedule unless the crashing input is quarantined out of it.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +46,9 @@
 
 namespace cftcg::fuzz {
 
-struct SupervisorOptions {
-  /// Lane count; clamped to >= 1. Unlike the threaded engine there is no
-  /// sequential delegation: -j1 --isolate still forks one worker.
-  int num_workers = 1;
-  /// Executions per lane between barriers (ParallelOptions::sync_every).
-  std::uint64_t sync_every = 1024;
-  /// Resume from a checkpoint (same format as the threaded engine's).
-  const CampaignCheckpoint* resume = nullptr;
+/// The threaded engine's options plus the supervision policy. There is no
+/// sequential delegation: -j1 --isolate still forks one worker.
+struct SupervisorOptions : ParallelOptions {
   /// A lane that produces no reply for this long is presumed wedged,
   /// killed, and respawned. Also bounds the FINISH collection.
   double lane_timeout_s = 30.0;
@@ -67,22 +66,21 @@ struct SupervisorOptions {
   support::FaultInjector* faults = nullptr;
 };
 
-struct SupervisedCampaignResult : ParallelCampaignResult {
-  std::uint64_t crashes = 0;       // lanes that died (any cause, incl. injected)
-  std::uint64_t hang_kills = 0;    // of which: reply-deadline kills
-  std::uint64_t restarts = 0;      // successful respawns
-  std::uint64_t lanes_retired = 0; // lanes given up on
+/// Lane-loss accounting of the supervised engine.
+struct SupervisionStats {
+  std::uint64_t crashes = 0;        // lanes that died (any cause, incl. injected)
+  std::uint64_t hang_kills = 0;     // of which: reply-deadline kills
+  std::uint64_t restarts = 0;       // successful respawns
+  std::uint64_t lanes_retired = 0;  // lanes given up on
 };
+
+struct SupervisedCampaignResult : ParallelCampaignResult, SupervisionStats {};
 
 class Supervisor {
  public:
   Supervisor(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
              FuzzerOptions options, SupervisorOptions supervise,
              const vm::Program* fuzz_only_program = nullptr);
-  ~Supervisor();
-
-  Supervisor(const Supervisor&) = delete;
-  Supervisor& operator=(const Supervisor&) = delete;
 
   SupervisedCampaignResult Run(const FuzzBudget& budget);
 

@@ -11,12 +11,18 @@
 //   * degradation: a lane that exhausts its restart budget is retired and
 //     the campaign still completes with the remaining lanes;
 //   * forensics: the input in flight at a crash is quarantined to a
-//     content-hashed artifact in crashes_dir.
+//     content-hashed artifact in crashes_dir;
+//   * live views: an isolated campaign publishes the same /profile as the
+//     threaded one and relays mid-round lane progress to the status board.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "bench_models/bench_models.hpp"
@@ -24,6 +30,8 @@
 #include "coverage/provenance.hpp"
 #include "fuzz/parallel.hpp"
 #include "fuzz/supervisor.hpp"
+#include "obs/monitor.hpp"
+#include "obs/profiler.hpp"
 #include "support/fault_inject.hpp"
 
 namespace cftcg::fuzz {
@@ -233,6 +241,78 @@ TEST(SupervisedFaultTest, SlowLaneDelaysButDoesNotDiverge) {
   const SupervisedCampaignResult faulted = RunSupervised(*cm, 5, 2, 400, nullptr, &inj);
   EXPECT_EQ(faulted.crashes, 0U);
   ExpectSameCampaign(clean.merged, faulted.merged);
+}
+
+// -- Live views -------------------------------------------------------------
+// One driver serves both transports, so /profile and /status must not care
+// whether lanes are threads or processes.
+
+obs::CampaignProfile FinalProfile(CompiledModel& cm, bool isolated) {
+  obs::ProfilePublisher pub;
+  FuzzerOptions options;
+  options.seed = 7;
+  options.profile_publisher = &pub;
+  if (isolated) {
+    SupervisorOptions sup;
+    sup.num_workers = 2;
+    sup.sync_every = 64;
+    Supervisor(cm.instrumented(), cm.spec(), options, sup).Run(ExecBudget(900));
+  } else {
+    ParallelOptions par;
+    par.num_workers = 2;
+    par.sync_every = 64;
+    ParallelFuzzer(cm.instrumented(), cm.spec(), options, par).Run(ExecBudget(900));
+  }
+  auto parsed = obs::ParseCampaignProfile(pub.Snapshot());
+  EXPECT_TRUE(parsed.ok()) << parsed.message();
+  return parsed.ok() ? parsed.take() : obs::CampaignProfile{};
+}
+
+TEST(SupervisedLiveViewTest, IsolatedCampaignPublishesTheThreadedProfile) {
+  auto cm = Compile("TCP");
+  const obs::CampaignProfile threaded = FinalProfile(*cm, /*isolated=*/false);
+  const obs::CampaignProfile isolated = FinalProfile(*cm, /*isolated=*/true);
+  EXPECT_GT(isolated.vm_dispatches, 0U);
+  EXPECT_EQ(isolated.vm_dispatches, threaded.vm_dispatches);
+  EXPECT_EQ(isolated.vm_steps, threaded.vm_steps);
+}
+
+TEST(SupervisedLiveViewTest, StatusBoardSeesMidRoundLaneProgress) {
+  auto cm = Compile("AFC");
+  obs::CampaignStatusBoard board;
+  obs::CampaignInfo info;
+  info.workers = 2;
+  board.BeginCampaign(info);
+  // Lane 1 holds its second round's reply back for 800 ms. Barrier stamps
+  // only ever show 8 seeds plus a multiple of sync_every (64); any other
+  // count on the board was relayed from the child while the supervisor
+  // waited.
+  support::FaultInjector inj;
+  inj.events().push_back(support::FaultEvent{support::FaultKind::kSlowLane, /*lane=*/1,
+                                             /*at=*/90, /*param=*/800, false, false});
+  std::atomic<bool> stop{false};
+  std::vector<std::uint64_t> seen;
+  std::thread poller([&] {
+    while (!stop.load()) {
+      seen.push_back(board.WorkerExecutions(1));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  FuzzerOptions options;
+  options.seed = 5;
+  options.status_board = &board;
+  SupervisorOptions sup;
+  sup.num_workers = 2;
+  sup.sync_every = 64;
+  sup.faults = &inj;
+  const SupervisedCampaignResult r =
+      Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(400));
+  stop = true;
+  poller.join();
+  EXPECT_EQ(r.crashes, 0U);
+  EXPECT_TRUE(std::any_of(seen.begin(), seen.end(),
+                          [](std::uint64_t e) { return e > 8 && (e - 8) % 64 != 0; }))
+      << "only barrier counts reached the board";
 }
 
 }  // namespace
