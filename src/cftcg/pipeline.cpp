@@ -1,6 +1,5 @@
 #include "cftcg/pipeline.hpp"
 
-#include "fuzz/checkpoint.hpp"
 #include "obs/timer.hpp"
 #include "parser/model_io.hpp"
 
@@ -118,14 +117,47 @@ Result<std::string> CompiledModel::EmitFuzzingCode() const {
   return codegen::EmitC(scheduled_, opts);
 }
 
-fuzz::CampaignResult CompiledModel::Fuzz(const fuzz::FuzzerOptions& options,
-                                         const fuzz::FuzzBudget& budget) {
-  const vm::Program* fo = options.model_oriented ? nullptr : &fuzz_only();
+const vm::Program& CompiledModel::SequentialTarget(const fuzz::FuzzerOptions& options) {
   // Residual diagnostics need kMargin instructions; the margin lowering is
   // coverage-identical to the plain instrumented program, so swapping it in
   // only when a MarginRecorder is attached keeps the default hot path free
   // of margin dispatch.
-  const vm::Program& target = options.margins != nullptr ? with_margins() : instrumented_;
+  return options.margins != nullptr ? with_margins() : instrumented_;
+}
+
+Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt,
+                                            const fuzz::FuzzerOptions& options) {
+  // A one-worker checkpoint resumes through Fuzz(); the multi-worker
+  // engines run the instrumented program.
+  const vm::Program& program = ckpt.num_workers <= 1 ? SequentialTarget(options) : instrumented_;
+  const std::size_t fuzz_only_len = fuzz_only().code.size();
+  const auto check = [](std::size_t worker, const char* plane,
+                        const std::vector<std::uint64_t>& counters, std::size_t len) {
+    if (counters.empty() || counters.size() == len) return Status::Ok();
+    return Status::Error("checkpoint worker " + std::to_string(worker) + " " + plane +
+                         " profile plane has " + std::to_string(counters.size()) +
+                         " counter(s), but the program this campaign runs has " +
+                         std::to_string(len) +
+                         " instruction(s) (written by a build that lowers the model "
+                         "differently, with margin recording set the other way, or damaged)");
+  };
+  for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
+    const fuzz::FuzzerState& s = ckpt.workers[i];
+    for (Status st : {check(i, "VM count", s.exec_profile.insn_counts, program.code.size()),
+                      check(i, "VM sample", s.exec_profile.insn_samples, program.code.size()),
+                      check(i, "fuzz-only count", s.fuzz_exec_profile.insn_counts, fuzz_only_len),
+                      check(i, "fuzz-only sample", s.fuzz_exec_profile.insn_samples,
+                            fuzz_only_len)}) {
+      if (!st.ok()) return st;
+    }
+  }
+  return Status::Ok();
+}
+
+fuzz::CampaignResult CompiledModel::Fuzz(const fuzz::FuzzerOptions& options,
+                                         const fuzz::FuzzBudget& budget) {
+  const vm::Program* fo = options.model_oriented ? nullptr : &fuzz_only();
+  const vm::Program& target = SequentialTarget(options);
   obs::ScopedTimer vm_span("vm_load");
   fuzz::Fuzzer fuzzer(target, spec(), options, fo);
   vm_span.Stop();

@@ -17,6 +17,7 @@
 #include "analysis/slice.hpp"
 #include "codegen/cemit.hpp"
 #include "codegen/lower.hpp"
+#include "fuzz/checkpoint.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/parallel.hpp"
 #include "fuzz/supervisor.hpp"
@@ -64,6 +65,18 @@ class CompiledModel {
   /// Runs the CFTCG fuzzing loop.
   fuzz::CampaignResult Fuzz(const fuzz::FuzzerOptions& options, const fuzz::FuzzBudget& budget);
 
+  /// Resume gate for the self-profile planes: each worker's per-instruction
+  /// counters must be empty or exactly one per instruction of the program
+  /// the engine will run for `options` (the options the campaign resumes
+  /// with). The spec fingerprint does not cover program length, so this is
+  /// what refuses a checkpoint written by a build that lowers the model
+  /// differently, or by a one-worker campaign whose margin recording was set
+  /// the other way, instead of resuming with counters attributed to the
+  /// wrong instructions. Margin recording is the sequential engine's alone:
+  /// leave `options.margins` null when resuming through FuzzSupervised.
+  Status ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt,
+                               const fuzz::FuzzerOptions& options);
+
   /// Runs the parallel multi-worker fuzzing loop (fuzz/parallel.hpp).
   /// parallel.num_workers <= 1 delegates to Fuzz() — the sequential engine,
   /// which additionally supports margin recording and per-campaign
@@ -87,6 +100,10 @@ class CompiledModel {
 
  private:
   CompiledModel() = default;
+
+  /// The program the sequential engine runs for `options`: the margin
+  /// lowering when a MarginRecorder is attached, else the instrumented one.
+  const vm::Program& SequentialTarget(const fuzz::FuzzerOptions& options);
 
   std::unique_ptr<ir::Model> model_;
   sched::ScheduledModel scheduled_;

@@ -1,9 +1,11 @@
 #include "codegen/lower.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 #include "blocks/registry.hpp"
 #include "support/strings.hpp"
@@ -46,6 +48,8 @@ class Lowerer {
     EmitOp(Op::kHalt);
     prog_.num_dregs = next_dreg_;
     prog_.num_iregs = next_ireg_;
+    FuseCompareBranches();
+    if (Status s = CheckPoolNotWritten(); !s.ok()) return s;
     return std::move(prog_);
   }
 
@@ -106,15 +110,28 @@ class Lowerer {
   }
 
   // ---- value helpers --------------------------------------------------------
+  /// Constant-pool registers: one per distinct value, listed in
+  /// Program::const_d / const_i and preloaded by the Machine, so a constant
+  /// costs no dispatch. Callers only read them (CheckPoolNotWritten).
   Slot ConstD(double v) {
-    Slot s{true, NewD(), DType::kDouble};
-    EmitOp(Op::kLoadConstD, s.reg, 0, 0, 0, 0, v);
-    return s;
+    const auto [it, fresh] = pool_d_.try_emplace(std::bit_cast<std::uint64_t>(v), 0);
+    if (fresh) {
+      it->second = NewD();
+      prog_.const_d.push_back({it->second, v});
+    }
+    return Slot{true, it->second, DType::kDouble};
   }
   Slot ConstI(std::int64_t v, DType t) {
-    Slot s{false, NewI(), t};
-    EmitOp(Op::kLoadConstI, s.reg, 0, 0, 0, 0, static_cast<double>(v), t);
-    return s;
+    // The value an ldc.i of this literal holds: through the double
+    // immediate, then wrapped to the declared width.
+    const std::int64_t wrapped =
+        ir::WrapToDType(static_cast<std::int64_t>(static_cast<double>(v)), t);
+    const auto [it, fresh] = pool_i_.try_emplace(wrapped, 0);
+    if (fresh) {
+      it->second = NewI();
+      prog_.const_i.push_back({it->second, wrapped});
+    }
+    return Slot{false, it->second, t};
   }
 
   /// Converts a slot to the requested model type, emitting conversions as
@@ -198,14 +215,19 @@ class Lowerer {
   }
 
   /// if (breg) { cov true_slot } else { cov false_slot } — the paper's
-  /// mode (a) if/else instrumentation for one boolean signal.
+  /// mode (a) if/else instrumentation for one boolean signal, as the single
+  /// instruction kCovIf.
   void EmitPolarityCov(int breg, int true_slot, int false_slot) {
-    const std::size_t jz = EmitJz(breg);
-    EmitCov(true_slot);
-    const std::size_t jend = EmitJmp();
-    Patch(jz);
-    EmitCov(false_slot);
-    Patch(jend);
+    EmitOp(Op::kCovIf, 0, breg, 0, true_slot, false_slot);
+  }
+
+  /// One MCDC condition leaf as the single instruction kCovCond: polarity
+  /// coverage of `breg`, its bit in the `vals` vector when true, and in the
+  /// evaluated `mask` (-1: the decision has no mask register).
+  void EmitConditionLeafCov(coverage::ConditionId c, int breg, int vals, int mask, int bit) {
+    const std::int64_t value = ir::WrapToDType(std::int64_t{1} << bit, DType::kUInt32);
+    EmitOp(Op::kCovCond, vals, breg, mask, sm_.spec.ConditionTrueSlot(c),
+           sm_.spec.ConditionFalseSlot(c), static_cast<double>(value));
   }
 
   void EmitConditionCov(coverage::ConditionId c, int breg) {
@@ -909,15 +931,7 @@ class Lowerer {
       if (Instr()) {
         // Mode (a): if/else instrumentation on every boolean input, plus
         // MCDC vector accumulation.
-        const coverage::ConditionId c = sm_.ConditionAt(&b, i + 1);
-        const std::size_t jz = EmitJz(bi);
-        EmitCov(sm_.spec.ConditionTrueSlot(c));
-        const Slot bit = ConstI(1LL << i, DType::kUInt32);
-        EmitOp(Op::kOrBitsI, vals, vals, bit.reg, 0, 0, 0, DType::kUInt32);
-        const std::size_t jend = EmitJmp();
-        Patch(jz);
-        EmitCov(sm_.spec.ConditionFalseSlot(c));
-        Patch(jend);
+        EmitConditionLeafCov(sm_.ConditionAt(&b, i + 1), bi, vals, /*mask=*/-1, i);
       }
     }
     // Combine branch-free (the paper's observation: no jump instructions for
@@ -1307,11 +1321,7 @@ class Lowerer {
   /// Arithmetic-context expression -> dreg.
   int LowerMexExpr(const Expr& e, MexEnv& env) {
     switch (e.kind) {
-      case ExprKind::kNumber: {
-        const int r = NewD();
-        EmitOp(Op::kLoadConstD, r, 0, 0, 0, 0, e.number);
-        return r;
-      }
+      case ExprKind::kNumber: return ConstD(e.number).reg;
       case ExprKind::kVar: {
         auto it = env.vars.find(e.name);
         assert(it != env.vars.end());
@@ -1443,17 +1453,7 @@ class Lowerer {
     if (Instr()) {
       auto it = bit_of.find(&e);
       if (it != bit_of.end() && it->second < 24) {
-        const int bit = it->second;
-        const Slot bitc = ConstI(1LL << bit, DType::kUInt32);
-        EmitOp(Op::kOrBitsI, mask, mask, bitc.reg, 0, 0, 0, DType::kUInt32);
-        const coverage::ConditionId c = sm_.ConditionAt(&e, 0);
-        const std::size_t jz = EmitJz(v);
-        EmitCov(sm_.spec.ConditionTrueSlot(c));
-        EmitOp(Op::kOrBitsI, vals, vals, bitc.reg, 0, 0, 0, DType::kUInt32);
-        const std::size_t jend = EmitJmp();
-        Patch(jz);
-        EmitCov(sm_.spec.ConditionFalseSlot(c));
-        Patch(jend);
+        EmitConditionLeafCov(sm_.ConditionAt(&e, 0), v, vals, mask, it->second);
       }
     }
     return v;
@@ -1660,11 +1660,81 @@ class Lowerer {
     return Status::Ok();
   }
 
+  // ---- whole-program passes ------------------------------------------------
+  /// Rewrites each comparison immediately followed by a jz on its result
+  /// into one fused compare-and-branch (kBrLtD, ...), in one O(n) sweep
+  /// that compacts the code and remaps every jump target. Only pairs whose
+  /// jz is not itself a jump target and that belong to the same block are
+  /// fused, so control flow and per-block dispatch attribution are
+  /// unchanged; the fused op still writes the comparison's flag register.
+  void FuseCompareBranches() {
+    std::vector<Insn>& code = prog_.code;
+    std::vector<std::int32_t>& owner = prog_.insn_block;
+    const std::size_t n = code.size();
+    std::vector<bool> is_target(n + 1, false);
+    for (const Insn& in : code) {
+      if (vm::EffectOf(in.op).jumps) is_target[static_cast<std::size_t>(in.imm)] = true;
+    }
+    std::vector<std::int32_t> new_pc(n + 1);
+    std::size_t out = 0;
+    for (std::size_t pc = 0; pc < n; ++pc, ++out) {
+      new_pc[pc] = static_cast<std::int32_t>(out);
+      code[out] = code[pc];
+      owner[out] = owner[pc];
+      const Op fused = vm::FusedBranchOf(code[pc].op);
+      if (fused == Op::kHalt || pc + 1 >= n) continue;
+      const Insn& next = code[pc + 1];
+      if (next.op != Op::kJmpIfZero || next.a != code[pc].dst || is_target[pc + 1] ||
+          owner[pc + 1] != owner[pc]) {
+        continue;
+      }
+      code[out].op = fused;
+      code[out].imm = next.imm;
+      ++pc;
+      new_pc[pc] = static_cast<std::int32_t>(out);
+    }
+    new_pc[n] = static_cast<std::int32_t>(out);
+    code.resize(out);
+    owner.resize(out);
+    for (Insn& in : code) {
+      if (vm::EffectOf(in.op).jumps) in.imm = new_pc[static_cast<std::size_t>(in.imm)];
+    }
+  }
+
+  /// The constant pool is preloaded once per Machine, so a program that
+  /// writes a pooled register would corrupt every later read of that
+  /// constant. Refuse it instead of running it.
+  Status CheckPoolNotWritten() const {
+    std::vector<bool> pooled_d(static_cast<std::size_t>(next_dreg_), false);
+    std::vector<bool> pooled_i(static_cast<std::size_t>(next_ireg_), false);
+    for (const auto& c : prog_.const_d) pooled_d[static_cast<std::size_t>(c.reg)] = true;
+    for (const auto& c : prog_.const_i) pooled_i[static_cast<std::size_t>(c.reg)] = true;
+    for (std::size_t pc = 0; pc < prog_.code.size(); ++pc) {
+      const Insn& in = prog_.code[pc];
+      const vm::OperandEffect fx = vm::EffectOf(in.op);
+      std::string bad;  // the pooled register written, if any
+      vm::ForEachReg(in, fx.write_d, [&](int r) {
+        if (pooled_d[static_cast<std::size_t>(r)]) bad = "d" + std::to_string(r);
+      });
+      vm::ForEachReg(in, fx.write_i, [&](int r) {
+        if (pooled_i[static_cast<std::size_t>(r)]) bad = "i" + std::to_string(r);
+      });
+      if (!bad.empty()) {
+        return Status::Error(StrFormat(
+            "internal lowering error: instruction %zu (%s) writes pooled constant register %s",
+            pc, std::string(vm::OpName(in.op)).c_str(), bad.c_str()));
+      }
+    }
+    return Status::Ok();
+  }
+
   const sched::ScheduledModel& sm_;
   const LoweringOptions& opts_;
   vm::Program prog_;
   int next_dreg_ = 0;
   int next_ireg_ = 0;
+  std::unordered_map<std::uint64_t, int> pool_d_;  // value bits -> dreg
+  std::unordered_map<std::int64_t, int> pool_i_;   // wrapped value -> ireg
   std::map<ValueKey, Slot> values_;
   std::map<const Block*, std::vector<int>> delay_state_;
   std::int32_t cur_block_ = -1;  // attribution target for Emit(); -1 = glue

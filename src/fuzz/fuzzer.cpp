@@ -1022,9 +1022,13 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
   if (!edge_total_.empty()) edge_curr_.assign(edge_total_.size(), 0);
   // Self-profile planes: counters and the strobe countdown carry over so a
   // resumed profile is bit-identical; the strobe period stays an option of
-  // the resuming campaign. AttachTo re-sizes defensively (a fingerprint-
-  // validated checkpoint always matches already); the fuzz-only plane is
-  // re-armed by the lazy fuzz-machine init.
+  // the resuming campaign. Each plane is empty or one counter per
+  // instruction of the program it counts (CompiledModel::ValidateResumeProfile
+  // is the caller-side gate); AttachTo sizes an empty one. The fuzz-only
+  // plane is re-armed by the lazy fuzz-machine init.
+  assert((state.exec_profile.insn_counts.empty() ||
+          state.exec_profile.insn_counts.size() == instrumented_->code.size()) &&
+         "checkpoint profile plane of another program (ValidateResumeProfile not run?)");
   exec_profile_ = state.exec_profile;
   exec_profile_.strobe_period = options_.profile_timing ? options_.profile_strobe_period : 0;
   exec_profile_.AttachTo(*instrumented_);

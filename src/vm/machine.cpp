@@ -18,6 +18,10 @@ Machine::Machine(const Program& program) : program_(&program) {
   out_i_.assign(program.output_types.size(), 0);
   state_d_.resize(program.state_d.size());
   state_i_.resize(program.state_i.size());
+  // The constant pool: no instruction writes these registers, so one
+  // preload here serves every Step().
+  for (const auto& c : program.const_d) dregs_[static_cast<std::size_t>(c.reg)] = c.value;
+  for (const auto& c : program.const_i) iregs_[static_cast<std::size_t>(c.reg)] = c.value;
   Reset();
 }
 
@@ -195,15 +199,11 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
       case Op::kGeD: r[in.dst] = d[in.a] >= d[in.b]; break;
       case Op::kEqD:
         r[in.dst] = d[in.a] == d[in.b];
-        if (cmp_trace_ != nullptr && d[in.a] != d[in.b]) {
-          cmp_trace_->RecordDouble(d[in.a], d[in.b]);
-        }
+        TraceEqD(d[in.a], d[in.b]);
         break;
       case Op::kNeD:
         r[in.dst] = d[in.a] != d[in.b];
-        if (cmp_trace_ != nullptr && d[in.a] != d[in.b]) {
-          cmp_trace_->RecordDouble(d[in.a], d[in.b]);
-        }
+        TraceEqD(d[in.a], d[in.b]);
         break;
       case Op::kLtI: r[in.dst] = r[in.a] < r[in.b]; break;
       case Op::kLeI: r[in.dst] = r[in.a] <= r[in.b]; break;
@@ -211,38 +211,46 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
       case Op::kGeI: r[in.dst] = r[in.a] >= r[in.b]; break;
       case Op::kEqI:
         r[in.dst] = r[in.a] == r[in.b];
-        if (cmp_trace_ != nullptr && r[in.a] != r[in.b]) {
-          cmp_trace_->RecordInt(r[in.a], r[in.b]);
-        }
+        TraceEqI(r[in.a], r[in.b]);
         break;
       case Op::kNeI:
         r[in.dst] = r[in.a] != r[in.b];
-        if (cmp_trace_ != nullptr && r[in.a] != r[in.b]) {
-          cmp_trace_->RecordInt(r[in.a], r[in.b]);
-        }
+        TraceEqI(r[in.a], r[in.b]);
         break;
 
-      case Op::kJmp: {
-        const auto target = static_cast<std::size_t>(in.imm);
-        if (target <= pc && --back_jumps == 0) return abort_hang();
-        pc = target;
-        continue;
-      }
+      // Fused compare-and-branch: the comparison's flag is still written,
+      // then the jz it replaced is taken when the flag is 0.
+      case Op::kBrLtD: r[in.dst] = d[in.a] < d[in.b]; goto branch_if_zero;
+      case Op::kBrLeD: r[in.dst] = d[in.a] <= d[in.b]; goto branch_if_zero;
+      case Op::kBrGtD: r[in.dst] = d[in.a] > d[in.b]; goto branch_if_zero;
+      case Op::kBrGeD: r[in.dst] = d[in.a] >= d[in.b]; goto branch_if_zero;
+      case Op::kBrEqD:
+        r[in.dst] = d[in.a] == d[in.b];
+        TraceEqD(d[in.a], d[in.b]);
+        goto branch_if_zero;
+      case Op::kBrNeD:
+        r[in.dst] = d[in.a] != d[in.b];
+        TraceEqD(d[in.a], d[in.b]);
+        goto branch_if_zero;
+      case Op::kBrLtI: r[in.dst] = r[in.a] < r[in.b]; goto branch_if_zero;
+      case Op::kBrLeI: r[in.dst] = r[in.a] <= r[in.b]; goto branch_if_zero;
+      case Op::kBrGtI: r[in.dst] = r[in.a] > r[in.b]; goto branch_if_zero;
+      case Op::kBrGeI: r[in.dst] = r[in.a] >= r[in.b]; goto branch_if_zero;
+      case Op::kBrEqI:
+        r[in.dst] = r[in.a] == r[in.b];
+        TraceEqI(r[in.a], r[in.b]);
+        goto branch_if_zero;
+      case Op::kBrNeI:
+        r[in.dst] = r[in.a] != r[in.b];
+        TraceEqI(r[in.a], r[in.b]);
+        goto branch_if_zero;
+
+      case Op::kJmp: goto jump;
       case Op::kJmpIfZero:
-        if (r[in.a] == 0) {
-          const auto target = static_cast<std::size_t>(in.imm);
-          if (target <= pc && --back_jumps == 0) return abort_hang();
-          pc = target;
-          continue;
-        }
+        if (r[in.a] == 0) goto jump;
         break;
       case Op::kJmpIfNotZero:
-        if (r[in.a] != 0) {
-          const auto target = static_cast<std::size_t>(in.imm);
-          if (target <= pc && --back_jumps == 0) return abort_hang();
-          pc = target;
-          continue;
-        }
+        if (r[in.a] != 0) goto jump;
         break;
 
       case Op::kLoadInD: d[in.dst] = in_d_[static_cast<std::size_t>(in.imm)]; break;
@@ -269,8 +277,32 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
       case Op::kMargin:
         if (sink != nullptr) sink->RecordMargin(in.imm, in.b, in.aux, d[in.a]);
         break;
+      case Op::kCovIf:
+        if (sink != nullptr) sink->Hit(r[in.a] != 0 ? in.imm : in.aux);
+        break;
+      case Op::kCovCond: {
+        const bool value = r[in.a] != 0;
+        const auto bit = static_cast<std::int64_t>(in.dimm);
+        if (in.b >= 0) r[in.b] |= bit;
+        if (value) r[in.dst] |= bit;
+        if (sink != nullptr) sink->Hit(value ? in.imm : in.aux);
+        break;
+      }
     }
     ++pc;
+    continue;
+
+  branch_if_zero:
+    if (r[in.dst] != 0) {
+      ++pc;
+      continue;
+    }
+  jump: {
+    // Every control transfer lands here; backward ones spend the budget.
+    const auto target = static_cast<std::size_t>(in.imm);
+    if (target <= pc && --back_jumps == 0) return abort_hang();
+    pc = target;
+  }
   }
 }
 

@@ -67,6 +67,9 @@ class Machine {
   [[nodiscard]] std::int64_t state_i(int slot) const {
     return state_i_[static_cast<std::size_t>(slot)];
   }
+  /// Peek at registers (tests / debugging).
+  [[nodiscard]] double dreg(int r) const { return dregs_[static_cast<std::size_t>(r)]; }
+  [[nodiscard]] std::int64_t ireg(int r) const { return iregs_[static_cast<std::size_t>(r)]; }
 
  private:
   /// Dispatch-loop profiling modes, one specialization each: kOff carries no
@@ -76,6 +79,15 @@ class Machine {
   enum class ProfileMode { kOff, kCount, kStrobe };
   template <ProfileMode kMode>
   bool StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map);
+
+  /// TORC recording shared by eq/ne and their fused br.eq/br.ne forms: an
+  /// equality comparison whose operands differ records both of them.
+  void TraceEqD(double a, double b) {
+    if (cmp_trace_ != nullptr && a != b) cmp_trace_->RecordDouble(a, b);
+  }
+  void TraceEqI(std::int64_t a, std::int64_t b) {
+    if (cmp_trace_ != nullptr && a != b) cmp_trace_->RecordInt(a, b);
+  }
 
   const Program* program_;
   CmpTrace* cmp_trace_ = nullptr;

@@ -13,7 +13,10 @@
 //     declared width by the instruction's `type`);
 //   * in_d/in_i: per-field input slots filled by the driver from one tuple;
 //   * out_d/out_i: root outport slots;
-//   * state_d/state_i: persistent state (delays, chart state, ...).
+//   * state_d/state_i: persistent state (delays, chart state, ...);
+//   * the constant pool: registers preloaded once when a Machine is built
+//     (Program::const_d / const_i) and never written by any instruction, so
+//     model constants cost no dispatch.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,11 @@ enum class Op : std::uint8_t {
   // Comparisons (-> iregs 0/1).
   kLtD, kLeD, kGtD, kGeD, kEqD, kNeD,
   kLtI, kLeI, kGtI, kGeI, kEqI, kNeI,
+  // Fused compare-and-branch: iregs[dst] = cmp(a, b); if (!iregs[dst])
+  // pc = imm. One dispatch for a comparison and the jz on its result; the
+  // eq/ne forms record TORC operands exactly like kEqD/kNeD/kEqI/kNeI.
+  kBrLtD, kBrLeD, kBrGtD, kBrGeD, kBrEqD, kBrNeD,
+  kBrLtI, kBrLeI, kBrGtI, kBrGeI, kBrEqI, kBrNeI,
   // Control flow.
   kJmp,           // pc = imm
   kJmpIfZero,     // if (!iregs[a]) pc = imm
@@ -68,6 +76,12 @@ enum class Op : std::uint8_t {
   kEdge,      // edge_map[imm] = 1                    [code-level]
   kMcdcEval,  // sink->RecordEval(imm, iregs[a], iregs[b], iregs[aux])
   kMargin,    // sink->RecordMargin(imm, b, aux, dregs[a])
+  kCovIf,     // sink->Hit(iregs[a] ? imm : aux)      [one boolean's polarity]
+  // One MCDC condition leaf: iregs[b] |= bit (the evaluated mask; b < 0 =
+  // no mask register); if (iregs[a]) iregs[dst] |= bit (the values vector);
+  // sink->Hit(iregs[a] ? imm : aux). bit = (int64)dimm. The register updates
+  // happen with or without a sink.
+  kCovCond,
 };
 
 struct Insn {
@@ -79,6 +93,13 @@ struct Insn {
   std::int32_t imm = 0;   // jump target / slot / decision id
   std::int32_t aux = 0;
   double dimm = 0.0;
+};
+
+/// A constant-pool register and the value the Machine preloads into it.
+template <typename T>
+struct PooledConst {
+  std::int32_t reg = 0;
+  T value{};
 };
 
 struct StateSlot {
@@ -98,6 +119,11 @@ struct Program {
   std::vector<ir::DType> output_types;  // root outports
   int num_edges = 0;                    // code-level edge slots (kEdge)
 
+  // Constant pool: preloaded by the Machine constructor, never written by
+  // `code` (the lowering rejects a program that would write one).
+  std::vector<PooledConst<double>> const_d;
+  std::vector<PooledConst<std::int64_t>> const_i;
+
   // Block attribution (the self-profiler's VM plane): for every instruction,
   // the index into block_names of the model block whose lowering emitted it,
   // or -1 for scheduler glue (prologue jumps, the final kHalt). Parallel to
@@ -115,7 +141,46 @@ struct Program {
 
 std::string_view OpName(Op op);
 
-/// Human-readable disassembly (debugging, golden tests).
+/// Insn fields that can name a register (bit set).
+enum OperandField : std::uint8_t {
+  kFieldDst = 1,
+  kFieldA = 2,
+  kFieldB = 4,
+  kFieldAux = 8,
+};
+
+/// The registers one opcode reads and writes, as OperandField sets per
+/// register file, and whether its `imm` is a jump target. A field holding a
+/// negative register names none (kCovCond without a mask register).
+struct OperandEffect {
+  std::uint8_t read_d = 0;
+  std::uint8_t read_i = 0;
+  std::uint8_t write_d = 0;
+  std::uint8_t write_i = 0;
+  bool jumps = false;
+};
+
+/// The operand-effect table (one exhaustive switch: a new Op without an
+/// entry is a -Wswitch warning). Passes that reason about registers or jump
+/// targets — compare-and-branch fusion, the constant-pool write check — read
+/// it instead of enumerating opcodes themselves.
+OperandEffect EffectOf(Op op);
+
+/// Calls f(reg) for every register named by the `fields` of `in`.
+template <typename F>
+void ForEachReg(const Insn& in, std::uint8_t fields, F&& f) {
+  if ((fields & kFieldDst) != 0 && in.dst >= 0) f(in.dst);
+  if ((fields & kFieldA) != 0 && in.a >= 0) f(in.a);
+  if ((fields & kFieldB) != 0 && in.b >= 0) f(in.b);
+  if ((fields & kFieldAux) != 0 && in.aux >= 0) f(in.aux);
+}
+
+/// The fused compare-and-branch form of a comparison opcode (kLtD ->
+/// kBrLtD, ...), or kHalt when `op` is not a comparison.
+Op FusedBranchOf(Op op);
+
+/// Human-readable disassembly (debugging, golden tests): a header with the
+/// register counts and the constant pool, then one line per instruction.
 std::string Disassemble(const Program& program);
 
 }  // namespace cftcg::vm

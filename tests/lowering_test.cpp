@@ -2,6 +2,11 @@
 // expected outputs and coverage outcomes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
+
+#include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
 #include "ir/builder.hpp"
 
@@ -445,6 +450,71 @@ TEST(LoweringTest, QuantizerRoundsToInterval) {
   EXPECT_DOUBLE_EQ(h.Step({Value::Double(1.3)}).AsDouble(), 1.5);
   EXPECT_DOUBLE_EQ(h.Step({Value::Double(1.1)}).AsDouble(), 1.0);
 }
+
+// Whole-program invariants of the lowering on every Table 2 model, for the
+// instrumented and the fuzz-only program: the constant pool is never written
+// (the Machine preloads it once) and holds each value once, and compare-and-
+// branch fusion left no fusable pair behind — no comparison followed, in the
+// same block, by a jz on its result that is not itself a jump target.
+class LoweredProgramTest : public ::testing::TestWithParam<const char*> {};
+
+void ExpectPoolUnwrittenAndBranchesFused(const vm::Program& p, const std::string& what) {
+  std::set<int> pooled_d;
+  std::set<int> pooled_i;
+  std::set<std::uint64_t> values_d;
+  std::set<std::int64_t> values_i;
+  for (const auto& c : p.const_d) {
+    EXPECT_TRUE(pooled_d.insert(c.reg).second) << what << ": d" << c.reg << " pooled twice";
+    EXPECT_TRUE(values_d.insert(std::bit_cast<std::uint64_t>(c.value)).second)
+        << what << ": constant " << c.value << " pooled twice";
+  }
+  for (const auto& c : p.const_i) {
+    EXPECT_TRUE(pooled_i.insert(c.reg).second) << what << ": i" << c.reg << " pooled twice";
+    EXPECT_TRUE(values_i.insert(c.value).second)
+        << what << ": constant " << c.value << " pooled twice";
+  }
+  std::vector<bool> is_target(p.code.size() + 1, false);
+  for (const vm::Insn& in : p.code) {
+    if (vm::EffectOf(in.op).jumps) is_target[static_cast<std::size_t>(in.imm)] = true;
+  }
+  ASSERT_EQ(p.insn_block.size(), p.code.size()) << what;
+  for (std::size_t pc = 0; pc < p.code.size(); ++pc) {
+    const vm::Insn& in = p.code[pc];
+    const vm::OperandEffect fx = vm::EffectOf(in.op);
+    vm::ForEachReg(in, fx.write_d, [&](int r) {
+      EXPECT_FALSE(pooled_d.count(r)) << what << ": insn " << pc << " writes pooled d" << r;
+    });
+    vm::ForEachReg(in, fx.write_i, [&](int r) {
+      EXPECT_FALSE(pooled_i.count(r)) << what << ": insn " << pc << " writes pooled i" << r;
+    });
+    if (pc + 1 < p.code.size() && vm::FusedBranchOf(in.op) != vm::Op::kHalt) {
+      const vm::Insn& next = p.code[pc + 1];
+      const bool fusable = next.op == vm::Op::kJmpIfZero && next.a == in.dst &&
+                           !is_target[pc + 1] && p.insn_block[pc] == p.insn_block[pc + 1];
+      EXPECT_FALSE(fusable) << what << ": unfused " << vm::OpName(in.op) << "; jz at " << pc;
+    }
+  }
+}
+
+TEST_P(LoweredProgramTest, PoolUnwrittenAndCompareBranchesFused) {
+  auto model = bench_models::Build(GetParam());
+  ASSERT_TRUE(model.ok()) << model.message();
+  auto cm = CompiledModel::FromModel(model.take());
+  ASSERT_TRUE(cm.ok()) << cm.message();
+  const vm::Program& inst = cm.value()->instrumented();
+  EXPECT_FALSE(inst.const_d.empty() && inst.const_i.empty());
+  ExpectPoolUnwrittenAndBranchesFused(inst, std::string(GetParam()) + " instrumented");
+  ExpectPoolUnwrittenAndBranchesFused(cm.value()->fuzz_only(),
+                                      std::string(GetParam()) + " fuzz-only");
+  const auto fused = std::count_if(inst.code.begin(), inst.code.end(), [](const vm::Insn& in) {
+    return vm::OpName(in.op).starts_with("br.");
+  });
+  EXPECT_GT(fused, 0) << "no compare-and-branch was fused";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, LoweredProgramTest,
+                         ::testing::Values("CPUTask", "AFC", "TCP", "RAC", "EVCS", "TWC", "UTPC",
+                                           "SolarPV"));
 
 }  // namespace
 }  // namespace cftcg

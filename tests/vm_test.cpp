@@ -1,6 +1,9 @@
 // Direct bytecode-level tests of the Machine (hand-assembled programs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "vm/machine.hpp"
 #include "vm/program.hpp"
 
@@ -175,14 +178,298 @@ TEST(MachineTest, SafeMathNeverTraps) {
   EXPECT_DOUBLE_EQ(m.GetOutput(0).AsDouble(), 0.0);
 }
 
+TEST(MachineTest, ConstantPoolIsPreloaded) {
+  Program p;
+  p.num_dregs = 2;
+  p.num_iregs = 2;
+  p.output_types = {ir::DType::kDouble};
+  p.const_d = {{1, 2.5}};
+  p.const_i = {{0, -7}};
+  p.code = {I(Op::kCvtIToD, 0, 0), I(Op::kMulD, 0, 0, 1), I(Op::kStoreOutD, 0, 0, 0, 0),
+            I(Op::kHalt)};
+  Machine m(p);
+  EXPECT_EQ(m.ireg(0), -7);
+  EXPECT_DOUBLE_EQ(m.dreg(1), 2.5);
+  for (int step = 0; step < 3; ++step) {  // no instruction reloads the pool
+    m.Step(nullptr);
+    EXPECT_DOUBLE_EQ(m.GetOutput(0).AsDouble(), -17.5);
+  }
+}
+
+// Each comparison fused with the jz on its result (br.<cmp>) must write the
+// same flag and take the same path as the two-instruction form.
+TEST(MachineTest, FusedBranchMatchesCompareThenJz) {
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 2);
+  const Op cmps[] = {Op::kLtD, Op::kLeD, Op::kGtD, Op::kGeD, Op::kEqD, Op::kNeD,
+                     Op::kLtI, Op::kLeI, Op::kGtI, Op::kGeI, Op::kEqI, Op::kNeI};
+  for (const Op cmp : cmps) {
+    for (const int lhs : {1, 2, 3}) {
+      // Operands 0 (lhs) and 1 (2) in both register files; flag in i2.
+      const auto make = [&](bool fused) {
+        Program p;
+        p.num_dregs = 2;
+        p.num_iregs = 3;
+        p.const_d = {{0, static_cast<double>(lhs)}, {1, 2.0}};
+        p.const_i = {{0, lhs}, {1, 2}};
+        if (fused) {
+          p.code = {I(FusedBranchOf(cmp), 2, 0, 1, 3), I(Op::kCov, 0, 0, 0, 0), I(Op::kHalt),
+                    I(Op::kCov, 0, 0, 0, 1), I(Op::kHalt)};
+        } else {
+          p.code = {I(cmp, 2, 0, 1), I(Op::kJmpIfZero, 0, 2, 0, 4), I(Op::kCov, 0, 0, 0, 0),
+                    I(Op::kHalt), I(Op::kCov, 0, 0, 0, 1), I(Op::kHalt)};
+        }
+        return p;
+      };
+      const Program plain = make(false);
+      const Program fused = make(true);
+      coverage::CoverageSink plain_sink(spec);
+      coverage::CoverageSink fused_sink(spec);
+      Machine pm(plain);
+      Machine fm(fused);
+      ASSERT_TRUE(pm.Step(&plain_sink));
+      ASSERT_TRUE(fm.Step(&fused_sink));
+      const std::string what = std::string(OpName(FusedBranchOf(cmp))) + " lhs=" +
+                               std::to_string(lhs);
+      EXPECT_EQ(fm.ireg(2), pm.ireg(2)) << what;
+      EXPECT_EQ(fused_sink.curr().Test(0), plain_sink.curr().Test(0)) << what;
+      EXPECT_EQ(fused_sink.curr().Test(1), plain_sink.curr().Test(1)) << what;
+      EXPECT_NE(fused_sink.curr().Test(0), fused_sink.curr().Test(1)) << what;
+    }
+  }
+}
+
+// A backward br spends the step budget exactly like a backward jz: a loop
+// needing k back-jumps completes iff the budget exceeds k, and an endless
+// one is aborted on the budget-th back-jump.
+TEST(MachineTest, BackwardFusedBranchSpendsStepBudgetLikeJz) {
+  // i0 += 1 until i0 >= limit (i1 = 1, i3 = limit, flag in i2).
+  const auto loop = [](bool fused, std::int64_t limit) {
+    Program p;
+    p.num_iregs = 4;
+    p.const_i = {{1, 1}, {3, limit}};
+    const Insn add = I(Op::kAddI, 0, 0, 1, 0, 0, 0, ir::DType::kInt32);
+    if (fused) {
+      p.code = {add, I(Op::kBrGeI, 2, 0, 3, 0), I(Op::kHalt)};
+    } else {
+      p.code = {add, I(Op::kGeI, 2, 0, 3), I(Op::kJmpIfZero, 0, 2, 0, 0), I(Op::kHalt)};
+    }
+    return p;
+  };
+  for (const bool fused : {false, true}) {
+    for (std::uint64_t budget = 1; budget <= 5; ++budget) {
+      const Program p = loop(fused, 4);  // 3 back-jumps to finish
+      Machine m(p);
+      m.set_step_budget(budget);
+      EXPECT_EQ(m.Step(nullptr), budget > 3) << "fused=" << fused << " budget=" << budget;
+      EXPECT_EQ(m.ireg(0), std::min<std::int64_t>(4, static_cast<std::int64_t>(budget)));
+    }
+    const Program endless = loop(fused, 1'000'000'000);
+    Machine m(endless);
+    m.set_step_budget(7);
+    EXPECT_FALSE(m.Step(nullptr));
+    EXPECT_EQ(m.ireg(0), 7) << "fused=" << fused;
+  }
+}
+
+// br.eq / br.ne feed the comparison-operand trace exactly as eq / ne do.
+TEST(MachineTest, FusedEqualityBranchesRecordTorcOperands) {
+  const auto make = [](bool fused) {
+    Program p;
+    p.num_dregs = 2;
+    p.num_iregs = 3;
+    p.const_d = {{0, 1.5}, {1, 2.5}};
+    p.const_i = {{0, 7}, {1, 9}};
+    const Op ops[] = {Op::kEqD, Op::kNeD, Op::kEqI, Op::kNeI};
+    for (const Op op : ops) {
+      const auto next = static_cast<int>(p.code.size()) + 1;
+      p.code.push_back(I(fused ? FusedBranchOf(op) : op, 2, 0, 1, next));
+    }
+    p.code.push_back(I(Op::kHalt));
+    return p;
+  };
+  const Program plain = make(false);
+  const Program fused = make(true);
+  CmpTrace plain_trace;
+  CmpTrace fused_trace;
+  Machine pm(plain);
+  Machine fm(fused);
+  pm.set_cmp_trace(&plain_trace);
+  fm.set_cmp_trace(&fused_trace);
+  pm.Step(nullptr);
+  fm.Step(nullptr);
+  ASSERT_GT(plain_trace.int_count(), 0U);
+  ASSERT_GT(plain_trace.double_count(), 0U);
+  ASSERT_EQ(fused_trace.int_count(), plain_trace.int_count());
+  ASSERT_EQ(fused_trace.double_count(), plain_trace.double_count());
+  for (std::size_t i = 0; i < plain_trace.int_count(); ++i) {
+    EXPECT_EQ(fused_trace.int_at(i), plain_trace.int_at(i));
+  }
+  for (std::size_t i = 0; i < plain_trace.double_count(); ++i) {
+    EXPECT_EQ(fused_trace.double_at(i), plain_trace.double_at(i));
+  }
+}
+
+// The single-dispatch probes update the MCDC vectors with or without a sink.
+TEST(MachineTest, CoverageProbesUpdateRegistersWithoutSink) {
+  Program p;
+  p.num_iregs = 5;
+  p.const_i = {{0, 1}, {1, 0}};  // a true and a false condition
+  p.code = {
+      I(Op::kCovCond, 2, 0, 3, 0, 1, 4.0),   // true leaf: vals |= 4, mask |= 4
+      I(Op::kCovCond, 2, 1, 3, 2, 3, 8.0),   // false leaf: mask |= 8 only
+      I(Op::kCovCond, 4, 0, -1, 4, 5, 1.0),  // no mask register
+      I(Op::kCovIf, 0, 1, 0, 6, 7),
+      I(Op::kHalt),
+  };
+  Machine detached(p);
+  detached.Step(nullptr);
+  EXPECT_EQ(detached.ireg(2), 4);
+  EXPECT_EQ(detached.ireg(3), 12);
+  EXPECT_EQ(detached.ireg(4), 1);
+
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 8);
+  coverage::CoverageSink sink(spec);
+  Machine attached(p);
+  attached.Step(&sink);
+  EXPECT_EQ(attached.ireg(2), 4);
+  EXPECT_EQ(attached.ireg(3), 12);
+  EXPECT_EQ(attached.ireg(4), 1);
+  for (int slot = 0; slot < 8; ++slot) {
+    const bool want = slot == 0 || slot == 3 || slot == 4 || slot == 7;
+    EXPECT_EQ(sink.curr().Test(static_cast<std::size_t>(slot)), want) << "slot " << slot;
+  }
+}
+
+// The operand-effect table is the contract the lowering's passes rely on.
+// Every opcode runs over sentinel registers: registers it does not declare
+// as written must keep their values, and perturbing every register it does
+// not declare as read — to zero, to negatives, to the value of the register
+// in field `a` (so comparisons and truth tests flip) — must not change what
+// it writes, stores or hits.
+TEST(OperandEffectTest, EveryOpcodeTouchesOnlyDeclaredRegisters) {
+  constexpr int kRegs = 6;  // fields name 1..4; 0 and 5 are named by none
+  constexpr int kPerturbations = 3;
+  const auto preset_d = [](int variant, int r) {
+    const double values[] = {1.25 + r, 0.0, -40.75 - 3 * r, 1.25 + 2};
+    return values[variant];
+  };
+  const auto preset_i = [](int variant, int r) -> std::int64_t {
+    const std::int64_t values[] = {5 + r, 0, -33 - 5 * r, 5 + 2};
+    return values[variant];
+  };
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 8);
+  struct Snapshot {
+    std::vector<std::uint64_t> d;  // bit patterns
+    std::vector<std::int64_t> i;
+    double out_d = 0.0;
+    double state_d = 0.0;
+    std::int64_t state_i = 0;
+    std::vector<bool> hits;
+  };
+  int checked = 0;
+  for (int code = 0; code < 256; ++code) {
+    const Op op = static_cast<Op>(code);
+    if (OpName(op) == "?") continue;
+    ++checked;
+    const OperandEffect fx = EffectOf(op);
+    const Insn in = I(op, 1, 2, 3, fx.jumps ? 1 : 0, 4, 2.0, ir::DType::kInt32);
+    // The constant pool doubles as a register preset here.
+    // variant 0: every register at its sentinel; otherwise registers outside
+    // keep_d / keep_i take the variant's perturbed value.
+    const auto run = [&](std::uint8_t keep_d, std::uint8_t keep_i, int variant) {
+      Program p;
+      p.num_dregs = kRegs;
+      p.num_iregs = kRegs;
+      p.num_edges = 8;
+      p.input_types = {ir::DType::kDouble};
+      p.output_types = {ir::DType::kDouble};
+      p.state_d = {StateSlot{true, 0.5, ir::DType::kDouble, "sd"}};
+      p.state_i = {StateSlot{false, 3.0, ir::DType::kInt32, "si"}};
+      std::vector<bool> read_d(kRegs, false);
+      std::vector<bool> read_i(kRegs, false);
+      ForEachReg(in, keep_d, [&](int r) { read_d[static_cast<std::size_t>(r)] = true; });
+      ForEachReg(in, keep_i, [&](int r) { read_i[static_cast<std::size_t>(r)] = true; });
+      for (int r = 0; r < kRegs; ++r) {
+        const auto u = static_cast<std::size_t>(r);
+        p.const_d.push_back({r, preset_d(read_d[u] ? 0 : variant, r)});
+        p.const_i.push_back({r, preset_i(read_i[u] ? 0 : variant, r)});
+      }
+      p.code = {in, I(Op::kHalt)};
+      coverage::CoverageSink sink(spec);
+      std::uint8_t edges[8] = {};
+      Machine m(p);
+      EXPECT_TRUE(m.Step(&sink, edges)) << OpName(op);
+      Snapshot snap;
+      for (int r = 0; r < kRegs; ++r) {
+        snap.d.push_back(std::bit_cast<std::uint64_t>(m.dreg(r)));
+        snap.i.push_back(m.ireg(r));
+      }
+      snap.out_d = m.GetOutput(0).AsDouble();
+      snap.state_d = m.state_d(0);
+      snap.state_i = m.state_i(0);
+      for (std::size_t s = 0; s < 8; ++s) snap.hits.push_back(sink.curr().Test(s));
+      return snap;
+    };
+    const Snapshot base = run(0, 0, 0);
+    std::vector<bool> writes_d(kRegs, false);
+    std::vector<bool> writes_i(kRegs, false);
+    ForEachReg(in, fx.write_d, [&](int r) { writes_d[static_cast<std::size_t>(r)] = true; });
+    ForEachReg(in, fx.write_i, [&](int r) { writes_i[static_cast<std::size_t>(r)] = true; });
+    for (int r = 0; r < kRegs; ++r) {
+      const auto u = static_cast<std::size_t>(r);
+      if (!writes_d[u]) {
+        EXPECT_EQ(base.d[u], std::bit_cast<std::uint64_t>(preset_d(0, r)))
+            << OpName(op) << " wrote d" << r;
+      }
+      if (!writes_i[u]) {
+        EXPECT_EQ(base.i[u], preset_i(0, r)) << OpName(op) << " wrote i" << r;
+      }
+    }
+    for (int variant = 1; variant <= kPerturbations; ++variant) {
+      const Snapshot moved = run(fx.read_d, fx.read_i, variant);
+      const std::string what = std::string(OpName(op)) + " perturbation " + std::to_string(variant);
+      for (int r = 0; r < kRegs; ++r) {
+        const auto u = static_cast<std::size_t>(r);
+        if (writes_d[u]) {
+          EXPECT_EQ(moved.d[u], base.d[u]) << what << ": undeclared d read";
+        }
+        if (writes_i[u]) {
+          EXPECT_EQ(moved.i[u], base.i[u]) << what << ": undeclared i read";
+        }
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(moved.out_d),
+                std::bit_cast<std::uint64_t>(base.out_d))
+          << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(moved.state_d),
+                std::bit_cast<std::uint64_t>(base.state_d))
+          << what;
+      EXPECT_EQ(moved.state_i, base.state_i) << what;
+      EXPECT_EQ(moved.hits, base.hits) << what;
+    }
+  }
+  EXPECT_GE(checked, 90);
+}
+
 TEST(ProgramTest, DisassembleMentionsOps) {
   Program p;
-  p.num_dregs = 1;
-  p.code = {I(Op::kLoadConstD, 0, 0, 0, 0, 0, 3.5), I(Op::kHalt)};
+  p.num_dregs = 2;
+  p.num_iregs = 2;
+  p.const_d = {{1, -0.25}};
+  p.const_i = {{0, 42}};
+  p.code = {I(Op::kLoadConstD, 0, 0, 0, 0, 0, 3.5), I(Op::kBrLtD, 1, 0, 1, 3),
+            I(Op::kCovCond, 1, 0, -1, 0, 1, 1.0), I(Op::kHalt)};
   const std::string text = Disassemble(p);
   EXPECT_NE(text.find("ldc.d"), std::string::npos);
+  EXPECT_NE(text.find("br.lt.d"), std::string::npos);
+  EXPECT_NE(text.find("cov.cond"), std::string::npos);
   EXPECT_NE(text.find("halt"), std::string::npos);
   EXPECT_NE(text.find("3.5"), std::string::npos);
+  // The constant pool is part of what runs, so the header lists it.
+  EXPECT_NE(text.find("; const d1 = -0.25"), std::string::npos) << text;
+  EXPECT_NE(text.find("; const i0 = 42"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -485,6 +485,9 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   // even in count-only (no --profile) mode: block dispatch shares are always
   // collected, only the timed planes need the opt-in.
   options.profile_publisher = monitor != nullptr ? &profile_pub : nullptr;
+  // Margin recording is the sequential engine's alone; the parallel and
+  // supervised engines run without it.
+  if (!isf.isolate && jobs <= 1) options.margins = margins.get();
   if (df.resume) {
     options.use_idc_energy = ckpt.use_idc_energy;
     options.max_tuples = static_cast<std::size_t>(ckpt.max_tuples);
@@ -493,6 +496,17 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
         !v.ok()) {
       std::fprintf(stderr, "error: %s\n", v.message().c_str());
       return 1;
+    }
+    // Profile planes are checked against the program this campaign runs,
+    // which at -j1 depends on whether it is observed (margin recording).
+    if (Status s = cm->ValidateResumeProfile(ckpt, options); !s.ok()) {
+      std::fprintf(stderr, "error: %s: %s\n", df.checkpoint_path.c_str(), s.message().c_str());
+      if (!isf.isolate && jobs <= 1) {
+        std::fprintf(stderr, "note: at -j1, --trace/--metrics/--stats-every/--serve record "
+                             "margins; resume with the observation flags the checkpoint "
+                             "was written with\n");
+      }
+      return kExitBadCheckpoint;
     }
   }
 
@@ -561,7 +575,6 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
                 static_cast<unsigned long long>(presult.rounds),
                 static_cast<unsigned long long>(presult.imports));
   } else {
-    options.margins = margins.get();
     if (df.resume) options.resume = &ckpt.workers[0];
     obs::ScopedTimer span(fuzz_only ? "tool.FuzzOnly" : "tool.CFTCG");
     result = cm->Fuzz(options, budget);
