@@ -34,8 +34,7 @@ fuzz::CampaignResult RunHybrid(CompiledModel& cm, const fuzz::FuzzBudget& budget
   fo.telemetry = telemetry;
   fo.provenance = provenance;
   fo.margins = margins;
-  const vm::Program& target = margins != nullptr ? cm.with_margins() : cm.instrumented();
-  fuzz::Fuzzer fuzzer(target, cm.spec(), fo);
+  fuzz::Fuzzer fuzzer(cm.instrumented(), cm.spec(), fo);
   fuzz::FuzzBudget fuzz_budget;
   fuzz_budget.wall_seconds = budget.wall_seconds * 0.7;
   fuzz_budget.max_executions = budget.max_executions;
@@ -44,7 +43,7 @@ fuzz::CampaignResult RunHybrid(CompiledModel& cm, const fuzz::FuzzBudget& budget
   sldv::SolverOptions so;
   so.seed = seed;
   so.horizon = 8;
-  sldv::GoalSolver solver(cm.with_margins(), cm.spec(), so);
+  sldv::GoalSolver solver(cm.instrumented(), cm.spec(), so);
   solver.SeedInputRanges(cm.analysis().inport_ranges);
   solver.SeedCoverage(fuzzer.sink().total());
   fuzz::FuzzBudget solve_budget;
@@ -81,7 +80,7 @@ fuzz::CampaignResult RunTool(CompiledModel& cm, Tool tool, const fuzz::FuzzBudge
     case Tool::kSldv: {
       sldv::SolverOptions options;
       options.seed = seed;
-      sldv::GoalSolver solver(cm.with_margins(), cm.spec(), options);
+      sldv::GoalSolver solver(cm.instrumented(), cm.spec(), options);
       solver.SeedInputRanges(cm.analysis().inport_ranges);
       return solver.Run(budget);
     }

@@ -30,7 +30,7 @@ std::string_view ToolName(Tool tool);
 /// tool run is additionally wrapped in a `tool.<name>` phase timer.
 /// `provenance`/`margins` (may be null) attach per-objective first-hit
 /// attribution and residual-distance recording to the same fuzzing-loop
-/// tools; margins force the margin-instrumented lowering for the campaign.
+/// tools (the margins recorder attaches to the campaign's Machine).
 fuzz::CampaignResult RunTool(CompiledModel& cm, Tool tool, const fuzz::FuzzBudget& budget,
                              std::uint64_t seed, obs::CampaignTelemetry* telemetry = nullptr,
                              coverage::ProvenanceMap* provenance = nullptr,

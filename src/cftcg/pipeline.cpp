@@ -64,22 +64,6 @@ const vm::Program& CompiledModel::fuzz_only() {
   return *fuzz_only_;
 }
 
-const vm::Program& CompiledModel::with_margins() {
-  if (!with_margins_) {
-    obs::ScopedTimer span("codegen");
-    codegen::LoweringOptions opts;
-    opts.model_instrumentation = true;
-    opts.record_margins = true;
-    auto program = codegen::LowerToBytecode(scheduled_, opts);
-    if (program.ok()) {
-      with_margins_ = std::make_unique<vm::Program>(program.take());
-    } else {
-      with_margins_ = std::make_unique<vm::Program>(instrumented_);
-    }
-  }
-  return *with_margins_;
-}
-
 const analysis::ModelAnalysis& CompiledModel::analysis() {
   if (!analysis_) {
     obs::ScopedTimer span("static_analysis");
@@ -117,19 +101,8 @@ Result<std::string> CompiledModel::EmitFuzzingCode() const {
   return codegen::EmitC(scheduled_, opts);
 }
 
-const vm::Program& CompiledModel::SequentialTarget(const fuzz::FuzzerOptions& options) {
-  // Residual diagnostics need kMargin instructions; the margin lowering is
-  // coverage-identical to the plain instrumented program, so swapping it in
-  // only when a MarginRecorder is attached keeps the default hot path free
-  // of margin dispatch.
-  return options.margins != nullptr ? with_margins() : instrumented_;
-}
-
-Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt,
-                                            const fuzz::FuzzerOptions& options) {
-  // A one-worker checkpoint resumes through Fuzz(); the multi-worker
-  // engines run the instrumented program.
-  const vm::Program& program = ckpt.num_workers <= 1 ? SequentialTarget(options) : instrumented_;
+Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt) {
+  const std::size_t vm_len = instrumented_.code.size();
   const std::size_t fuzz_only_len = fuzz_only().code.size();
   const auto check = [](std::size_t worker, const char* plane,
                         const std::vector<std::uint64_t>& counters, std::size_t len) {
@@ -139,12 +112,12 @@ Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt
                          " counter(s), but the program this campaign runs has " +
                          std::to_string(len) +
                          " instruction(s) (written by a build that lowers the model "
-                         "differently, with margin recording set the other way, or damaged)");
+                         "differently, or damaged)");
   };
   for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
     const fuzz::FuzzerState& s = ckpt.workers[i];
-    for (Status st : {check(i, "VM count", s.exec_profile.insn_counts, program.code.size()),
-                      check(i, "VM sample", s.exec_profile.insn_samples, program.code.size()),
+    for (Status st : {check(i, "VM count", s.exec_profile.insn_counts, vm_len),
+                      check(i, "VM sample", s.exec_profile.insn_samples, vm_len),
                       check(i, "fuzz-only count", s.fuzz_exec_profile.insn_counts, fuzz_only_len),
                       check(i, "fuzz-only sample", s.fuzz_exec_profile.insn_samples,
                             fuzz_only_len)}) {
@@ -157,9 +130,8 @@ Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt
 fuzz::CampaignResult CompiledModel::Fuzz(const fuzz::FuzzerOptions& options,
                                          const fuzz::FuzzBudget& budget) {
   const vm::Program* fo = options.model_oriented ? nullptr : &fuzz_only();
-  const vm::Program& target = SequentialTarget(options);
   obs::ScopedTimer vm_span("vm_load");
-  fuzz::Fuzzer fuzzer(target, spec(), options, fo);
+  fuzz::Fuzzer fuzzer(instrumented_, spec(), options, fo);
   vm_span.Stop();
   obs::ScopedTimer span("fuzz");
   return fuzzer.Run(budget);

@@ -44,8 +44,6 @@ class CompiledModel {
   /// Edge-instrumented, model-uninstrumented program ("Fuzz Only" target);
   /// built lazily on first use.
   const vm::Program& fuzz_only();
-  /// Margin-recording program (constraint baseline); built lazily.
-  const vm::Program& with_margins();
 
   /// Static model analysis (interval propagation, lint, justified
   /// objectives); computed lazily on first use and cached.
@@ -67,20 +65,17 @@ class CompiledModel {
 
   /// Resume gate for the self-profile planes: each worker's per-instruction
   /// counters must be empty or exactly one per instruction of the program
-  /// the engine will run for `options` (the options the campaign resumes
-  /// with). The spec fingerprint does not cover program length, so this is
-  /// what refuses a checkpoint written by a build that lowers the model
-  /// differently, or by a one-worker campaign whose margin recording was set
-  /// the other way, instead of resuming with counters attributed to the
-  /// wrong instructions. Margin recording is the sequential engine's alone:
-  /// leave `options.margins` null when resuming through FuzzSupervised.
-  Status ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt,
-                               const fuzz::FuzzerOptions& options);
+  /// every engine runs (instrumented(), and fuzz_only() for its plane). The
+  /// spec fingerprint does not cover program length, so this is what
+  /// refuses a checkpoint written by a build that lowers the model
+  /// differently, instead of resuming with counters attributed to the wrong
+  /// instructions.
+  Status ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt);
 
   /// Runs the parallel multi-worker fuzzing loop (fuzz/parallel.hpp).
   /// parallel.num_workers <= 1 delegates to Fuzz() — the sequential engine,
-  /// which additionally supports margin recording and per-campaign
-  /// heartbeats — and wraps its result.
+  /// which additionally emits per-campaign heartbeats — and wraps its
+  /// result.
   fuzz::ParallelCampaignResult FuzzParallel(const fuzz::FuzzerOptions& options,
                                             const fuzz::FuzzBudget& budget,
                                             const fuzz::ParallelOptions& parallel);
@@ -101,15 +96,10 @@ class CompiledModel {
  private:
   CompiledModel() = default;
 
-  /// The program the sequential engine runs for `options`: the margin
-  /// lowering when a MarginRecorder is attached, else the instrumented one.
-  const vm::Program& SequentialTarget(const fuzz::FuzzerOptions& options);
-
   std::unique_ptr<ir::Model> model_;
   sched::ScheduledModel scheduled_;
   vm::Program instrumented_;
   std::unique_ptr<vm::Program> fuzz_only_;
-  std::unique_ptr<vm::Program> with_margins_;
   std::unique_ptr<analysis::ModelAnalysis> analysis_;
   std::unique_ptr<analysis::SliceReport> slices_;
 };

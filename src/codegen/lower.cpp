@@ -238,19 +238,12 @@ class Lowerer {
     EmitCov(sm_.spec.OutcomeSlot(d, outcome));
   }
 
-  void EmitMargin(coverage::DecisionId d, int ge_outcome, int lt_outcome, int margin_dreg) {
-    if (opts_.record_margins) {
-      EmitOp(Op::kMargin, 0, margin_dreg, ge_outcome, d, lt_outcome);
-    }
-  }
-
-  /// Margin register for a comparison a-b (double domain).
-  int MarginReg(Slot a, Slot b) {
-    const Slot da = ToDouble(a);
-    const Slot db = ToDouble(b);
-    const int m = NewD();
-    EmitOp(Op::kSubD, m, da.reg, db.reg);
-    return m;
+  /// Lists a margin site (a-b, or -|a-b|) at the next instruction's pc. No
+  /// code is emitted, so nothing may jump to that pc from further down.
+  void AddMargin(coverage::DecisionId d, int ge_outcome, int lt_outcome, Slot a, Slot b,
+                 vm::MarginSite::Kind kind = vm::MarginSite::Kind::kDiff) {
+    prog_.margins.push_back({static_cast<std::int32_t>(Here()), d, ge_outcome, lt_outcome,
+                             {a.is_float, a.reg}, {b.is_float, b.reg}, kind});
   }
 
   /// Memoized index of a block path in Program::block_names.
@@ -667,7 +660,7 @@ class Lowerer {
     }
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
     const int cmp = Compare(a, c, is_min ? "le" : "ge");
-    EmitMargin(d, 0, 1, MarginReg(is_min ? c : a, is_min ? a : c));
+    AddMargin(d, 0, 1, is_min ? c : a, is_min ? a : c);
     Slot out = NewSlot(t);
     const std::size_t jz = EmitJz(cmp);
     EmitDecisionOutcomeCov(d, 0);
@@ -753,8 +746,8 @@ class Lowerer {
     Slot out = NewSlot(t);
     Slot lo = out.is_float ? ConstD(lo_v) : ConstI(static_cast<std::int64_t>(lo_v), t);
     Slot hi = out.is_float ? ConstD(hi_v) : ConstI(static_cast<std::int64_t>(hi_v), t);
-    EmitMargin(d, 1, 0, MarginReg(u, lo));
-    EmitMargin(d, 2, 1, MarginReg(u, hi));
+    AddMargin(d, 1, 0, u, lo);
+    AddMargin(d, 2, 1, u, hi);
     const int below = NewI();
     EmitOp(out.is_float ? Op::kLtD : Op::kLtI, below, u.reg, lo.reg);
     const std::size_t jz1 = EmitJz(below);
@@ -786,8 +779,8 @@ class Lowerer {
     const Slot start = ConstD(b.params().GetDouble("start", -0.5));
     const Slot end = ConstD(b.params().GetDouble("end", 0.5));
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
-    EmitMargin(d, 1, 0, MarginReg(u, start));
-    EmitMargin(d, 2, 1, MarginReg(u, end));
+    AddMargin(d, 1, 0, u, start);
+    AddMargin(d, 2, 1, u, end);
     const int out = NewD();
     const int below = NewI();
     EmitOp(Op::kLtD, below, u.reg, start.reg);
@@ -826,7 +819,7 @@ class Lowerer {
     EmitOp(Op::kSubD, delta, u.reg, prev);
     const Slot rise = ConstD(rising);
     const Slot fall = ConstD(falling);
-    EmitMargin(d, 0, 1, MarginReg(Slot{true, delta, DType::kDouble}, rise));
+    AddMargin(d, 0, 1, Slot{true, delta, DType::kDouble}, rise);
     const int out = NewD();
     const int over = NewI();
     EmitOp(Op::kGtD, over, delta, rise.reg);
@@ -882,7 +875,7 @@ class Lowerer {
     }
     Patch(jend);
     EmitOp(Op::kStoreStateI, 0, on, 0, slot);
-    EmitMargin(d, 0, 1, MarginReg(u, on_pt));
+    AddMargin(d, 0, 1, u, on_pt);
     const int out = NewD();
     const std::size_t jz2 = EmitJz(on);
     EmitEdge();
@@ -991,7 +984,7 @@ class Lowerer {
                     ? ConstD(thr)
                     : ConstI(static_cast<std::int64_t>(thr), ctrl.type);
       cond = Compare(ctrl, th, criteria);
-      EmitMargin(d, 0, 1, MarginReg(ctrl, th));
+      AddMargin(d, 0, 1, ctrl, th);
     }
     Slot out = NewSlot(t);
     const std::size_t jz = EmitJz(cond);
@@ -1411,6 +1404,21 @@ class Lowerer {
     if (e.kind == ExprKind::kBinary && blocks::mex::IsBooleanOp(e.op)) {
       const int a = LowerMexExpr(*e.args[0], env);
       const int c = LowerMexExpr(*e.args[1], env);
+      if (&e == margin_guard_.leaf) {
+        // How far the operands are from the boundary; -|a-c| for ==/!=
+        // (>= 0, i.e. == 0, means equal).
+        const Slot sa{true, a, DType::kDouble};
+        const Slot sc{true, c, DType::kDouble};
+        const coverage::DecisionId d = margin_guard_.decision;
+        if (e.op == "<" || e.op == "<=") {
+          AddMargin(d, 0, 1, sc, sa);
+        } else if (e.op == ">" || e.op == ">=") {
+          AddMargin(d, 0, 1, sa, sc);
+        } else {
+          AddMargin(d, e.op == "==" ? 0 : 1, e.op == "==" ? 1 : 0, sa, sc,
+                    vm::MarginSite::Kind::kNegAbsDiff);
+        }
+      }
       const int r = NewI();
       Op op = Op::kLtD;
       if (e.op == "<=") op = Op::kLeD;
@@ -1467,26 +1475,12 @@ class Lowerer {
     blocks::mex::CollectConditionLeaves(cond, leaves);
     for (std::size_t i = 0; i < leaves.size(); ++i) bit_of[leaves[i]] = static_cast<int>(i);
 
-    // Margin guidance for simple single-leaf relational guards.
-    if (opts_.record_margins && leaves.size() == 1 && cond.kind == ExprKind::kBinary &&
+    // Margin guidance for simple single-leaf relational guards: the leaf's
+    // own comparison lists the site (LowerMexBool), from the operands it
+    // compares.
+    if (leaves.size() == 1 && cond.kind == ExprKind::kBinary &&
         blocks::mex::IsBooleanOp(cond.op) && !blocks::mex::IsLogicalOp(cond.op)) {
-      const int a = LowerMexExpr(*cond.args[0], env);
-      const int c = LowerMexExpr(*cond.args[1], env);
-      const int m = NewD();
-      if (cond.op == "<" || cond.op == "<=") {
-        EmitOp(Op::kSubD, m, c, a);
-        EmitOp(Op::kMargin, 0, m, 0, d, 1);
-      } else if (cond.op == ">" || cond.op == ">=") {
-        EmitOp(Op::kSubD, m, a, c);
-        EmitOp(Op::kMargin, 0, m, 0, d, 1);
-      } else {
-        const int diff = NewD();
-        EmitOp(Op::kSubD, diff, a, c);
-        EmitOp(Op::kAbsD, diff, diff);
-        EmitOp(Op::kNegD, m, diff);
-        // eq: margin >= 0 (i.e. == 0) means equal.
-        EmitOp(Op::kMargin, 0, m, cond.op == "==" ? 0 : 1, d, cond.op == "==" ? 1 : 0);
-      }
+      margin_guard_ = {&cond, d};
     }
 
     const int vals = NewI();
@@ -1496,6 +1490,7 @@ class Lowerer {
       EmitOp(Op::kLoadConstI, mask, 0, 0, 0, 0, 0.0, DType::kUInt32);
     }
     const int res = LowerMexCond(cond, env, bit_of, vals, mask);
+    margin_guard_ = {};
     if (Instr()) EmitOp(Op::kMcdcEval, 0, vals, mask, d, res);
     return res;
   }
@@ -1699,6 +1694,8 @@ class Lowerer {
     for (Insn& in : code) {
       if (vm::EffectOf(in.op).jumps) in.imm = new_pc[static_cast<std::size_t>(in.imm)];
     }
+    // A site on a fused jz lands on its br.*, which reads the same operands.
+    for (vm::MarginSite& m : prog_.margins) m.pc = new_pc[static_cast<std::size_t>(m.pc)];
   }
 
   /// The constant pool is preloaded once per Machine, so a program that
@@ -1738,6 +1735,12 @@ class Lowerer {
   std::map<ValueKey, Slot> values_;
   std::map<const Block*, std::vector<int>> delay_state_;
   std::int32_t cur_block_ = -1;  // attribution target for Emit(); -1 = glue
+  // The guard leaf whose comparison lists a margin site, and its decision
+  // (set by LowerDecisionCond around the guard's lowering).
+  struct {
+    const Expr* leaf = nullptr;
+    coverage::DecisionId decision = -1;
+  } margin_guard_;
   std::map<std::string, std::int32_t> block_index_;
 };
 

@@ -38,6 +38,12 @@ void MarginRecorder::ResetRun() {
   std::fill(dist_.begin(), dist_.end(), kUnreached);
 }
 
+void MarginRecorder::MergeFrom(const std::vector<double>& dist) {
+  for (std::size_t k = 0; k < dist_.size() && k < dist.size(); ++k) {
+    dist_[k] = std::min(dist_[k], dist[k]);
+  }
+}
+
 CoverageSink::CoverageSink(const CoverageSpec& spec) : spec_(&spec) {
   const auto slots = static_cast<std::size_t>(spec.FuzzBranchCount());
   curr_.Resize(slots);

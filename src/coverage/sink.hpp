@@ -1,15 +1,15 @@
 // Runtime coverage collection.
 //
-// The executors (VM and interpreter) report three kinds of events into a
+// The executors (VM and interpreter) report two kinds of events into a
 // CoverageSink:
 //   * Hit(slot)                — a fuzz-branch slot fired this iteration
 //                                 (decision outcome or condition polarity);
 //   * RecordEval(...)          — one evaluation of a multi-condition decision
 //                                 (for masking MCDC), as a packed condition
-//                                 vector + outcome;
-//   * RecordMargin(...)        — numeric distance-to-flip of a decision
-//                                 (consumed by the constraint-solving
-//                                 baseline's guided search; off by default).
+//                                 vector + outcome.
+// Numeric distance-to-flip of a decision goes to a MarginRecorder attached
+// to the vm::Machine instead (the program's margin side table); the goal
+// solver's guided search and the residual diagnostics consume it.
 //
 // `curr` is the per-model-iteration bitmap of Algorithm 1 (g_CurrCov);
 // `total` is the campaign-cumulative bitmap (g_TotalCov). The fuzzing loop
@@ -54,6 +54,13 @@ class MarginRecorder {
   [[nodiscard]] double Distance(DecisionId d, int outcome) const;
   void ResetRun();
 
+  /// Best distance per decision outcome, in outcome-slot order (empty
+  /// before Reset). Checkpoints carry this vector.
+  [[nodiscard]] const std::vector<double>& distances() const { return dist_; }
+  /// Folds in distances recorded against the same spec, slot by slot (the
+  /// smaller wins): a lane merge, or a restore right after Reset.
+  void MergeFrom(const std::vector<double>& dist);
+
   static constexpr double kUnreached = 1e300;
 
  private:
@@ -72,9 +79,6 @@ class CoverageSink {
   void RecordEval(DecisionId d, std::uint32_t values, std::uint32_t mask, int outcome) {
     auto& set = evals_[static_cast<std::size_t>(d)];
     if (set.size() < kMaxEvalsPerDecision) set.insert(PackEval(values, mask, outcome));
-  }
-  void RecordMargin(DecisionId d, int ge_outcome, int lt_outcome, double margin) {
-    if (margins_) margins_->Record(d, ge_outcome, lt_outcome, margin);
   }
 
   // -- Iteration control --------------------------------------------------
@@ -96,9 +100,6 @@ class CoverageSink {
   /// spec. Used by the parallel engine to fold worker frontiers into the
   /// global one; `curr` is per-iteration scratch and is not touched.
   void MergeFrom(const CoverageSink& other);
-
-  /// Enables margin recording (constraint baseline); pass nullptr to disable.
-  void set_margin_recorder(MarginRecorder* m) { margins_ = m; }
 
   /// Restores checkpointed campaign-cumulative state: the total bitmap
   /// (as raw words for size()) and the per-decision evaluation sets. The
@@ -129,7 +130,6 @@ class CoverageSink {
   DynamicBitset curr_;
   DynamicBitset total_;
   std::vector<std::unordered_set<std::uint64_t>> evals_;
-  MarginRecorder* margins_ = nullptr;
 };
 
 }  // namespace cftcg::coverage

@@ -108,6 +108,7 @@ void AppendFuzzerState(wire::Writer& w, const FuzzerState& s) {
     w.F64(s.phase_profile.seconds[static_cast<std::size_t>(i)]);
     w.U64(s.phase_profile.laps[static_cast<std::size_t>(i)]);
   }
+  w.F64Vec(s.margins);  // v3
 }
 
 bool ReadFuzzerState(wire::Reader& r, FuzzerState& s) {
@@ -197,6 +198,7 @@ bool ReadFuzzerState(wire::Reader& r, FuzzerState& s) {
     s.phase_profile.seconds[static_cast<std::size_t>(i)] = r.F64();
     s.phase_profile.laps[static_cast<std::size_t>(i)] = r.U64();
   }
+  s.margins = r.F64Vec();
   return !r.failed();
 }
 
@@ -266,8 +268,16 @@ Result<CampaignCheckpoint> ParseCheckpoint(std::string_view bytes) {
   ckpt.sync_every = r.U64();
   ckpt.rounds = r.U64();
   ckpt.imports = r.U64();
+  if (r.failed()) {
+    return Status::Error("corrupt checkpoint: header truncated at byte " +
+                         std::to_string(r.pos()));
+  }
   ckpt.seen_signatures = r.U64Vec();
   ckpt.scanned = r.U64Vec();
+  if (r.failed()) {
+    return Status::Error("corrupt checkpoint: a driver table declares more entries than the "
+                         "file holds");
+  }
   ckpt.elapsed_s = r.F64();
   const std::uint64_t num_workers = r.U64();
   if (r.failed() || num_workers != ckpt.num_workers || num_workers == 0 ||
@@ -335,7 +345,7 @@ Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& o
 }
 
 Status ValidateCheckpointShape(const CampaignCheckpoint& ckpt, std::uint64_t total_bits,
-                               std::size_t num_decisions) {
+                               std::size_t num_decisions, std::size_t num_outcomes) {
   const std::uint64_t words = (total_bits + 63) / 64;
   for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
     const FuzzerState& s = ckpt.workers[i];
@@ -360,31 +370,19 @@ Status ValidateCheckpointShape(const CampaignCheckpoint& ckpt, std::uint64_t tot
                            std::to_string(s.seen_eval_sizes.size()) + " entr(ies), expected " +
                            std::to_string(num_decisions));
     }
+    if (!s.margins.empty() && s.margins.size() != num_outcomes) {
+      return Status::Error("corrupt checkpoint: " + who + " margin table has " +
+                           std::to_string(s.margins.size()) + " distance(s), expected " +
+                           std::to_string(num_outcomes));
+    }
   }
   return Status::Ok();
 }
 
-std::uint64_t CorpusEntriesFingerprint(const std::vector<CorpusEntry>& entries) {
+std::uint64_t CorpusFingerprint(const std::vector<CorpusEntry>& entries) {
   std::uint64_t h = kFnvOffset;
   h = Mix(h, entries.size());
   for (const CorpusEntry& e : entries) {
-    h = Mix(h, e.data.size());
-    h = MixBytes(h, e.data.data(), e.data.size());
-    h = Mix(h, e.metric);
-    h = Mix(h, e.new_slots);
-    h = Mix(h, static_cast<std::uint64_t>(e.id));
-    h = Mix(h, static_cast<std::uint64_t>(e.parent_id));
-    h = Mix(h, e.depth);
-    for (MutationStrategy s : e.chain) h = Mix(h, static_cast<std::uint64_t>(s));
-  }
-  return h;
-}
-
-std::uint64_t CorpusFingerprint(const Corpus& corpus) {
-  std::uint64_t h = kFnvOffset;
-  h = Mix(h, corpus.size());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const CorpusEntry& e = corpus.entry(i);
     h = Mix(h, e.data.size());
     h = MixBytes(h, e.data.data(), e.data.size());
     h = Mix(h, e.metric);

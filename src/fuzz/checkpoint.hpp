@@ -36,8 +36,8 @@ namespace cftcg::fuzz {
 
 // Version history: 1 = initial format; 2 = appended the self-profile planes
 // (per-instruction dispatch/sample counters, strobe countdown, phase times)
-// to every worker state.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// to every worker state; 3 = appended the best margin distances.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Complete resumable state of one sequential Fuzzer (one parallel worker).
 /// Produced by Fuzzer::SaveState(), consumed via FuzzerOptions::resume.
@@ -70,6 +70,9 @@ struct FuzzerState {
   vm::ExecProfile exec_profile;
   vm::ExecProfile fuzz_exec_profile;
   obs::PhaseProfile phase_profile;
+  // v3: best branch distance per decision outcome (MarginRecorder
+  // distances), empty when the campaign recorded none.
+  std::vector<double> margins;
 };
 
 /// One on-disk checkpoint: campaign identity (validated on resume), engine
@@ -125,22 +128,21 @@ Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& o
                           std::uint32_t num_workers, std::uint64_t spec_fingerprint);
 
 /// Structural validation against the coverage universe the campaign will run
-/// in: bitmap word counts, MCDC table sizes, eval-size tables. A bit-flipped
+/// in: bitmap word counts, MCDC table sizes, eval-size tables, margin
+/// distance tables (one per decision outcome, or none). A bit-flipped
 /// checkpoint that survives parsing must still fail here rather than feed
 /// mis-shaped tables into the engine (whose restore path asserts in debug
 /// builds but must never be reached with hostile sizes in release builds).
 Status ValidateCheckpointShape(const CampaignCheckpoint& ckpt, std::uint64_t total_bits,
-                               std::size_t num_decisions);
+                               std::size_t num_decisions, std::size_t num_outcomes);
 
 // -- Determinism fingerprints ---------------------------------------------
 // Order-insensitive where the underlying container is a set, order-exact
 // where order is part of campaign state. The resume-identity tests (and the
 // CLI's final "state:" line) compare these across interrupted-and-resumed
 // vs. uninterrupted campaigns.
-std::uint64_t CorpusFingerprint(const Corpus& corpus);
-/// Same digest over a serialized entry list (e.g. a FuzzerState's corpus) —
-/// lets the supervisor fingerprint a lane it can no longer ask to do so.
-std::uint64_t CorpusEntriesFingerprint(const std::vector<CorpusEntry>& entries);
+/// Over Corpus::entries() or a FuzzerState's serialized corpus alike.
+std::uint64_t CorpusFingerprint(const std::vector<CorpusEntry>& entries);
 std::uint64_t CoverageFingerprint(const coverage::CoverageSink& sink);
 std::uint64_t ProvenanceFingerprint(const coverage::ProvenanceMap& provenance);
 

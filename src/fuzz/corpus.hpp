@@ -51,6 +51,7 @@ class Corpus {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const CorpusEntry& entry(std::size_t i) const { return entries_[i]; }
+  [[nodiscard]] const std::vector<CorpusEntry>& entries() const { return entries_; }
 
   /// Energy-weighted pick: probability proportional to (metric + 1).
   /// O(log n) binary search over the cumulative-energy vector (the corpus

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "fuzz/checkpoint.hpp"
+#include "fuzz/lane.hpp"
 #include "ir/value.hpp"
 #include "obs/clock.hpp"
 #include "obs/monitor.hpp"
@@ -25,6 +26,55 @@ inline std::uint64_t MixSignature(std::uint64_t h, std::uint64_t v) {
 const std::vector<std::uint8_t> kEmptyInput;
 
 }  // namespace
+
+obs::TraceEvent ObjectiveEvent(const coverage::ObjectiveFirstHit& hit) {
+  obs::TraceEvent ev("objective");
+  ev.Str("kind", coverage::ObjectiveKindName(hit.kind))
+      .Str("name", hit.name)
+      .I64("outcome", hit.outcome)
+      .I64("slot", hit.slot)
+      .U64("iter", hit.iteration)
+      .F64("time_s", hit.time_s)
+      .I64("entry", hit.entry_id)
+      .Str("chain", hit.chain);
+  return ev;
+}
+
+void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::CoverageSpec& spec,
+                   const DynamicBitset& total, const coverage::ProvenanceMap& provenance,
+                   const coverage::MarginRecorder* margins,
+                   const coverage::JustificationSet* justifications) {
+  // Every decision outcome still uncovered, with the best margin distance
+  // observed toward it ("how close did we get, and where").
+  const auto residuals = coverage::ResidualDiagnostics(spec, total, margins, justifications);
+  if (telemetry.trace != nullptr) {
+    for (const auto& r : residuals) {
+      obs::TraceEvent ev("residual");
+      ev.Str("name", r.name).I64("decision", r.decision).I64("outcome", r.outcome);
+      if (r.distance < coverage::MarginRecorder::kUnreached) {
+        ev.F64("distance", r.distance);
+      } else {
+        ev.Str("distance", "unreached");
+      }
+      if (r.justified) {
+        ev.U64("justified", 1).Str("reason", r.justify_reason);
+      }
+      telemetry.trace->Emit(ev);
+    }
+    telemetry.trace->Emit(obs::TraceEvent("provenance")
+                              .U64("covered", provenance.num_covered())
+                              .U64("total", provenance.num_objectives())
+                              .U64("residual", residuals.size()));
+  }
+  if (telemetry.registry != nullptr) {
+    telemetry.registry->GetGauge("fuzz.objectives_covered")
+        .Set(static_cast<double>(provenance.num_covered()));
+    telemetry.registry->GetGauge("fuzz.objectives_total")
+        .Set(static_cast<double>(provenance.num_objectives()));
+    telemetry.registry->GetGauge("fuzz.objectives_residual")
+        .Set(static_cast<double>(residuals.size()));
+  }
+}
 
 // Telemetry state for one campaign. All emission funnels through here so
 // the loop stays readable; every method early-outs when its sink is absent,
@@ -136,18 +186,7 @@ class Fuzzer::Monitor {
           .Set(static_cast<double>(prov_->num_covered()));
     }
     if (tm_->trace == nullptr) return;
-    for (const std::size_t idx : fresh) {
-      const coverage::ObjectiveFirstHit& h = prov_->hits()[idx];
-      tm_->trace->Emit(obs::TraceEvent("objective")
-                           .Str("kind", coverage::ObjectiveKindName(h.kind))
-                           .Str("name", h.name)
-                           .I64("outcome", h.outcome)
-                           .I64("slot", h.slot)
-                           .U64("iter", h.iteration)
-                           .F64("time_s", h.time_s)
-                           .I64("entry", h.entry_id)
-                           .Str("chain", h.chain));
-    }
+    for (const std::size_t idx : fresh) tm_->trace->Emit(ObjectiveEvent(prov_->hits()[idx]));
   }
 
   /// One `corpus` trace event per admitted entry: the genealogy record
@@ -255,39 +294,9 @@ class Fuzzer::Monitor {
             .Add(result.strategy_stats.credited[idx]);
       }
     }
-    // Residual diagnostics: every decision outcome still uncovered, with
-    // the best margin distance observed toward it ("how close did we get,
-    // and where"). Emitted before `stop` so a truncated trace that has the
-    // stop record also has the residuals.
-    if (prov_ != nullptr && tm_->trace != nullptr) {
-      const auto residuals =
-          coverage::ResidualDiagnostics(*spec_, sink_->total(), margins_, just_);
-      for (const auto& r : residuals) {
-        obs::TraceEvent ev("residual");
-        ev.Str("name", r.name).I64("decision", r.decision).I64("outcome", r.outcome);
-        if (r.distance < coverage::MarginRecorder::kUnreached) {
-          ev.F64("distance", r.distance);
-        } else {
-          ev.Str("distance", "unreached");
-        }
-        if (r.justified) {
-          ev.U64("justified", 1).Str("reason", r.justify_reason);
-        }
-        tm_->trace->Emit(ev);
-      }
-      tm_->trace->Emit(obs::TraceEvent("provenance")
-                           .U64("covered", prov_->num_covered())
-                           .U64("total", prov_->num_objectives())
-                           .U64("residual", residuals.size()));
-      if (tm_->registry != nullptr) {
-        tm_->registry->GetGauge("fuzz.objectives_covered")
-            .Set(static_cast<double>(prov_->num_covered()));
-        tm_->registry->GetGauge("fuzz.objectives_total")
-            .Set(static_cast<double>(prov_->num_objectives()));
-        tm_->registry->GetGauge("fuzz.objectives_residual")
-            .Set(static_cast<double>(residuals.size()));
-      }
-    }
+    // Residual diagnostics, emitted before `stop` so a truncated trace that
+    // has the stop record also has the residuals.
+    if (prov_ != nullptr) EmitResiduals(*tm_, *spec_, sink_->total(), *prov_, margins_, just_);
     if (tm_->trace != nullptr) {
       tm_->trace->Emit(obs::TraceEvent("stop")
                            .F64("elapsed_s", elapsed)
@@ -404,11 +413,11 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
   exec_profile_.AttachTo(instrumented);
   machine_.set_profile(&exec_profile_);
   if (!options_.field_ranges.empty()) tuple_mutator_.SetFieldRanges(options_.field_ranges);
-  // Residual-distance recording: margin events only fire if `instrumented`
-  // carries kMargin instructions (the caller picks the lowering).
+  // Residual-distance recording: the machine records the program's margin
+  // side table while a recorder is attached.
   if (options_.margins != nullptr) {
     options_.margins->Reset(spec);
-    sink_.set_margin_recorder(options_.margins);
+    machine_.set_margins(options_.margins);
   }
 }
 
@@ -930,7 +939,7 @@ CampaignResult Fuzzer::Finish() {
   result_.strategy_stats = strategy_stats_;
   // Determinism fingerprints: identical for an interrupted-and-resumed
   // campaign and an uninterrupted one (times are excluded by construction).
-  result_.corpus_fingerprint = CorpusFingerprint(corpus_);
+  result_.corpus_fingerprint = CorpusFingerprint(corpus_.entries());
   result_.coverage_fingerprint = CoverageFingerprint(sink_);
   result_.interrupted = interrupted_;
   lap.Lap(obs::ProfilePhase::kReport);
@@ -959,8 +968,7 @@ FuzzerState Fuzzer::SaveState() const {
   s.best_metric = best_metric_;
   s.frontier_exhausted = frontier_exhausted_;
   s.strategy_stats = strategy_stats_;
-  s.corpus.reserve(corpus_.size());
-  for (std::size_t i = 0; i < corpus_.size(); ++i) s.corpus.push_back(corpus_.entry(i));
+  s.corpus = corpus_.entries();
   s.test_cases = result_.test_cases;
   s.total_bits = sink_.total().size();
   s.total_words = sink_.total().words();
@@ -974,6 +982,7 @@ FuzzerState Fuzzer::SaveState() const {
   s.edge_total = edge_total_;
   s.cmp_trace = cmp_trace_.Save();
   if (options_.provenance != nullptr) s.provenance_hits = options_.provenance->hits();
+  if (options_.margins != nullptr) s.margins = options_.margins->distances();
   s.exec_profile = exec_profile_;
   s.fuzz_exec_profile = fuzz_exec_profile_;
   s.phase_profile = phase_profile_;
@@ -1034,6 +1043,9 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
   exec_profile_.AttachTo(*instrumented_);
   fuzz_exec_profile_ = state.fuzz_exec_profile;
   phase_profile_ = state.phase_profile;
+  // Best distances continue from the checkpoint (none if it was written
+  // without a recorder; ValidateCheckpointShape gates the size).
+  if (options_.margins != nullptr) options_.margins->MergeFrom(state.margins);
   if (options_.provenance != nullptr) {
     seen_eval_sizes_.assign(spec_->decisions().size(), 0);
     for (std::size_t d = 0; d < state.seen_eval_sizes.size() && d < seen_eval_sizes_.size();

@@ -90,10 +90,10 @@ struct FuzzerOptions {
   /// except the per-execution MCDC eval-set growth check, which exists
   /// only when this is set). Not owned; must outlive the Fuzzer.
   coverage::ProvenanceMap* provenance = nullptr;
-  /// Optional best-observed-distance recording for residual diagnostics.
-  /// Only effective when the fuzzed program carries kMargin instructions
-  /// (CompiledModel::Fuzz switches to the margin-instrumented lowering when
-  /// this is set). Not owned; Reset(spec) is called by the Fuzzer.
+  /// Optional best-observed-distance recording for residual diagnostics,
+  /// attached to the instrumented Machine (same program either way). Not
+  /// owned; Reset(spec) is called by the Fuzzer. FuzzerState carries the
+  /// distances; the lane driver merges per-lane recorders into this one.
   coverage::MarginRecorder* margins = nullptr;
   /// Compute a per-input coverage signature during execution (the parallel
   /// engine's corpus-sync dedup key). Off by default: the sequential loop

@@ -57,6 +57,7 @@ struct LaneSpec {
   FuzzBudget budget;                    // this lane's share of the budget
   const FuzzerState* resume = nullptr;  // checkpointed lane state, if resuming
   bool want_provenance = false;         // keep a first-hit map for the merge
+  bool want_margins = false;            // record branch distances for the merge
   const CampaignClock* clock = nullptr;
 };
 
@@ -97,7 +98,31 @@ class Lane {
   [[nodiscard]] virtual std::vector<std::uint64_t> CorpusSignatures() const = 0;
   /// First-hit attribution (after Finish; null unless want_provenance).
   [[nodiscard]] virtual const coverage::ProvenanceMap* provenance() const = 0;
+  /// Best branch distance per decision outcome (after Finish; empty unless
+  /// want_margins).
+  [[nodiscard]] virtual std::vector<double> margins() const = 0;
 };
+
+/// The `objective` trace event of one first hit.
+obs::TraceEvent ObjectiveEvent(const coverage::ObjectiveFirstHit& hit);
+
+/// Closes a campaign's attribution: a `residual` event per decision outcome
+/// `total` leaves uncovered (best distance from `margins`, which may be
+/// null, and its justification), the `provenance` summary, and the
+/// objective gauges. The sequential loop (fuzzer.cpp) and the lane driver both
+/// end through here, so their traces carry the same fields.
+void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::CoverageSpec& spec,
+                   const DynamicBitset& total, const coverage::ProvenanceMap& provenance,
+                   const coverage::MarginRecorder* margins,
+                   const coverage::JustificationSet* justifications);
+
+/// The coverage signatures of `entries`, in corpus order.
+inline std::vector<std::uint64_t> Signatures(const std::vector<CorpusEntry>& entries) {
+  std::vector<std::uint64_t> out;
+  out.reserve(entries.size());
+  for (const CorpusEntry& e : entries) out.push_back(e.signature);
+  return out;
+}
 
 using OpenLane = std::function<std::unique_ptr<Lane>(const LaneSpec&)>;
 

@@ -32,6 +32,7 @@ class ThreadLane final : public Lane {
       provenance_ = std::make_unique<coverage::ProvenanceMap>(spec);
       options.provenance = provenance_.get();
     }
+    if (lane.want_margins) options.margins = &margins_;
     options.resume = lane.resume;
     fuzzer_ = std::make_unique<Fuzzer>(instrumented, spec, options, fuzz_only);
   }
@@ -50,8 +51,8 @@ class ThreadLane final : public Lane {
     if (thread_.joinable()) thread_.join();
   }
   std::vector<const CorpusEntry*> NewEntries(std::size_t from) const override {
-    const Corpus& corpus = fuzzer_->corpus();
     std::vector<const CorpusEntry*> out;
+    const Corpus& corpus = fuzzer_->corpus();
     for (std::size_t k = from; k < corpus.size(); ++k) out.push_back(&corpus.entry(k));
     return out;
   }
@@ -72,17 +73,15 @@ class ThreadLane final : public Lane {
   const obs::PhaseProfile& phase_profile() const override { return fuzzer_->phase_profile(); }
   FuzzerState SaveState() const override { return fuzzer_->SaveState(); }
   std::vector<std::uint64_t> CorpusSignatures() const override {
-    const Corpus& corpus = fuzzer_->corpus();
-    std::vector<std::uint64_t> out;
-    out.reserve(corpus.size());
-    for (std::size_t k = 0; k < corpus.size(); ++k) out.push_back(corpus.entry(k).signature);
-    return out;
+    return Signatures(fuzzer_->corpus().entries());
   }
   const coverage::ProvenanceMap* provenance() const override { return provenance_.get(); }
+  std::vector<double> margins() const override { return margins_.distances(); }
 
  private:
   FuzzBudget budget_;
   std::unique_ptr<coverage::ProvenanceMap> provenance_;
+  coverage::MarginRecorder margins_;  // stays empty unless want_margins
   std::unique_ptr<Fuzzer> fuzzer_;
   double round_s_ = -1;
   std::thread thread_;  // last: joined before the members it uses go away
@@ -142,8 +141,8 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     // end). Durability too: a lane seeing the interrupt flag mid-round would
     // stop at an uneven execution count and wreck the round schedule, so
     // interrupts and checkpoints happen at barriers, where the whole
-    // campaign is at a well-defined point. Margins are sequential-only
-    // (per-lane recorders have no merge semantics). Hang quarantine stays
+    // campaign is at a well-defined point. Branch distances are recorded
+    // per lane and merged at the end, like first hits. Hang quarantine stays
     // per lane (content-hashed names, atomic writes: no collisions).
     lane.options.telemetry = nullptr;
     lane.options.margins = nullptr;
@@ -153,6 +152,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     lane.options.profile_publisher = nullptr;
     lane.options.provenance = nullptr;
     lane.want_provenance = options.provenance != nullptr;
+    lane.want_margins = options.margins != nullptr;
     // Corpus sync needs signatures; a single lane never imports, so it keeps
     // the caller's setting (default off = zero hot-path hashing).
     if (n > 1) lane.options.collect_signatures = true;
@@ -523,33 +523,24 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   final_agg.adj_mcdc_pct = merged.report.AdjustedMcdcPct();
   final_agg.hangs = merged.hangs;
 
+  // Merged branch distances: the smallest per outcome slot, folded in
+  // lane-id order into the caller's recorder.
+  if (options.margins != nullptr) {
+    options.margins->Reset(spec);
+    for (const auto& lane : lanes) options.margins->MergeFrom(lane->margins());
+  }
   // Merged first-hit attribution: earliest lane-local iteration wins, ties
   // to the lowest lane id; folded into the caller's map.
   if (options.provenance != nullptr) {
     std::vector<const coverage::ProvenanceMap*> maps;
     for (const auto& lane : lanes) maps.push_back(lane->provenance());
     for (const auto& h : coverage::MergeFirstHits(maps)) options.provenance->AbsorbHit(h);
-    if (tm != nullptr && tm->trace != nullptr) {
-      for (const auto& h : options.provenance->hits()) {
-        tm->trace->Emit(obs::TraceEvent("objective")
-                            .Str("kind", coverage::ObjectiveKindName(h.kind))
-                            .Str("name", h.name)
-                            .I64("outcome", h.outcome)
-                            .I64("slot", h.slot)
-                            .U64("iter", h.iteration)
-                            .F64("time_s", h.time_s)
-                            .I64("entry", h.entry_id)
-                            .Str("chain", h.chain));
+    if (tm != nullptr) {
+      if (tm->trace != nullptr) {
+        for (const auto& h : options.provenance->hits()) tm->trace->Emit(ObjectiveEvent(h));
       }
-      tm->trace->Emit(obs::TraceEvent("provenance")
-                          .U64("covered", options.provenance->num_covered())
-                          .U64("total", options.provenance->num_objectives()));
-    }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetGauge("fuzz.objectives_covered")
-          .Set(static_cast<double>(options.provenance->num_covered()));
-      tm->registry->GetGauge("fuzz.objectives_total")
-          .Set(static_cast<double>(options.provenance->num_objectives()));
+      EmitResiduals(*tm, spec, global.total(), *options.provenance, options.margins,
+                    options.justifications);
     }
     final_agg.objectives_covered = options.provenance->num_covered();
     final_agg.objectives_total = options.provenance->num_objectives();

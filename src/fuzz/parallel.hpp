@@ -83,10 +83,10 @@ class ParallelFuzzer {
  public:
   /// Same contract as Fuzzer: `instrumented` is the measurement/CFTCG
   /// target, `fuzz_only_program` is required when options.model_oriented is
-  /// false. Worker campaigns run with telemetry and margins disabled (the
-  /// driver owns telemetry: aggregated heartbeats, per-worker phase spans);
-  /// options.provenance, when set, receives the merged first-hit
-  /// attribution after the run.
+  /// false. Worker campaigns run with telemetry disabled (the driver owns
+  /// telemetry: aggregated heartbeats, per-worker phase spans);
+  /// options.provenance and options.margins, when set, receive the merged
+  /// first-hit attribution and branch distances after the run.
   ParallelFuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
                  FuzzerOptions options, ParallelOptions parallel,
                  const vm::Program* fuzz_only_program = nullptr);

@@ -68,30 +68,24 @@ std::uint64_t Fnv64(const char* data, std::size_t size) {
   return h;
 }
 
-void PutU32(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-void PutU64(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
+std::string FrameHeader(std::uint8_t type, const std::string& payload) {
+  wire::Writer w;
+  w.U32(kFrameMagic);
+  w.U8(type);
+  w.U64(payload.size());
+  w.U64(Fnv64(payload.data(), payload.size()));
+  return w.take();
 }
 
-std::string FrameHeader(std::uint8_t type, const std::string& payload) {
-  std::string h(kHeaderSize, '\0');
-  PutU32(&h[0], kFrameMagic);
-  h[4] = static_cast<char>(type);
-  PutU64(&h[5], payload.size());
-  PutU64(&h[13], Fnv64(payload.data(), payload.size()));
-  return h;
+// The header fields; false on a bad magic or an oversized payload.
+bool ParseFrameHeader(const char (&header)[kHeaderSize], std::uint8_t* type, std::uint64_t* len,
+                      std::uint64_t* sum) {
+  wire::Reader r(std::string_view(header, kHeaderSize));
+  const bool magic = r.U32() == kFrameMagic;
+  *type = r.U8();
+  *len = r.U64();
+  *sum = r.U64();
+  return magic && *len <= kMaxFrame;
 }
 
 // -- Child-side blocking framing ------------------------------------------
@@ -104,12 +98,12 @@ bool ChildWriteFrame(int fd, std::uint8_t type, const std::string& payload) {
 
 bool ChildReadFrame(int fd, std::uint8_t* type, std::string* payload) {
   char header[kHeaderSize];
-  if (!support::io::ReadFull(fd, header, sizeof(header)).ok()) return false;
-  if (GetU32(&header[0]) != kFrameMagic) return false;
-  *type = static_cast<std::uint8_t>(header[4]);
-  const std::uint64_t len = GetU64(&header[5]);
-  const std::uint64_t sum = GetU64(&header[13]);
-  if (len > kMaxFrame) return false;
+  std::uint64_t len = 0;
+  std::uint64_t sum = 0;
+  if (!support::io::ReadFull(fd, header, sizeof(header)).ok() ||
+      !ParseFrameHeader(header, type, &len, &sum)) {
+    return false;
+  }
   payload->assign(len, '\0');
   if (len > 0 && !support::io::ReadFull(fd, payload->data(), len).ok()) return false;
   return Fnv64(payload->data(), payload->size()) == sum;
@@ -159,10 +153,7 @@ void StampInput(void* ctx, const std::uint8_t* data, std::size_t size) {
 // -- Worker process --------------------------------------------------------
 
 struct ChildSpec {
-  FuzzerOptions wopts;
-  FuzzBudget budget;
-  const FuzzerState* resume = nullptr;
-  bool want_provenance = false;
+  LaneSpec lane;    // resume: the state this (re)spawn starts from
   int cmd_fd = -1;  // commands in
   int res_fd = -1;  // replies out
   InputCapture* capture = nullptr;
@@ -179,16 +170,19 @@ struct ChildSpec {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
 
-  FuzzerOptions wopts = cs.wopts;
+  FuzzerOptions wopts = cs.lane.options;
   // The parent's status board is not in this address space; progress
   // reaches it through the lane window instead.
   wopts.status_board = nullptr;
   std::unique_ptr<coverage::ProvenanceMap> prov;
-  if (cs.want_provenance) {
+  if (cs.lane.want_provenance) {
     prov = std::make_unique<coverage::ProvenanceMap>(spec);
     wopts.provenance = prov.get();
   }
-  wopts.resume = cs.resume;
+  // Branch distances reach the parent inside every FuzzerState frame.
+  coverage::MarginRecorder margins;
+  if (cs.lane.want_margins) wopts.margins = &margins;
+  wopts.resume = cs.lane.resume;
   ChildTap tap{cs.capture, nullptr};
   if (cs.capture != nullptr) {
     wopts.input_tap = StampInput;
@@ -197,10 +191,10 @@ struct ChildSpec {
 
   Fuzzer fuzzer(instrumented, spec, wopts, fuzz_only);
   tap.fuzzer = &fuzzer;
-  fuzzer.Begin(cs.budget);
+  fuzzer.Begin(cs.lane.budget);
   // Entries the supervisor already knows about: everything restored from a
   // resume state was scanned at the barrier that produced the state.
-  std::size_t shipped = cs.resume != nullptr ? fuzzer.corpus().size() : 0;
+  std::size_t shipped = cs.lane.resume != nullptr ? fuzzer.corpus().size() : 0;
 
   const auto send_corpus_tail = [&](std::uint8_t type) {
     wire::Writer w;
@@ -259,31 +253,15 @@ struct ChildSpec {
       AppendFuzzerState(w, fuzzer.SaveState());
       if (!ChildWriteFrame(cs.res_fd, kMsgState, w.take())) std::_Exit(kExitProtocol + 1);
     } else if (type == kMsgFinish) {
-      const FuzzerState st = fuzzer.SaveState();
+      FuzzerState st = fuzzer.SaveState();
       const CampaignResult res = fuzzer.Finish();
-      wire::Writer w;
-      AppendFuzzerState(w, st);
-      w.U64(res.corpus_fingerprint);
-      w.U64Vec(res.focus_stats.executions);
-      w.U64Vec(res.focus_stats.credited);
       // Post-Finish provenance: includes the "unretained" MCDC sweep the
       // barrier states never see.
-      const auto& hits =
-          wopts.provenance != nullptr ? wopts.provenance->hits()
-                                      : std::vector<coverage::ObjectiveFirstHit>{};
-      w.U64(hits.size());
-      for (const coverage::ObjectiveFirstHit& h : hits) {
-        w.U8(static_cast<std::uint8_t>(h.kind));
-        w.Str(h.name);
-        w.I64(h.decision);
-        w.I64(h.condition);
-        w.I64(h.outcome);
-        w.I64(h.slot);
-        w.U64(h.iteration);
-        w.F64(h.time_s);
-        w.I64(h.entry_id);
-        w.Str(h.chain);
-      }
+      if (prov != nullptr) st.provenance_hits = prov->hits();
+      wire::Writer w;
+      AppendFuzzerState(w, st);
+      w.U64Vec(res.focus_stats.executions);
+      w.U64Vec(res.focus_stats.credited);
       if (!ChildWriteFrame(cs.res_fd, kMsgResult, w.take())) std::_Exit(kExitProtocol + 1);
       std::_Exit(0);
     } else {
@@ -315,29 +293,13 @@ bool ParseRoundReply(const std::string& payload, RoundReply* out) {
   return !r.failed();
 }
 
-// Parsed RESULT: the final state plus the Finish-time extras.
-bool ParseLaneResult(const std::string& payload, FuzzerState* state, CampaignResult* result,
-                     std::vector<coverage::ObjectiveFirstHit>* hits) {
+// Parsed RESULT: the final state (with the Finish-time first hits) plus the
+// focus accounting.
+bool ParseLaneResult(const std::string& payload, FuzzerState* state, FocusStats* focus) {
   wire::Reader r(payload);
   if (!ReadFuzzerState(r, *state)) return false;
-  result->corpus_fingerprint = r.U64();
-  result->focus_stats.executions = r.U64Vec();
-  result->focus_stats.credited = r.U64Vec();
-  const std::uint64_t num_hits = r.U64();
-  for (std::uint64_t i = 0; i < num_hits && !r.failed(); ++i) {
-    coverage::ObjectiveFirstHit h;
-    h.kind = static_cast<coverage::ObjectiveKind>(r.U8());
-    h.name = r.Str();
-    h.decision = static_cast<coverage::DecisionId>(r.I64());
-    h.condition = static_cast<coverage::ConditionId>(r.I64());
-    h.outcome = static_cast<int>(r.I64());
-    h.slot = static_cast<int>(r.I64());
-    h.iteration = r.U64();
-    h.time_s = r.F64();
-    h.entry_id = r.I64();
-    h.chain = r.Str();
-    hits->push_back(std::move(h));
-  }
+  focus->executions = r.U64Vec();
+  focus->credited = r.U64Vec();
   return !r.failed();
 }
 
@@ -508,38 +470,34 @@ class ProcessLane final : public Lane {
   }
 
   CampaignResult Finish() override {
+    // A retired or just-died lane joins the merge with its last barrier
+    // state: coverage and corpus up to the barrier are valid campaign output.
     CampaignResult r;
-    std::vector<coverage::ObjectiveFirstHit> hits;
-    bool collected = false;
     if (!retired_ && pid_ >= 0) {
       std::string payload;
       FuzzerState final_state;
+      FocusStats focus;
       if (Send(kMsgFinish, std::string()) && Await(kMsgResult, &payload) == Io::kOk &&
-          ParseLaneResult(payload, &final_state, &r, &hits)) {
+          ParseLaneResult(payload, &final_state, &focus)) {
         state_ = std::move(final_state);
         has_state_ = true;
-        collected = true;
+        r.focus_stats = std::move(focus);
         ClosePipes();
         Reap(/*force_kill=*/false);
       } else {
         OnDeath("died during finish", /*hang=*/false);
       }
     }
-    if (!collected) {
-      // Retired or just-died lane: its last barrier state still joins the
-      // merge (coverage and corpus up to the barrier are valid campaign
-      // output); only the Finish-time extras are reconstructed.
-      r = CampaignResult{};
-      hits = state_.provenance_hits;
-      r.corpus_fingerprint = CorpusEntriesFingerprint(state_.corpus);
-    }
     if (obs::CampaignStatusBoard* board = t_.options.status_board) {
       board->SetWorkerDone(spec_.index);
     }
     if (spec_.want_provenance) {
       provenance_ = std::make_unique<coverage::ProvenanceMap>(t_.spec);
-      for (const coverage::ObjectiveFirstHit& h : hits) provenance_->AbsorbHit(h);
+      for (const coverage::ObjectiveFirstHit& h : state_.provenance_hits) {
+        provenance_->AbsorbHit(h);
+      }
     }
+    r.corpus_fingerprint = CorpusFingerprint(state_.corpus);
     r.executions = state_.executions;
     r.model_iterations = state_.model_iterations;
     r.measure_iterations = state_.measure_iterations;
@@ -567,12 +525,10 @@ class ProcessLane final : public Lane {
   const obs::PhaseProfile& phase_profile() const override { return state_.phase_profile; }
   FuzzerState SaveState() const override { return state_; }
   std::vector<std::uint64_t> CorpusSignatures() const override {
-    std::vector<std::uint64_t> out;
-    out.reserve(state_.corpus.size());
-    for (const CorpusEntry& e : state_.corpus) out.push_back(e.signature);
-    return out;
+    return Signatures(state_.corpus);
   }
   const coverage::ProvenanceMap* provenance() const override { return provenance_.get(); }
+  std::vector<double> margins() const override { return state_.margins; }
 
   /// Relays the child's execution count (stamped before each input) to the
   /// status board. Only a count that moved is stamped: a wedged lane must
@@ -677,11 +633,10 @@ class ProcessLane final : public Lane {
       char header[kHeaderSize];
       Io io = ReadExact(header, sizeof(header), deadline);
       if (io != Io::kOk) return io;
-      if (GetU32(&header[0]) != kFrameMagic) return Io::kDead;
-      const auto type = static_cast<std::uint8_t>(header[4]);
-      const std::uint64_t len = GetU64(&header[5]);
-      const std::uint64_t sum = GetU64(&header[13]);
-      if (len > kMaxFrame) return Io::kDead;
+      std::uint8_t type = 0;
+      std::uint64_t len = 0;
+      std::uint64_t sum = 0;
+      if (!ParseFrameHeader(header, &type, &len, &sum)) return Io::kDead;
       payload->assign(len, '\0');
       if (len > 0 && (io = ReadExact(payload->data(), len, deadline)) != Io::kOk) return io;
       if (Fnv64(payload->data(), payload->size()) != sum) return Io::kDead;
@@ -740,11 +695,8 @@ class ProcessLane final : public Lane {
       for (ProcessLane* other : t_.lanes) other->ClosePipes();
       ::close(cmd_pipe[1]);
       ::close(res_pipe[0]);
-      ChildSpec cs;
-      cs.wopts = spec_.options;
-      cs.budget = spec_.budget;
-      cs.resume = has_state_ ? &state_ : spec_.resume;
-      cs.want_provenance = spec_.want_provenance;
+      ChildSpec cs{spec_};
+      if (has_state_) cs.lane.resume = &state_;
       cs.cmd_fd = cmd_pipe[0];
       cs.res_fd = res_pipe[1];
       cs.capture = capture_;

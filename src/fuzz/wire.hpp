@@ -7,7 +7,7 @@
 // message *is* a checkpoint fragment. Writer appends; Reader is strictly
 // bounds-checked: any out-of-range read latches failed() and every
 // subsequent read returns zero — callers check failed() once at the end
-// instead of after every field. Sized reads (Bytes/Str/U64Vec) validate the
+// instead of after every field. Sized reads (Bytes/Str/U64Vec/F64Vec) validate the
 // length against the remaining input before allocating, so a bit-flipped
 // count can never trigger a huge allocation.
 #pragma once
@@ -42,6 +42,10 @@ class Writer {
   void U64Vec(const std::vector<std::uint64_t>& v) {
     U64(v.size());
     for (std::uint64_t x : v) U64(x);
+  }
+  void F64Vec(const std::vector<double>& v) {
+    U64(v.size());
+    for (double x : v) F64(x);
   }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
   [[nodiscard]] std::string take() { return std::move(out_); }
@@ -95,19 +99,22 @@ class Reader {
     pos_ += size;
     return s;
   }
-  std::vector<std::uint64_t> U64Vec() {
+  std::vector<std::uint64_t> U64Vec() { return Vec<std::uint64_t>(&Reader::U64); }
+  std::vector<double> F64Vec() { return Vec<double>(&Reader::F64); }
+
+ private:
+  template <typename T>
+  std::vector<T> Vec(T (Reader::*read)()) {
     const std::uint64_t size = U64();
     if (failed_ || size > bytes_.size() / 8 + 1) {  // cheap sanity bound
       failed_ = true;
       return {};
     }
-    std::vector<std::uint64_t> v;
+    std::vector<T> v;
     v.reserve(size);
-    for (std::uint64_t i = 0; i < size && !failed_; ++i) v.push_back(U64());
+    for (std::uint64_t i = 0; i < size && !failed_; ++i) v.push_back((this->*read)());
     return v;
   }
-
- private:
   bool Need(std::uint64_t n) {
     if (failed_ || n > bytes_.size() - pos_) {
       failed_ = true;

@@ -16,7 +16,7 @@ GoalSolver::GoalSolver(const vm::Program& program, const coverage::CoverageSpec&
       sink_(spec),
       rng_(options.seed) {
   margins_.Reset(spec);
-  sink_.set_margin_recorder(&margins_);
+  machine_.set_margins(&margins_);
   for (const auto t : program.input_types) {
     field_ranges_.push_back(Interval::OfType(t));
     field_is_float_.push_back(ir::DTypeIsFloat(t));

@@ -51,8 +51,9 @@ struct SolverStats {
 
 class GoalSolver {
  public:
-  /// `program` must be lowered with model instrumentation AND margin
-  /// recording (codegen::LoweringOptions{.record_margins = true}).
+  /// `program` must be lowered with model instrumentation (the
+  /// CompiledModel::instrumented() program); the solver's Machine records
+  /// its margin side table.
   GoalSolver(const vm::Program& program, const coverage::CoverageSpec& spec,
              SolverOptions options);
 

@@ -1,7 +1,9 @@
 #include "vm/machine.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "support/numerics.hpp"
 
@@ -22,6 +24,13 @@ Machine::Machine(const Program& program) : program_(&program) {
   // preload here serves every Step().
   for (const auto& c : program.const_d) dregs_[static_cast<std::size_t>(c.reg)] = c.value;
   for (const auto& c : program.const_i) iregs_[static_cast<std::size_t>(c.reg)] = c.value;
+  // margin_at_[pc] = number of margin sites before pc (they are pc-sorted).
+  margin_at_.assign(program.code.size() + 1, 0);
+  for (const MarginSite& m : program.margins) {
+    assert(static_cast<std::size_t>(m.pc) < program.code.size() && "margin site past the code");
+    ++margin_at_[static_cast<std::size_t>(m.pc) + 1];
+  }
+  std::partial_sum(margin_at_.begin(), margin_at_.end(), margin_at_.begin());
   Reset();
 }
 
@@ -66,16 +75,24 @@ ir::Value Machine::GetOutput(int index) const {
 }
 
 bool Machine::Step(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
+  if (margins_ != nullptr) return StepWith<true>(sink, edge_map);
+  return StepWith<false>(sink, edge_map);
+}
+
+template <bool kRecordMargins>
+bool Machine::StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   // Specialized dispatch loops: the detached path compiles with zero
   // profiling code (not even a per-dispatch branch), the count-only path is
   // a single increment per dispatch, and only the strobe path carries the
   // sampling countdown.
-  if (profile_ == nullptr) return StepImpl<ProfileMode::kOff>(sink, edge_map);
-  if (profile_->strobe_period == 0) return StepImpl<ProfileMode::kCount>(sink, edge_map);
-  return StepImpl<ProfileMode::kStrobe>(sink, edge_map);
+  if (profile_ == nullptr) return StepImpl<ProfileMode::kOff, kRecordMargins>(sink, edge_map);
+  if (profile_->strobe_period == 0) {
+    return StepImpl<ProfileMode::kCount, kRecordMargins>(sink, edge_map);
+  }
+  return StepImpl<ProfileMode::kStrobe, kRecordMargins>(sink, edge_map);
 }
 
-template <Machine::ProfileMode kMode>
+template <Machine::ProfileMode kMode, bool kRecordMargins>
 bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   constexpr bool kCounting = kMode != ProfileMode::kOff;
   constexpr bool kStrobing = kMode == ProfileMode::kStrobe;
@@ -111,6 +128,13 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
 
   for (;;) {
     const Insn& in = code[pc];
+    if constexpr (kRecordMargins) {
+      // The program point a site names: after everything before pc ran,
+      // before pc itself (on fall-through and on a jump landing alike).
+      for (auto k = margin_at_[pc]; k < margin_at_[pc + 1]; ++k) {
+        RecordMargin(program_->margins[static_cast<std::size_t>(k)]);
+      }
+    }
     if constexpr (kCounting) ++prof_counts[pc];
     if constexpr (kStrobing) {
       // Instruction-count strobe (timed mode): one sample every N
@@ -273,9 +297,6 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
           sink->RecordEval(in.imm, static_cast<std::uint32_t>(r[in.a]),
                            static_cast<std::uint32_t>(r[in.b]), static_cast<int>(r[in.aux]));
         }
-        break;
-      case Op::kMargin:
-        if (sink != nullptr) sink->RecordMargin(in.imm, in.b, in.aux, d[in.a]);
         break;
       case Op::kCovIf:
         if (sink != nullptr) sink->Hit(r[in.a] != 0 ? in.imm : in.aux);

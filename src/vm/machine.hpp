@@ -7,6 +7,7 @@
 // initial value (run once per test case).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -62,6 +63,11 @@ class Machine {
   /// carries no profiling code at all.
   void set_profile(ExecProfile* profile) { profile_ = profile; }
 
+  /// Attaches a branch-distance recorder (Reset to the spec by the caller)
+  /// for the program's margin sites. Pass nullptr to detach; the detached
+  /// dispatch loops never read the side table.
+  void set_margins(coverage::MarginRecorder* margins) { margins_ = margins; }
+
   /// Peek at persistent state (tests / debugging).
   [[nodiscard]] double state_d(int slot) const { return state_d_[static_cast<std::size_t>(slot)]; }
   [[nodiscard]] std::int64_t state_i(int slot) const {
@@ -77,8 +83,22 @@ class Machine {
   /// (the always-on plane, gated ≤5% overhead by the bench suite), kStrobe
   /// adds the sampling countdown kept in a register.
   enum class ProfileMode { kOff, kCount, kStrobe };
-  template <ProfileMode kMode>
+  /// Specialized per profiling mode and on whether margins are recorded.
+  template <bool kRecordMargins>
+  bool StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map);
+  template <ProfileMode kMode, bool kRecordMargins>
   bool StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map);
+
+  /// Records one margin site from the current register values.
+  void RecordMargin(const MarginSite& m) const {
+    const auto value = [this](const MarginOperand& o) {
+      const auto reg = static_cast<std::size_t>(o.reg);
+      return o.is_float ? dregs_[reg] : static_cast<double>(iregs_[reg]);
+    };
+    const double diff = value(m.lhs) - value(m.rhs);
+    margins_->Record(m.decision, m.ge_outcome, m.lt_outcome,
+                     m.kind == MarginSite::Kind::kDiff ? diff : -std::fabs(diff));
+  }
 
   /// TORC recording shared by eq/ne and their fused br.eq/br.ne forms: an
   /// equality comparison whose operands differ records both of them.
@@ -92,6 +112,9 @@ class Machine {
   const Program* program_;
   CmpTrace* cmp_trace_ = nullptr;
   ExecProfile* profile_ = nullptr;
+  coverage::MarginRecorder* margins_ = nullptr;
+  // Sites of pc: program_->margins[margin_at_[pc] .. margin_at_[pc + 1]).
+  std::vector<std::int32_t> margin_at_;
   std::uint64_t step_budget_ = 0;
   std::vector<double> dregs_;
   std::vector<std::int64_t> iregs_;

@@ -93,7 +93,6 @@ std::string_view OpName(Op op) {
     case Op::kCov: return "cov";
     case Op::kEdge: return "edge";
     case Op::kMcdcEval: return "mcdc";
-    case Op::kMargin: return "margin";
     case Op::kCovIf: return "cov.if";
     case Op::kCovCond: return "cov.cond";
   }
@@ -195,7 +194,6 @@ OperandEffect EffectOf(Op op) {
     case Op::kCov:
     case Op::kEdge: return fx(0, 0, 0, 0);
     case Op::kMcdcEval: return fx(0, kAB | kFieldAux, 0, 0);
-    case Op::kMargin: return fx(kFieldA, 0, 0, 0);
     case Op::kCovIf: return fx(0, kFieldA, 0, 0);
     case Op::kCovCond: return fx(0, kAB | kFieldDst, 0, kFieldDst | kFieldB);
   }
@@ -232,7 +230,20 @@ std::string Disassemble(const Program& program) {
   for (const auto& c : program.const_i) {
     out += StrFormat("; const i%d = %lld\n", c.reg, static_cast<long long>(c.value));
   }
+  const auto operand = [](const MarginOperand& o) {
+    return StrFormat("%c%d", o.is_float ? 'd' : 'i', o.reg);
+  };
+  std::size_t site = 0;
   for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
+    for (; site < program.margins.size() &&
+           static_cast<std::size_t>(program.margins[site].pc) == pc;
+         ++site) {
+      const MarginSite& m = program.margins[site];
+      const bool diff = m.kind == MarginSite::Kind::kDiff;
+      out += StrFormat("      ; margin decision=%d ge=%d lt=%d %s%s - %s%s\n", m.decision,
+                       m.ge_outcome, m.lt_outcome, diff ? "" : "-|",
+                       operand(m.lhs).c_str(), operand(m.rhs).c_str(), diff ? "" : "|");
+    }
     const Insn& in = program.code[pc];
     out += StrFormat("%4zu  %-8s dst=%d a=%d b=%d imm=%d aux=%d dimm=%s type=%s\n", pc,
                      std::string(OpName(in.op)).c_str(), in.dst, in.a, in.b, in.imm, in.aux,

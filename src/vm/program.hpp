@@ -75,7 +75,6 @@ enum class Op : std::uint8_t {
   kCov,       // sink->Hit(imm)                       [model-level]
   kEdge,      // edge_map[imm] = 1                    [code-level]
   kMcdcEval,  // sink->RecordEval(imm, iregs[a], iregs[b], iregs[aux])
-  kMargin,    // sink->RecordMargin(imm, b, aux, dregs[a])
   kCovIf,     // sink->Hit(iregs[a] ? imm : aux)      [one boolean's polarity]
   // One MCDC condition leaf: iregs[b] |= bit (the evaluated mask; b < 0 =
   // no mask register); if (iregs[a]) iregs[dst] |= bit (the values vector);
@@ -100,6 +99,29 @@ template <typename T>
 struct PooledConst {
   std::int32_t reg = 0;
   T value{};
+};
+
+/// A register of either file; an int register reads as cvt.i2d would.
+struct MarginOperand {
+  bool is_float = true;
+  std::int32_t reg = 0;
+};
+
+/// One branch-distance site: MarginRecorder::Record(decision, ge_outcome,
+/// lt_outcome, margin), recorded by a Machine with a recorder attached just
+/// before instruction `pc` dispatches, from the registers at that point.
+struct MarginSite {
+  enum class Kind : std::uint8_t {
+    kDiff,        // lhs - rhs
+    kNegAbsDiff,  // -|lhs - rhs| (==/!= guards: 0 means equal)
+  };
+  std::int32_t pc = 0;
+  coverage::DecisionId decision = 0;
+  std::int32_t ge_outcome = 0;
+  std::int32_t lt_outcome = 0;
+  MarginOperand lhs;
+  MarginOperand rhs;
+  Kind kind = Kind::kDiff;
 };
 
 struct StateSlot {
@@ -130,6 +152,10 @@ struct Program {
   // `code`; empty for hand-built programs, which profile as all-glue.
   std::vector<std::int32_t> insn_block;
   std::vector<std::string> block_names;  // block paths, first-emission order
+
+  // Margin side table, sorted by pc. No instruction: a Machine reads it only
+  // while a MarginRecorder is attached.
+  std::vector<MarginSite> margins;
 
   /// Bytes of one input tuple (sum of input field sizes).
   [[nodiscard]] std::size_t TupleSize() const {
@@ -180,7 +206,8 @@ void ForEachReg(const Insn& in, std::uint8_t fields, F&& f) {
 Op FusedBranchOf(Op op);
 
 /// Human-readable disassembly (debugging, golden tests): a header with the
-/// register counts and the constant pool, then one line per instruction.
+/// register counts and the constant pool, then one line per instruction,
+/// each preceded by the margin sites recorded before it.
 std::string Disassemble(const Program& program);
 
 }  // namespace cftcg::vm

@@ -255,7 +255,7 @@ TEST(AnalyzerSolverTest, SeededInputRangePinsSolverCandidates) {
   sldv::SolverOptions so;
   so.seed = 9;
   so.horizon = 2;
-  sldv::GoalSolver solver(cm->with_margins(), cm->spec(), so);
+  sldv::GoalSolver solver(cm->instrumented(), cm->spec(), so);
   solver.SeedInputRanges({sldv::Interval(42.0, 42.0)});
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 10.0;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "bench_models/bench_models.hpp"
@@ -41,6 +42,8 @@ std::unique_ptr<CompiledModel> Compile() {
 std::string RealCheckpointBytes(CompiledModel& cm) {
   FuzzerOptions options;
   options.seed = 11;
+  coverage::MarginRecorder margins;  // the v3 distance table rides along
+  options.margins = &margins;
   Fuzzer fuzzer(cm.instrumented(), cm.spec(), options);
   FuzzBudget budget;
   budget.wall_seconds = 300.0;
@@ -59,8 +62,11 @@ TEST(CheckpointFuzzTest, RoundTripIsExactAndShapeValid) {
   ASSERT_TRUE(parsed.ok()) << parsed.message();
   EXPECT_EQ(SerializeCheckpoint(parsed.value()), bytes);
   const coverage::CoverageSink probe(cm->spec());
-  EXPECT_TRUE(
-      ValidateCheckpointShape(parsed.value(), probe.total().size(), probe.evals().size()).ok());
+  const auto num_outcomes = static_cast<std::size_t>(cm->spec().num_outcome_slots());
+  EXPECT_EQ(parsed.value().workers[0].margins.size(), num_outcomes);
+  EXPECT_TRUE(ValidateCheckpointShape(parsed.value(), probe.total().size(),
+                                      probe.evals().size(), num_outcomes)
+                  .ok());
 }
 
 TEST(CheckpointFuzzTest, EveryTruncationFailsWithStructuredError) {
@@ -97,7 +103,8 @@ TEST(CheckpointFuzzTest, SeededByteFlipsNeverCrashTheReader) {
     // must be structurally safe to restore.
     ++parsed_ok;
     const Status shape =
-        ValidateCheckpointShape(parsed.value(), probe.total().size(), probe.evals().size());
+        ValidateCheckpointShape(parsed.value(), probe.total().size(), probe.evals().size(),
+                                static_cast<std::size_t>(cm->spec().num_outcome_slots()));
     if (shape.ok()) {
       EXPECT_EQ(parsed.value().workers.size(), 1U);
     }
@@ -115,42 +122,67 @@ TEST(CheckpointFuzzTest, ShapeValidationRejectsMismatchedTables) {
   const coverage::CoverageSink probe(cm->spec());
   const std::uint64_t total_bits = probe.total().size();
   const std::size_t num_decisions = probe.evals().size();
+  const auto num_outcomes = static_cast<std::size_t>(cm->spec().num_outcome_slots());
 
   {
     CampaignCheckpoint c = parsed.value();
     c.workers[0].total_bits += 1;
-    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions).ok());
+    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
   }
   {
     CampaignCheckpoint c = parsed.value();
     c.workers[0].total_words.push_back(0);
-    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions).ok());
+    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
   }
   {
     CampaignCheckpoint c = parsed.value();
     c.workers[0].evals.emplace_back();
-    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions).ok());
+    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
   }
   {
     CampaignCheckpoint c = parsed.value();
     if (c.workers[0].seen_eval_sizes.empty()) c.workers[0].seen_eval_sizes.assign(1, 0);
     c.workers[0].seen_eval_sizes.push_back(0);
-    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions).ok());
+    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
+  }
+  {  // One distance per decision outcome, or none at all.
+    CampaignCheckpoint c = parsed.value();
+    c.workers[0].margins.push_back(0);
+    const Status s = ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("margin table"), std::string::npos) << s.message();
+    c.workers[0].margins.resize(num_outcomes - 1);
+    EXPECT_FALSE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
+    c.workers[0].margins.clear();
+    EXPECT_TRUE(ValidateCheckpointShape(c, total_bits, num_decisions, num_outcomes).ok());
   }
 }
 
 TEST(CheckpointFuzzTest, BadCheckpointCorpusParsesToErrorsNotCrashes) {
+  // Each file fails on its own defect: a fixture the version check (or any
+  // other earlier gate) rejects would pass without testing anything.
+  const std::map<std::string, std::string> defect = {
+      {"empty.ckpt", "bad magic"},
+      {"bad_magic.ckpt", "bad magic"},
+      {"bad_version.ckpt", "version 99 is not supported"},
+      {"truncated_header.ckpt", "header truncated at byte 20"},
+      {"huge_vector_count.ckpt", "declares more entries than the file holds"},
+      {"zero_workers.ckpt", "inconsistent worker count"},
+  };
   const fs::path dir = fs::path(CFTCG_SOURCE_DIR) / "tests" / "data" / "bad_checkpoints";
   ASSERT_TRUE(fs::exists(dir)) << dir << " missing";
   int files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
+    if (!entry.is_regular_file() || entry.path().extension() != ".ckpt") continue;
     ++files;
     std::ifstream in(entry.path(), std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     auto parsed = ParseCheckpoint(bytes);
     EXPECT_FALSE(parsed.ok()) << entry.path() << " parsed as a valid checkpoint";
-    EXPECT_FALSE(parsed.message().empty()) << entry.path();
+    const auto want = defect.find(entry.path().filename().string());
+    ASSERT_NE(want, defect.end()) << entry.path() << " has no expected diagnostic";
+    EXPECT_NE(parsed.message().find(want->second), std::string::npos)
+        << entry.path() << ": " << parsed.message();
     // The file-level reader names the offending path in its diagnostic —
     // the same string the CLI prints before exiting with code 4.
     auto from_file = ReadCheckpointFile(entry.path().string());
@@ -158,7 +190,7 @@ TEST(CheckpointFuzzTest, BadCheckpointCorpusParsesToErrorsNotCrashes) {
     EXPECT_NE(from_file.message().find(entry.path().filename().string()), std::string::npos)
         << from_file.message();
   }
-  EXPECT_GE(files, 5) << "bad_checkpoints corpus is incomplete";
+  EXPECT_EQ(files, static_cast<int>(defect.size())) << "bad_checkpoints corpus is incomplete";
 }
 
 }  // namespace

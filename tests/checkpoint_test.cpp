@@ -222,9 +222,9 @@ TEST(CheckpointTest, VersionMismatchRejectedBothDirections) {
   (void)fuzzer.Finish();
   ASSERT_TRUE(ParseCheckpoint(bytes).ok());
 
-  // The version word sits right after the 8-byte magic. Version 2 is the
-  // current format (profile counters appended); 0 and 3 bracket it.
-  for (std::uint8_t bad_version : {std::uint8_t{0}, std::uint8_t{3}}) {
+  // The version word sits right after the 8-byte magic. Version 3 is the
+  // current format (margin distances appended); 2 and 4 bracket it.
+  for (std::uint8_t bad_version : {std::uint8_t{2}, std::uint8_t{4}}) {
     std::string patched = bytes;
     patched[8] = static_cast<char>(bad_version);
     auto parsed = ParseCheckpoint(patched);
@@ -292,68 +292,32 @@ TEST(CheckpointTest, ResumeRefusesProfilePlaneOfAnotherLowering) {
   const std::size_t fo_len = cm->fuzz_only().code.size();
   ASSERT_EQ(ckpt.workers[0].exec_profile.insn_counts.size(), len);
   ASSERT_EQ(ckpt.workers[0].exec_profile.insn_samples.size(), len);
-  EXPECT_TRUE(cm->ValidateResumeProfile(ckpt, options).ok());
+  EXPECT_TRUE(cm->ValidateResumeProfile(ckpt).ok());
 
   {  // One entry too long: a program one instruction longer wrote it.
     CampaignCheckpoint c = ckpt;
     c.workers[0].exec_profile.insn_counts.push_back(0);
-    const Status s = cm->ValidateResumeProfile(c, options);
+    const Status s = cm->ValidateResumeProfile(c);
     ASSERT_FALSE(s.ok());
     EXPECT_NE(s.message().find("profile plane"), std::string::npos) << s.message();
   }
   {
     CampaignCheckpoint c = ckpt;
     c.workers[0].exec_profile.insn_samples.push_back(0);
-    EXPECT_FALSE(cm->ValidateResumeProfile(c, options).ok());
+    EXPECT_FALSE(cm->ValidateResumeProfile(c).ok());
   }
   {
     CampaignCheckpoint c = ckpt;
     c.workers[0].fuzz_exec_profile.insn_counts.assign(fo_len + 1, 0);
-    EXPECT_FALSE(cm->ValidateResumeProfile(c, options).ok());
+    EXPECT_FALSE(cm->ValidateResumeProfile(c).ok());
   }
   {  // Empty planes (never attached) and exactly-sized ones are both fine.
     CampaignCheckpoint c = ckpt;
     c.workers[0].exec_profile.insn_counts.clear();
     c.workers[0].exec_profile.insn_samples.clear();
     c.workers[0].fuzz_exec_profile.insn_counts.assign(fo_len, 0);
-    EXPECT_TRUE(cm->ValidateResumeProfile(c, options).ok());
+    EXPECT_TRUE(cm->ValidateResumeProfile(c).ok());
   }
-}
-
-// A one-worker campaign with a MarginRecorder runs the margin lowering, so
-// its planes are sized to that program: resuming it with margins attached
-// is accepted, and either mix of margin recording between write and resume
-// is refused.
-TEST(CheckpointTest, ResumeProfileGateFollowsMarginLowering) {
-  auto cm = Compile(bench_models::BuildAfc());
-  const std::size_t len = cm->instrumented().code.size();
-  const std::size_t margin_len = cm->with_margins().code.size();
-  ASSERT_NE(len, margin_len);
-  coverage::MarginRecorder margins;
-  FuzzerOptions observed;
-  observed.margins = &margins;
-  FuzzerOptions plain;
-
-  Fuzzer fuzzer(cm->with_margins(), cm->spec(), observed);
-  fuzzer.Begin(ExecBudget(200));
-  fuzzer.RunChunk(200);
-  const CampaignCheckpoint with_margins = fuzzer.MakeCheckpoint();
-  (void)fuzzer.Finish();
-  ASSERT_EQ(with_margins.workers[0].exec_profile.insn_counts.size(), margin_len);
-  EXPECT_TRUE(cm->ValidateResumeProfile(with_margins, observed).ok());
-  EXPECT_FALSE(cm->ValidateResumeProfile(with_margins, plain).ok());
-
-  CampaignCheckpoint without = with_margins;
-  without.workers[0].exec_profile.insn_counts.assign(len, 0);
-  without.workers[0].exec_profile.insn_samples.assign(len, 0);
-  EXPECT_TRUE(cm->ValidateResumeProfile(without, plain).ok());
-  EXPECT_FALSE(cm->ValidateResumeProfile(without, observed).ok());
-
-  // Multi-worker engines always run the instrumented program.
-  CampaignCheckpoint parallel = without;
-  parallel.num_workers = 2;
-  parallel.workers.push_back(parallel.workers[0]);
-  EXPECT_TRUE(cm->ValidateResumeProfile(parallel, observed).ok());
 }
 
 // -- Hang containment ------------------------------------------------------

@@ -52,7 +52,7 @@ TEST(HybridTest, SeedCoverageSkipsCoveredGoals) {
   // Mark everything covered: the solver then has nothing to do and returns
   // quickly with zero fresh goals.
   sldv::SolverOptions options;
-  sldv::GoalSolver solver(cm->with_margins(), cm->spec(), options);
+  sldv::GoalSolver solver(cm->instrumented(), cm->spec(), options);
   DynamicBitset all(static_cast<std::size_t>(cm->spec().FuzzBranchCount()));
   for (std::size_t i = 0; i < all.size(); ++i) all.Set(i);
   solver.SeedCoverage(all);

@@ -262,8 +262,7 @@ TEST(FuzzerTest, ProvenanceAttributesEveryCoveredSlot) {
   coverage::MarginRecorder margins;
   options.provenance = &prov;
   options.margins = &margins;
-  // The margin-instrumented program, as CompiledModel::Fuzz selects it.
-  Fuzzer fuzzer(cm->with_margins(), cm->spec(), options);
+  Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   FuzzBudget budget;
   budget.wall_seconds = 5.0;
   budget.max_executions = 2000;

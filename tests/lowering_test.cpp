@@ -512,6 +512,51 @@ TEST_P(LoweredProgramTest, PoolUnwrittenAndCompareBranchesFused) {
   EXPECT_GT(fused, 0) << "no compare-and-branch was fused";
 }
 
+// The margin side table stays in step with the code: sorted by pc (the
+// fusion pass remaps it like jump targets), every pc, register, decision and
+// outcome in range.
+TEST_P(LoweredProgramTest, MarginSitesInStepWithTheCode) {
+  auto model = bench_models::Build(GetParam());
+  ASSERT_TRUE(model.ok()) << model.message();
+  auto cm = CompiledModel::FromModel(model.take());
+  ASSERT_TRUE(cm.ok()) << cm.message();
+  const vm::Program& p = cm.value()->instrumented();
+  const coverage::CoverageSpec& spec = cm.value()->spec();
+  const auto reg_ok = [&](const vm::MarginOperand& o) {
+    return o.reg >= 0 && o.reg < (o.is_float ? p.num_dregs : p.num_iregs);
+  };
+  for (std::size_t k = 0; k < p.margins.size(); ++k) {
+    const vm::MarginSite& m = p.margins[k];
+    EXPECT_LT(static_cast<std::size_t>(m.pc), p.code.size()) << "site " << k;
+    if (k > 0) {
+      EXPECT_LE(p.margins[k - 1].pc, m.pc) << "site " << k;
+    }
+    EXPECT_TRUE(reg_ok(m.lhs) && reg_ok(m.rhs)) << "site " << k;
+    ASSERT_GE(m.decision, 0);
+    ASSERT_LT(static_cast<std::size_t>(m.decision), spec.decisions().size());
+    const int outcomes = spec.decision(m.decision).num_outcomes;
+    EXPECT_LT(m.ge_outcome, outcomes);
+    EXPECT_LT(m.lt_outcome, outcomes);
+  }
+}
+
+// Switch and MinMax list their site on the jz that fusion folds into the
+// comparison, so on these models some site lands on a fused br.*.
+TEST(LoweringTest, MarginSitesLandOnFusedBranches) {
+  int on_branch = 0;
+  for (const char* name : {"CPUTask", "AFC", "TCP", "RAC", "EVCS", "TWC", "UTPC", "SolarPV"}) {
+    auto model = bench_models::Build(name);
+    ASSERT_TRUE(model.ok()) << model.message();
+    auto cm = CompiledModel::FromModel(model.take());
+    ASSERT_TRUE(cm.ok()) << cm.message();
+    const vm::Program& p = cm.value()->instrumented();
+    for (const vm::MarginSite& m : p.margins) {
+      on_branch += vm::OpName(p.code[static_cast<std::size_t>(m.pc)].op).starts_with("br.");
+    }
+  }
+  EXPECT_GT(on_branch, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, LoweredProgramTest,
                          ::testing::Values("CPUTask", "AFC", "TCP", "RAC", "EVCS", "TWC", "UTPC",
                                            "SolarPV"));

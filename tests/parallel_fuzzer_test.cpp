@@ -13,6 +13,7 @@
 //     are booked as measure_iterations, never as throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -203,6 +204,39 @@ TEST(ParallelIdentityTest, SupervisedEngineMatchesThreadedEngineFuzzOnly) {
   EXPECT_EQ(t.imports, s.imports);
   EXPECT_EQ(s.crashes, 0U);
   EXPECT_EQ(s.restarts, 0U);
+}
+
+// Branch distances are recorded per lane and merged slot by slot (the
+// smaller wins). One lane runs the campaign seed itself, so its merge must
+// equal the sequential recorder; three lanes must record something.
+TEST(ParallelMarginTest, LaneDistancesMergeToTheSequentialOnes) {
+  auto cm = Compile("AFC");
+  const FuzzBudget budget = ExecBudget(600);
+  coverage::MarginRecorder seq_margins;
+  FuzzerOptions options;
+  options.seed = 17;
+  options.margins = &seq_margins;
+  Fuzzer(cm->instrumented(), cm->spec(), options).Run(budget);
+
+  coverage::MarginRecorder one_lane;
+  options.margins = &one_lane;
+  ParallelOptions par;
+  par.num_workers = 1;
+  ParallelFuzzer(cm->instrumented(), cm->spec(), options, par).Run(budget);
+  ASSERT_EQ(seq_margins.distances().size(),
+            static_cast<std::size_t>(cm->spec().num_outcome_slots()));
+  EXPECT_EQ(one_lane.distances(), seq_margins.distances());
+
+  coverage::MarginRecorder three_lanes;
+  options.margins = &three_lanes;
+  par.num_workers = 3;
+  par.sync_every = 64;
+  ParallelFuzzer(cm->instrumented(), cm->spec(), options, par).Run(budget);
+  const auto& dist = three_lanes.distances();
+  ASSERT_EQ(dist.size(), seq_margins.distances().size());
+  EXPECT_TRUE(std::any_of(dist.begin(), dist.end(), [](double d) {
+    return d > 0 && d < coverage::MarginRecorder::kUnreached;
+  })) << "no lane recorded a finite distance";
 }
 
 TEST(IterationAccountingTest, CftcgModeHasNoMeasurementReruns) {

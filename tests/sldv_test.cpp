@@ -91,7 +91,7 @@ TEST(GoalSolverTest, SolvesNarrowEqualityGoal) {
   SolverOptions options;
   options.seed = 1;
   options.horizon = 2;
-  GoalSolver solver(cm->with_margins(), cm->spec(), options);
+  GoalSolver solver(cm->instrumented(), cm->spec(), options);
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 5.0;
   const auto result = solver.Run(budget);
@@ -113,7 +113,7 @@ TEST(GoalSolverTest, BoundedHorizonMissesDeepState) {
   SolverOptions options;
   options.seed = 2;
   options.horizon = 5;
-  GoalSolver solver(cm->with_margins(), cm->spec(), options);
+  GoalSolver solver(cm->instrumented(), cm->spec(), options);
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 1.0;
   budget.max_executions = 3000;
@@ -129,7 +129,7 @@ TEST(GoalSolverTest, CoversShallowLogicFully) {
   auto cm = Compile(mb.Build());
   SolverOptions options;
   options.seed = 3;
-  GoalSolver solver(cm->with_margins(), cm->spec(), options);
+  GoalSolver solver(cm->instrumented(), cm->spec(), options);
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 3.0;
   const auto result = solver.Run(budget);
@@ -148,8 +148,8 @@ TEST(GoalSolverTest, ConstraintNodeAccountingGrowsWithHorizon) {
   small.horizon = 2;
   SolverOptions big;
   big.horizon = 20;
-  GoalSolver a(cm1->with_margins(), cm1->spec(), small);
-  GoalSolver b(cm1->with_margins(), cm1->spec(), big);
+  GoalSolver a(cm1->instrumented(), cm1->spec(), small);
+  GoalSolver b(cm1->instrumented(), cm1->spec(), big);
   EXPECT_GT(b.stats().constraint_nodes, a.stats().constraint_nodes);
 }
 
@@ -159,7 +159,7 @@ TEST(GoalSolverTest, EmitsTestCasesWithTimestamps) {
   mb.Outport("y", mb.Saturation(u, -5.0, 5.0, "s"));
   auto cm = Compile(mb.Build());
   SolverOptions options;
-  GoalSolver solver(cm->with_margins(), cm->spec(), options);
+  GoalSolver solver(cm->instrumented(), cm->spec(), options);
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 2.0;
   const auto result = solver.Run(budget);

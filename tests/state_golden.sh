@@ -7,14 +7,31 @@
 # match character for character. A VM or lowering change that claims to keep
 # campaigns bit-identical is held to that claim here.
 #
-# usage: state_golden.sh <cftcg binary> <golden file>           check
-#        state_golden.sh <cftcg binary> <golden file> --write   re-capture
+# The optional residual golden holds the `residual` trace events (best branch
+# distance per uncovered outcome) of traced campaigns, one event per line:
+#   <model> TAB <extra fuzz flags> TAB <event JSON without its "t" field>
+# Its campaigns are the distinct model/flags pairs it lists, each run as
+#   cftcg fuzz <model> --max-execs 20000 --seed 3 <extra fuzz flags> --trace
+# and a campaign that leaves no residual is listed once with the event `none`.
+# The distances must match bit for bit (the trace prints them round-trip).
+#
+# usage: state_golden.sh <cftcg binary> <golden file> [<residual golden>]
+#                                                                   check
+#        state_golden.sh <cftcg binary> <golden file> [<residual golden>]
+#                        --write                                    re-capture
 # Re-capture only for a change that is meant to alter campaigns.
 set -euo pipefail
 
 cli=$(realpath "$1")
 golden=$(realpath "$2")
-mode=${3:-check}
+residual_golden=""
+mode=check
+if [ $# -ge 3 ] && [ "$3" != "--write" ]; then
+  residual_golden=$(realpath "$3")
+  mode=${4:-check}
+else
+  mode=${3:-check}
+fi
 
 work=$(mktemp -d /tmp/cftcg_golden.XXXXXX)
 trap 'rm -rf "$work"' EXIT
@@ -42,13 +59,45 @@ while IFS= read -r line || [ -n "$line" ]; do
   fi
 done < "$golden"
 
+residual_checked=0
+if [ -n "$residual_golden" ]; then
+  rout="$work/residual.new"
+  grep '^#' "$residual_golden" > "$rout" || true
+  # Campaign keys in order of first appearance.
+  grep -v '^#' "$residual_golden" | grep -v '^$' | cut -f1,2 | awk '!seen[$0]++' \
+    > "$work/keys"
+  while IFS=$'\t' read -r model flags; do
+    want=$(grep -v '^#' "$residual_golden" |
+           awk -F'\t' -v m="$model" -v f="$flags" '$1 == m && $2 == f { print $3 }')
+    # shellcheck disable=SC2086  # flags is a word list by design
+    "$cli" fuzz "$model" --max-execs 20000 --seed 3 $flags --trace "$work/t.jsonl" \
+      > /dev/null
+    got=$(grep '"ev":"residual"' "$work/t.jsonl" | sed 's/^{"t":[^,]*,/{/' || true)
+    [ -n "$got" ] || got=none
+    printf '%s\n' "$got" | awk -v m="$model" -v f="$flags" '{ printf "%s\t%s\t%s\n", m, f, $0 }' \
+      >> "$rout"
+    residual_checked=$((residual_checked + 1))
+    if [ "$mode" != "--write" ] && [ "$got" != "$want" ]; then
+      echo "RESIDUAL DRIFT: $model $flags"
+      diff <(printf '%s\n' "$want") <(printf '%s\n' "$got") | sed 's/^/  /' || true
+      failures=$((failures + 1))
+    fi
+  done < "$work/keys"
+fi
+
 if [ "$mode" = "--write" ]; then
   cp "$out" "$golden"
   echo "re-captured $checked campaign fingerprint(s) into $golden"
+  if [ -n "$residual_golden" ]; then
+    cp "$rout" "$residual_golden"
+    echo "re-captured $residual_checked campaign residual table(s) into $residual_golden"
+  fi
   exit 0
 fi
 if [ "$failures" -ne 0 ]; then
-  echo "$failures of $checked campaign fingerprint(s) drifted"
+  echo "$failures of $((checked + residual_checked)) campaign fingerprint(s) drifted"
   exit 1
 fi
 echo "all $checked campaign fingerprints match"
+[ -z "$residual_golden" ] ||
+  echo "all $residual_checked campaign residual tables match"

@@ -138,6 +138,43 @@ TEST(SupervisedIdentityTest, ThreeWorkersMatchThreadedTcp) {
   CheckSupervisedMatchesThreaded("TCP", 3, 900);
 }
 
+// Isolated lanes ship their branch distances inside FuzzerState frames, so
+// the merged distances (per-slot min in lane-id order) equal the threaded
+// engine's bit for bit — and a lane respawned after a crash continues from
+// its barrier state's distances.
+TEST(SupervisedIdentityTest, ThreeWorkersMergeTheThreadedMarginDistances) {
+  auto cm = Compile("AFC");
+  FuzzerOptions options;
+  options.seed = 3;
+  coverage::MarginRecorder threaded;
+  options.margins = &threaded;
+  ParallelOptions par;
+  par.num_workers = 3;
+  par.sync_every = 64;
+  ParallelFuzzer(cm->instrumented(), cm->spec(), options, par).Run(ExecBudget(900));
+
+  coverage::MarginRecorder isolated;
+  options.margins = &isolated;
+  SupervisorOptions sup;
+  sup.num_workers = 3;
+  sup.sync_every = 64;
+  Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(900));
+  ASSERT_EQ(threaded.distances().size(),
+            static_cast<std::size_t>(cm->spec().num_outcome_slots()));
+  EXPECT_EQ(threaded.distances(), isolated.distances());
+
+  coverage::MarginRecorder faulted;
+  options.margins = &faulted;
+  support::FaultInjector inj;
+  inj.events().push_back(
+      support::FaultEvent{support::FaultKind::kCrash, /*lane=*/1, /*at=*/150, 0, false, false});
+  sup.faults = &inj;
+  const SupervisedCampaignResult r =
+      Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(900));
+  EXPECT_EQ(r.restarts, 1U);
+  EXPECT_EQ(threaded.distances(), faulted.distances());
+}
+
 TEST(SupervisedFaultTest, CrashRecoveryConvergesToFaultFreeResult) {
   auto cm = Compile("TCP");
   const SupervisedCampaignResult clean = RunSupervised(*cm, 7, 2, 900);

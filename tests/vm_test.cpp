@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
+#include "coverage/sink.hpp"
 #include "vm/machine.hpp"
 #include "vm/program.hpp"
 
@@ -450,7 +452,7 @@ TEST(OperandEffectTest, EveryOpcodeTouchesOnlyDeclaredRegisters) {
       EXPECT_EQ(moved.hits, base.hits) << what;
     }
   }
-  EXPECT_GE(checked, 90);
+  EXPECT_EQ(checked, static_cast<int>(Op::kCovCond) + 1);  // every opcode, kCovCond last
 }
 
 TEST(ProgramTest, DisassembleMentionsOps) {
@@ -470,6 +472,126 @@ TEST(ProgramTest, DisassembleMentionsOps) {
   // The constant pool is part of what runs, so the header lists it.
   EXPECT_NE(text.find("; const d1 = -0.25"), std::string::npos) << text;
   EXPECT_NE(text.find("; const i0 = 42"), std::string::npos) << text;
+}
+
+// -- Margin side table --------------------------------------------------
+
+// d0 is 5 until instruction 1 overwrites it with 100; the site on pc 1
+// compares d0 with the pooled constant d1 = 2. Recorded before pc 1
+// dispatches it sees 5 - 2 = 3: outcome 0 (ge) reached, outcome 1 three
+// steps (+1 for the boundary) away.
+Program MarginProgram() {
+  Program p;
+  p.num_dregs = 2;
+  p.const_d = {{1, 2.0}};
+  p.code = {I(Op::kLoadConstD, 0, 0, 0, 0, 0, 5.0), I(Op::kLoadConstD, 0, 0, 0, 0, 0, 100.0),
+            I(Op::kHalt)};
+  MarginSite m;
+  m.pc = 1;
+  m.decision = 0;
+  m.ge_outcome = 0;
+  m.lt_outcome = 1;
+  m.lhs = {true, 0};
+  m.rhs = {true, 1};
+  p.margins = {m};
+  return p;
+}
+
+coverage::CoverageSpec TwoOutcomeSpec() {
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 2);
+  return spec;
+}
+
+TEST(MarginSideTableTest, SiteRecordsJustBeforeItsPcDispatches) {
+  const Program p = MarginProgram();
+  const coverage::CoverageSpec spec = TwoOutcomeSpec();
+  coverage::MarginRecorder rec;
+  rec.Reset(spec);
+  Machine m(p);
+  m.set_margins(&rec);
+  ASSERT_TRUE(m.Step(nullptr));
+  EXPECT_EQ(rec.Distance(0, 0), 0.0);
+  EXPECT_EQ(rec.Distance(0, 1), 4.0);  // 3 + 1, not 99 (after) or unreached
+  EXPECT_EQ(m.dreg(0), 100.0);         // the side table emits no code
+}
+
+// A site on a fused compare-and-branch that is also a jump landing: it
+// records on arrival, before the comparison, and an int operand reads as a
+// double (cvt.i2d); -|a-b| sites record equality distance.
+TEST(MarginSideTableTest, SiteOnFusedBranchRecordsOnJumpArrival) {
+  Program p;
+  p.num_dregs = 2;
+  p.num_iregs = 2;
+  p.const_d = {{1, 2.5}};
+  p.const_i = {{1, 10}};
+  p.code = {
+      I(Op::kLoadConstD, 0, 0, 0, 0, 0, 7.0),  // 0
+      I(Op::kJmp, 0, 0, 0, 3),                 // 1
+      I(Op::kLoadConstD, 0, 0, 0, 0, 0, 50.0), // 2 (skipped)
+      I(Op::kBrLtD, 0, 0, 1, 5),               // 3: i0 = d0 < d1, else -> 5
+      I(Op::kHalt),                            // 4
+      I(Op::kHalt),                            // 5
+  };
+  MarginSite diff;
+  diff.pc = 3;
+  diff.decision = 0;
+  diff.ge_outcome = 0;
+  diff.lt_outcome = 1;
+  diff.lhs = {false, 1};  // i1 = 10
+  diff.rhs = {true, 0};   // d0 = 7 on arrival
+  MarginSite eq = diff;
+  eq.decision = 1;
+  eq.kind = MarginSite::Kind::kNegAbsDiff;
+  eq.lhs = {true, 0};
+  eq.rhs = {true, 1};  // -|7 - 2.5| < 0: outcome 1 (lt) reached
+  p.margins = {diff, eq};
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 2);
+  spec.AddDecision("e", 2);
+  coverage::MarginRecorder rec;
+  rec.Reset(spec);
+  Machine m(p);
+  m.set_margins(&rec);
+  ASSERT_TRUE(m.Step(nullptr));
+  EXPECT_EQ(m.ireg(0), 0);  // 7 < 2.5 is false: the branch was taken to 5
+  EXPECT_EQ(rec.Distance(0, 0), 0.0);
+  EXPECT_EQ(rec.Distance(0, 1), 4.0);  // 10 - 7 = 3, + 1
+  EXPECT_EQ(rec.Distance(1, 1), 0.0);
+  EXPECT_EQ(rec.Distance(1, 0), 4.5);  // |7 - 2.5|
+}
+
+TEST(MarginSideTableTest, DetachedMachineLeavesTheRecorderUntouched) {
+  const Program p = MarginProgram();
+  const coverage::CoverageSpec spec = TwoOutcomeSpec();
+  coverage::MarginRecorder rec;
+  rec.Reset(spec);
+  Machine never(p);
+  ASSERT_TRUE(never.Step(nullptr));
+  Machine detached(p);
+  detached.set_margins(&rec);
+  detached.set_margins(nullptr);
+  ASSERT_TRUE(detached.Step(nullptr));
+  for (double d : rec.distances()) EXPECT_EQ(d, coverage::MarginRecorder::kUnreached);
+}
+
+TEST(MarginSideTableTest, DisassemblePrintsSitesBeforeTheirInstruction) {
+  Program p = MarginProgram();
+  MarginSite eq = p.margins[0];
+  eq.kind = MarginSite::Kind::kNegAbsDiff;
+  eq.lhs = {false, 3};
+  p.margins.push_back(eq);
+  const std::string text = Disassemble(p);
+  const std::size_t diff = text.find("; margin decision=0 ge=0 lt=1 d0 - d1\n");
+  const std::size_t neg = text.find("; margin decision=0 ge=0 lt=1 -|i3 - d1|\n");
+  const std::size_t at0 = text.find("   0  ldc.d");
+  const std::size_t at1 = text.find("   1  ldc.d");
+  ASSERT_NE(diff, std::string::npos) << text;
+  ASSERT_NE(neg, std::string::npos) << text;
+  ASSERT_NE(at1, std::string::npos) << text;
+  EXPECT_LT(at0, diff);
+  EXPECT_LT(diff, neg);
+  EXPECT_LT(neg, at1);
 }
 
 }  // namespace

@@ -81,6 +81,12 @@ void InstallInterruptHandler() {
   std::signal(SIGTERM, OnInterrupt);
 }
 
+/// Prints `error: <message>` to stderr and returns `code` (the exit status).
+int Fail(const std::string& message, int code = 1) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return code;
+}
+
 int Usage() {
   std::puts(
       "usage:\n"
@@ -208,16 +214,12 @@ int CmdGen(const std::string& path, const std::string& out_path) {
   auto cm = Load(path);
   if (!cm) return 1;
   auto code = cm->EmitFuzzingCode();
-  if (!code.ok()) {
-    std::fprintf(stderr, "error: %s\n", code.message().c_str());
-    return 1;
-  }
+  if (!code.ok()) return Fail(code.message());
   if (out_path.empty()) {
     std::fputs(code.value().c_str(), stdout);
   } else {
     if (Status s = support::WriteFileAtomic(out_path, code.value()); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
+      return Fail(s.message());
     }
     std::printf("wrote %zu bytes of instrumented fuzzing code to %s\n", code.value().size(),
                 out_path.c_str());
@@ -321,12 +323,11 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
       // damage, not mismatch. Checkpoints for a *different* model skip this
       // and fail the identity validation below with the ordinary exit code.
       const coverage::CoverageSink probe(cm->spec());
-      if (Status s = fuzz::ValidateCheckpointShape(ckpt, probe.total().size(),
-                                                   probe.evals().size());
+      if (Status s = fuzz::ValidateCheckpointShape(
+              ckpt, probe.total().size(), probe.evals().size(),
+              static_cast<std::size_t>(cm->spec().num_outcome_slots()));
           !s.ok()) {
-        std::fprintf(stderr, "error: %s: %s\n", df.checkpoint_path.c_str(),
-                     s.message().c_str());
-        return kExitBadCheckpoint;
+        return Fail(df.checkpoint_path + ": " + s.message(), kExitBadCheckpoint);
       }
     }
     seed = ckpt.seed;
@@ -346,10 +347,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   std::unique_ptr<obs::TraceWriter> trace;
   if (!tf.trace_path.empty()) {
     auto opened = obs::TraceWriter::Open(tf.trace_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error: %s\n", opened.message().c_str());
-      return 1;
-    }
+    if (!opened.ok()) return Fail(opened.message());
     trace = opened.take();
     telemetry.trace = trace.get();
   }
@@ -385,10 +383,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     mopts.port = static_cast<std::uint16_t>(sf.port);
     mopts.stall_window_s = sf.stall_window;
     auto started = obs::MonitorServer::Start(&status_board, telemetry.registry, mopts);
-    if (!started.ok()) {
-      std::fprintf(stderr, "error: %s\n", started.message().c_str());
-      return 1;
-    }
+    if (!started.ok()) return Fail(started.message());
     monitor = started.take();
     monitor->set_profile_publisher(&profile_pub);
     std::printf("monitor: serving http://127.0.0.1:%u/ (/status /metrics /trace.json /profile)\n",
@@ -401,15 +396,13 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   }
   obs::CampaignTelemetry* use = telemetry.active() ? &telemetry : nullptr;
 
-  // Provenance rides along whenever the campaign is observed at all: the
-  // trace gets objective/corpus/residual events and the metrics snapshot a
+  // Provenance and branch distances ride along whenever the campaign is
+  // observed at all, at any -j, with or without --isolate: the trace gets
+  // objective/corpus/residual events and the metrics snapshot a
   // "provenance" section. Untraced runs keep the bare hot path.
   std::unique_ptr<coverage::ProvenanceMap> provenance;
-  std::unique_ptr<coverage::MarginRecorder> margins;
-  if (use != nullptr) {
-    provenance = std::make_unique<coverage::ProvenanceMap>(cm->spec());
-    margins = std::make_unique<coverage::MarginRecorder>();
-  }
+  coverage::MarginRecorder margins;
+  if (use != nullptr) provenance = std::make_unique<coverage::ProvenanceMap>(cm->spec());
 
   // --analyze: run the static analyzer up front. Its proved-unreachable
   // verdicts shrink the stopping frontier (the campaign ends once every
@@ -471,6 +464,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   options.telemetry = use;
   options.status_board = monitor != nullptr ? &status_board : nullptr;
   options.provenance = provenance.get();
+  options.margins = use != nullptr ? &margins : nullptr;
   options.justifications = justifications;
   options.focus = focus ? &focus_plan : nullptr;
   options.boundary_seed_ranges = boundary_ranges;
@@ -485,28 +479,17 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   // even in count-only (no --profile) mode: block dispatch shares are always
   // collected, only the timed planes need the opt-in.
   options.profile_publisher = monitor != nullptr ? &profile_pub : nullptr;
-  // Margin recording is the sequential engine's alone; the parallel and
-  // supervised engines run without it.
-  if (!isf.isolate && jobs <= 1) options.margins = margins.get();
   if (df.resume) {
     options.use_idc_energy = ckpt.use_idc_energy;
     options.max_tuples = static_cast<std::size_t>(ckpt.max_tuples);
     const std::uint64_t fp = fuzz::SpecFingerprint(cm->spec(), cm->instrumented());
     if (Status v = fuzz::ValidateCheckpoint(ckpt, options, static_cast<std::uint32_t>(jobs), fp);
         !v.ok()) {
-      std::fprintf(stderr, "error: %s\n", v.message().c_str());
-      return 1;
+      return Fail(v.message());
     }
-    // Profile planes are checked against the program this campaign runs,
-    // which at -j1 depends on whether it is observed (margin recording).
-    if (Status s = cm->ValidateResumeProfile(ckpt, options); !s.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", df.checkpoint_path.c_str(), s.message().c_str());
-      if (!isf.isolate && jobs <= 1) {
-        std::fprintf(stderr, "note: at -j1, --trace/--metrics/--stats-every/--serve record "
-                             "margins; resume with the observation flags the checkpoint "
-                             "was written with\n");
-      }
-      return kExitBadCheckpoint;
+    // Profile planes are checked against the program this campaign runs.
+    if (Status s = cm->ValidateResumeProfile(ckpt); !s.ok()) {
+      return Fail(df.checkpoint_path + ": " + s.message(), kExitBadCheckpoint);
     }
   }
 
@@ -536,10 +519,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
                         ? support::FaultInjector::FromEnv(fault_seed, sup.num_workers, horizon)
                         : support::FaultInjector::FromSpec(isf.faults, fault_seed,
                                                            sup.num_workers, horizon);
-    if (!injected.ok()) {
-      std::fprintf(stderr, "error: %s\n", injected.message().c_str());
-      return 2;
-    }
+    if (!injected.ok()) return Fail(injected.message(), 2);
     support::FaultInjector injector = injected.take();
     if (injector.active()) {
       sup.faults = &injector;
@@ -560,24 +540,23 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
                 sresult.crashes > 0 && !isf.crashes_dir.empty() ? ", inputs quarantined to "
                                                                 : "",
                 sresult.crashes > 0 ? isf.crashes_dir.c_str() : "");
-  } else if (jobs > 1) {
-    // Parallel engine: the driver aggregates heartbeats and merges worker
-    // state; margin recording is sequential-only and stays off.
+  } else {
+    // Parallel engine (the driver aggregates heartbeats and merges worker
+    // state); -j1 runs the sequential engine.
     fuzz::ParallelOptions par;
     par.num_workers = jobs;
     if (df.resume) {
       par.sync_every = ckpt.sync_every;
       par.resume = &ckpt;
     }
+    obs::ScopedTimer span(fuzz_only ? "tool.FuzzOnly" : "tool.CFTCG");
     auto presult = cm->FuzzParallel(options, budget, par);
     result = std::move(presult.merged);
-    std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", jobs,
-                static_cast<unsigned long long>(presult.rounds),
-                static_cast<unsigned long long>(presult.imports));
-  } else {
-    if (df.resume) options.resume = &ckpt.workers[0];
-    obs::ScopedTimer span(fuzz_only ? "tool.FuzzOnly" : "tool.CFTCG");
-    result = cm->Fuzz(options, budget);
+    if (jobs > 1) {
+      std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", jobs,
+                  static_cast<unsigned long long>(presult.rounds),
+                  static_cast<unsigned long long>(presult.imports));
+    }
   }
   // The monitor keeps serving the final numbers until the process exits;
   // ending the campaign freezes elapsed_s and logs the whole-campaign span.
@@ -645,8 +624,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
       if (Status s = support::WriteFileAtomic(file, fuzz::TestCaseToCsv(layout, names,
                                                                         suite[i].data));
           !s.ok()) {
-        std::fprintf(stderr, "error: %s\n", s.message().c_str());
-        return 1;
+        return Fail(s.message());
       }
     }
     std::printf("wrote %zu CSV test cases to %s/\n", suite.size(), outdir.c_str());
@@ -670,12 +648,10 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     const std::string profile_json = prefix + "profile.json";
     const std::string profile_folded = prefix + "profile.folded";
     if (Status s = support::WriteFileAtomic(profile_json, prof.ToJson() + "\n"); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
+      return Fail(s.message());
     }
     if (Status s = support::WriteFileAtomic(profile_folded, prof.ToFolded()); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
+      return Fail(s.message());
     }
     std::printf("profile: %llu dispatches over %llu VM steps, %llu strobe samples\n",
                 static_cast<unsigned long long>(prof.vm_dispatches),
@@ -705,8 +681,7 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     }
     json += "\n";
     if (Status s = support::WriteFileAtomic(tf.metrics_path, json); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
+      return Fail(s.message());
     }
     std::printf("metrics snapshot written to %s\n", tf.metrics_path.c_str());
   }
@@ -945,19 +920,13 @@ Result<obs::CampaignProfile> LoadProfile(const std::string& path) {
 int CmdProfile(const std::string& path, const std::string& diff_base,
                const std::string& folded_path) {
   auto current = LoadProfile(path);
-  if (!current.ok()) {
-    std::fprintf(stderr, "error: %s\n", current.message().c_str());
-    return 1;
-  }
+  if (!current.ok()) return Fail(current.message());
   if (!folded_path.empty()) {
     return WriteArtifact(folded_path, current.value().ToFolded(), "folded stacks") ? 0 : 1;
   }
   if (!diff_base.empty()) {
     auto base = LoadProfile(diff_base);
-    if (!base.ok()) {
-      std::fprintf(stderr, "error: %s\n", base.message().c_str());
-      return 1;
-    }
+    if (!base.ok()) return Fail(base.message());
     std::fputs(obs::RenderProfileDiff(base.value(), current.value()).c_str(), stdout);
     return 0;
   }
@@ -1091,10 +1060,7 @@ int CmdExplain(const std::string& trace_path, const std::string& html_path,
   // gains a hot-block execution heatmap and the phase time table.
   if (!profile_path.empty()) {
     auto prof = LoadProfile(profile_path);
-    if (!prof.ok()) {
-      std::fprintf(stderr, "error: %s\n", prof.message().c_str());
-      return 1;
-    }
+    if (!prof.ok()) return Fail(prof.message());
     const obs::CampaignProfile& p = prof.value();
     data.profile_dispatches = p.vm_dispatches;
     data.profile_samples = p.samples;
@@ -1289,8 +1255,7 @@ int CmdCover(const std::string& path, const std::string& csv_dir,
     if (Status s = support::WriteFileAtomic(html_path,
                                             coverage::RenderHtmlReport(cm->model().name(), sink));
         !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
+      return Fail(s.message());
     }
     std::printf("HTML report written to %s\n", html_path.c_str());
   }
@@ -1308,10 +1273,7 @@ int CmdRun(const std::string& path, const std::string& csv_path) {
   std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   fuzz::TupleLayout layout(cm->instrumented().input_types);
   auto data = fuzz::CsvToTestCase(layout, csv);
-  if (!data.ok()) {
-    std::fprintf(stderr, "error: %s\n", data.message().c_str());
-    return 1;
-  }
+  if (!data.ok()) return Fail(data.message());
   vm::Machine machine(cm->instrumented());
   coverage::CoverageSink sink(cm->spec());
   const std::size_t tuple = cm->instrumented().TupleSize();
@@ -1336,15 +1298,9 @@ int CmdExportBenchmarks(const std::string& dir) {
   std::system(("mkdir -p " + dir).c_str());
   for (const auto& info : bench_models::Roster()) {
     auto model = bench_models::Build(info.name);
-    if (!model.ok()) {
-      std::fprintf(stderr, "error: %s\n", model.message().c_str());
-      return 1;
-    }
+    if (!model.ok()) return Fail(model.message());
     const std::string path = dir + "/" + info.name + ".cmx";
-    if (Status s = parser::SaveModelFile(*model.value(), path); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.message().c_str());
-      return 1;
-    }
+    if (Status s = parser::SaveModelFile(*model.value(), path); !s.ok()) return Fail(s.message());
     std::printf("wrote %s\n", path.c_str());
   }
   return 0;
