@@ -34,18 +34,19 @@ fuzz::CampaignResult RunHybrid(CompiledModel& cm, const fuzz::FuzzBudget& budget
   fo.telemetry = telemetry;
   fo.provenance = provenance;
   fo.margins = margins;
-  fuzz::Fuzzer fuzzer(cm.instrumented(), cm.spec(), fo);
   fuzz::FuzzBudget fuzz_budget;
   fuzz_budget.wall_seconds = budget.wall_seconds * 0.7;
   fuzz_budget.max_executions = budget.max_executions;
-  fuzz::CampaignResult merged = fuzzer.Run(fuzz_budget);
+  fuzz::ParallelCampaignResult fuzzed = cm.FuzzParallel(fo, fuzz_budget, {});
+  fuzz::CampaignResult merged = std::move(fuzzed.merged);
+  const coverage::CoverageSink& fuzz_cov = *fuzzed.coverage;
 
   sldv::SolverOptions so;
   so.seed = seed;
   so.horizon = 8;
   sldv::GoalSolver solver(cm.instrumented(), cm.spec(), so);
   solver.SeedInputRanges(cm.analysis().inport_ranges);
-  solver.SeedCoverage(fuzzer.sink().total());
+  solver.SeedCoverage(fuzz_cov.total());
   fuzz::FuzzBudget solve_budget;
   solve_budget.wall_seconds = budget.wall_seconds * 0.3;
   const auto solved = solver.Run(solve_budget);
@@ -59,9 +60,9 @@ fuzz::CampaignResult RunHybrid(CompiledModel& cm, const fuzz::FuzzBudget& budget
   merged.elapsed_s += solved.elapsed_s;
 
   // Union coverage of both phases for the report.
-  DynamicBitset total = fuzzer.sink().total();
+  DynamicBitset total = fuzz_cov.total();
   total.MergeAndCountNew(solver.sink().total());
-  auto evals = fuzzer.sink().evals();
+  auto evals = fuzz_cov.evals();
   for (std::size_t d = 0; d < evals.size(); ++d) {
     for (auto e : solver.sink().evals()[d]) evals[d].insert(e);
   }

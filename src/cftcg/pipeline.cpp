@@ -129,29 +129,12 @@ Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt
 
 fuzz::CampaignResult CompiledModel::Fuzz(const fuzz::FuzzerOptions& options,
                                          const fuzz::FuzzBudget& budget) {
-  const vm::Program* fo = options.model_oriented ? nullptr : &fuzz_only();
-  obs::ScopedTimer vm_span("vm_load");
-  fuzz::Fuzzer fuzzer(instrumented_, spec(), options, fo);
-  vm_span.Stop();
-  obs::ScopedTimer span("fuzz");
-  return fuzzer.Run(budget);
+  return FuzzParallel(options, budget, fuzz::ParallelOptions{}).merged;
 }
 
 fuzz::ParallelCampaignResult CompiledModel::FuzzParallel(const fuzz::FuzzerOptions& options,
                                                          const fuzz::FuzzBudget& budget,
                                                          const fuzz::ParallelOptions& parallel) {
-  if (parallel.num_workers <= 1) {
-    fuzz::ParallelCampaignResult out;
-    fuzz::FuzzerOptions seq = options;
-    // A one-worker checkpoint resumes through the sequential engine.
-    if (parallel.resume != nullptr && !parallel.resume->workers.empty()) {
-      seq.resume = &parallel.resume->workers[0];
-    }
-    out.merged = Fuzz(seq, budget);
-    out.interrupted = out.merged.interrupted;
-    out.worker_executions.push_back(out.merged.executions);
-    return out;
-  }
   const vm::Program* fo = options.model_oriented ? nullptr : &fuzz_only();
   obs::ScopedTimer vm_span("vm_load");
   fuzz::ParallelFuzzer fuzzer(instrumented_, spec(), options, parallel, fo);

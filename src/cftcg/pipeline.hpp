@@ -60,7 +60,7 @@ class CompiledModel {
   /// The generated fuzzing code as C text (Figure 3 + Figure 4 artifacts).
   Result<std::string> EmitFuzzingCode() const;
 
-  /// Runs the CFTCG fuzzing loop.
+  /// Runs a CFTCG fuzzing campaign: FuzzParallel over one lane.
   fuzz::CampaignResult Fuzz(const fuzz::FuzzerOptions& options, const fuzz::FuzzBudget& budget);
 
   /// Resume gate for the self-profile planes: each worker's per-instruction
@@ -72,19 +72,16 @@ class CompiledModel {
   /// instructions.
   Status ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt);
 
-  /// Runs the parallel multi-worker fuzzing loop (fuzz/parallel.hpp).
-  /// parallel.num_workers <= 1 delegates to Fuzz() — the sequential engine,
-  /// which additionally emits per-campaign heartbeats — and wraps its
-  /// result.
+  /// Runs a fuzzing campaign over parallel.num_workers threaded lanes (the
+  /// round driver of fuzz/parallel.hpp; one lane at num_workers <= 1).
   fuzz::ParallelCampaignResult FuzzParallel(const fuzz::FuzzerOptions& options,
                                             const fuzz::FuzzBudget& budget,
                                             const fuzz::ParallelOptions& parallel);
 
   /// Runs the crash-isolated supervised engine (fuzz/supervisor.hpp): every
   /// worker in its own process, with fault detection, quarantine and
-  /// respawn. Unlike FuzzParallel there is no sequential delegation —
-  /// one-worker campaigns still fork, so the isolation boundary (and its
-  /// determinism guarantee against the threaded engine) always holds.
+  /// respawn. One-worker campaigns still fork, so the isolation boundary
+  /// always holds; the campaign is the threaded one, lane for lane.
   fuzz::SupervisedCampaignResult FuzzSupervised(const fuzz::FuzzerOptions& options,
                                                 const fuzz::FuzzBudget& budget,
                                                 const fuzz::SupervisorOptions& supervise);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
 
 #include "support/strings.hpp"
 
@@ -304,39 +306,50 @@ std::string RenderCampaignExplorer(const CampaignExplorerData& data) {
   if (data.corpus.empty()) {
     html += "<p>No corpus events in the trace (provenance disabled?).</p>\n";
   } else {
-    std::map<std::int64_t, std::vector<const ExplorerCorpusEntry*>> children;
-    std::map<std::int64_t, std::size_t> hits_by_entry;
-    for (const auto& o : data.objectives) ++hits_by_entry[o.entry_id];
-    for (const auto& e : data.corpus) children[e.parent].push_back(&e);
-    // Iterative depth-first render of the forest under parent −1 (seeds).
+    // Entry ids are per lane, so the forest is keyed by (lane, id); each
+    // lane's seeds (and imports) are roots.
+    using Key = std::pair<int, std::int64_t>;
+    std::map<Key, std::vector<const ExplorerCorpusEntry*>> children;
+    std::map<Key, std::size_t> hits_by_entry;
+    std::set<int> lanes;
+    for (const auto& o : data.objectives) ++hits_by_entry[{o.lane, o.entry_id}];
+    for (const auto& e : data.corpus) {
+      children[{e.lane, e.parent}].push_back(&e);
+      lanes.insert(e.lane);
+    }
+    // Iterative depth-first render of each lane's forest under parent −1.
     struct Frame {
       const std::vector<const ExplorerCorpusEntry*>* list;
       std::size_t next;
     };
-    html += "<ul class=\"tree\">\n";
-    std::vector<Frame> stack{{&children[-1], 0}};
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.next >= f.list->size()) {
-        html += "</ul>\n";
-        stack.pop_back();
-        continue;
-      }
-      const ExplorerCorpusEntry* e = (*f.list)[f.next++];
-      const auto hit = hits_by_entry.find(e->id);
-      const std::size_t n_hits = hit != hits_by_entry.end() ? hit->second : 0;
-      html += StrFormat(
-          "<li>#%lld <code>%s</code> — %.3fs, metric %.0f, +%llu slots%s</li>\n",
-          static_cast<long long>(e->id), XmlEscape(e->chain).c_str(), e->time_s, e->metric,
-          static_cast<unsigned long long>(e->new_slots),
-          n_hits > 0 ? StrFormat(", <b>%zu objective(s)</b>", n_hits).c_str() : "");
-      auto kid = children.find(e->id);
-      if (kid != children.end() && !kid->second.empty()) {
-        html += "<ul class=\"tree\">\n";
-        stack.push_back({&kid->second, 0});
+    for (const int lane : lanes) {
+      html += "<ul class=\"tree\">\n";
+      std::vector<Frame> stack{{&children[{lane, -1}], 0}};
+      while (!stack.empty()) {
+        Frame& f = stack.back();
+        if (f.next >= f.list->size()) {
+          html += "</ul>\n";
+          stack.pop_back();
+          continue;
+        }
+        const ExplorerCorpusEntry* e = (*f.list)[f.next++];
+        const auto hit = hits_by_entry.find({e->lane, e->id});
+        const std::size_t n_hits = hit != hits_by_entry.end() ? hit->second : 0;
+        const auto id = static_cast<long long>(e->id);
+        html += StrFormat(
+            "<li>%s <code>%s</code> — %.3fs, metric %.0f, +%llu slots%s</li>\n",
+            (lanes.size() > 1 ? StrFormat("L%d#%lld", e->lane, id) : StrFormat("#%lld", id))
+                .c_str(),
+            XmlEscape(e->chain).c_str(), e->time_s, e->metric,
+            static_cast<unsigned long long>(e->new_slots),
+            n_hits > 0 ? StrFormat(", <b>%zu objective(s)</b>", n_hits).c_str() : "");
+        auto kid = children.find({e->lane, e->id});
+        if (kid != children.end() && !kid->second.empty()) {
+          html += "<ul class=\"tree\">\n";
+          stack.push_back({&kid->second, 0});
+        }
       }
     }
-    html += "</ul>\n";
   }
 
   // --- Residual objectives -------------------------------------------------

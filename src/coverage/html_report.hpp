@@ -36,17 +36,19 @@ struct ExplorerObjective {
   std::uint64_t iteration = 0;
   double time_s = 0;
   std::int64_t entry_id = -1;  // discovering corpus entry; -1 = not retained
+  int lane = 0;                // campaign lane whose corpus entry_id names
 };
 
-/// One corpus admission (from a `corpus` trace event).
+/// One corpus admission (from a `corpus` trace event). Ids are per lane.
 struct ExplorerCorpusEntry {
   std::int64_t id = -1;
-  std::int64_t parent = -1;  // -1 = root (seed)
+  std::int64_t parent = -1;  // -1 = root (seed or import)
   std::uint64_t depth = 0;
   std::string chain;
   double time_s = 0;
   double metric = 0;
   std::uint64_t new_slots = 0;
+  int lane = 0;
 };
 
 /// One uncovered decision outcome (from a `residual` trace event).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "coverage/report.hpp"
 #include "support/strings.hpp"
@@ -130,30 +131,38 @@ bool ProvenanceMap::AbsorbHit(const ObjectiveFirstHit& hit) {
   return true;
 }
 
-std::vector<ObjectiveFirstHit> MergeFirstHits(const std::vector<const ProvenanceMap*>& workers) {
-  // Objective key -> best hit so far. std::map keeps key order deterministic
-  // for the tie tiers of the final ordering.
-  std::map<std::tuple<int, int, int, int, int>, const ObjectiveFirstHit*> best;
-  for (const ProvenanceMap* worker : workers) {
-    if (worker == nullptr) continue;
-    for (const ObjectiveFirstHit& h : worker->hits()) {
+std::vector<ObjectiveFirstHit> MergeFirstHits(const std::vector<const ProvenanceMap*>& workers,
+                                              std::vector<std::size_t>* origin) {
+  // Objective key -> best hit so far and its worker. std::map keeps key
+  // order deterministic for the tie tiers of the final ordering.
+  using Best = std::pair<const ObjectiveFirstHit*, std::size_t>;
+  std::map<std::tuple<int, int, int, int, int>, Best> best;
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    if (workers[w] == nullptr) continue;
+    for (const ObjectiveFirstHit& h : workers[w]->hits()) {
       const auto key = std::make_tuple(static_cast<int>(h.kind), h.slot,
                                        static_cast<int>(h.decision),
                                        static_cast<int>(h.condition), h.outcome);
       const auto it = best.find(key);
       // Strict < keeps the earlier (lower-index) worker's hit on equal
       // iterations — the deterministic tie-break.
-      if (it == best.end() || h.iteration < it->second->iteration) best[key] = &h;
+      if (it == best.end() || h.iteration < it->second.first->iteration) best[key] = {&h, w};
     }
   }
-  std::vector<ObjectiveFirstHit> merged;
+  std::vector<Best> merged;
   merged.reserve(best.size());
-  for (const auto& [key, hit] : best) merged.push_back(*hit);
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const ObjectiveFirstHit& a, const ObjectiveFirstHit& b) {
-                     return a.iteration < b.iteration;
-                   });
-  return merged;
+  for (const auto& [key, hit] : best) merged.push_back(hit);
+  std::stable_sort(merged.begin(), merged.end(), [](const Best& a, const Best& b) {
+    return a.first->iteration < b.first->iteration;
+  });
+  std::vector<ObjectiveFirstHit> out;
+  out.reserve(merged.size());
+  if (origin != nullptr) origin->clear();
+  for (const auto& [hit, w] : merged) {
+    out.push_back(*hit);
+    if (origin != nullptr) origin->push_back(w);
+  }
+  return out;
 }
 
 namespace {

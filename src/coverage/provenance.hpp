@@ -123,8 +123,10 @@ class ProvenanceMap {
 /// index (position in `workers`), so the result is reproducible for a fixed
 /// seed and worker count regardless of thread scheduling. Output is ordered
 /// by discovery iteration (ties in objective-key order). Null entries in
-/// `workers` are skipped.
-std::vector<ObjectiveFirstHit> MergeFirstHits(const std::vector<const ProvenanceMap*>& workers);
+/// `workers` are skipped. `origin`, when set, receives the worker index of
+/// each merged hit (hit entry ids are local to that worker's corpus).
+std::vector<ObjectiveFirstHit> MergeFirstHits(const std::vector<const ProvenanceMap*>& workers,
+                                              std::vector<std::size_t>* origin = nullptr);
 
 /// Lists every uncovered decision outcome with its best observed distance
 /// (`margins` may be null: all distances report as kUnreached). Order

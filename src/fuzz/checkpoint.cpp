@@ -315,6 +315,19 @@ Result<CampaignCheckpoint> ReadCheckpointFile(const std::string& path) {
   return parsed;
 }
 
+CampaignCheckpoint CheckpointHeader(const FuzzerOptions& options,
+                                    std::uint64_t spec_fingerprint) {
+  CampaignCheckpoint ckpt;
+  ckpt.spec_fingerprint = spec_fingerprint;
+  ckpt.seed = options.seed;
+  ckpt.model_oriented = options.model_oriented;
+  ckpt.use_idc_energy = options.use_idc_energy;
+  ckpt.analyzed = options.justifications != nullptr;
+  ckpt.max_tuples = options.max_tuples;
+  ckpt.step_budget = options.step_budget;
+  return ckpt;
+}
+
 Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& options,
                           std::uint32_t num_workers, std::uint64_t spec_fingerprint) {
   if (ckpt.spec_fingerprint != spec_fingerprint) {
@@ -340,6 +353,10 @@ Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& o
   }
   if (ckpt.workers.size() != ckpt.num_workers || ckpt.scanned.size() != ckpt.num_workers) {
     return Status::Error("corrupt checkpoint: worker table size mismatch");
+  }
+  if (ckpt.num_workers > 1 && ckpt.sync_every == 0) {
+    return Status::Error("corrupt checkpoint: " + std::to_string(ckpt.num_workers) +
+                         " worker streams without a round size (sync_every 0)");
   }
   return Status::Ok();
 }

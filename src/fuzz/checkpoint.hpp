@@ -1,9 +1,8 @@
 // Campaign durability: versioned checkpoint / resume for the fuzzing engine.
 //
-// A checkpoint is the complete mid-campaign state of one engine — sequential
-// or parallel — captured at a deterministic point of the schedule (between
-// executions for the sequential loop; at a round barrier for the parallel
-// driver). Restoring it and continuing is bit-identical to never having
+// A checkpoint is the complete mid-campaign state of one campaign, captured
+// at a deterministic point of the schedule: a round barrier of the lane
+// driver (or, for a bare Fuzzer, any point between executions). Restoring it and continuing is bit-identical to never having
 // stopped: the corpus (with lineage and energies), the coverage frontier
 // and MCDC evaluation sets, the comparison-operand mutation dictionary, the
 // per-worker RNG streams, the provenance first-hits, and every counter are
@@ -39,7 +38,7 @@ namespace cftcg::fuzz {
 // to every worker state; 3 = appended the best margin distances.
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 
-/// Complete resumable state of one sequential Fuzzer (one parallel worker).
+/// Complete resumable state of one Fuzzer (one campaign lane).
 /// Produced by Fuzzer::SaveState(), consumed via FuzzerOptions::resume.
 struct FuzzerState {
   std::array<std::uint64_t, 4> rng_state{};
@@ -76,8 +75,9 @@ struct FuzzerState {
 };
 
 /// One on-disk checkpoint: campaign identity (validated on resume), engine
-/// shape, parallel-driver state, and one FuzzerState per worker
-/// (num_workers == 1 for the sequential engine; driver fields zero).
+/// shape, lane-driver state, and one FuzzerState per worker. A checkpoint
+/// taken straight from a Fuzzer (Fuzzer::MakeCheckpoint) has one worker and
+/// zero driver fields.
 struct CampaignCheckpoint {
   std::uint32_t version = kCheckpointVersion;
   // -- Campaign identity ---------------------------------------------------
@@ -91,7 +91,7 @@ struct CampaignCheckpoint {
   // -- Engine shape --------------------------------------------------------
   std::uint32_t num_workers = 1;
   std::uint64_t sync_every = 0;
-  // -- Parallel driver state (zero / empty for the sequential engine) ------
+  // -- Lane driver state (zero / empty from Fuzzer::MakeCheckpoint) --------
   std::uint64_t rounds = 0;
   std::uint64_t imports = 0;
   std::vector<std::uint64_t> seen_signatures;  // sorted
@@ -100,6 +100,13 @@ struct CampaignCheckpoint {
   // -- Per-worker state ----------------------------------------------------
   std::vector<FuzzerState> workers;
 };
+
+/// A checkpoint carrying only the campaign identity of `options` (seed,
+/// mode, IDC energy, analysis, max_tuples, step budget) against a model of
+/// `spec_fingerprint`, for num_workers == 1. Every checkpoint writer starts
+/// from this.
+CampaignCheckpoint CheckpointHeader(const FuzzerOptions& options,
+                                    std::uint64_t spec_fingerprint);
 
 /// Structural hash of the coverage universe and program shape a campaign
 /// runs against. Resume refuses a checkpoint whose fingerprint differs —
@@ -123,7 +130,10 @@ bool ReadFuzzerState(wire::Reader& r, FuzzerState& s);
 Status WriteCheckpointFile(const std::string& path, const CampaignCheckpoint& ckpt);
 Result<CampaignCheckpoint> ReadCheckpointFile(const std::string& path);
 
-/// Validates checkpoint identity against the campaign about to resume.
+/// Validates checkpoint identity against the campaign about to resume. A
+/// multi-worker checkpoint must name its round size (sync_every > 0); a
+/// one-worker checkpoint may leave it 0, because a single lane's schedule
+/// does not depend on its round size.
 Status ValidateCheckpoint(const CampaignCheckpoint& ckpt, const FuzzerOptions& options,
                           std::uint32_t num_workers, std::uint64_t spec_fingerprint);
 

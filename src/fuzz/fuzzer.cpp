@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "fuzz/checkpoint.hpp"
-#include "fuzz/lane.hpp"
 #include "ir/value.hpp"
 #include "obs/clock.hpp"
 #include "obs/monitor.hpp"
@@ -27,368 +26,6 @@ const std::vector<std::uint8_t> kEmptyInput;
 
 }  // namespace
 
-obs::TraceEvent ObjectiveEvent(const coverage::ObjectiveFirstHit& hit) {
-  obs::TraceEvent ev("objective");
-  ev.Str("kind", coverage::ObjectiveKindName(hit.kind))
-      .Str("name", hit.name)
-      .I64("outcome", hit.outcome)
-      .I64("slot", hit.slot)
-      .U64("iter", hit.iteration)
-      .F64("time_s", hit.time_s)
-      .I64("entry", hit.entry_id)
-      .Str("chain", hit.chain);
-  return ev;
-}
-
-void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::CoverageSpec& spec,
-                   const DynamicBitset& total, const coverage::ProvenanceMap& provenance,
-                   const coverage::MarginRecorder* margins,
-                   const coverage::JustificationSet* justifications) {
-  // Every decision outcome still uncovered, with the best margin distance
-  // observed toward it ("how close did we get, and where").
-  const auto residuals = coverage::ResidualDiagnostics(spec, total, margins, justifications);
-  if (telemetry.trace != nullptr) {
-    for (const auto& r : residuals) {
-      obs::TraceEvent ev("residual");
-      ev.Str("name", r.name).I64("decision", r.decision).I64("outcome", r.outcome);
-      if (r.distance < coverage::MarginRecorder::kUnreached) {
-        ev.F64("distance", r.distance);
-      } else {
-        ev.Str("distance", "unreached");
-      }
-      if (r.justified) {
-        ev.U64("justified", 1).Str("reason", r.justify_reason);
-      }
-      telemetry.trace->Emit(ev);
-    }
-    telemetry.trace->Emit(obs::TraceEvent("provenance")
-                              .U64("covered", provenance.num_covered())
-                              .U64("total", provenance.num_objectives())
-                              .U64("residual", residuals.size()));
-  }
-  if (telemetry.registry != nullptr) {
-    telemetry.registry->GetGauge("fuzz.objectives_covered")
-        .Set(static_cast<double>(provenance.num_covered()));
-    telemetry.registry->GetGauge("fuzz.objectives_total")
-        .Set(static_cast<double>(provenance.num_objectives()));
-    telemetry.registry->GetGauge("fuzz.objectives_residual")
-        .Set(static_cast<double>(residuals.size()));
-  }
-}
-
-// Telemetry state for one campaign. All emission funnels through here so
-// the loop stays readable; every method early-outs when its sink is absent,
-// and a campaign without telemetry constructs this as a handful of null
-// pointers (no clocks, no allocation on the hot path).
-class Fuzzer::Monitor {
- public:
-  Monitor(const obs::CampaignTelemetry* telemetry, const coverage::CoverageSink& sink,
-          const coverage::CoverageSpec& spec, const Corpus& corpus,
-          const coverage::ProvenanceMap* provenance, const coverage::MarginRecorder* margins,
-          const coverage::JustificationSet* justifications,
-          obs::CampaignStatusBoard* board, int worker)
-      : tm_(telemetry), sink_(&sink), spec_(&spec), corpus_(&corpus), prov_(provenance),
-        margins_(margins), just_(justifications), board_(board), worker_(worker) {
-    if (tm_ != nullptr && tm_->stats_every_s > 0) next_stat_ = tm_->stats_every_s;
-  }
-
-  [[nodiscard]] bool active() const { return tm_ != nullptr && tm_->active(); }
-
-  /// Time at which the next heartbeat is due (infinity when disabled); the
-  /// main loop compares its already-computed elapsed value against this, so
-  /// an idle heartbeat costs one double comparison per execution.
-  [[nodiscard]] double next_stat_due() const { return next_stat_; }
-
-  void OnStart(const FuzzerOptions& options, const FuzzBudget& budget) {
-    if (tm_ == nullptr || tm_->trace == nullptr) return;
-    tm_->trace->Emit(obs::TraceEvent("start")
-                         .Str("mode", options.model_oriented ? "cftcg" : "fuzz_only")
-                         .U64("seed", options.seed)
-                         .U64("seed_inputs", options.seed_inputs)
-                         .U64("max_tuples", options.max_tuples)
-                         .U64("idc_energy", options.use_idc_energy ? 1 : 0)
-                         .F64("budget_s", budget.wall_seconds)
-                         .I64("fuzz_slots", spec_->FuzzBranchCount())
-                         .I64("outcome_slots", spec_->num_outcome_slots()));
-  }
-
-  /// Emitted instead of OnStart when a campaign restores from a checkpoint.
-  void OnResume(const FuzzerOptions& options, const CampaignResult& result,
-                double resumed_elapsed_s, std::size_t corpus_size) {
-    if (tm_ == nullptr || tm_->trace == nullptr) return;
-    tm_->trace->Emit(obs::TraceEvent("resume")
-                         .Str("mode", options.model_oriented ? "cftcg" : "fuzz_only")
-                         .U64("seed", options.seed)
-                         .U64("exec", result.executions)
-                         .U64("corpus", corpus_size)
-                         .U64("test_cases", result.test_cases.size())
-                         .F64("resumed_elapsed_s", resumed_elapsed_s));
-  }
-
-  void OnCheckpoint(double t, std::uint64_t exec, std::size_t bytes, bool ok) {
-    if (tm_ == nullptr) return;
-    if (tm_->registry != nullptr) tm_->registry->GetCounter("fuzz.checkpoints").Increment();
-    if (tm_->trace == nullptr) return;
-    tm_->trace->Emit(obs::TraceEvent("checkpoint")
-                         .F64("time_s", t)
-                         .U64("exec", exec)
-                         .U64("bytes", bytes)
-                         .U64("ok", ok ? 1 : 0));
-  }
-
-  void OnHang(double t, std::uint64_t exec, std::size_t input_bytes, const std::string& file) {
-    if (tm_ == nullptr) return;
-    if (tm_->registry != nullptr) tm_->registry->GetCounter("fuzz.hangs").Increment();
-    if (tm_->trace == nullptr) return;
-    obs::TraceEvent ev("hang");
-    ev.F64("time_s", t).U64("exec", exec).U64("input_bytes", input_bytes);
-    if (!file.empty()) ev.Str("file", file);
-    tm_->trace->Emit(ev);
-  }
-
-  void OnNewCoverage(double t, const CampaignResult& result, const TestCase& tc,
-                     std::size_t metric, std::size_t tuple_size) {
-    if (tm_ == nullptr) return;
-    if (tm_->registry != nullptr) {
-      tm_->registry->GetCounter("fuzz.new_coverage_inputs").Increment();
-      tm_->registry
-          ->GetHistogram("fuzz.test_case_tuples", {1, 2, 4, 8, 16, 32, 64, 128, 256})
-          .Record(static_cast<double>(tc.data.size() / std::max<std::size_t>(tuple_size, 1)));
-    }
-    if (tm_->trace == nullptr) return;
-    tm_->trace->Emit(obs::TraceEvent("new")
-                         .F64("time_s", t)
-                         .U64("exec", result.executions)
-                         .U64("new_slots", tc.new_slots)
-                         .I64("outcomes_covered", tc.decision_outcomes_covered)
-                         .U64("corpus", corpus_->size())
-                         .U64("idc", metric)
-                         .U64("tuples", tc.data.size() / std::max<std::size_t>(tuple_size, 1)));
-    // Coverage-frontier update: the covered branch-slot set grew.
-    const std::size_t covered = sink_->total().Count();
-    if (covered > last_frontier_) {
-      last_frontier_ = covered;
-      tm_->trace->Emit(obs::TraceEvent("frontier")
-                           .F64("time_s", t)
-                           .U64("covered_slots", covered)
-                           .I64("total_slots", spec_->FuzzBranchCount())
-                           .I64("outcomes_covered", tc.decision_outcomes_covered));
-    }
-  }
-
-  /// One `objective` trace event per newly attributed coverage objective
-  /// (first-hit provenance: discovery iteration/time, corpus entry id and
-  /// strategy chain). `fresh` holds indices into provenance.hits().
-  void OnObjectives(const std::vector<std::size_t>& fresh) {
-    if (fresh.empty() || tm_ == nullptr || prov_ == nullptr) return;
-    if (tm_->registry != nullptr) {
-      tm_->registry->GetGauge("fuzz.objectives_covered")
-          .Set(static_cast<double>(prov_->num_covered()));
-    }
-    if (tm_->trace == nullptr) return;
-    for (const std::size_t idx : fresh) tm_->trace->Emit(ObjectiveEvent(prov_->hits()[idx]));
-  }
-
-  /// One `corpus` trace event per admitted entry: the genealogy record
-  /// (`cftcg explain` reconstructs the corpus tree from these).
-  void OnCorpusAdd(double t, const CorpusEntry& entry, const std::string& chain) {
-    if (tm_ == nullptr || tm_->trace == nullptr) return;
-    tm_->trace->Emit(obs::TraceEvent("corpus")
-                         .F64("time_s", t)
-                         .I64("id", entry.id)
-                         .I64("parent", entry.parent_id)
-                         .U64("depth", entry.depth)
-                         .Str("chain", chain)
-                         .U64("metric", entry.metric)
-                         .U64("new_slots", entry.new_slots));
-  }
-
-  void Heartbeat(double now, const CampaignResult& result, const StrategyStats& strategies) {
-    if (tm_ == nullptr || next_stat_ == std::numeric_limits<double>::infinity()) return;
-    // Reschedule, skipping any periods a long execution ran through.
-    do next_stat_ += tm_->stats_every_s;
-    while (next_stat_ <= now);
-
-    const double window_begin = window_start_;
-    const double window_s = now - window_start_;
-    const std::uint64_t window_execs = result.executions - window_exec_;
-    const double exec_per_s =
-        window_s > 0 ? static_cast<double>(window_execs) / window_s : 0;
-    const double iters_per_s =
-        window_s > 0 ? static_cast<double>(result.model_iterations - window_iters_) / window_s
-                     : 0;
-    window_start_ = now;
-    window_exec_ = result.executions;
-    window_iters_ = result.model_iterations;
-
-    // Per-execution duration, sampled as the window mean so the hot loop
-    // never reads a clock per input. One histogram sample per heartbeat.
-    if (window_execs > 0 && window_s > 0) {
-      const double exec_seconds = window_s / static_cast<double>(window_execs);
-      exec_hist_.Record(exec_seconds);
-      if (tm_->registry != nullptr) {
-        tm_->registry->GetHistogram("fuzz.exec_seconds", obs::ExecDurationBucketBounds())
-            .Record(exec_seconds);
-      }
-    }
-
-    const coverage::MetricReport report = coverage::ComputeReport(*sink_, just_);
-    SyncRegistry(result, report, exec_per_s, iters_per_s);
-    PublishBoard(now, result, report, exec_per_s);
-    if (board_ != nullptr) board_->LogSpan("window", worker_ + 1, window_begin, window_s);
-
-    if (tm_->trace != nullptr) {
-      obs::TraceEvent ev("stat");
-      ev.F64("time_s", now)
-          .U64("exec", result.executions)
-          .U64("iters", result.model_iterations)
-          .U64("measure_iters", result.measure_iterations)
-          .F64("exec_per_s", exec_per_s)
-          .F64("iters_per_s", iters_per_s)
-          .U64("corpus", corpus_->size())
-          .U64("corpus_energy", corpus_->total_energy())
-          .U64("max_metric", corpus_->MaxMetric())
-          .U64("test_cases", result.test_cases.size())
-          .F64("decision_pct", report.DecisionPct())
-          .F64("condition_pct", report.ConditionPct())
-          .F64("mcdc_pct", report.McdcPct());
-      for (int s = 0; s < kNumMutationStrategies; ++s) {
-        const auto name = MutationStrategyName(static_cast<MutationStrategy>(s));
-        const auto idx = static_cast<std::size_t>(s);
-        ev.U64("strat." + std::string(name) + ".applied", strategies.applied[idx]);
-        ev.U64("strat." + std::string(name) + ".new", strategies.credited[idx]);
-      }
-      tm_->trace->Emit(ev);
-    }
-    if (tm_->status_stream != nullptr) {
-      const obs::HistogramSnapshot exec_snap = ExecSnapshot();
-      std::fprintf(tm_->status_stream,
-                   "#%llu\tcov: %.1f/%.1f/%.1f corp: %zu exec/s: %.0f"
-                   " exec_us p50/p95/p99: %.1f/%.1f/%.1f\n",
-                   static_cast<unsigned long long>(result.executions), report.DecisionPct(),
-                   report.ConditionPct(), report.McdcPct(), corpus_->size(), exec_per_s,
-                   exec_snap.Quantile(0.5) * 1e6, exec_snap.Quantile(0.95) * 1e6,
-                   exec_snap.Quantile(0.99) * 1e6);
-    }
-  }
-
-  void OnStop(double elapsed, const CampaignResult& result) {
-    if (board_ != nullptr) {
-      const double exec_per_s_final =
-          elapsed > 0 ? static_cast<double>(result.executions) / elapsed : 0;
-      PublishBoard(elapsed, result, result.report, exec_per_s_final);
-    }
-    if (tm_ == nullptr) return;
-    const double exec_per_s =
-        elapsed > 0 ? static_cast<double>(result.executions) / elapsed : 0;
-    const double iters_per_s =
-        elapsed > 0 ? static_cast<double>(result.model_iterations) / elapsed : 0;
-    SyncRegistry(result, result.report, exec_per_s, iters_per_s);
-    if (tm_->registry != nullptr) {
-      for (int s = 0; s < kNumMutationStrategies; ++s) {
-        const auto name = std::string(MutationStrategyName(static_cast<MutationStrategy>(s)));
-        const auto idx = static_cast<std::size_t>(s);
-        tm_->registry->GetCounter("fuzz.strategy." + name + ".applied")
-            .Add(result.strategy_stats.applied[idx]);
-        tm_->registry->GetCounter("fuzz.strategy." + name + ".new")
-            .Add(result.strategy_stats.credited[idx]);
-      }
-    }
-    // Residual diagnostics, emitted before `stop` so a truncated trace that
-    // has the stop record also has the residuals.
-    if (prov_ != nullptr) EmitResiduals(*tm_, *spec_, sink_->total(), *prov_, margins_, just_);
-    if (tm_->trace != nullptr) {
-      tm_->trace->Emit(obs::TraceEvent("stop")
-                           .F64("elapsed_s", elapsed)
-                           .U64("exec", result.executions)
-                           .U64("iters", result.model_iterations)
-                           .U64("measure_iters", result.measure_iterations)
-                           .F64("exec_per_s", exec_per_s)
-                           .U64("corpus", corpus_->size())
-                           .U64("test_cases", result.test_cases.size())
-                           .F64("decision_pct", result.report.DecisionPct())
-                           .F64("condition_pct", result.report.ConditionPct())
-                           .F64("mcdc_pct", result.report.McdcPct()));
-      tm_->trace->Flush();
-    }
-  }
-
- private:
-  /// Snapshot of the local exec-duration histogram for Quantile().
-  [[nodiscard]] obs::HistogramSnapshot ExecSnapshot() const {
-    return obs::HistogramSnapshot{"fuzz.exec_seconds", exec_hist_.count(), exec_hist_.sum(),
-                                  exec_hist_.min(),    exec_hist_.max(),   exec_hist_.bounds(),
-                                  exec_hist_.bucket_counts()};
-  }
-
-  /// Pushes the heartbeat aggregates to the live status board (no-op
-  /// without one).
-  void PublishBoard(double now, const CampaignResult& result,
-                    const coverage::MetricReport& report, double exec_per_s) {
-    if (board_ == nullptr) return;
-    obs::CampaignAggregates agg;
-    agg.elapsed_s = now;
-    agg.executions = result.executions;
-    agg.model_iterations = result.model_iterations;
-    agg.exec_per_s = exec_per_s;
-    agg.corpus = corpus_->size();
-    agg.test_cases = result.test_cases.size();
-    agg.decision_pct = report.DecisionPct();
-    agg.condition_pct = report.ConditionPct();
-    agg.mcdc_pct = report.McdcPct();
-    agg.adj_decision_pct = report.AdjustedDecisionPct();
-    agg.adj_condition_pct = report.AdjustedConditionPct();
-    agg.adj_mcdc_pct = report.AdjustedMcdcPct();
-    if (prov_ != nullptr) {
-      agg.objectives_covered = prov_->num_covered();
-      agg.objectives_total = prov_->num_objectives();
-    }
-    agg.hangs = result.hangs;
-    board_->UpdateAggregates(agg);
-  }
-
-  void SyncRegistry(const CampaignResult& result, const coverage::MetricReport& report,
-                    double exec_per_s, double iters_per_s) {
-    if (tm_->registry == nullptr) return;
-    obs::Registry& reg = *tm_->registry;
-    // Counters are monotonic and may be shared across campaigns (e.g. the
-    // global registry in hybrid mode), so sync by delta.
-    reg.GetCounter("fuzz.executions").Add(result.executions - synced_exec_);
-    reg.GetCounter("fuzz.model_iterations").Add(result.model_iterations - synced_iters_);
-    reg.GetCounter("fuzz.measure_iterations")
-        .Add(result.measure_iterations - synced_measure_);
-    synced_exec_ = result.executions;
-    synced_iters_ = result.model_iterations;
-    synced_measure_ = result.measure_iterations;
-    reg.GetGauge("fuzz.exec_per_s").Set(exec_per_s);
-    reg.GetGauge("fuzz.iters_per_s").Set(iters_per_s);
-    reg.GetGauge("fuzz.corpus_size").Set(static_cast<double>(corpus_->size()));
-    reg.GetGauge("fuzz.corpus_energy").Set(static_cast<double>(corpus_->total_energy()));
-    reg.GetGauge("fuzz.coverage.decision_pct").Set(report.DecisionPct());
-    reg.GetGauge("fuzz.coverage.condition_pct").Set(report.ConditionPct());
-    reg.GetGauge("fuzz.coverage.mcdc_pct").Set(report.McdcPct());
-  }
-
-  const obs::CampaignTelemetry* tm_;
-  const coverage::CoverageSink* sink_;
-  const coverage::CoverageSpec* spec_;
-  const Corpus* corpus_;
-  const coverage::ProvenanceMap* prov_;
-  const coverage::MarginRecorder* margins_;
-  const coverage::JustificationSet* just_;
-  obs::CampaignStatusBoard* board_;
-  int worker_;
-  obs::Histogram exec_hist_{obs::ExecDurationBucketBounds()};
-  double next_stat_ = std::numeric_limits<double>::infinity();
-  double window_start_ = 0;
-  std::uint64_t window_exec_ = 0;
-  std::uint64_t window_iters_ = 0;
-  std::uint64_t synced_exec_ = 0;
-  std::uint64_t synced_iters_ = 0;
-  std::uint64_t synced_measure_ = 0;
-  std::size_t last_frontier_ = 0;
-};
-
 Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
                FuzzerOptions options, const vm::Program* fuzz_only_program)
     : instrumented_(&instrumented),
@@ -399,7 +36,8 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
       sink_(spec),
       tuple_mutator_(TupleLayout(instrumented.input_types), options.max_tuples),
       byte_mutator_(options.max_tuples * std::max<std::size_t>(instrumented.TupleSize(), 1)),
-      rng_(options.seed) {
+      rng_(options.seed),
+      trace_(options.telemetry != nullptr ? options.telemetry->trace : nullptr) {
   last_cov_.Resize(static_cast<std::size_t>(spec.FuzzBranchCount()));
   assert(options_.model_oriented || fuzz_only_ != nullptr);
   // Comparison tracing (libFuzzer TORC): operands of failed equality
@@ -420,8 +58,6 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
     machine_.set_margins(options_.margins);
   }
 }
-
-Fuzzer::~Fuzzer() = default;
 
 int Fuzzer::DecisionOutcomesCovered() const {
   int covered = 0;
@@ -543,26 +179,58 @@ std::size_t Fuzzer::RunOneEdges(const std::vector<std::uint8_t>& data, bool* fou
 
 void Fuzzer::Attribute(double t, std::int64_t entry_id, const std::string& chain) {
   coverage::ProvenanceMap* prov = options_.provenance;
-  std::vector<std::size_t> fresh =
-      prov->AttributeSlots(sink_.total(), result_.executions, t, entry_id, chain);
+  prov->AttributeSlots(sink_.total(), result_.executions, t, entry_id, chain);
   // MCDC pairs can complete without any new branch slot, so recheck every
   // decision whose evaluation set grew since the last admission.
   const auto& evals = sink_.evals();
   for (std::size_t d = 0; d < evals.size(); ++d) {
     if (evals[d].size() == seen_eval_sizes_[d]) continue;
     seen_eval_sizes_[d] = evals[d].size();
-    const auto more = prov->AttributeMcdc(static_cast<coverage::DecisionId>(d), evals[d],
-                                          result_.executions, t, entry_id, chain);
-    fresh.insert(fresh.end(), more.begin(), more.end());
+    prov->AttributeMcdc(static_cast<coverage::DecisionId>(d), evals[d], result_.executions, t,
+                        entry_id, chain);
   }
-  monitor_->OnObjectives(fresh);
+}
+
+void Fuzzer::TraceNew(const TestCase& tc, std::size_t metric, std::size_t tuple_size) {
+  if (trace_ == nullptr) return;
+  const std::size_t tuples = tc.data.size() / tuple_size;
+  trace_->Emit(obs::TraceEvent("new")
+                   .F64("time_s", tc.time_s)
+                   .U64("exec", result_.executions)
+                   .U64("new_slots", tc.new_slots)
+                   .I64("outcomes_covered", tc.decision_outcomes_covered)
+                   .U64("corpus", corpus_.size())
+                   .U64("idc", metric)
+                   .U64("tuples", tuples));
+  // Coverage-frontier update: the covered branch-slot set grew.
+  const std::size_t covered = sink_.total().Count();
+  if (covered > last_frontier_) {
+    last_frontier_ = covered;
+    trace_->Emit(obs::TraceEvent("frontier")
+                     .F64("time_s", tc.time_s)
+                     .U64("covered_slots", covered)
+                     .I64("total_slots", spec_->FuzzBranchCount())
+                     .I64("outcomes_covered", tc.decision_outcomes_covered));
+  }
+}
+
+void Fuzzer::TraceCorpus(const std::string& chain) {
+  if (trace_ == nullptr) return;
+  const CorpusEntry& entry = corpus_.entry(corpus_.size() - 1);
+  trace_->Emit(obs::TraceEvent("corpus")
+                   .F64("time_s", Elapsed())
+                   .I64("id", entry.id)
+                   .I64("parent", entry.parent_id)
+                   .U64("depth", entry.depth)
+                   .Str("chain", chain)
+                   .U64("metric", entry.metric)
+                   .U64("new_slots", entry.new_slots));
 }
 
 void Fuzzer::Begin(const FuzzBudget& budget) {
   assert(!campaign_active_);
   campaign_active_ = true;
   campaign_done_ = false;
-  interrupted_ = false;
   budget_ = budget;
   result_ = CampaignResult{};
   best_metric_ = 0;
@@ -571,10 +239,6 @@ void Fuzzer::Begin(const FuzzBudget& budget) {
   // One monotonic clock (obs::Clock) drives every timestamp of the
   // campaign: TestCase::time_s, elapsed_s, and trace-event times.
   watch_.Restart();
-  monitor_ = std::make_unique<Monitor>(options_.telemetry, sink_, *spec_, corpus_,
-                                       options_.provenance, options_.margins,
-                                       options_.justifications, options_.status_board,
-                                       options_.status_worker);
 
   // Per-objective first-hit attribution. Runs only on corpus admissions
   // (rare), so a provenance-enabled campaign pays nothing per execution;
@@ -587,7 +251,6 @@ void Fuzzer::Begin(const FuzzBudget& budget) {
     // campaign would have drawn next.
     RestoreFromState(*options_.resume);
   } else {
-    monitor_->OnStart(options_, budget_);
     const std::size_t tuple_size = std::max<std::size_t>(instrumented_->TupleSize(), 1);
     // Seed corpus: a handful of short random inputs, then (when the static
     // analyzer supplied inport ranges) deterministic boundary-value inputs.
@@ -603,12 +266,6 @@ void Fuzzer::Begin(const FuzzBudget& budget) {
     focus_frontier_stale_ = true;
     lap.Lap(obs::ProfilePhase::kExecute);
   }
-  // First periodic checkpoint: the next multiple of checkpoint_every above
-  // the current execution count (resume restarts the cadence from there).
-  next_checkpoint_ =
-      options_.checkpoint_every > 0
-          ? (result_.executions / options_.checkpoint_every + 1) * options_.checkpoint_every
-          : std::numeric_limits<std::uint64_t>::max();
 }
 
 void Fuzzer::AdmitSeed(std::vector<std::uint8_t> data, const char* chain,
@@ -642,13 +299,12 @@ void Fuzzer::AdmitSeed(std::vector<std::uint8_t> data, const char* chain,
   if (found_new) {
     result_.test_cases.push_back(
         TestCase{seed.data, Elapsed(), new_slots, DecisionOutcomesCovered()});
-    monitor_->OnNewCoverage(result_.test_cases.back().time_s, result_,
-                            result_.test_cases.back(), metric, tuple_size);
+    TraceNew(result_.test_cases.back(), metric, tuple_size);
   }
   best_metric_ = std::max(best_metric_, seed.metric);
   if (options_.provenance != nullptr) Attribute(Elapsed(), corpus_.next_id(), chain);
   corpus_.Add(std::move(seed));
-  monitor_->OnCorpusAdd(Elapsed(), corpus_.entry(corpus_.size() - 1), chain);
+  TraceCorpus(chain);
 }
 
 void Fuzzer::SeedBoundaryInputs(std::size_t tuple_size) {
@@ -743,28 +399,7 @@ std::uint64_t Fuzzer::RunChunk(std::uint64_t until_executions) {
   obs::PhaseLapTimer lap(options_.profile_timing ? &phase_profile_ : nullptr);
 
   while (true) {
-    const double now = Elapsed();
-    if (now >= monitor_->next_stat_due()) {
-      result_.model_iterations = model_iterations_;
-      result_.measure_iterations = measure_iterations_;
-      result_.strategy_stats = strategy_stats_;
-      monitor_->Heartbeat(now, result_, strategy_stats_);
-      PublishProfile(now);
-    }
-    // Cooperative interruption (SIGINT/SIGTERM): the in-flight execution
-    // already finished; flush a final checkpoint and hand back to the
-    // caller, who runs Finish() for the partial report.
-    if (options_.interrupt != nullptr &&
-        options_.interrupt->load(std::memory_order_relaxed)) {
-      interrupted_ = true;
-      if (!options_.checkpoint_path.empty()) {
-        lap.Arm();
-        WriteCheckpoint();
-        lap.Lap(obs::ProfilePhase::kCheckpoint);
-      }
-      break;
-    }
-    if (now >= budget_.wall_seconds || result_.executions >= budget_.max_executions) {
+    if (Elapsed() >= budget_.wall_seconds || result_.executions >= budget_.max_executions) {
       campaign_done_ = true;
       break;
     }
@@ -780,16 +415,6 @@ std::uint64_t Fuzzer::RunChunk(std::uint64_t until_executions) {
       break;
     }
     if (result_.executions >= until_executions) break;  // chunk boundary, not campaign end
-    // Periodic checkpoint, taken between executions so it captures a state
-    // the resumed campaign continues from without perturbing the schedule.
-    if (result_.executions >= next_checkpoint_) {
-      if (!options_.checkpoint_path.empty()) {
-        lap.Arm();
-        WriteCheckpoint();
-        lap.Lap(obs::ProfilePhase::kCheckpoint);
-      }
-      next_checkpoint_ += options_.checkpoint_every;
-    }
 
     lap.Arm();
     const CorpusEntry& parent = corpus_.Pick(rng_);
@@ -844,8 +469,7 @@ std::uint64_t Fuzzer::RunChunk(std::uint64_t until_executions) {
       if (track_strategies_) strategy_stats_.CountCredited(applied_);
       result_.test_cases.push_back(
           TestCase{data, Elapsed(), new_slots, DecisionOutcomesCovered()});
-      monitor_->OnNewCoverage(result_.test_cases.back().time_s, result_,
-                              result_.test_cases.back(), metric, tuple_size);
+      TraceNew(result_.test_cases.back(), metric, tuple_size);
       // Only new coverage can exhaust the frontier, so the scan stays off
       // the hot path.
       frontier_exhausted_ = AllReachableCovered();
@@ -869,15 +493,15 @@ std::uint64_t Fuzzer::RunChunk(std::uint64_t until_executions) {
       entry.depth = parent.depth + 1;
       entry.chain = applied_;
       corpus_.Add(std::move(entry));
-      monitor_->OnCorpusAdd(Elapsed(), corpus_.entry(corpus_.size() - 1), chain);
+      TraceCorpus(chain);
     }
     lap.Lap(obs::ProfilePhase::kCoverageUpdate);
   }
   result_.model_iterations = model_iterations_;
   result_.measure_iterations = measure_iterations_;
   // Workers finish at different times; the stall watchdog exempts lanes
-  // whose campaign is over (budget, frontier, or interrupt).
-  if (board != nullptr && (campaign_done_ || interrupted_)) {
+  // whose campaign is over (budget or frontier).
+  if (board != nullptr && campaign_done_) {
     board->SetWorkerDone(options_.status_worker);
   }
   return result_.executions;
@@ -908,7 +532,7 @@ void Fuzzer::ImportEntry(const std::vector<std::uint8_t>& data, std::uint64_t si
   entry.new_slots = new_slots;
   entry.signature = signature;
   corpus_.Add(std::move(entry));
-  monitor_->OnCorpusAdd(Elapsed(), corpus_.entry(corpus_.size() - 1), "import");
+  TraceCorpus("import");
 }
 
 CampaignResult Fuzzer::Finish() {
@@ -920,16 +544,11 @@ CampaignResult Fuzzer::Finish() {
   // are attributed here, with entry id -1 / chain "unretained" — honest
   // bookkeeping for pairs no exported test case reproduces on its own.
   if (options_.provenance != nullptr) {
-    std::vector<std::size_t> fresh;
     const auto& evals = sink_.evals();
     for (std::size_t d = 0; d < evals.size(); ++d) {
-      const auto more =
-          options_.provenance->AttributeMcdc(static_cast<coverage::DecisionId>(d), evals[d],
-                                             result_.executions, Elapsed(), -1,
-                                             "unretained");
-      fresh.insert(fresh.end(), more.begin(), more.end());
+      options_.provenance->AttributeMcdc(static_cast<coverage::DecisionId>(d), evals[d],
+                                         result_.executions, Elapsed(), -1, "unretained");
     }
-    monitor_->OnObjectives(fresh);
   }
 
   result_.elapsed_s = Elapsed();
@@ -941,13 +560,10 @@ CampaignResult Fuzzer::Finish() {
   // campaign and an uninterrupted one (times are excluded by construction).
   result_.corpus_fingerprint = CorpusFingerprint(corpus_.entries());
   result_.coverage_fingerprint = CoverageFingerprint(sink_);
-  result_.interrupted = interrupted_;
   lap.Lap(obs::ProfilePhase::kReport);
   result_.exec_profile = exec_profile_;
   result_.fuzz_exec_profile = fuzz_exec_profile_;
   result_.phase_profile = phase_profile_;
-  PublishProfile(result_.elapsed_s);
-  monitor_->OnStop(result_.elapsed_s, result_);
   campaign_active_ = false;
   campaign_done_ = true;
   if (options_.status_board != nullptr) {
@@ -992,15 +608,7 @@ FuzzerState Fuzzer::SaveState() const {
 std::uint64_t Fuzzer::spec_fingerprint() const { return SpecFingerprint(*spec_, *instrumented_); }
 
 CampaignCheckpoint Fuzzer::MakeCheckpoint() const {
-  CampaignCheckpoint ckpt;
-  ckpt.spec_fingerprint = spec_fingerprint();
-  ckpt.seed = options_.seed;
-  ckpt.model_oriented = options_.model_oriented;
-  ckpt.use_idc_energy = options_.use_idc_energy;
-  ckpt.analyzed = options_.justifications != nullptr;
-  ckpt.max_tuples = options_.max_tuples;
-  ckpt.step_budget = options_.step_budget;
-  ckpt.num_workers = 1;
+  CampaignCheckpoint ckpt = CheckpointHeader(options_, spec_fingerprint());
   ckpt.scanned = {0};
   ckpt.elapsed_s = Elapsed();
   ckpt.workers.push_back(SaveState());
@@ -1052,27 +660,14 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
          ++d) {
       seen_eval_sizes_[d] = static_cast<std::size_t>(state.seen_eval_sizes[d]);
     }
-    // Replay first-hit attributions in discovery order; the resumed trace
-    // re-emits them so `cftcg explain` works on the resumed trace alone.
-    std::vector<std::size_t> fresh;
+    // First hits recorded before the checkpoint, in discovery order (the
+    // driver's closing `objective` events include them).
     for (const coverage::ObjectiveFirstHit& hit : state.provenance_hits) {
-      if (options_.provenance->AbsorbHit(hit)) {
-        fresh.push_back(options_.provenance->hits().size() - 1);
-      }
+      options_.provenance->AbsorbHit(hit);
     }
-    monitor_->OnObjectives(fresh);
   }
-  monitor_->OnResume(options_, result_, time_base_, corpus_.size());
-}
-
-void Fuzzer::WriteCheckpoint() {
-  const CampaignCheckpoint ckpt = MakeCheckpoint();
-  const std::string bytes = SerializeCheckpoint(ckpt);
-  const Status status = support::WriteFileAtomic(options_.checkpoint_path, bytes);
-  if (!status.ok()) {
-    std::fprintf(stderr, "cftcg: checkpoint write failed: %s\n", status.message().c_str());
-  }
-  monitor_->OnCheckpoint(Elapsed(), result_.executions, bytes.size(), status.ok());
+  // The frontier event fires when coverage grows past what was restored.
+  last_frontier_ = sink_.total().Count();
 }
 
 void Fuzzer::QuarantineHang(const std::vector<std::uint8_t>& data) {
@@ -1099,42 +694,11 @@ void Fuzzer::QuarantineHang(const std::vector<std::uint8_t>& data) {
       }
     }
   }
-  monitor_->OnHang(Elapsed(), result_.executions, data.size(), file);
-}
-
-void Fuzzer::PublishProfile(double now) {
-  // Profile snapshots flow to two sinks on the same heartbeat cadence: the
-  // /profile HTTP endpoint (via the publisher) and, in timed mode, `profile`
-  // trace events (trace-summary reports the first->last deltas).
-  const bool trace_it = options_.profile_timing && options_.telemetry != nullptr &&
-                        options_.telemetry->trace != nullptr;
-  if (options_.profile_publisher == nullptr && !trace_it) return;
-  obs::CampaignProfile profile =
-      obs::BuildCampaignProfile(*instrumented_, exec_profile_, phase_profile_);
-  profile.mode = options_.model_oriented ? "cftcg" : "fuzz_only";
-  profile.seed = options_.seed;
-  profile.workers = 1;
-  profile.elapsed_s = now;
-  if (options_.profile_publisher != nullptr) {
-    options_.profile_publisher->Publish(profile.ToJson());
-  }
-  if (trace_it) {
-    auto phase_s = [&](obs::ProfilePhase p) {
-      return phase_profile_.seconds[static_cast<std::size_t>(p)];
-    };
-    obs::TraceEvent ev("profile");
-    ev.F64("time_s", now)
-        .U64("steps", profile.vm_steps)
-        .U64("dispatches", profile.vm_dispatches)
-        .U64("samples", profile.samples)
-        .F64("execute_s", phase_s(obs::ProfilePhase::kExecute))
-        .F64("mutate_s", phase_s(obs::ProfilePhase::kMutate))
-        .F64("coverage_s", phase_s(obs::ProfilePhase::kCoverageUpdate));
-    if (!profile.blocks.empty()) {
-      ev.Str("hot_block", profile.blocks[0].name)
-          .F64("hot_pct", profile.blocks[0].dispatch_pct);
-    }
-    options_.telemetry->trace->Emit(ev);
+  if (trace_ != nullptr) {
+    obs::TraceEvent ev("hang");
+    ev.F64("time_s", Elapsed()).U64("exec", result_.executions).U64("input_bytes", data.size());
+    if (!file.empty()) ev.Str("file", file);
+    trace_->Emit(ev);
   }
 }
 

@@ -15,6 +15,11 @@
 //     the same model-coverage space (Figure 8). Measurement re-runs are
 //     accounted separately (measure_iterations) so throughput numbers only
 //     count iterations of the fuzzing target.
+//
+// The Fuzzer is the per-lane execution loop only. A campaign — heartbeats,
+// checkpoints, interrupts, registry and board aggregates, `start`/`stop`
+// events — is always run by the round driver (RunLaneCampaign, lane.hpp),
+// at -j1 over a single lane.
 #pragma once
 
 #include <atomic>
@@ -74,12 +79,16 @@ struct FuzzerOptions {
   /// inactive entries are skipped.
   std::vector<FieldRange> boundary_seed_ranges;
   /// Optional campaign telemetry (metrics registry, JSONL trace, periodic
-  /// heartbeat/status line). Not owned; must outlive the Fuzzer. Null keeps
-  /// the loop telemetry-free.
+  /// heartbeat/status line), read by the campaign driver. The Fuzzer itself
+  /// only writes its per-execution events (`new`, `frontier`, `corpus`,
+  /// `hang`) to `trace`; the driver gives each lane an in-memory trace and
+  /// forwards it. Not owned; must outlive the Fuzzer. Null keeps the loop
+  /// telemetry-free.
   obs::CampaignTelemetry* telemetry = nullptr;
   /// Optional live status board (obs/monitor.hpp, the `fuzz --serve`
   /// endpoints): the engine stamps per-execution progress into its worker
-  /// lane (two relaxed atomic stores) and publishes heartbeat aggregates.
+  /// lane (two relaxed atomic stores); the campaign driver publishes the
+  /// heartbeat aggregates.
   /// Not owned; must outlive the Fuzzer. Null (default) keeps the loop
   /// entirely monitoring-free.
   obs::CampaignStatusBoard* status_board = nullptr;
@@ -96,7 +105,7 @@ struct FuzzerOptions {
   /// distances; the lane driver merges per-lane recorders into this one.
   coverage::MarginRecorder* margins = nullptr;
   /// Compute a per-input coverage signature during execution (the parallel
-  /// engine's corpus-sync dedup key). Off by default: the sequential loop
+  /// engine's corpus-sync dedup key). Off by default: a one-lane campaign
   /// never pays for the hashing.
   bool collect_signatures = false;
   // -- Self-profiling (obs/profiler.hpp) ----------------------------------
@@ -108,27 +117,27 @@ struct FuzzerOptions {
   /// does not resonate with short bytecode loops.
   std::uint64_t profile_strobe_period = 97;
   /// Optional live snapshot sink (the monitor's /profile endpoint): the
-  /// engine publishes a rendered CampaignProfile at heartbeats and at
-  /// Finish(). Not owned; must outlive the Fuzzer. Null skips publication.
-  /// The parallel driver publishes merged snapshots itself and leaves the
-  /// per-worker publishers null.
+  /// campaign driver publishes the merged CampaignProfile at heartbeats and
+  /// at the end. Not owned; must outlive the campaign. Null skips
+  /// publication.
   obs::ProfilePublisher* profile_publisher = nullptr;
   // -- Campaign durability (checkpoint.hpp) -------------------------------
-  /// Resume from a checkpointed state instead of seeding a fresh corpus.
-  /// Not owned; must outlive Begin(). The caller validates identity with
-  /// ValidateCheckpoint() first.
+  /// Resume this Fuzzer from a checkpointed state instead of seeding a
+  /// fresh corpus. Not owned; must outlive Begin(). The caller validates
+  /// identity with ValidateCheckpoint() first.
   const FuzzerState* resume = nullptr;
-  /// Periodic checkpointing: write `checkpoint_path` atomically every this
-  /// many executions (0 = only on interrupt). Checkpoints are taken between
-  /// executions, so they never perturb the deterministic schedule.
+  /// Periodic checkpointing by the campaign driver: write `checkpoint_path`
+  /// atomically at the first round barrier past every multiple of this many
+  /// executions (0 = only on interrupt). Barriers sit between executions, so
+  /// checkpoints never perturb the deterministic schedule.
   std::uint64_t checkpoint_every = 0;
-  /// Destination for checkpoints (periodic and interrupt-time). Empty
-  /// disables checkpointing entirely.
+  /// Destination for the driver's checkpoints (periodic and interrupt-time).
+  /// Empty disables checkpointing entirely.
   std::string checkpoint_path;
   /// Cooperative interruption (SIGINT/SIGTERM): when the pointed-to flag
-  /// becomes true, RunChunk finishes the in-flight execution, writes a
-  /// final checkpoint (if checkpoint_path is set) and returns; Finish()
-  /// then produces the report as usual. Not owned; may be null.
+  /// becomes true, the campaign driver stops at the next round barrier,
+  /// writes a final checkpoint (if checkpoint_path is set) and produces the
+  /// partial report. Not owned; may be null.
   const std::atomic<bool>* interrupt = nullptr;
   // -- Hang containment ---------------------------------------------------
   /// Per-model-iteration cap on backward control transfers in the VM (see
@@ -182,8 +191,8 @@ struct CampaignResult {
   FocusStats focus_stats;
   /// Inputs that exceeded the per-iteration step budget and were quarantined.
   std::uint64_t hangs = 0;
-  /// True when the campaign stopped on options.interrupt rather than budget
-  /// exhaustion (the report is partial; a checkpoint was written if
+  /// True when the campaign driver stopped on options.interrupt rather than
+  /// budget exhaustion (the report is partial; a checkpoint was written if
   /// configured).
   bool interrupted = false;
   /// Determinism fingerprints of the final campaign state (checkpoint.hpp):
@@ -210,15 +219,15 @@ class Fuzzer {
   /// without model instrumentation but with edge marks.
   Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
          FuzzerOptions options, const vm::Program* fuzz_only_program = nullptr);
-  ~Fuzzer();  // out-of-line: Monitor is incomplete here
 
+  /// The bare execution loop over the whole budget, with no campaign around
+  /// it (no heartbeats, checkpoints or interrupts; tests and benches).
   CampaignResult Run(const FuzzBudget& budget);
 
-  // -- Incremental driving (the parallel engine, parallel.hpp) ------------
+  // -- Incremental driving (the lane driver, lane.hpp) ---------------------
   // Run(budget) == Begin(budget) + RunChunk(UINT64_MAX) + Finish(), step for
-  // step, so a single chunked worker is bit-identical to the sequential
-  // campaign for the same seed.
-  /// Seeds the corpus and opens the campaign (emits the `start` event).
+  // step, so a lane's schedule does not depend on its round size.
+  /// Seeds the corpus (or restores options.resume).
   void Begin(const FuzzBudget& budget);
   /// Advances the loop until the cumulative execution count reaches
   /// `until_executions`, the budget is exhausted, or the wall clock runs
@@ -226,7 +235,7 @@ class Fuzzer {
   std::uint64_t RunChunk(std::uint64_t until_executions);
   /// True once the campaign budget is exhausted (RunChunk became a no-op).
   [[nodiscard]] bool done() const { return campaign_done_; }
-  /// Closes the campaign (final MCDC sweep, report, `stop` event).
+  /// Closes the campaign (final MCDC sweep and report).
   CampaignResult Finish();
 
   // -- Corpus-sync hooks (the parallel engine) ----------------------------
@@ -254,25 +263,22 @@ class Fuzzer {
   [[nodiscard]] std::uint64_t executions() const { return result_.executions; }
   [[nodiscard]] std::uint64_t model_iterations() const { return model_iterations_; }
   [[nodiscard]] std::uint64_t measure_iterations() const { return measure_iterations_; }
-  /// True when RunChunk returned because options.interrupt fired (the
-  /// campaign budget is NOT exhausted; a checkpoint was written if
-  /// configured and Finish() still produces the partial report).
-  [[nodiscard]] bool interrupted() const { return interrupted_; }
+  [[nodiscard]] std::uint64_t hangs() const { return result_.hangs; }
+  [[nodiscard]] std::size_t test_cases() const { return result_.test_cases.size(); }
+  [[nodiscard]] const StrategyStats& strategy_stats() const { return strategy_stats_; }
 
   // -- Campaign durability (checkpoint.hpp) -------------------------------
   /// Captures the complete resumable state at the current (inter-execution)
   /// point. Valid between Begin() and Finish().
   [[nodiscard]] FuzzerState SaveState() const;
   /// Wraps SaveState() in a single-worker on-disk checkpoint carrying the
-  /// campaign identity (the parallel driver builds its own multi-worker
-  /// checkpoint from per-worker SaveState() calls).
+  /// campaign identity (the lane driver builds its own checkpoint from
+  /// per-lane SaveState() calls).
   [[nodiscard]] CampaignCheckpoint MakeCheckpoint() const;
   /// Identity hash this engine validates checkpoints against.
   [[nodiscard]] std::uint64_t spec_fingerprint() const;
 
  private:
-  class Monitor;  // telemetry state for one campaign (defined in fuzzer.cpp)
-
   void MeasureOnInstrumented(const std::vector<std::uint8_t>& data);
   std::size_t RunOneEdges(const std::vector<std::uint8_t>& data, bool* found_new);
   /// True when every fuzz slot not proved unreachable by the analyzer is
@@ -290,15 +296,15 @@ class Fuzzer {
   /// Restores every campaign field from a checkpointed state (Begin's
   /// resume path; replaces seeding).
   void RestoreFromState(const FuzzerState& state);
-  /// Writes options_.checkpoint_path atomically from MakeCheckpoint().
-  void WriteCheckpoint();
   /// Books a step-budget blowout: counts it, emits a trace event, and saves
   /// the input under options_.hangs_dir (content-hashed name, so re-hitting
   /// the same hang after a resume dedups).
   void QuarantineHang(const std::vector<std::uint8_t>& data);
-  /// Renders the current self-profile and hands it to
-  /// options_.profile_publisher (no-op without one).
-  void PublishProfile(double now);
+  /// The `new` event of a test case, and a `frontier` event when the
+  /// covered slot set grew past the last one reported.
+  void TraceNew(const TestCase& tc, std::size_t metric, std::size_t tuple_size);
+  /// The `corpus` genealogy event of the entry just admitted.
+  void TraceCorpus(const std::string& chain);
   /// Picks the focus frontier objective's slice fields for the next
   /// mutation (null when focus is off, the frontier is empty, or the
   /// current objective has no influencing fields). Rebuilds the cached
@@ -322,6 +328,8 @@ class Fuzzer {
   ByteMutator byte_mutator_;
   Corpus corpus_;
   Rng rng_;
+  obs::TraceWriter* trace_;  // per-execution events (options_.telemetry->trace)
+  std::size_t last_frontier_ = 0;  // covered slots at the last `frontier` event
   std::uint64_t model_iterations_ = 0;
   std::uint64_t measure_iterations_ = 0;
   StrategyStats strategy_stats_;
@@ -337,7 +345,6 @@ class Fuzzer {
   FuzzBudget budget_;
   CampaignResult result_;
   obs::Stopwatch watch_;
-  std::unique_ptr<Monitor> monitor_;
   std::vector<std::size_t> seen_eval_sizes_;  // per-decision eval-set sizes at last check
   std::vector<MutationStrategy> applied_;     // scratch, reused across executions
   std::size_t best_metric_ = 0;
@@ -352,8 +359,6 @@ class Fuzzer {
   std::uint64_t last_signature_ = 0;  // coverage signature of the last run input
   // Campaign durability state.
   double time_base_ = 0;              // elapsed seconds restored from a checkpoint
-  std::uint64_t next_checkpoint_ = 0; // execution count of the next periodic write
-  bool interrupted_ = false;
   bool last_input_hung_ = false;      // step budget blew during the last run
 };
 

@@ -1,10 +1,12 @@
 // Lanes of the round-barrier campaign driver (parallel.hpp).
 //
-// A lane is one worker campaign — a sequential Fuzzer with its own RNG
+// A lane is one worker campaign — a Fuzzer execution loop with its own RNG
 // stream — behind a transport. RunLaneCampaign owns everything the lanes
 // share: seed forking, the budget split, the signature-deduplicated corpus
-// sync, heartbeats, checkpoints, profile publication and the lane-id-order
-// final merge. A transport only moves one lane's work and state:
+// sync, heartbeats, registry and board aggregates, the trace, checkpoints,
+// interrupts, profile publication and the lane-id-order final merge. Every
+// in-process campaign runs here: -j1 is a one-lane campaign. A transport
+// only moves one lane's work, state and per-execution trace events:
 //
 //   * ThreadLane (parallel.cpp): the Fuzzer lives in this process and runs
 //     each round on a thread of its own;
@@ -15,16 +17,19 @@
 //
 //   Begin, AwaitRound             the seed round: seed (or restore) the corpus
 //   { StartRound, AwaitRound,     one round — every lane starts before any is
-//     NewEntries, Sync }*         awaited — then the single-threaded barrier
+//     NewEntries, Sync,           awaited — then the single-threaded barrier,
+//     TakeEvents }*               which forwards the round's events
 //   Finish                        the lane's final campaign result
 //
 // Both transports see the same calls with the same arguments, so a
 // fault-free campaign is bit-identical across them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fuzz/checkpoint.hpp"
@@ -58,7 +63,33 @@ struct LaneSpec {
   const FuzzerState* resume = nullptr;  // checkpointed lane state, if resuming
   bool want_provenance = false;         // keep a first-hit map for the merge
   bool want_margins = false;            // record branch distances for the merge
+  bool want_events = false;             // buffer per-execution trace events
   const CampaignClock* clock = nullptr;
+};
+
+/// Barrier counters of one lane, summed by the driver's heartbeat.
+struct LaneCounters {
+  std::uint64_t executions = 0;
+  std::uint64_t model_iterations = 0;
+  std::uint64_t measure_iterations = 0;
+  std::uint64_t hangs = 0;
+  std::uint64_t test_cases = 0;
+  std::uint64_t corpus = 0;
+  std::uint64_t corpus_energy = 0;  // Σ (metric + 1), Corpus::total_energy
+  std::uint64_t max_metric = 0;
+  StrategyStats strategy_stats;
+
+  void MergeFrom(const LaneCounters& o) {
+    executions += o.executions;
+    model_iterations += o.model_iterations;
+    measure_iterations += o.measure_iterations;
+    hangs += o.hangs;
+    test_cases += o.test_cases;
+    corpus += o.corpus;
+    corpus_energy += o.corpus_energy;
+    max_metric = std::max(max_metric, o.max_metric);
+    strategy_stats.MergeFrom(o.strategy_stats);
+  }
 };
 
 class Lane {
@@ -79,15 +110,17 @@ class Lane {
   [[nodiscard]] virtual std::vector<const CorpusEntry*> NewEntries(std::size_t from) const = 0;
   /// Imports other lanes' entries (in export order) and closes the barrier.
   virtual void Sync(const std::vector<const CorpusEntry*>& imports) = 0;
+  /// The lane's per-execution trace events (JSONL, want_events only) since
+  /// the last take: the round's and the imports' of its Sync. A round the
+  /// transport replayed replaces the lost attempt's events.
+  virtual std::string TakeEvents() = 0;
   virtual CampaignResult Finish() = 0;
 
   // -- Barrier state: valid after AwaitRound / Sync, and after Finish. -----
   /// False once the transport gave up on the lane.
   [[nodiscard]] virtual bool live() const { return true; }
   [[nodiscard]] virtual bool done() const = 0;
-  [[nodiscard]] virtual std::uint64_t executions() const = 0;
-  [[nodiscard]] virtual std::uint64_t model_iterations() const = 0;
-  [[nodiscard]] virtual std::size_t corpus_size() const = 0;
+  [[nodiscard]] virtual LaneCounters counters() const = 0;
   /// Wall seconds the last round took (-1: the round did not complete).
   [[nodiscard]] virtual double round_seconds() const = 0;
   virtual void MergeCoverageInto(coverage::CoverageSink& global) const = 0;
@@ -102,19 +135,6 @@ class Lane {
   /// want_margins).
   [[nodiscard]] virtual std::vector<double> margins() const = 0;
 };
-
-/// The `objective` trace event of one first hit.
-obs::TraceEvent ObjectiveEvent(const coverage::ObjectiveFirstHit& hit);
-
-/// Closes a campaign's attribution: a `residual` event per decision outcome
-/// `total` leaves uncovered (best distance from `margins`, which may be
-/// null, and its justification), the `provenance` summary, and the
-/// objective gauges. The sequential loop (fuzzer.cpp) and the lane driver both
-/// end through here, so their traces carry the same fields.
-void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::CoverageSpec& spec,
-                   const DynamicBitset& total, const coverage::ProvenanceMap& provenance,
-                   const coverage::MarginRecorder* margins,
-                   const coverage::JustificationSet* justifications);
 
 /// The coverage signatures of `entries`, in corpus order.
 inline std::vector<std::uint64_t> Signatures(const std::vector<CorpusEntry>& entries) {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "coverage/report.hpp"
 #include "fuzz/lane.hpp"
@@ -18,6 +19,57 @@
 namespace cftcg::fuzz {
 
 namespace {
+
+obs::TraceEvent ObjectiveEvent(const coverage::ObjectiveFirstHit& hit) {
+  obs::TraceEvent ev("objective");
+  ev.Str("kind", coverage::ObjectiveKindName(hit.kind))
+      .Str("name", hit.name)
+      .I64("outcome", hit.outcome)
+      .I64("slot", hit.slot)
+      .U64("iter", hit.iteration)
+      .F64("time_s", hit.time_s)
+      .I64("entry", hit.entry_id)
+      .Str("chain", hit.chain);
+  return ev;
+}
+
+// Closes a campaign's attribution: a `residual` event per decision outcome
+// `total` leaves uncovered (best distance from `margins`, which may be
+// null, and its justification), the `provenance` summary, and the
+// objective gauges.
+void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::CoverageSpec& spec,
+                   const DynamicBitset& total, const coverage::ProvenanceMap& provenance,
+                   const coverage::MarginRecorder* margins,
+                   const coverage::JustificationSet* justifications) {
+  const auto residuals = coverage::ResidualDiagnostics(spec, total, margins, justifications);
+  if (telemetry.trace != nullptr) {
+    for (const auto& r : residuals) {
+      obs::TraceEvent ev("residual");
+      ev.Str("name", r.name).I64("decision", r.decision).I64("outcome", r.outcome);
+      if (r.distance < coverage::MarginRecorder::kUnreached) {
+        ev.F64("distance", r.distance);
+      } else {
+        ev.Str("distance", "unreached");
+      }
+      if (r.justified) {
+        ev.U64("justified", 1).Str("reason", r.justify_reason);
+      }
+      telemetry.trace->Emit(ev);
+    }
+    telemetry.trace->Emit(obs::TraceEvent("provenance")
+                              .U64("covered", provenance.num_covered())
+                              .U64("total", provenance.num_objectives())
+                              .U64("residual", residuals.size()));
+  }
+  if (telemetry.registry != nullptr) {
+    telemetry.registry->GetGauge("fuzz.objectives_covered")
+        .Set(static_cast<double>(provenance.num_covered()));
+    telemetry.registry->GetGauge("fuzz.objectives_total")
+        .Set(static_cast<double>(provenance.num_objectives()));
+    telemetry.registry->GetGauge("fuzz.objectives_residual")
+        .Set(static_cast<double>(residuals.size()));
+  }
+}
 
 // In-process transport: the lane's Fuzzer runs each round on a thread of
 // its own. Lanes share only the read-only Programs, and AwaitRound joins the
@@ -33,6 +85,7 @@ class ThreadLane final : public Lane {
       options.provenance = provenance_.get();
     }
     if (lane.want_margins) options.margins = &margins_;
+    if (lane.want_events) options.telemetry = &events_telemetry_;
     options.resume = lane.resume;
     fuzzer_ = std::make_unique<Fuzzer>(instrumented, spec, options, fuzz_only);
   }
@@ -59,12 +112,18 @@ class ThreadLane final : public Lane {
   void Sync(const std::vector<const CorpusEntry*>& imports) override {
     for (const CorpusEntry* e : imports) fuzzer_->ImportEntry(e->data, e->signature);
   }
+  std::string TakeEvents() override { return std::exchange(events_, std::string()); }
   CampaignResult Finish() override { return fuzzer_->Finish(); }
 
   bool done() const override { return fuzzer_->done(); }
-  std::uint64_t executions() const override { return fuzzer_->executions(); }
-  std::uint64_t model_iterations() const override { return fuzzer_->model_iterations(); }
-  std::size_t corpus_size() const override { return fuzzer_->corpus().size(); }
+  LaneCounters counters() const override {
+    const Fuzzer& f = *fuzzer_;
+    return LaneCounters{f.executions(),         f.model_iterations(),
+                        f.measure_iterations(), f.hangs(),
+                        f.test_cases(),         f.corpus().size(),
+                        f.corpus().total_energy(), f.corpus().MaxMetric(),
+                        f.strategy_stats()};
+  }
   double round_seconds() const override { return round_s_; }
   void MergeCoverageInto(coverage::CoverageSink& global) const override {
     global.MergeFrom(fuzzer_->sink());
@@ -82,6 +141,9 @@ class ThreadLane final : public Lane {
   FuzzBudget budget_;
   std::unique_ptr<coverage::ProvenanceMap> provenance_;
   coverage::MarginRecorder margins_;  // stays empty unless want_margins
+  std::string events_;                // per-execution events since the last take
+  obs::TraceWriter events_trace_{&events_};
+  obs::CampaignTelemetry events_telemetry_{nullptr, &events_trace_};
   std::unique_ptr<Fuzzer> fuzzer_;
   double round_s_ = -1;
   std::thread thread_;  // last: joined before the members it uses go away
@@ -100,6 +162,8 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   const CampaignCheckpoint* const resume = parallel.resume;
   assert(resume == nullptr || resume->workers.size() == n);  // ValidateCheckpoint's job
   obs::CampaignTelemetry* const tm = options.telemetry;
+  obs::TraceWriter* const trace = tm != nullptr ? tm->trace : nullptr;
+  obs::Registry* const registry = tm != nullptr ? tm->registry : nullptr;
   obs::CampaignStatusBoard* const board = options.status_board;
   obs::ProfilePublisher* const pub = options.profile_publisher;
   const char* const mode = options.model_oriented ? "cftcg" : "fuzz_only";
@@ -107,26 +171,41 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   const auto elapsed = [&clock] { return clock.Now(); };
   ParallelCampaignResult out;
 
-  if (tm != nullptr && tm->trace != nullptr) {
+  if (trace != nullptr) {
     obs::TraceEvent ev(resume != nullptr ? "resume" : "start");
     ev.Str("mode", mode).U64("seed", options.seed).U64("workers", n).U64("sync_every", sync_every);
     if (supervision != nullptr) ev.U64("isolated", 1);
     if (resume != nullptr) {
-      ev.U64("rounds", resume->rounds).F64("resumed_elapsed_s", resume->elapsed_s);
+      std::uint64_t exec = 0;
+      std::uint64_t corpus = 0;
+      std::uint64_t test_cases = 0;
+      for (const FuzzerState& w : resume->workers) {
+        exec += w.executions;
+        corpus += w.corpus.size();
+        test_cases += w.test_cases.size();
+      }
+      ev.U64("rounds", resume->rounds)
+          .U64("exec", exec)
+          .U64("corpus", corpus)
+          .U64("test_cases", test_cases)
+          .F64("resumed_elapsed_s", resume->elapsed_s);
     } else {
-      ev.F64("budget_s", budget.wall_seconds)
+      ev.U64("seed_inputs", options.seed_inputs)
+          .U64("max_tuples", options.max_tuples)
+          .U64("idc_energy", options.use_idc_energy ? 1 : 0)
+          .F64("budget_s", budget.wall_seconds)
           .I64("fuzz_slots", spec.FuzzBranchCount())
           .I64("outcome_slots", spec.num_outcome_slots());
     }
-    tm->trace->Emit(ev);
+    trace->Emit(ev);
   }
 
-  // Lane RNG streams: lane 0 runs the campaign seed itself — that is what
-  // makes a one-lane campaign bit-identical to the sequential Fuzzer — and
-  // lanes i > 0 draw forked seeds from a master stream (Rng::Fork
-  // semantics: seed_i = master.NextU64()). Execution quotas, not wall time,
-  // bound the deterministic schedule: an even split of the campaign budget,
-  // with the remainder spread over the first lanes.
+  // Lane RNG streams: lane 0 runs the campaign seed itself — so a one-lane
+  // campaign is Fuzzer::Run's schedule — and lanes i > 0 draw forked seeds
+  // from a master stream (Rng::Fork semantics: seed_i = master.NextU64()).
+  // Execution quotas, not wall time, bound the deterministic schedule: an
+  // even split of the campaign budget, with the remainder spread over the
+  // first lanes.
   Rng master(options.seed);
   std::vector<std::unique_ptr<Lane>> lanes;
   lanes.reserve(n);
@@ -136,12 +215,13 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     lane.options = options;
     lane.options.seed = i == 0 ? options.seed : master.NextU64();
     lane.options.status_worker = static_cast<int>(i);
-    // The driver owns telemetry (aggregated heartbeats, per-lane phase
+    // The driver owns telemetry (heartbeats, the trace, per-lane phase
     // spans), profile publication and first-hit attribution (merged at the
     // end). Durability too: a lane seeing the interrupt flag mid-round would
     // stop at an uneven execution count and wreck the round schedule, so
     // interrupts and checkpoints happen at barriers, where the whole
-    // campaign is at a well-defined point. Branch distances are recorded
+    // campaign is at a well-defined point. A lane buffers its per-execution
+    // trace events for the driver to forward. Branch distances are recorded
     // per lane and merged at the end, like first hits. Hang quarantine stays
     // per lane (content-hashed names, atomic writes: no collisions).
     lane.options.telemetry = nullptr;
@@ -153,6 +233,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     lane.options.provenance = nullptr;
     lane.want_provenance = options.provenance != nullptr;
     lane.want_margins = options.margins != nullptr;
+    lane.want_events = trace != nullptr;
     // Corpus sync needs signatures; a single lane never imports, so it keeps
     // the caller's setting (default off = zero hot-path hashing).
     if (n > 1) lane.options.collect_signatures = true;
@@ -192,6 +273,27 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     p.elapsed_s = now;
     return p;
   };
+  // In the --profile timed mode, a `profile` event (trace-summary reports
+  // the first->last deltas) at every heartbeat and at the end.
+  const auto trace_profile = [&](double now) {
+    if (trace == nullptr || !options.profile_timing) return;
+    const obs::CampaignProfile p = merged_profile(now);
+    const auto phase_s = [&p](obs::ProfilePhase ph) {
+      return p.phases[static_cast<std::size_t>(ph)].seconds;
+    };
+    obs::TraceEvent ev("profile");
+    ev.F64("time_s", now)
+        .U64("steps", p.vm_steps)
+        .U64("dispatches", p.vm_dispatches)
+        .U64("samples", p.samples)
+        .F64("execute_s", phase_s(obs::ProfilePhase::kExecute))
+        .F64("mutate_s", phase_s(obs::ProfilePhase::kMutate))
+        .F64("coverage_s", phase_s(obs::ProfilePhase::kCoverageUpdate));
+    if (!p.blocks.empty()) {
+      ev.Str("hot_block", p.blocks[0].name).F64("hot_pct", p.blocks[0].dispatch_pct);
+    }
+    trace->Emit(ev);
+  };
   double next_profile_pub = 0;  // rate-limits /profile snapshots to ~1/s
 
   // Barrier state, touched only by this thread between rounds.
@@ -210,23 +312,16 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     out.rounds = resume->rounds;
     out.imports = resume->imports;
   }
-  const auto total_executions = [&]() {
-    std::uint64_t exec = 0;
-    for (const auto& lane : lanes) exec += lane->executions();
-    return exec;
+  const auto sum_counters = [&]() {
+    LaneCounters sum;
+    for (const auto& lane : lanes) sum.MergeFrom(lane->counters());
+    return sum;
   };
 
   std::uint64_t checkpoint_ordinal = 0;
   const auto write_checkpoint = [&]() {
     const double ckpt_t0 = elapsed();
-    CampaignCheckpoint ckpt;
-    ckpt.spec_fingerprint = SpecFingerprint(spec, instrumented);
-    ckpt.seed = options.seed;
-    ckpt.model_oriented = options.model_oriented;
-    ckpt.use_idc_energy = options.use_idc_energy;
-    ckpt.analyzed = options.justifications != nullptr;
-    ckpt.max_tuples = options.max_tuples;
-    ckpt.step_budget = options.step_budget;
+    CampaignCheckpoint ckpt = CheckpointHeader(options, SpecFingerprint(spec, instrumented));
     ckpt.num_workers = static_cast<std::uint32_t>(n);
     ckpt.sync_every = sync_every;
     ckpt.rounds = out.rounds;
@@ -255,11 +350,11 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
           std::fwrite(bytes.data(), 1, bytes.size(), f);
           std::fclose(f);
         }
-        if (tm != nullptr && tm->trace != nullptr) {
-          tm->trace->Emit(obs::TraceEvent("fault_injected")
-                              .F64("time_s", elapsed())
-                              .Str("kind", "torn")
-                              .U64("at", checkpoint_ordinal));
+        if (trace != nullptr) {
+          trace->Emit(obs::TraceEvent("fault_injected")
+                          .F64("time_s", elapsed())
+                          .Str("kind", "torn")
+                          .U64("at", checkpoint_ordinal));
         }
       }
     }
@@ -269,16 +364,14 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
         std::fprintf(stderr, "cftcg: checkpoint write failed: %s\n", status.message().c_str());
       }
     }
-    if (tm != nullptr && tm->trace != nullptr) {
-      tm->trace->Emit(obs::TraceEvent("checkpoint")
-                          .F64("time_s", elapsed())
-                          .U64("exec", total_executions())
-                          .U64("bytes", bytes.size())
-                          .U64("ok", status.ok() && !torn ? 1 : 0));
+    if (trace != nullptr) {
+      trace->Emit(obs::TraceEvent("checkpoint")
+                      .F64("time_s", elapsed())
+                      .U64("exec", sum_counters().executions)
+                      .U64("bytes", bytes.size())
+                      .U64("ok", status.ok() && !torn ? 1 : 0));
     }
-    if (tm != nullptr && tm->registry != nullptr) {
-      tm->registry->GetCounter("fuzz.checkpoints").Increment();
-    }
+    if (registry != nullptr) registry->GetCounter("fuzz.checkpoints").Increment();
     driver_phases.Add(obs::ProfilePhase::kCheckpoint, elapsed() - ckpt_t0);
   };
 
@@ -288,7 +381,8 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   // signature); pass 2 replays every export into every other live lane.
   // Imports draw nothing from lane RNG streams and their iterations are
   // booked as measurement, so the schedule stays deterministic and the
-  // throughput numbers honest.
+  // throughput numbers honest. Last, each lane's per-execution events of the
+  // round and its imports are forwarded, in lane-id order.
   std::vector<char> reporting(n, 1);  // lanes with a report at this barrier
   const auto sync = [&]() {
     std::vector<CorpusEntry> exports;
@@ -316,80 +410,145 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     for (std::size_t j = 0; j < n; ++j) {
       if (!reporting[j] || !lanes[j]->live()) continue;
       lanes[j]->Sync(imports[j]);
-      scanned[j] = lanes[j]->corpus_size();
+      scanned[j] = lanes[j]->counters().corpus;
     }
+    if (trace != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        trace->Forward(lanes[i]->TakeEvents(), i);
+      }
+    }
+  };
+
+  // Registry counters are monotonic and may be shared across campaigns (the
+  // global registry in hybrid mode), so they sync by delta from `synced`.
+  LaneCounters synced;
+  const auto sync_registry = [&](const LaneCounters& c, const coverage::MetricReport& report,
+                                 double exec_per_s, double iters_per_s) {
+    if (registry == nullptr) return;
+    obs::Registry& reg = *registry;
+    const auto add = [&reg](const std::string& name, std::uint64_t now, std::uint64_t was) {
+      reg.GetCounter(name).Add(now > was ? now - was : 0);
+    };
+    add("fuzz.executions", c.executions, synced.executions);
+    add("fuzz.model_iterations", c.model_iterations, synced.model_iterations);
+    add("fuzz.measure_iterations", c.measure_iterations, synced.measure_iterations);
+    add("fuzz.new_coverage_inputs", c.test_cases, synced.test_cases);
+    add("fuzz.hangs", c.hangs, synced.hangs);
+    for (int s = 0; s < kNumMutationStrategies; ++s) {
+      const auto name = std::string(MutationStrategyName(static_cast<MutationStrategy>(s)));
+      const auto idx = static_cast<std::size_t>(s);
+      add("fuzz.strategy." + name + ".applied", c.strategy_stats.applied[idx],
+          synced.strategy_stats.applied[idx]);
+      add("fuzz.strategy." + name + ".new", c.strategy_stats.credited[idx],
+          synced.strategy_stats.credited[idx]);
+    }
+    synced = c;
+    reg.GetGauge("fuzz.workers").Set(static_cast<double>(n));
+    reg.GetGauge("fuzz.exec_per_s").Set(exec_per_s);
+    reg.GetGauge("fuzz.iters_per_s").Set(iters_per_s);
+    reg.GetGauge("fuzz.corpus_size").Set(static_cast<double>(c.corpus));
+    reg.GetGauge("fuzz.corpus_energy").Set(static_cast<double>(c.corpus_energy));
+    reg.GetGauge("fuzz.coverage.decision_pct").Set(report.DecisionPct());
+    reg.GetGauge("fuzz.coverage.condition_pct").Set(report.ConditionPct());
+    reg.GetGauge("fuzz.coverage.mcdc_pct").Set(report.McdcPct());
+  };
+  const auto aggregates = [&](double now, const LaneCounters& c,
+                              const coverage::MetricReport& report, double exec_per_s) {
+    obs::CampaignAggregates agg;
+    agg.elapsed_s = now;
+    agg.executions = c.executions;
+    agg.model_iterations = c.model_iterations;
+    agg.exec_per_s = exec_per_s;
+    agg.corpus = c.corpus;
+    agg.test_cases = c.test_cases;
+    agg.decision_pct = report.DecisionPct();
+    agg.condition_pct = report.ConditionPct();
+    agg.mcdc_pct = report.McdcPct();
+    agg.adj_decision_pct = report.AdjustedDecisionPct();
+    agg.adj_condition_pct = report.AdjustedConditionPct();
+    agg.adj_mcdc_pct = report.AdjustedMcdcPct();
+    agg.hangs = c.hangs;
+    return agg;
   };
 
   double next_stat = tm != nullptr && tm->stats_every_s > 0
                          ? tm->stats_every_s
                          : std::numeric_limits<double>::infinity();
   std::uint64_t last_stat_exec = 0;
+  std::uint64_t last_stat_iters = 0;
   double last_stat_time = 0;
+  // A lane's mean seconds per execution, one sample per heartbeat window
+  // (the loop never reads a clock per input).
+  obs::Histogram exec_seconds(obs::ExecDurationBucketBounds());
+  std::size_t round_lanes = n;  // lanes that ran the last round
   const auto heartbeat = [&]() {
     const double now = elapsed();
     if (now < next_stat) return;
     do next_stat += tm->stats_every_s;
     while (next_stat <= now);
-    std::uint64_t exec = 0;
-    std::uint64_t corpus = 0;
-    std::uint64_t iters = 0;
-    for (const auto& lane : lanes) {
-      lane->MergeCoverageInto(global);
-      exec += lane->executions();
-      corpus += lane->corpus_size();
-      iters += lane->model_iterations();
-    }
+    for (const auto& lane : lanes) lane->MergeCoverageInto(global);
+    const LaneCounters c = sum_counters();
     const coverage::MetricReport report = coverage::ComputeReport(global, options.justifications);
     const double window = now - last_stat_time;
-    const double exec_per_s = window > 0 ? static_cast<double>(exec - last_stat_exec) / window : 0;
+    const std::uint64_t window_execs = c.executions - std::min(c.executions, last_stat_exec);
+    const double exec_per_s = window > 0 ? static_cast<double>(window_execs) / window : 0;
+    const double iters_per_s =
+        window > 0 ? static_cast<double>(c.model_iterations - last_stat_iters) / window : 0;
+    if (window > 0 && window_execs > 0) {
+      const double per_exec =
+          window * static_cast<double>(std::max<std::size_t>(round_lanes, 1)) /
+          static_cast<double>(window_execs);
+      exec_seconds.Record(per_exec);
+      if (registry != nullptr) {
+        registry->GetHistogram("fuzz.exec_seconds", obs::ExecDurationBucketBounds())
+            .Record(per_exec);
+      }
+    }
     last_stat_time = now;
-    last_stat_exec = exec;
-    if (board != nullptr) {
-      obs::CampaignAggregates agg;
-      agg.elapsed_s = now;
-      agg.executions = exec;
-      agg.model_iterations = iters;
-      agg.exec_per_s = exec_per_s;
-      agg.corpus = corpus;
-      agg.decision_pct = report.DecisionPct();
-      agg.condition_pct = report.ConditionPct();
-      agg.mcdc_pct = report.McdcPct();
-      agg.adj_decision_pct = report.AdjustedDecisionPct();
-      agg.adj_condition_pct = report.AdjustedConditionPct();
-      agg.adj_mcdc_pct = report.AdjustedMcdcPct();
-      board->UpdateAggregates(agg);
-    }
-    if (tm->registry != nullptr) {
-      tm->registry->GetGauge("fuzz.exec_per_s").Set(exec_per_s);
-      tm->registry->GetGauge("fuzz.corpus_size").Set(static_cast<double>(corpus));
-      tm->registry->GetGauge("fuzz.coverage.decision_pct").Set(report.DecisionPct());
-      tm->registry->GetGauge("fuzz.coverage.condition_pct").Set(report.ConditionPct());
-      tm->registry->GetGauge("fuzz.coverage.mcdc_pct").Set(report.McdcPct());
-    }
-    if (tm->trace != nullptr) {
+    last_stat_exec = c.executions;
+    last_stat_iters = c.model_iterations;
+    sync_registry(c, report, exec_per_s, iters_per_s);
+    if (board != nullptr) board->UpdateAggregates(aggregates(now, c, report, exec_per_s));
+    if (trace != nullptr) {
       obs::TraceEvent ev("stat");
       ev.F64("time_s", now)
-          .U64("exec", exec)
+          .U64("exec", c.executions)
+          .U64("iters", c.model_iterations)
+          .U64("measure_iters", c.measure_iterations)
           .F64("exec_per_s", exec_per_s)
+          .F64("iters_per_s", iters_per_s)
           .U64("workers", n)
           .U64("rounds", out.rounds)
           .U64("imports", out.imports)
-          .U64("corpus", corpus);
+          .U64("corpus", c.corpus)
+          .U64("corpus_energy", c.corpus_energy)
+          .U64("max_metric", c.max_metric)
+          .U64("test_cases", c.test_cases);
       if (supervision != nullptr) {
         ev.U64("crashes", supervision->crashes).U64("restarts", supervision->restarts);
       }
       ev.F64("decision_pct", report.DecisionPct())
           .F64("condition_pct", report.ConditionPct())
           .F64("mcdc_pct", report.McdcPct());
-      tm->trace->Emit(ev);
+      for (int s = 0; s < kNumMutationStrategies; ++s) {
+        const auto name = std::string(MutationStrategyName(static_cast<MutationStrategy>(s)));
+        const auto idx = static_cast<std::size_t>(s);
+        ev.U64("strat." + name + ".applied", c.strategy_stats.applied[idx]);
+        ev.U64("strat." + name + ".new", c.strategy_stats.credited[idx]);
+      }
+      trace->Emit(ev);
     }
+    trace_profile(now);
     if (tm->status_stream != nullptr) {
+      const obs::HistogramSnapshot exec_snap = exec_seconds.Snapshot("fuzz.exec_seconds");
       std::fprintf(tm->status_stream,
-                   "#%llu\tcov: %.1f/%.1f/%.1f corp: %llu exec/s: %.0f (j%zu%s)\n",
-                   static_cast<unsigned long long>(exec), report.DecisionPct(),
+                   "#%llu\tcov: %.1f/%.1f/%.1f corp: %llu exec/s: %.0f"
+                   " exec_us p50/p95/p99: %.1f/%.1f/%.1f (j%zu%s)\n",
+                   static_cast<unsigned long long>(c.executions), report.DecisionPct(),
                    report.ConditionPct(), report.McdcPct(),
-                   static_cast<unsigned long long>(corpus), exec_per_s, n,
-                   supervision != nullptr ? " iso" : "");
+                   static_cast<unsigned long long>(c.corpus), exec_per_s,
+                   exec_snap.Quantile(0.5) * 1e6, exec_snap.Quantile(0.95) * 1e6,
+                   exec_snap.Quantile(0.99) * 1e6, n, supervision != nullptr ? " iso" : "");
     }
   };
 
@@ -407,23 +566,23 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   std::uint64_t next_checkpoint = std::numeric_limits<std::uint64_t>::max();
   if (options.checkpoint_every > 0 && !options.checkpoint_path.empty()) {
     const std::uint64_t every = options.checkpoint_every;
-    next_checkpoint = (total_executions() / every + 1) * every;
+    next_checkpoint = (sum_counters().executions / every + 1) * every;
   }
 
   std::vector<double> round_t0(n, 0);
   while (true) {
-    bool any_running = false;
+    round_lanes = 0;
     for (std::size_t i = 0; i < n; ++i) {
       reporting[i] = lanes[i]->live() && !lanes[i]->done() ? 1 : 0;
-      any_running |= reporting[i] != 0;
+      round_lanes += reporting[i] != 0 ? 1 : 0;
     }
-    if (!any_running) break;
+    if (round_lanes == 0) break;
     // Round: every running lane advances sync_every executions, all lanes
     // at once; the barrier waits for the slowest.
     for (std::size_t i = 0; i < n; ++i) {
       if (!reporting[i]) continue;
       round_t0[i] = elapsed();
-      lanes[i]->StartRound(lanes[i]->executions() + sync_every);
+      lanes[i]->StartRound(lanes[i]->counters().executions + sync_every);
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (reporting[i]) lanes[i]->AwaitRound();
@@ -453,7 +612,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
       pub->Publish(merged_profile(now).ToJson());
       next_profile_pub = now + 1.0;
     }
-    if (total_executions() >= next_checkpoint) {
+    if (sum_counters().executions >= next_checkpoint) {
       write_checkpoint();
       next_checkpoint += options.checkpoint_every;
     }
@@ -470,7 +629,6 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   // Final merge, in lane-id order throughout.
   CampaignResult& merged = out.merged;
   std::unordered_set<std::uint64_t> sigs;
-  std::uint64_t corpus_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     CampaignResult r = lanes[i]->Finish();
     merged.executions += r.executions;
@@ -487,12 +645,12 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     merged.phase_profile.MergeFrom(r.phase_profile);
     out.worker_executions.push_back(r.executions);
     lanes[i]->MergeCoverageInto(global);
-    // Position-sensitive fold of the lane fingerprints: swapped lane states
-    // would not cancel out.
+    // Position-sensitive fold of the lane fingerprints (swapped lane states
+    // would not cancel out); a lone lane's fingerprint is its own.
     merged.corpus_fingerprint =
-        (merged.corpus_fingerprint ^ r.corpus_fingerprint) * 1099511628211ULL;
+        n == 1 ? r.corpus_fingerprint
+               : (merged.corpus_fingerprint ^ r.corpus_fingerprint) * 1099511628211ULL;
     for (std::uint64_t s : lanes[i]->CorpusSignatures()) sigs.insert(s);
-    corpus_total += lanes[i]->corpus_size();
   }
   merged.report = coverage::ComputeReport(global, options.justifications);
   merged.coverage_fingerprint = CoverageFingerprint(global);
@@ -501,27 +659,36 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   merged.exec_profile.strobe_period = strobe_period;
   merged.phase_profile.MergeFrom(driver_phases);
   if (pub != nullptr) pub->Publish(merged_profile(merged.elapsed_s).ToJson());
+  trace_profile(merged.elapsed_s);
   // Corpus fingerprint: the union of admitted coverage signatures.
   out.corpus_signatures.assign(sigs.begin(), sigs.end());
   std::sort(out.corpus_signatures.begin(), out.corpus_signatures.end());
 
-  // Final board aggregates; published after the provenance merge below so
-  // the objective counts make it into the last /status document.
-  obs::CampaignAggregates final_agg;
-  final_agg.elapsed_s = merged.elapsed_s;
-  final_agg.executions = merged.executions;
-  final_agg.model_iterations = merged.model_iterations;
-  final_agg.exec_per_s =
+  // Final board aggregates and registry; published after the provenance
+  // merge below so the objective counts make it into the last /status
+  // document.
+  LaneCounters final_counters = sum_counters();  // corpus sizes and energies
+  final_counters.executions = merged.executions;
+  final_counters.model_iterations = merged.model_iterations;
+  final_counters.measure_iterations = merged.measure_iterations;
+  final_counters.hangs = merged.hangs;
+  final_counters.test_cases = merged.test_cases.size();
+  final_counters.strategy_stats = merged.strategy_stats;
+  const double exec_per_s =
       merged.elapsed_s > 0 ? static_cast<double>(merged.executions) / merged.elapsed_s : 0;
-  final_agg.corpus = corpus_total;
-  final_agg.test_cases = merged.test_cases.size();
-  final_agg.decision_pct = merged.report.DecisionPct();
-  final_agg.condition_pct = merged.report.ConditionPct();
-  final_agg.mcdc_pct = merged.report.McdcPct();
-  final_agg.adj_decision_pct = merged.report.AdjustedDecisionPct();
-  final_agg.adj_condition_pct = merged.report.AdjustedConditionPct();
-  final_agg.adj_mcdc_pct = merged.report.AdjustedMcdcPct();
-  final_agg.hangs = merged.hangs;
+  const double iters_per_s =
+      merged.elapsed_s > 0 ? static_cast<double>(merged.model_iterations) / merged.elapsed_s : 0;
+  obs::CampaignAggregates final_agg =
+      aggregates(merged.elapsed_s, final_counters, merged.report, exec_per_s);
+  sync_registry(final_counters, merged.report, exec_per_s, iters_per_s);
+  if (registry != nullptr) {
+    obs::Histogram& tuples =
+        registry->GetHistogram("fuzz.test_case_tuples", {1, 2, 4, 8, 16, 32, 64, 128, 256});
+    const std::size_t tuple_size = std::max<std::size_t>(instrumented.TupleSize(), 1);
+    for (const TestCase& tc : merged.test_cases) {
+      tuples.Record(static_cast<double>(tc.data.size() / tuple_size));
+    }
+  }
 
   // Merged branch distances: the smallest per outcome slot, folded in
   // lane-id order into the caller's recorder.
@@ -530,15 +697,19 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     for (const auto& lane : lanes) options.margins->MergeFrom(lane->margins());
   }
   // Merged first-hit attribution: earliest lane-local iteration wins, ties
-  // to the lowest lane id; folded into the caller's map.
+  // to the lowest lane id; folded into the caller's map. Each `objective`
+  // event names the lane whose corpus entry it cites.
   if (options.provenance != nullptr) {
     std::vector<const coverage::ProvenanceMap*> maps;
     for (const auto& lane : lanes) maps.push_back(lane->provenance());
-    for (const auto& h : coverage::MergeFirstHits(maps)) options.provenance->AbsorbHit(h);
-    if (tm != nullptr) {
-      if (tm->trace != nullptr) {
-        for (const auto& h : options.provenance->hits()) tm->trace->Emit(ObjectiveEvent(h));
+    std::vector<std::size_t> origin;
+    const auto hits = coverage::MergeFirstHits(maps, &origin);
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+      if (options.provenance->AbsorbHit(hits[k]) && trace != nullptr) {
+        trace->Emit(ObjectiveEvent(hits[k]).U64("lane", origin[k]));
       }
+    }
+    if (tm != nullptr) {
       EmitResiduals(*tm, spec, global.total(), *options.provenance, options.margins,
                     options.justifications);
     }
@@ -548,45 +719,34 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   if (board != nullptr) board->UpdateAggregates(final_agg);
 
   if (tm != nullptr) {
-    if (tm->registry != nullptr) {
-      obs::Registry& reg = *tm->registry;
-      reg.GetCounter("fuzz.executions").Add(merged.executions);
-      reg.GetCounter("fuzz.model_iterations").Add(merged.model_iterations);
-      reg.GetCounter("fuzz.measure_iterations").Add(merged.measure_iterations);
-      reg.GetGauge("fuzz.workers").Set(static_cast<double>(n));
-      reg.GetGauge("fuzz.coverage.decision_pct").Set(merged.report.DecisionPct());
-      reg.GetGauge("fuzz.coverage.condition_pct").Set(merged.report.ConditionPct());
-      reg.GetGauge("fuzz.coverage.mcdc_pct").Set(merged.report.McdcPct());
-    }
-    for (std::size_t i = 0; i < n; ++i) phase[i].Commit(tm->registry, tm->trace);
-    if (tm->trace != nullptr) {
-      if (supervision != nullptr) {
-        tm->trace->Emit(obs::TraceEvent("supervision")
-                            .F64("time_s", merged.elapsed_s)
-                            .U64("crashes", supervision->crashes)
-                            .U64("hang_kills", supervision->hang_kills)
-                            .U64("restarts", supervision->restarts)
-                            .U64("lanes_retired", supervision->lanes_retired));
-      }
-      tm->trace->Emit(obs::TraceEvent("stop")
-                          .F64("elapsed_s", merged.elapsed_s)
-                          .U64("exec", merged.executions)
-                          .U64("iters", merged.model_iterations)
-                          .U64("measure_iters", merged.measure_iterations)
-                          .F64("exec_per_s", merged.elapsed_s > 0
-                                                 ? static_cast<double>(merged.executions) /
-                                                       merged.elapsed_s
-                                                 : 0)
-                          .U64("workers", n)
-                          .U64("rounds", out.rounds)
-                          .U64("imports", out.imports)
-                          .U64("test_cases", merged.test_cases.size())
-                          .F64("decision_pct", merged.report.DecisionPct())
-                          .F64("condition_pct", merged.report.ConditionPct())
-                          .F64("mcdc_pct", merged.report.McdcPct()));
-      tm->trace->Flush();
-    }
+    for (std::size_t i = 0; i < n; ++i) phase[i].Commit(registry, trace);
   }
+  if (trace != nullptr) {
+    if (supervision != nullptr) {
+      trace->Emit(obs::TraceEvent("supervision")
+                      .F64("time_s", merged.elapsed_s)
+                      .U64("crashes", supervision->crashes)
+                      .U64("hang_kills", supervision->hang_kills)
+                      .U64("restarts", supervision->restarts)
+                      .U64("lanes_retired", supervision->lanes_retired));
+    }
+    trace->Emit(obs::TraceEvent("stop")
+                    .F64("elapsed_s", merged.elapsed_s)
+                    .U64("exec", merged.executions)
+                    .U64("iters", merged.model_iterations)
+                    .U64("measure_iters", merged.measure_iterations)
+                    .F64("exec_per_s", exec_per_s)
+                    .U64("workers", n)
+                    .U64("rounds", out.rounds)
+                    .U64("imports", out.imports)
+                    .U64("corpus", final_counters.corpus)
+                    .U64("test_cases", merged.test_cases.size())
+                    .F64("decision_pct", merged.report.DecisionPct())
+                    .F64("condition_pct", merged.report.ConditionPct())
+                    .F64("mcdc_pct", merged.report.McdcPct()));
+    trace->Flush();
+  }
+  out.coverage = std::move(global);
   return out;
 }
 

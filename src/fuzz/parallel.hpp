@@ -1,6 +1,6 @@
-// Multi-worker fuzzing: one deterministic round driver, two lane transports.
+// The campaign driver: one deterministic round driver, two lane transports.
 //
-// N lanes each run a full sequential Fuzzer (own vm::Machine, own
+// N lanes each run a Fuzzer execution loop (own vm::Machine, own
 // CoverageSink, own corpus view, own Rng stream forked from the campaign
 // seed) in round-based lockstep against shared campaign state:
 //
@@ -14,9 +14,11 @@
 //              * frontier merge: lane coverage folds into a global
 //                CoverageSink (CoverageSink::MergeFrom) for aggregated
 //                heartbeats and the final union report;
-//              * telemetry and durability: one aggregated `stat` heartbeat
-//                when due, the merged /profile snapshot, periodic
-//                checkpoints, the interrupt check.
+//              * telemetry and durability: the lanes' per-execution trace
+//                events, forwarded in lane-id order; one aggregated `stat`
+//                heartbeat with registry and board updates when due; the
+//                merged /profile snapshot; periodic checkpoints; the
+//                interrupt check.
 //
 // The driver (RunLaneCampaign, fuzz/lane.hpp) is shared by both engines;
 // only the lane transport differs. ParallelFuzzer runs each lane on a
@@ -27,16 +29,17 @@
 // draw nothing from lane RNG streams, so for a fixed (seed, num_workers)
 // the whole campaign is deterministic regardless of scheduling or
 // transport — same coverage report, same corpus signature set, same merged
-// first-hit attribution (ties broken by lane id). Wall-clock budgets still
-// work (each lane checks its own clock) but trade that determinism away, as
-// they already do in the sequential engine.
+// first-hit attribution (ties broken by lane id), same forwarded events.
+// Wall-clock budgets still work (each lane checks its own clock) but trade
+// that determinism away.
 //
-// With num_workers == 1 the single lane runs with the campaign seed itself
-// and no imports ever occur, so the run is bit-identical to the sequential
-// Fuzzer::Run for the same options.
+// Every campaign runs here; -j1 is one lane. It runs with the campaign seed
+// itself and never imports, so its schedule is Fuzzer::Run's for the same
+// options, whatever the round size.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fuzz/fuzzer.hpp"
@@ -44,7 +47,7 @@
 namespace cftcg::fuzz {
 
 struct ParallelOptions {
-  /// Worker count; clamped to >= 1. 1 reproduces the sequential campaign.
+  /// Worker count; clamped to >= 1.
   int num_workers = 1;
   /// Executions each worker runs between corpus-sync barriers. Larger
   /// values amortize the (single-threaded) merge; smaller values spread
@@ -73,6 +76,8 @@ struct ParallelCampaignResult {
   std::uint64_t rounds = 0;
   /// Cross-worker corpus imports performed (0 when num_workers == 1).
   std::uint64_t imports = 0;
+  /// The merged coverage frontier and MCDC evaluation sets.
+  std::optional<coverage::CoverageSink> coverage;
   /// True when Run() returned because options.interrupt fired at a round
   /// barrier (a checkpoint was written if checkpoint_path is set; `merged`
   /// still carries the partial report).
@@ -83,10 +88,10 @@ class ParallelFuzzer {
  public:
   /// Same contract as Fuzzer: `instrumented` is the measurement/CFTCG
   /// target, `fuzz_only_program` is required when options.model_oriented is
-  /// false. Worker campaigns run with telemetry disabled (the driver owns
-  /// telemetry: aggregated heartbeats, per-worker phase spans);
-  /// options.provenance and options.margins, when set, receive the merged
-  /// first-hit attribution and branch distances after the run.
+  /// false. The driver owns the campaign-level options (telemetry,
+  /// checkpoints, interrupt, profile publication); options.provenance and
+  /// options.margins, when set, receive the merged first-hit attribution
+  /// and branch distances after the run.
   ParallelFuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
                  FuzzerOptions options, ParallelOptions parallel,
                  const vm::Program* fuzz_only_program = nullptr);

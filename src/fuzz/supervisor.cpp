@@ -19,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <utility>
 
 #include "fuzz/lane.hpp"
 #include "obs/monitor.hpp"
@@ -182,6 +183,12 @@ struct ChildSpec {
   // Branch distances reach the parent inside every FuzzerState frame.
   coverage::MarginRecorder margins;
   if (cs.lane.want_margins) wopts.margins = &margins;
+  // Per-execution trace events reach it in the HELLO, ROUND and STATE
+  // replies, each carrying the events since the previous reply.
+  std::string events;
+  obs::TraceWriter events_trace(&events);
+  obs::CampaignTelemetry events_telemetry{nullptr, &events_trace};
+  if (cs.lane.want_events) wopts.telemetry = &events_telemetry;
   wopts.resume = cs.lane.resume;
   ChildTap tap{cs.capture, nullptr};
   if (cs.capture != nullptr) {
@@ -208,6 +215,7 @@ struct ChildSpec {
       w.Bytes(e.data);
       w.U64(e.signature);
     }
+    w.Str(std::exchange(events, std::string()));
     shipped = corpus.size();
     if (!ChildWriteFrame(cs.res_fd, type, w.take())) std::_Exit(kExitProtocol + 1);
   };
@@ -251,6 +259,7 @@ struct ChildSpec {
       shipped = fuzzer.corpus().size();  // imports carry already-seen signatures
       wire::Writer w;
       AppendFuzzerState(w, fuzzer.SaveState());
+      w.Str(std::exchange(events, std::string()));
       if (!ChildWriteFrame(cs.res_fd, kMsgState, w.take())) std::_Exit(kExitProtocol + 1);
     } else if (type == kMsgFinish) {
       FuzzerState st = fuzzer.SaveState();
@@ -276,6 +285,7 @@ struct RoundReply {
   bool done = false;
   std::uint64_t executions = 0;
   std::vector<CorpusEntry> entries;  // data and signature only
+  std::string events;                // the round's trace events (JSONL)
 };
 
 bool ParseRoundReply(const std::string& payload, RoundReply* out) {
@@ -290,6 +300,7 @@ bool ParseRoundReply(const std::string& payload, RoundReply* out) {
     e.data = r.Bytes();
     e.signature = r.U64();
   }
+  out->events = r.Str();
   return !r.failed();
 }
 
@@ -448,8 +459,11 @@ class ProcessLane final : public Lane {
       if (Send(kMsgSync, payload, corrupt) && Await(kMsgState, &reply) == Io::kOk) {
         wire::Reader r(reply);
         FuzzerState st;
-        if (ReadFuzzerState(r, st)) {
+        const bool parsed = ReadFuzzerState(r, st);
+        std::string sync_events = r.Str();
+        if (parsed && !r.failed()) {
           state_ = std::move(st);
+          sync_events_ = std::move(sync_events);
           has_state_ = true;
           executions_ = state_.executions;
           ran_since_state_ = false;
@@ -510,11 +524,25 @@ class ProcessLane final : public Lane {
     return r;
   }
 
+  std::string TakeEvents() override {
+    std::string out = std::exchange(reply_.events, std::string());
+    out += std::exchange(sync_events_, std::string());
+    return out;
+  }
+
   bool live() const override { return !retired_; }
   bool done() const override { return done_; }
-  std::uint64_t executions() const override { return executions_; }
-  std::uint64_t model_iterations() const override { return state_.model_iterations; }
-  std::size_t corpus_size() const override { return state_.corpus.size(); }
+  LaneCounters counters() const override {
+    // Executions as of the last round reply; the rest as of the last STATE.
+    LaneCounters c{executions_,  state_.model_iterations,  state_.measure_iterations,
+                   state_.hangs, state_.test_cases.size(), state_.corpus.size(),
+                   0,            0,                        state_.strategy_stats};
+    for (const CorpusEntry& e : state_.corpus) {
+      c.corpus_energy += e.metric + 1;
+      c.max_metric = std::max<std::uint64_t>(c.max_metric, e.metric);
+    }
+    return c;
+  }
   double round_seconds() const override { return round_s_; }
   void MergeCoverageInto(coverage::CoverageSink& global) const override {
     if (!has_state_) return;
@@ -823,6 +851,7 @@ class ProcessLane final : public Lane {
   int restarts_ = 0;
   double backoff_s_;
   RoundReply reply_;
+  std::string sync_events_;          // trace events of the imports in the last SYNC
   double round_t0_ = 0;
   double round_s_ = -1;
   std::uint64_t relayed_ = 0;        // highest count shown on the status board

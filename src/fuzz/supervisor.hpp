@@ -16,6 +16,10 @@
 //                    STATE(full FuzzerState)       post-sync barrier state
 //                    RESULT(state + fingerprint + provenance)
 //
+// HELLO, ROUND and STATE also carry the lane's per-execution trace events
+// since the previous reply, so a round replayed after a respawn replaces
+// the lost attempt's events instead of duplicating them.
+//
 // Fault containment: the supervisor detects worker death (pipe EOF), kills
 // lanes that miss their reply deadline (heartbeat timeout), quarantines the
 // input that was executing at the time of death to a content-hashed
@@ -47,7 +51,7 @@
 namespace cftcg::fuzz {
 
 /// The threaded engine's options plus the supervision policy. There is no
-/// sequential delegation: -j1 --isolate still forks one worker.
+/// in-process shortcut: -j1 --isolate still forks one worker.
 struct SupervisorOptions : ParallelOptions {
   /// A lane that produces no reply for this long is presumed wedged,
   /// killed, and respawned. Also bounds the FINISH collection.

@@ -49,6 +49,11 @@ double Histogram::max() const {
   return std::isinf(v) ? 0 : v;
 }
 
+HistogramSnapshot Histogram::Snapshot(std::string name) const {
+  return HistogramSnapshot{std::move(name), count(), sum(), min(), max(), bounds(),
+                           bucket_counts()};
+}
+
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(bounds_.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -181,9 +186,7 @@ RegistrySnapshot Registry::Snapshot() const {
     snap.gauges.push_back(GaugeSnapshot{name, gauge->value()});
   }
   for (const auto& [name, hist] : histograms_) {
-    snap.histograms.push_back(HistogramSnapshot{name, hist->count(), hist->sum(), hist->min(),
-                                                hist->max(), hist->bounds(),
-                                                hist->bucket_counts()});
+    snap.histograms.push_back(hist->Snapshot(name));
   }
   return snap;
 }

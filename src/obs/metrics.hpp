@@ -41,6 +41,8 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
+struct HistogramSnapshot;
+
 /// Fixed-bucket histogram. Bucket i counts samples with
 /// value <= bounds[i] (and > bounds[i-1]); one overflow bucket catches the
 /// rest. Record is thread-safe (the parallel engine's workers share the
@@ -63,6 +65,8 @@ class Histogram {
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   /// Copied out (relaxed loads): size() == bounds().size() + 1, last = overflow.
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// A point-in-time copy under `name` (for Quantile()).
+  [[nodiscard]] HistogramSnapshot Snapshot(std::string name) const;
 
  private:
   std::vector<double> bounds_;                          // ascending upper bounds

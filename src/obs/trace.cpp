@@ -63,6 +63,32 @@ void TraceWriter::Emit(const TraceEvent& event) {
   ++events_;
 }
 
+void TraceWriter::Forward(std::string_view lines, std::uint64_t lane) {
+  std::string out;
+  const double now = clock_.Elapsed();
+  const std::string suffix =
+      StrFormat(",\"lane\":%llu}\n", static_cast<unsigned long long>(lane));
+  std::uint64_t count = 0;
+  while (!lines.empty()) {
+    const std::size_t eol = lines.find('\n');
+    std::string_view line = lines.substr(0, eol);
+    lines = eol == std::string_view::npos ? std::string_view() : lines.substr(eol + 1);
+    // {"t":<stamp>,<rest>} -> {"t":<now>,<rest>,"lane":<lane>}
+    const std::size_t body = line.find(',');
+    if (line.substr(0, 5) != "{\"t\":" || body == std::string_view::npos || line.back() != '}') {
+      continue;
+    }
+    out += StrFormat("{\"t\":%.6f", now);
+    out.append(line.substr(body, line.size() - body - 1));
+    out += suffix;
+    ++count;
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (file_ != nullptr) std::fwrite(out.data(), 1, out.size(), file_);
+  if (buffer_ != nullptr) buffer_->append(out);
+  events_ += count;
+}
+
 void TraceWriter::Flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) std::fflush(file_);

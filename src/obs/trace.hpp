@@ -15,6 +15,9 @@
 //            strategy counts)
 //   stop     final totals and coverage percentages
 //   phase    a ScopedTimer span closed (name + seconds)
+//
+// The campaign driver forwards each lane's per-execution events (`new`,
+// `frontier`, `corpus`, `hang`) with a `lane` field.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +67,12 @@ class TraceWriter {
 
   /// Stamps the event with seconds-since-construction and writes one line.
   void Emit(const TraceEvent& event);
+
+  /// Re-emits the JSONL lines another writer rendered (a campaign lane's
+  /// in-memory trace): each is re-stamped with this writer's clock and gets
+  /// a `lane` field appended. Lines that are not `{"t":...}` records are
+  /// skipped.
+  void Forward(std::string_view lines, std::uint64_t lane);
 
   void Flush();
 

@@ -85,6 +85,19 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
   for (std::size_t i = 0; i < resumed.test_cases.size(); ++i) {
     EXPECT_EQ(resumed.test_cases[i].data, straight.test_cases[i].data) << "test case " << i;
   }
+
+  // Phase 3: the same checkpoint (one worker, no round size) resumes as a
+  // one-lane driver campaign at the default round size — a single lane's
+  // schedule does not depend on it.
+  auto cm3 = Compile(bench_models::BuildAfc());
+  ParallelOptions one_lane;
+  one_lane.resume = &parsed.value();
+  const ParallelCampaignResult driven =
+      ParallelFuzzer(cm3->instrumented(), cm3->spec(), options, one_lane).Run(ExecBudget(kTotal));
+  EXPECT_EQ(driven.rounds, (kTotal - kStop + one_lane.sync_every - 1) / one_lane.sync_every);
+  EXPECT_EQ(driven.merged.executions, straight.executions);
+  EXPECT_EQ(driven.merged.corpus_fingerprint, straight.corpus_fingerprint);
+  EXPECT_EQ(driven.merged.coverage_fingerprint, straight.coverage_fingerprint);
 }
 
 TEST(CheckpointTest, SerializationRoundTripIsExact) {
@@ -103,14 +116,14 @@ TEST(CheckpointTest, SerializationRoundTripIsExact) {
 
 // -- Parallel resume identity ---------------------------------------------
 
-TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
+void CheckInterruptedResume(int workers) {
   const std::string ckpt_path = "checkpoint_test_parallel.ckpt";
   const std::uint64_t kTotal = 6000;
 
   FuzzerOptions options;
   options.seed = 7;
   ParallelOptions parallel;
-  parallel.num_workers = 3;
+  parallel.num_workers = workers;
   parallel.sync_every = 512;
 
   auto baseline_cm = Compile(bench_models::BuildAfc());
@@ -133,8 +146,9 @@ TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
 
   auto ckpt = ReadCheckpointFile(ckpt_path);
   ASSERT_TRUE(ckpt.ok()) << ckpt.message();
-  EXPECT_EQ(ckpt.value().num_workers, 3u);
-  ASSERT_EQ(ckpt.value().workers.size(), 3u);
+  EXPECT_EQ(ckpt.value().num_workers, static_cast<std::uint32_t>(workers));
+  ASSERT_EQ(ckpt.value().workers.size(), static_cast<std::size_t>(workers));
+  EXPECT_EQ(ckpt.value().sync_every, parallel.sync_every);  // the driver's real round size
 
   ParallelOptions resume_parallel = parallel;
   resume_parallel.resume = &ckpt.value();
@@ -151,6 +165,15 @@ TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
   EXPECT_EQ(resumed.corpus_signatures, straight.corpus_signatures);
 
   std::remove(ckpt_path.c_str());
+}
+
+// Interrupted at a round barrier and resumed, a driver campaign ends where
+// the uninterrupted one does — one lane (the -j1 campaign) or several.
+TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(workers);
+    CheckInterruptedResume(workers);
+  }
 }
 
 // -- Profile counters across checkpoint/resume -----------------------------
@@ -269,6 +292,18 @@ TEST(CheckpointTest, ValidateRejectsForeignCampaigns) {
   auto wrong_workers = ValidateCheckpoint(ckpt, options, 4, fp);
   ASSERT_FALSE(wrong_workers.ok());
   EXPECT_NE(wrong_workers.message().find("worker"), std::string::npos);
+
+  // A one-worker checkpoint may omit its round size (sync_every 0, as above);
+  // several workers may not, since their schedule depends on it.
+  CampaignCheckpoint two = ckpt;
+  two.num_workers = 2;
+  two.workers.push_back(two.workers[0]);
+  two.scanned.push_back(0);
+  auto no_rounds = ValidateCheckpoint(two, options, 2, fp);
+  ASSERT_FALSE(no_rounds.ok());
+  EXPECT_NE(no_rounds.message().find("sync_every"), std::string::npos) << no_rounds.message();
+  two.sync_every = 64;
+  EXPECT_TRUE(ValidateCheckpoint(two, options, 2, fp).ok());
 
   FuzzerOptions other_seed = options;
   other_seed.seed = 6;

@@ -1,6 +1,9 @@
 // Tests of the model-oriented fuzzing loop and Algorithm 1.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
 #include "ir/builder.hpp"
@@ -176,6 +179,8 @@ TEST(FuzzerTest, TestCaseTimesAreMonotonic) {
   }
 }
 
+// A campaign — heartbeats, registry, `start`/`stop` — is the round driver's
+// at every -j; CompiledModel::Fuzz runs it over one lane.
 TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
   auto cm = Compile(bench_models::BuildAfc());
   FuzzerOptions options;
@@ -187,14 +192,13 @@ TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
   obs::CampaignTelemetry telemetry;
   telemetry.trace = &trace;
   telemetry.registry = &registry;
-  telemetry.stats_every_s = 1e-9;  // heartbeat on (virtually) every loop turn
+  telemetry.stats_every_s = 1e-9;  // heartbeat at every round barrier
   options.telemetry = &telemetry;
 
-  Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   FuzzBudget budget;
   budget.wall_seconds = 5.0;
-  budget.max_executions = 300;
-  const auto result = fuzzer.Run(budget);
+  budget.max_executions = 3000;
+  const auto result = cm->Fuzz(options, budget);
   trace.Flush();
 
   std::vector<obs::JsonValue> events;
@@ -221,7 +225,7 @@ TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
     EXPECT_GE(t, prev_t);
     prev_t = t;
   }
-  EXPECT_GE(stats, 1);
+  EXPECT_GE(stats, 2);  // one per 1024-execution round barrier
   EXPECT_GE(news, 1);
 
   // The metrics registry agrees with the campaign result.
@@ -230,6 +234,43 @@ TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
   EXPECT_EQ(snap.CounterValue("fuzz.model_iterations", 0), result.model_iterations);
   EXPECT_EQ(snap.CounterValue("fuzz.new_coverage_inputs", 0),
             static_cast<std::uint64_t>(result.test_cases.size()));
+  std::uint64_t applied = 0;
+  for (const std::uint64_t n : result.strategy_stats.applied) applied += n;
+  std::uint64_t applied_counted = 0;
+  for (int s = 0; s < kNumMutationStrategies; ++s) {
+    applied_counted += snap.CounterValue(
+        "fuzz.strategy." + std::string(MutationStrategyName(static_cast<MutationStrategy>(s))) +
+            ".applied",
+        0);
+  }
+  EXPECT_EQ(applied_counted, applied);
+}
+
+// A bare Fuzzer writes only its per-execution events; the campaign around
+// them (start, stat, stop, objective) belongs to the driver.
+TEST(FuzzerTest, BareLoopTracesOnlyPerExecutionEvents) {
+  auto cm = Compile(bench_models::BuildAfc());
+  FuzzerOptions options;
+  options.seed = 21;
+  std::string buffer;
+  obs::TraceWriter trace(&buffer);
+  obs::Registry registry;
+  obs::CampaignTelemetry telemetry;
+  telemetry.trace = &trace;
+  telemetry.registry = &registry;
+  telemetry.stats_every_s = 1e-9;
+  options.telemetry = &telemetry;
+  coverage::ProvenanceMap prov(cm->spec());
+  options.provenance = &prov;
+  FuzzBudget budget;
+  budget.max_executions = 300;
+  Fuzzer(cm->instrumented(), cm->spec(), options).Run(budget);
+
+  std::set<std::string> kinds;
+  obs::ForEachJsonl(buffer, [&](const obs::JsonValue& ev) { kinds.insert(ev.StringOr("ev", "")); });
+  EXPECT_EQ(kinds, (std::set<std::string>{"new", "frontier", "corpus"}));
+  EXPECT_TRUE(registry.Snapshot().counters.empty());
+  EXPECT_GT(prov.num_covered(), 0U);
 }
 
 TEST(FuzzerTest, StrategyStatsAccountApplications) {
@@ -313,11 +354,10 @@ TEST(FuzzerTest, CorpusEventsFormAWellFoundedGenealogy) {
   coverage::ProvenanceMap prov(cm->spec());
   options.provenance = &prov;
 
-  Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   FuzzBudget budget;
   budget.wall_seconds = 5.0;
   budget.max_executions = 1500;
-  fuzzer.Run(budget);
+  cm->Fuzz(options, budget);
   trace.Flush();
 
   std::vector<std::int64_t> ids;
@@ -327,6 +367,9 @@ TEST(FuzzerTest, CorpusEventsFormAWellFoundedGenealogy) {
   std::vector<std::int64_t> objective_entries;
   const obs::JsonlStats stats = obs::ForEachJsonl(buffer, [&](const obs::JsonValue& ev) {
     const std::string kind = ev.StringOr("ev", "");
+    if (kind == "corpus" || kind == "objective") {
+      EXPECT_EQ(ev.NumberOr("lane", -1), 0) << kind;  // the lone lane
+    }
     if (kind == "corpus") {
       ids.push_back(static_cast<std::int64_t>(ev.NumberOr("id", -2)));
       parents.push_back(static_cast<std::int64_t>(ev.NumberOr("parent", -2)));

@@ -150,6 +150,35 @@ TEST(TraceWriterTest, EveryLineParsesBackAsJson) {
   }
 }
 
+// A lane's in-memory events re-emitted into the campaign trace: re-stamped,
+// tagged with the lane, payload untouched; non-records are dropped.
+TEST(TraceWriterTest, ForwardRestampsAndTagsLaneEvents) {
+  std::string lane_buffer;
+  TraceWriter lane(&lane_buffer);
+  lane.Emit(TraceEvent("new").U64("exec", 7).Str("chain", "a,b"));
+  lane.Emit(TraceEvent("corpus").I64("id", 0));
+  lane_buffer += "garbage\n";
+
+  std::string buffer;
+  TraceWriter writer(&buffer);
+  writer.Forward(lane_buffer, 2);
+  writer.Forward("", 0);
+  EXPECT_EQ(writer.events_written(), 2U);
+  std::vector<JsonValue> events;
+  for (const auto& line : SplitString(buffer, '\n')) {
+    if (line.empty()) continue;
+    auto parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.message() << " in: " << line;
+    events.push_back(parsed.take());
+  }
+  ASSERT_EQ(events.size(), 2U);
+  EXPECT_EQ(events[0].StringOr("ev", ""), "new");
+  EXPECT_DOUBLE_EQ(events[0].NumberOr("exec", 0), 7.0);
+  EXPECT_EQ(events[0].StringOr("chain", ""), "a,b");
+  EXPECT_EQ(events[1].StringOr("ev", ""), "corpus");
+  for (const auto& ev : events) EXPECT_DOUBLE_EQ(ev.NumberOr("lane", -1), 2.0);
+}
+
 TEST(ScopedTimerTest, RecordsPhaseHistogramAndTraceEvent) {
   Registry registry;
   std::string buffer;

@@ -1,8 +1,8 @@
 // Determinism suite for the parallel multi-worker fuzzing engine.
 //
 // The contracts under test:
-//   * a one-worker ParallelFuzzer campaign is bit-identical to the
-//     sequential Fuzzer for the same seed (test cases byte for byte, same
+//   * a one-worker ParallelFuzzer campaign (what -j1 runs) is bit-identical
+//     to a bare Fuzzer::Run for the same seed (test cases byte for byte, same
 //     executions, same coverage report) — on both a CFTCG-mode and a
 //     Fuzz-Only-mode campaign, on two Table 2 models;
 //   * a multi-worker campaign is deterministic: same seed + same worker

@@ -15,23 +15,36 @@
 # and a campaign that leaves no residual is listed once with the event `none`.
 # The distances must match bit for bit (the trace prints them round-trip).
 #
-# usage: state_golden.sh <cftcg binary> <golden file> [<residual golden>]
-#                                                                   check
-#        state_golden.sh <cftcg binary> <golden file> [<residual golden>]
-#                        --write                                    re-capture
+# The optional trace golden holds, per model, the per-execution events of
+#   cftcg fuzz <model> --max-execs 20000 --seed 3 --trace
+# one per line as <model> TAB <event JSON>: the `new`, `frontier` and
+# `corpus` events in emission order, then the `objective` events sorted
+# (their emission order is not part of the contract). Timestamps (`t`,
+# `time_s`) and the `lane` field are dropped before comparing.
+#
+# usage: state_golden.sh <cftcg binary> <golden file>
+#                        [<residual golden> [<trace golden>]]       check
+#        state_golden.sh <cftcg binary> <golden file>
+#                        [<residual golden> [<trace golden>]] --write
+#                                                                   re-capture
 # Re-capture only for a change that is meant to alter campaigns.
 set -euo pipefail
 
 cli=$(realpath "$1")
 golden=$(realpath "$2")
+shift 2
 residual_golden=""
+trace_golden=""
 mode=check
-if [ $# -ge 3 ] && [ "$3" != "--write" ]; then
-  residual_golden=$(realpath "$3")
-  mode=${4:-check}
-else
-  mode=${3:-check}
-fi
+for arg in "$@"; do
+  if [ "$arg" = "--write" ]; then
+    mode=--write
+  elif [ -z "$residual_golden" ]; then
+    residual_golden=$(realpath "$arg")
+  else
+    trace_golden=$(realpath "$arg")
+  fi
+done
 
 work=$(mktemp -d /tmp/cftcg_golden.XXXXXX)
 trap 'rm -rf "$work"' EXIT
@@ -85,6 +98,26 @@ if [ -n "$residual_golden" ]; then
   done < "$work/keys"
 fi
 
+trace_checked=0
+if [ -n "$trace_golden" ]; then
+  tout="$work/trace.new"
+  grep '^#' "$trace_golden" > "$tout" || true
+  normalize() { sed -E 's/^\{"t":[^,]*,/{/; s/,"time_s":[^,}]*//; s/,"lane":[0-9]+//'; }
+  for model in $(grep -v '^#' "$trace_golden" | grep -v '^$' | cut -f1 | awk '!seen[$0]++'); do
+    want=$(grep -v '^#' "$trace_golden" | awk -F'\t' -v m="$model" '$1 == m { print $2 }')
+    "$cli" fuzz "$model" --max-execs 20000 --seed 3 --trace "$work/t.jsonl" > /dev/null
+    got=$( (grep -E '"ev":"(new|frontier|corpus)"' "$work/t.jsonl" | normalize || true;
+            grep '"ev":"objective"' "$work/t.jsonl" | normalize | LC_ALL=C sort || true) )
+    printf '%s\n' "$got" | awk -v m="$model" '{ printf "%s\t%s\n", m, $0 }' >> "$tout"
+    trace_checked=$((trace_checked + 1))
+    if [ "$mode" != "--write" ] && [ "$got" != "$want" ]; then
+      echo "TRACE DRIFT: $model"
+      diff <(printf '%s\n' "$want") <(printf '%s\n' "$got") | sed 's/^/  /' | head -20 || true
+      failures=$((failures + 1))
+    fi
+  done
+fi
+
 if [ "$mode" = "--write" ]; then
   cp "$out" "$golden"
   echo "re-captured $checked campaign fingerprint(s) into $golden"
@@ -92,12 +125,19 @@ if [ "$mode" = "--write" ]; then
     cp "$rout" "$residual_golden"
     echo "re-captured $residual_checked campaign residual table(s) into $residual_golden"
   fi
+  if [ -n "$trace_golden" ]; then
+    cp "$tout" "$trace_golden"
+    echo "re-captured $trace_checked campaign event sequence(s) into $trace_golden"
+  fi
   exit 0
 fi
 if [ "$failures" -ne 0 ]; then
-  echo "$failures of $((checked + residual_checked)) campaign fingerprint(s) drifted"
+  echo "$failures of $((checked + residual_checked + trace_checked)) campaign fingerprint(s)" \
+    "drifted"
   exit 1
 fi
 echo "all $checked campaign fingerprints match"
 [ -z "$residual_golden" ] ||
   echo "all $residual_checked campaign residual tables match"
+[ -z "$trace_golden" ] ||
+  echo "all $trace_checked campaign event sequences match"

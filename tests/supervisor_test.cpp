@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <regex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "fuzz/supervisor.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "support/fault_inject.hpp"
 
 namespace cftcg::fuzz {
@@ -138,14 +141,45 @@ TEST(SupervisedIdentityTest, ThreeWorkersMatchThreadedTcp) {
   CheckSupervisedMatchesThreaded("TCP", 3, 900);
 }
 
-// Isolated lanes ship their branch distances inside FuzzerState frames, so
-// the merged distances (per-slot min in lane-id order) equal the threaded
-// engine's bit for bit — and a lane respawned after a crash continues from
-// its barrier state's distances.
+// A campaign trace kept in memory.
+struct InMemoryTrace {
+  std::string buffer;
+  obs::TraceWriter writer{&buffer};
+  obs::CampaignTelemetry telemetry{nullptr, &writer};
+};
+
+// The per-execution events a campaign forwards (new, frontier, corpus,
+// hang) and its closing objectives, timestamps dropped, in trace order.
+std::vector<std::string> ForwardedEvents(const InMemoryTrace& t) {
+  const std::string& trace = t.buffer;
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < trace.size()) {
+    const std::size_t eol = trace.find('\n', pos);
+    std::string line = trace.substr(pos, eol - pos);
+    pos = eol == std::string::npos ? trace.size() : eol + 1;
+    static const std::regex kKinds(R"re("ev":"(new|frontier|corpus|hang|objective)")re");
+    if (!std::regex_search(line, kKinds)) continue;
+    static const std::regex kTimes(R"re(^\{"t":[^,]*,|,"time_s":[^,}]*)re");
+    out.push_back(std::regex_replace(line, kTimes, ""));
+  }
+  return out;
+}
+
+// Isolated lanes ship their branch distances inside FuzzerState frames and
+// their trace events in round and sync replies, so the merged distances
+// (per-slot min in lane-id order) and the forwarded events equal the
+// threaded engine's bit for bit — and a lane respawned after a crash
+// continues from its barrier state's distances and replays its round's
+// events exactly once.
 TEST(SupervisedIdentityTest, ThreeWorkersMergeTheThreadedMarginDistances) {
   auto cm = Compile("AFC");
   FuzzerOptions options;
   options.seed = 3;
+  coverage::ProvenanceMap prov(cm->spec());
+  options.provenance = &prov;
+  InMemoryTrace threaded_trace;
+  options.telemetry = &threaded_trace.telemetry;
   coverage::MarginRecorder threaded;
   options.margins = &threaded;
   ParallelOptions par;
@@ -153,6 +187,10 @@ TEST(SupervisedIdentityTest, ThreeWorkersMergeTheThreadedMarginDistances) {
   par.sync_every = 64;
   ParallelFuzzer(cm->instrumented(), cm->spec(), options, par).Run(ExecBudget(900));
 
+  InMemoryTrace isolated_trace;
+  options.telemetry = &isolated_trace.telemetry;
+  coverage::ProvenanceMap prov_isolated(cm->spec());
+  options.provenance = &prov_isolated;
   coverage::MarginRecorder isolated;
   options.margins = &isolated;
   SupervisorOptions sup;
@@ -162,7 +200,14 @@ TEST(SupervisedIdentityTest, ThreeWorkersMergeTheThreadedMarginDistances) {
   ASSERT_EQ(threaded.distances().size(),
             static_cast<std::size_t>(cm->spec().num_outcome_slots()));
   EXPECT_EQ(threaded.distances(), isolated.distances());
+  const std::vector<std::string> events = ForwardedEvents(threaded_trace);
+  ASSERT_GT(events.size(), 20U);
+  EXPECT_EQ(events, ForwardedEvents(isolated_trace));
 
+  InMemoryTrace faulted_trace;
+  options.telemetry = &faulted_trace.telemetry;
+  coverage::ProvenanceMap prov_faulted(cm->spec());
+  options.provenance = &prov_faulted;
   coverage::MarginRecorder faulted;
   options.margins = &faulted;
   support::FaultInjector inj;
@@ -173,6 +218,7 @@ TEST(SupervisedIdentityTest, ThreeWorkersMergeTheThreadedMarginDistances) {
       Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(900));
   EXPECT_EQ(r.restarts, 1U);
   EXPECT_EQ(threaded.distances(), faulted.distances());
+  EXPECT_EQ(events, ForwardedEvents(faulted_trace));
 }
 
 TEST(SupervisedFaultTest, CrashRecoveryConvergesToFaultFreeResult) {

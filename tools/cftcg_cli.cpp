@@ -493,17 +493,23 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     }
   }
 
+  // One campaign driver for every engine: -j N lanes (one by default) on
+  // threads, or with --isolate in supervised processes. A resumed campaign
+  // keeps its checkpointed round size; a one-lane checkpoint without one
+  // (taken straight from a Fuzzer) runs at the default, since a single
+  // lane's schedule does not depend on its round size.
+  fuzz::ParallelOptions par;
+  par.num_workers = std::max(jobs, 1);
+  if (df.resume) {
+    if (ckpt.sync_every > 0) par.sync_every = ckpt.sync_every;
+    par.resume = &ckpt;
+  }
   fuzz::CampaignResult result;
   if (isf.isolate) {
-    // Crash-isolated engine: every worker in its own process, supervised
-    // with quarantine + respawn. No sequential delegation even at -j1 — the
-    // isolation boundary always holds.
+    // Crash-isolated lanes: every worker in its own process, supervised
+    // with quarantine + respawn (even at -j1).
     fuzz::SupervisorOptions sup;
-    sup.num_workers = std::max(jobs, 1);
-    if (df.resume) {
-      sup.sync_every = ckpt.sync_every;
-      sup.resume = &ckpt;
-    }
+    static_cast<fuzz::ParallelOptions&>(sup) = par;
     sup.lane_timeout_s = isf.lane_timeout;
     sup.max_restarts = isf.max_restarts;
     sup.crashes_dir = isf.crashes_dir;
@@ -541,19 +547,11 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
                                                                 : "",
                 sresult.crashes > 0 ? isf.crashes_dir.c_str() : "");
   } else {
-    // Parallel engine (the driver aggregates heartbeats and merges worker
-    // state); -j1 runs the sequential engine.
-    fuzz::ParallelOptions par;
-    par.num_workers = jobs;
-    if (df.resume) {
-      par.sync_every = ckpt.sync_every;
-      par.resume = &ckpt;
-    }
     obs::ScopedTimer span(fuzz_only ? "tool.FuzzOnly" : "tool.CFTCG");
     auto presult = cm->FuzzParallel(options, budget, par);
     result = std::move(presult.merged);
-    if (jobs > 1) {
-      std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", jobs,
+    if (par.num_workers > 1) {
+      std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", par.num_workers,
                   static_cast<unsigned long long>(presult.rounds),
                   static_cast<unsigned long long>(presult.imports));
     }
@@ -704,19 +702,6 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   return 0;
 }
 
-/// Copies a live histogram into the snapshot form so Quantile() applies.
-obs::HistogramSnapshot SnapshotOf(const obs::Histogram& h, std::string name) {
-  obs::HistogramSnapshot snap;
-  snap.name = std::move(name);
-  snap.count = h.count();
-  snap.sum = h.sum();
-  snap.min = h.min();
-  snap.max = h.max();
-  snap.bounds = h.bounds();
-  snap.bucket_counts = h.bucket_counts();
-  return snap;
-}
-
 /// Replays a campaign trace and reports throughput and time-to-coverage.
 /// Malformed lines (a truncated tail from a killed campaign, interleaved
 /// stderr garbage) are skipped and counted rather than aborting, so a
@@ -739,6 +724,7 @@ int CmdTraceSummary(const std::string& trace_path) {
     double hot_pct = 0;
   };
   std::map<std::string, int> kinds;
+  std::map<int, int> lane_events;  // events carrying a `lane` field, per lane
   std::vector<double> stat_exec_per_s;
   std::vector<std::pair<double, double>> coverage_points;  // (t, outcomes_covered)
   std::vector<std::pair<std::string, double>> phases;      // (name, seconds)
@@ -750,6 +736,9 @@ int CmdTraceSummary(const std::string& trace_path) {
   const obs::JsonlStats stats = obs::ForEachJsonl(text, [&](const obs::JsonValue& ev) {
     const std::string kind = ev.StringOr("ev", "?");
     ++kinds[kind];
+    if (const double lane = ev.NumberOr("lane", -1); lane >= 0) {
+      ++lane_events[static_cast<int>(lane)];
+    }
     if (kind == "start") {
       start_mode = ev.StringOr("mode", "?");
     } else if (kind == "stat") {
@@ -799,6 +788,11 @@ int CmdTraceSummary(const std::string& trace_path) {
   for (const auto& [kind, count] : kinds) std::printf(" %s=%d", kind.c_str(), count);
   std::printf("\n");
   if (!start_mode.empty()) std::printf("campaign mode: %s\n", start_mode.c_str());
+  if (!lane_events.empty()) {
+    std::printf("lanes: %zu (events per lane:", lane_events.size());
+    for (const auto& [lane, count] : lane_events) std::printf(" %d=%d", lane, count);
+    std::printf(")\n");
+  }
 
   if (stop_elapsed > 0 && stop_exec > 0) {
     std::printf("overall: %.0f executions in %.2fs = %.0f exec/s\n", stop_exec, stop_elapsed,
@@ -826,7 +820,7 @@ int CmdTraceSummary(const std::string& trace_path) {
       if (eps > 0) exec_hist.Record(1.0 / eps);
     }
     if (exec_hist.count() > 0) {
-      const obs::HistogramSnapshot snap = SnapshotOf(exec_hist, "exec_seconds");
+      const obs::HistogramSnapshot snap = exec_hist.Snapshot("exec_seconds");
       std::printf("exec duration (window means): p50=%.1fus p95=%.1fus p99=%.1fus\n",
                   snap.Quantile(0.50) * 1e6, snap.Quantile(0.95) * 1e6,
                   snap.Quantile(0.99) * 1e6);
@@ -834,6 +828,10 @@ int CmdTraceSummary(const std::string& trace_path) {
   }
 
   if (!coverage_points.empty()) {
+    // Lanes are forwarded one after another at each barrier, so put the
+    // points back in campaign time order. With several lanes, each point
+    // counts its own lane's outcomes.
+    std::stable_sort(coverage_points.begin(), coverage_points.end());
     double final_cov = 0;
     for (const auto& [t, cov] : coverage_points) final_cov = std::max(final_cov, cov);
     if (final_cov > 0) {
@@ -858,7 +856,7 @@ int CmdTraceSummary(const std::string& trace_path) {
     if (phases.size() >= 2) {
       obs::Histogram phase_hist(obs::DurationBucketBounds());
       for (const auto& [name, seconds] : phases) phase_hist.Record(seconds);
-      const obs::HistogramSnapshot snap = SnapshotOf(phase_hist, "phase_seconds");
+      const obs::HistogramSnapshot snap = phase_hist.Snapshot("phase_seconds");
       std::printf("  phase duration quantiles: p50=%.4fs p95=%.4fs p99=%.4fs\n",
                   snap.Quantile(0.50), snap.Quantile(0.95), snap.Quantile(0.99));
     }
@@ -1017,9 +1015,11 @@ int CmdExplain(const std::string& trace_path, const std::string& html_path,
       o.iteration = static_cast<std::uint64_t>(ev.NumberOr("iter", 0));
       o.time_s = ev.NumberOr("time_s", 0);
       o.entry_id = static_cast<std::int64_t>(ev.NumberOr("entry", -1));
+      o.lane = static_cast<int>(ev.NumberOr("lane", 0));
       data.objectives.push_back(std::move(o));
     } else if (kind == "corpus") {
       coverage::ExplorerCorpusEntry e;
+      e.lane = static_cast<int>(ev.NumberOr("lane", 0));
       e.id = static_cast<std::int64_t>(ev.NumberOr("id", -1));
       e.parent = static_cast<std::int64_t>(ev.NumberOr("parent", -1));
       e.depth = static_cast<std::uint64_t>(ev.NumberOr("depth", 0));
@@ -1131,10 +1131,10 @@ int CmdExplain(const std::string& trace_path, const std::string& html_path,
       if (i > 0) json += ',';
       json += StrFormat(
           "{\"kind\":\"%s\",\"name\":\"%s\",\"outcome\":%d,\"slot\":%d,\"iter\":%llu,"
-          "\"time_s\":%s,\"entry\":%lld,\"chain\":\"%s\"}",
+          "\"time_s\":%s,\"lane\":%d,\"entry\":%lld,\"chain\":\"%s\"}",
           obs::JsonEscape(o.kind).c_str(), obs::JsonEscape(o.name).c_str(), o.outcome, o.slot,
           static_cast<unsigned long long>(o.iteration), obs::JsonNumber(o.time_s).c_str(),
-          static_cast<long long>(o.entry_id), obs::JsonEscape(o.chain).c_str());
+          o.lane, static_cast<long long>(o.entry_id), obs::JsonEscape(o.chain).c_str());
     }
     json += "],\"residual\":[";
     for (std::size_t i = 0; i < data.residuals.size(); ++i) {
@@ -1147,7 +1147,23 @@ int CmdExplain(const std::string& trace_path, const std::string& html_path,
           r.unreached ? "\"unreached\"" : obs::JsonNumber(r.distance).c_str(),
           r.justified ? "true" : "false", obs::JsonEscape(r.reason).c_str());
     }
-    json += "]}\n";
+    // The corpus genealogy, keyed by (lane, id): each lane's entries form
+    // their own tree. A parent that names no earlier entry of its lane is
+    // counted, so a broken genealogy shows.
+    std::set<std::pair<int, std::int64_t>> known;
+    std::size_t unresolved = 0;
+    json += "],\"corpus\":[";
+    for (std::size_t i = 0; i < data.corpus.size(); ++i) {
+      const auto& e = data.corpus[i];
+      if (e.parent >= 0 && known.count({e.lane, e.parent}) == 0) ++unresolved;
+      known.insert({e.lane, e.id});
+      if (i > 0) json += ',';
+      json += StrFormat(
+          "{\"lane\":%d,\"id\":%lld,\"parent\":%lld,\"depth\":%llu,\"chain\":\"%s\"}",
+          e.lane, static_cast<long long>(e.id), static_cast<long long>(e.parent),
+          static_cast<unsigned long long>(e.depth), obs::JsonEscape(e.chain).c_str());
+    }
+    json += StrFormat("],\"unresolved_parents\":%zu}\n", unresolved);
     if (!WriteArtifact(json_path, json, "first-hit table (JSON)")) return 1;
   }
 
