@@ -1119,6 +1119,36 @@ class CEmitter {
     std::size_t tuple = 0;
     for (ir::BlockId id : inports) tuple += ir::DTypeSize(root.block(id).out_type(0));
 
+    // One tuple's decode, shared by the driver and any other harness: the
+    // same decode as ir::Value::FromBytes, so the emitted program sees the
+    // inputs the VM and the interpreter see.
+    out += "\n/* === Tuple decode: each field is memcpy'd from the tuple; a boolean\n";
+    out += " * keeps its low bit and a non-finite single/double reads as 0. === */\n";
+    std::vector<std::string> params = {"const uint8_t* tuple"};
+    std::vector<std::string> decode_args = {"data + i * dataLen"};
+    for (ir::BlockId id : inports) {
+      const Block& b = root.block(id);
+      params.push_back(CType(b.out_type(0)) + "* " + Sanitize(b.name()));
+      decode_args.push_back("&" + Sanitize(b.name()));
+    }
+    out += "void " + model_name_ + "_decode(" + JoinStrings(params, ", ") + ") {\n";
+    if (inports.empty()) out += "  (void)tuple;\n";
+    std::size_t offset = 0;
+    for (ir::BlockId id : inports) {
+      const Block& b = root.block(id);
+      const DType t = b.out_type(0);
+      const std::string name = Sanitize(b.name());
+      out += StrFormat("  memcpy(%s, tuple + %zu, %zu);\n", name.c_str(), offset,
+                       ir::DTypeSize(t));
+      if (t == DType::kBool) {
+        out += StrFormat("  *%s &= 1;\n", name.c_str());
+      } else if (ir::DTypeIsFloat(t)) {
+        out += StrFormat("  if (!isfinite(*%s)) *%s = 0;\n", name.c_str(), name.c_str());
+      }
+      offset += ir::DTypeSize(t);
+    }
+    out += "}\n";
+
     out += "\n/* === Fuzz driver (Figure 3): splits the fuzzer byte stream into\n";
     out += " * per-iteration tuples and feeds each tuple to the step function. === */\n";
     out += "int FuzzTestOneInput(const uint8_t* data, size_t size) {\n";
@@ -1126,15 +1156,12 @@ class CEmitter {
     out += "  size_t i = 0;\n";
     out += "  " + model_name_ + "_init();\n";
     out += "  while ((i + 1) * dataLen <= size) {\n";
-    std::size_t offset = 0;
     for (ir::BlockId id : inports) {
       const Block& b = root.block(id);
-      const DType t = b.out_type(0);
-      out += StrFormat("    %s %s = 0;\n", CType(t).c_str(), Sanitize(b.name()).c_str());
-      out += StrFormat("    memcpy(&%s, data + i * dataLen + %zu, %zu);\n",
-                       Sanitize(b.name()).c_str(), offset, ir::DTypeSize(t));
-      offset += ir::DTypeSize(t);
+      out += StrFormat("    %s %s = 0;\n", CType(b.out_type(0)).c_str(),
+                       Sanitize(b.name()).c_str());
     }
+    out += "    " + model_name_ + "_decode(" + JoinStrings(decode_args, ", ") + ");\n";
     for (ir::BlockId id : outports) {
       const Block& b = root.block(id);
       out += StrFormat("    %s %s = 0;\n", CType(InType(root, b, 0)).c_str(),

@@ -4,8 +4,10 @@
 //   * the model step function with model-level branch instrumentation
 //     (CoverageStatistics() calls in every decision arm — Figure 4);
 //   * the fuzz driver (FuzzTestOneInput) that splits the fuzzer's byte
-//     stream into per-iteration tuples and memcpy's each field into the
-//     inport variables (Figure 3);
+//     stream into per-iteration tuples and decodes each one into the inport
+//     variables (Figure 3) through the emitted <model>_decode, which decodes
+//     like ir::Value::FromBytes (memcpy per field; booleans keep their low
+//     bit, non-finite floats read as 0);
 //   * the model init function.
 //
 // The emitted code is self-contained C99 (compiles with `gcc -std=c99`):

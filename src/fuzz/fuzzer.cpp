@@ -45,8 +45,10 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
   machine_.set_cmp_trace(&cmp_trace_);
   // Hang containment: cap backward control transfers per model iteration.
   machine_.set_step_budget(options_.step_budget);
-  // Self-profiling count plane: always attached (one add per dispatch); the
-  // strobe sampler only arms in the --profile timed mode.
+  // Self-profiling count plane: always attached (one add per Step and per
+  // taken jump, expanded into per-instruction counts whenever the planes are
+  // read: FlushProfiles); the strobe sampler only arms in the --profile
+  // timed mode.
   exec_profile_.strobe_period = options_.profile_timing ? options_.profile_strobe_period : 0;
   exec_profile_.AttachTo(instrumented);
   machine_.set_profile(&exec_profile_);
@@ -57,6 +59,11 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
     options_.margins->Reset(spec);
     machine_.set_margins(options_.margins);
   }
+}
+
+void Fuzzer::FlushProfiles() const {
+  machine_.FlushProfile();
+  if (fuzz_machine_) fuzz_machine_->FlushProfile();
 }
 
 int Fuzzer::DecisionOutcomesCovered() const {
@@ -561,6 +568,7 @@ CampaignResult Fuzzer::Finish() {
   result_.corpus_fingerprint = CorpusFingerprint(corpus_.entries());
   result_.coverage_fingerprint = CoverageFingerprint(sink_);
   lap.Lap(obs::ProfilePhase::kReport);
+  FlushProfiles();
   result_.exec_profile = exec_profile_;
   result_.fuzz_exec_profile = fuzz_exec_profile_;
   result_.phase_profile = phase_profile_;
@@ -599,6 +607,7 @@ FuzzerState Fuzzer::SaveState() const {
   s.cmp_trace = cmp_trace_.Save();
   if (options_.provenance != nullptr) s.provenance_hits = options_.provenance->hits();
   if (options_.margins != nullptr) s.margins = options_.margins->distances();
+  FlushProfiles();
   s.exec_profile = exec_profile_;
   s.fuzz_exec_profile = fuzz_exec_profile_;
   s.phase_profile = phase_profile_;
@@ -646,6 +655,7 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
   assert((state.exec_profile.insn_counts.empty() ||
           state.exec_profile.insn_counts.size() == instrumented_->code.size()) &&
          "checkpoint profile plane of another program (ValidateResumeProfile not run?)");
+  FlushProfiles();  // pending counts belong to the planes being replaced
   exec_profile_ = state.exec_profile;
   exec_profile_.strobe_period = options_.profile_timing ? options_.profile_strobe_period : 0;
   exec_profile_.AttachTo(*instrumented_);

@@ -257,8 +257,17 @@ class Fuzzer {
   [[nodiscard]] const Corpus& corpus() const { return corpus_; }
   /// Live self-profile counters (the parallel driver merges these at sync
   /// barriers; safe to read whenever the engine is not inside RunChunk).
-  [[nodiscard]] const vm::ExecProfile& exec_profile() const { return exec_profile_; }
-  [[nodiscard]] const vm::ExecProfile& fuzz_exec_profile() const { return fuzz_exec_profile_; }
+  /// Every read of the planes — these accessors, SaveState and Finish —
+  /// first flushes the machines' pending dispatch counts
+  /// (vm::Machine::FlushProfile), so they are always exact.
+  [[nodiscard]] const vm::ExecProfile& exec_profile() const {
+    FlushProfiles();
+    return exec_profile_;
+  }
+  [[nodiscard]] const vm::ExecProfile& fuzz_exec_profile() const {
+    FlushProfiles();
+    return fuzz_exec_profile_;
+  }
   [[nodiscard]] const obs::PhaseProfile& phase_profile() const { return phase_profile_; }
   [[nodiscard]] std::uint64_t executions() const { return result_.executions; }
   [[nodiscard]] std::uint64_t model_iterations() const { return model_iterations_; }
@@ -312,6 +321,8 @@ class Fuzzer {
   /// every FocusPlan::rotate_every executions. Pure function of campaign
   /// state — deterministic and resume-stable.
   const std::vector<std::size_t>* PickFocusFields();
+  /// Folds both machines' pending dispatch counts into the profile planes.
+  void FlushProfiles() const;
   int DecisionOutcomesCovered() const;
   std::size_t IdcDensity(std::size_t metric, const std::vector<std::uint8_t>& data) const;
   void Attribute(double t, std::int64_t entry_id, const std::string& chain);

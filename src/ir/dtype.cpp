@@ -9,32 +9,28 @@ namespace {
 struct DTypeInfo {
   std::string_view name;
   std::string_view cname;
-  std::size_t size;
-  bool is_float;
   bool is_signed;
   std::int64_t min;
   std::int64_t max;
 };
 
 constexpr std::array<DTypeInfo, kNumDTypes> kInfo = {{
-    {"boolean", "boolean_T", 1, false, false, 0, 1},
-    {"int8", "int8_T", 1, false, true, -128, 127},
-    {"uint8", "uint8_T", 1, false, false, 0, 255},
-    {"int16", "int16_T", 2, false, true, -32768, 32767},
-    {"uint16", "uint16_T", 2, false, false, 0, 65535},
-    {"int32", "int32_T", 4, false, true, INT32_MIN, INT32_MAX},
-    {"uint32", "uint32_T", 4, false, false, 0, UINT32_MAX},
-    {"single", "real32_T", 4, true, true, 0, 0},
-    {"double", "real_T", 8, true, true, 0, 0},
+    {"boolean", "boolean_T", false, 0, 1},
+    {"int8", "int8_T", true, -128, 127},
+    {"uint8", "uint8_T", false, 0, 255},
+    {"int16", "int16_T", true, -32768, 32767},
+    {"uint16", "uint16_T", false, 0, 65535},
+    {"int32", "int32_T", true, INT32_MIN, INT32_MAX},
+    {"uint32", "uint32_T", false, 0, UINT32_MAX},
+    {"single", "real32_T", true, 0, 0},
+    {"double", "real_T", true, 0, 0},
 }};
 
 const DTypeInfo& Info(DType t) { return kInfo[static_cast<std::size_t>(t)]; }
 
 }  // namespace
 
-std::size_t DTypeSize(DType t) { return Info(t).size; }
-bool DTypeIsFloat(DType t) { return Info(t).is_float; }
-bool DTypeIsInteger(DType t) { return !Info(t).is_float && t != DType::kBool; }
+bool DTypeIsInteger(DType t) { return !DTypeIsFloat(t) && t != DType::kBool; }
 bool DTypeIsSigned(DType t) { return Info(t).is_signed; }
 
 std::int64_t DTypeMin(DType t) {
@@ -45,21 +41,6 @@ std::int64_t DTypeMin(DType t) {
 std::int64_t DTypeMax(DType t) {
   assert(!DTypeIsFloat(t));
   return Info(t).max;
-}
-
-std::int64_t WrapToDType(std::int64_t value, DType t) {
-  switch (t) {
-    case DType::kBool: return value != 0 ? 1 : 0;
-    case DType::kInt8: return static_cast<std::int8_t>(value);
-    case DType::kUInt8: return static_cast<std::uint8_t>(value);
-    case DType::kInt16: return static_cast<std::int16_t>(value);
-    case DType::kUInt16: return static_cast<std::uint16_t>(value);
-    case DType::kInt32: return static_cast<std::int32_t>(value);
-    case DType::kUInt32: return static_cast<std::uint32_t>(value);
-    case DType::kSingle:
-    case DType::kDouble: return value;
-  }
-  return value;
 }
 
 std::string_view DTypeName(DType t) { return Info(t).name; }

@@ -1,7 +1,6 @@
 #include "ir/value.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstring>
 
 #include "support/strings.hpp"
@@ -29,57 +28,6 @@ Value Value::Real(DType t, double raw) {
   v.type_ = t;
   v.d_ = (t == DType::kSingle) ? static_cast<double>(static_cast<float>(raw)) : raw;
   return v;
-}
-
-Value Value::FromBytes(DType t, const std::uint8_t* bytes) {
-  switch (t) {
-    case DType::kBool: return Bool((*bytes & 1) != 0);
-    case DType::kInt8: {
-      std::int8_t v;
-      std::memcpy(&v, bytes, 1);
-      return Int(t, v);
-    }
-    case DType::kUInt8: {
-      std::uint8_t v;
-      std::memcpy(&v, bytes, 1);
-      return Int(t, v);
-    }
-    case DType::kInt16: {
-      std::int16_t v;
-      std::memcpy(&v, bytes, 2);
-      return Int(t, v);
-    }
-    case DType::kUInt16: {
-      std::uint16_t v;
-      std::memcpy(&v, bytes, 2);
-      return Int(t, v);
-    }
-    case DType::kInt32: {
-      std::int32_t v;
-      std::memcpy(&v, bytes, 4);
-      return Int(t, v);
-    }
-    case DType::kUInt32: {
-      std::uint32_t v;
-      std::memcpy(&v, bytes, 4);
-      return Int(t, v);
-    }
-    case DType::kSingle: {
-      float v;
-      std::memcpy(&v, bytes, 4);
-      // Normalize NaN/Inf payloads out of the driver: Simulink models reject
-      // non-finite external inputs, and the generated driver clamps them.
-      if (!std::isfinite(v)) v = 0.0F;
-      return Real(t, v);
-    }
-    case DType::kDouble: {
-      double v;
-      std::memcpy(&v, bytes, 8);
-      if (!std::isfinite(v)) v = 0.0;
-      return Real(t, v);
-    }
-  }
-  return Value();
 }
 
 void Value::ToBytes(std::uint8_t* bytes) const {
@@ -116,19 +64,6 @@ void Value::ToBytes(std::uint8_t* bytes) const {
       return;
     }
   }
-}
-
-double Value::AsDouble() const {
-  return DTypeIsFloat(type_) ? d_ : static_cast<double>(i_);
-}
-
-std::int64_t Value::AsInt64() const {
-  if (!DTypeIsFloat(type_)) return i_;
-  if (!std::isfinite(d_)) return 0;
-  // Truncate toward zero, clamping to int64 range.
-  if (d_ >= 9.2233720368547758e18) return INT64_MAX;
-  if (d_ <= -9.2233720368547758e18) return INT64_MIN;
-  return static_cast<std::int64_t>(d_);
 }
 
 bool Value::AsBool() const { return DTypeIsFloat(type_) ? d_ != 0.0 : i_ != 0; }

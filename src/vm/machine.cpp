@@ -1,7 +1,9 @@
 #include "vm/machine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
@@ -10,6 +12,7 @@
 namespace cftcg::vm {
 
 using namespace cftcg::num;
+
 
 Machine::Machine(const Program& program) : program_(&program) {
   dregs_.assign(static_cast<std::size_t>(program.num_dregs), 0.0);
@@ -31,7 +34,57 @@ Machine::Machine(const Program& program) : program_(&program) {
     ++margin_at_[static_cast<std::size_t>(m.pc) + 1];
   }
   std::partial_sum(margin_at_.begin(), margin_at_.end(), margin_at_.begin());
+  taken_.assign(program.code.size(), 0);
+  aborted_.assign(program.code.size(), 0);
+  landings_.assign(program.code.size(), 0);
+  for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
+    const Op op = program.code[pc].op;
+    if (op == Op::kHalt || EffectOf(op).jumps) run_ends_.push_back(pc);
+  }
+  std::size_t offset = 0;
+  for (const ir::DType t : program.input_types) {
+    inputs_.push_back(InputField{offset, t});
+    offset += ir::DTypeSize(t);
+  }
   Reset();
+}
+
+void Machine::FlushProfile() const {
+  if (profile_ == nullptr) return;
+  // Every run of dispatches goes straight from its start through the next
+  // run end (halt, jmp, jz/jnz, br.*); a hang aborts on a back-edge
+  // transfer, which ends its run too. Runs start at pc 0 (one per Step), at
+  // the targets of taken transfers, and after a jz/jnz/br.* that fell
+  // through — as often as it ran, less the times it was taken or aborted.
+  // So once the taken counts are added onto their targets, one upward sweep
+  // recovers every instruction's dispatch count, and clears the pending
+  // counts behind it.
+  const std::vector<Insn>& code = program_->code;
+  std::uint64_t* counts = profile_->insn_counts.data();
+  assert(profile_->insn_counts.size() == code.size() && "profile sized for another program");
+  for (const std::size_t end : run_ends_) {
+    if (taken_[end] != 0) landings_[static_cast<std::size_t>(code[end].imm)] += taken_[end];
+  }
+  std::uint64_t live = pending_steps_;  // runs covering pc
+  std::size_t pc = 0;
+  for (const std::size_t end : run_ends_) {
+    for (; pc <= end; ++pc) {
+      live += landings_[pc];
+      landings_[pc] = 0;
+      counts[pc] += live;
+    }
+    // The runs that fall through to end + 1 (none after a halt or jmp).
+    const Op op = code[end].op;
+    live = op == Op::kHalt || op == Op::kJmp ? 0 : live - taken_[end] - aborted_[end];
+    taken_[end] = aborted_[end] = 0;
+  }
+  pending_steps_ = 0;
+}
+
+void Machine::RecordMarginSites(std::size_t at) const {
+  for (auto k = margin_at_[at]; k < margin_at_[at + 1]; ++k) {
+    RecordMargin(program_->margins[static_cast<std::size_t>(k)]);
+  }
 }
 
 void Machine::Reset() {
@@ -39,20 +92,6 @@ void Machine::Reset() {
   for (std::size_t i = 0; i < state_i_.size(); ++i) {
     state_i_[i] = ir::WrapToDType(static_cast<std::int64_t>(program_->state_i[i].init),
                                   program_->state_i[i].type);
-  }
-}
-
-void Machine::SetInputsFromBytes(const std::uint8_t* tuple) {
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < program_->input_types.size(); ++i) {
-    const ir::DType t = program_->input_types[i];
-    const ir::Value v = ir::Value::FromBytes(t, tuple + offset);
-    if (ir::DTypeIsFloat(t)) {
-      in_d_[i] = v.AsDouble();
-    } else {
-      in_i_[i] = v.AsInt64();
-    }
-    offset += ir::DTypeSize(t);
   }
 }
 
@@ -83,8 +122,8 @@ template <bool kRecordMargins>
 bool Machine::StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   // Specialized dispatch loops: the detached path compiles with zero
   // profiling code (not even a per-dispatch branch), the count-only path is
-  // a single increment per dispatch, and only the strobe path carries the
-  // sampling countdown.
+  // one increment per taken transfer, and only the strobe path carries the
+  // per-dispatch sampling countdown.
   if (profile_ == nullptr) return StepImpl<ProfileMode::kOff, kRecordMargins>(sink, edge_map);
   if (profile_->strobe_period == 0) {
     return StepImpl<ProfileMode::kCount, kRecordMargins>(sink, edge_map);
@@ -96,235 +135,272 @@ template <Machine::ProfileMode kMode, bool kRecordMargins>
 bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   constexpr bool kCounting = kMode != ProfileMode::kOff;
   constexpr bool kStrobing = kMode == ProfileMode::kStrobe;
-  const Insn* code = program_->code.data();
+  const Insn* const code = program_->code.data();
+  const Insn* ip = code;
   double* d = dregs_.data();
   std::int64_t* r = iregs_.data();
-  std::size_t pc = 0;
   // Back-edge budget: decremented only on backward control transfers, so the
   // common straight-line path pays nothing. 0 configured = unlimited.
   std::uint64_t back_jumps =
       step_budget_ == 0 ? std::numeric_limits<std::uint64_t>::max() : step_budget_;
-  // Counting covers every dispatch — including the final kHalt and the
-  // aborted tail of a hang — so Σ insn_counts equals total dispatches. The
-  // strobe countdown lives in a register for the duration of the iteration
-  // and is written back at every exit, so the sampled positions stay a pure
-  // function of the executed instruction stream across Step() calls.
-  [[maybe_unused]] std::uint64_t* prof_counts = nullptr;
+  // Counting records each Step entry and each taken transfer (at the
+  // transfer), and FlushProfile() expands them into per-instruction dispatch
+  // counts, including the final kHalt and the aborted tail of a hang; a
+  // transfer not taken costs nothing here. The strobe countdown lives in a
+  // register for the duration of the iteration and is written back at every
+  // exit, so the sampled positions stay a pure function of the executed
+  // instruction stream across Step() calls.
+  [[maybe_unused]] std::uint64_t* taken = taken_.data();
+  [[maybe_unused]] std::uint64_t* samples = nullptr;
   [[maybe_unused]] std::uint64_t strobe_period = 0;
   [[maybe_unused]] std::uint64_t strobe_countdown = 0;
   if constexpr (kCounting) {
-    prof_counts = profile_->insn_counts.data();
     ++profile_->steps;
+    ++pending_steps_;
   }
   if constexpr (kStrobing) {
+    samples = profile_->insn_samples.data();
     strobe_period = profile_->strobe_period;
     strobe_countdown = profile_->strobe_countdown;
   }
-  // Hang abort (back-edge budget exhausted): flush strobe state, then false.
-  auto abort_hang = [&]() -> bool {
+  // Hang abort at `pc` (back-edge budget exhausted): count it, flush strobe
+  // state, then false. It takes pc rather than capturing ip, which would
+  // keep ip out of a register.
+  auto abort_hang = [&](std::ptrdiff_t pc) -> bool {
+    if constexpr (kCounting) ++aborted_[static_cast<std::size_t>(pc)];
     if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
     return false;
   };
 
-  for (;;) {
-    const Insn& in = code[pc];
-    if constexpr (kRecordMargins) {
-      // The program point a site names: after everything before pc ran,
-      // before pc itself (on fall-through and on a jump landing alike).
-      for (auto k = margin_at_[pc]; k < margin_at_[pc + 1]; ++k) {
-        RecordMargin(program_->margins[static_cast<std::size_t>(k)]);
-      }
-    }
-    if constexpr (kCounting) ++prof_counts[pc];
-    if constexpr (kStrobing) {
-      // Instruction-count strobe (timed mode): one sample every N
-      // dispatches, no clock read.
-      if (--strobe_countdown == 0) {
-        strobe_countdown = strobe_period;
-        ++profile_->insn_samples[pc];
-      }
-    }
-    switch (in.op) {
-      case Op::kHalt:
-        if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
-        return true;
-      case Op::kLoadConstD: d[in.dst] = in.dimm; break;
-      case Op::kLoadConstI:
-        // Wrap to the declared width: an out-of-range literal (e.g. a
-        // negative saturation bound wired to an unsigned signal) must behave
-        // like the same assignment in the generated C.
-        r[in.dst] = ir::WrapToDType(static_cast<std::int64_t>(in.dimm), in.type);
-        break;
-      case Op::kMovD: d[in.dst] = d[in.a]; break;
-      case Op::kMovI: r[in.dst] = r[in.a]; break;
-      case Op::kCvtDToI: {
-        r[in.dst] = ir::WrapToDType(TruncToI64(d[in.a]), in.type);
-        break;
-      }
-      case Op::kCvtIToD: d[in.dst] = static_cast<double>(r[in.a]); break;
-      case Op::kWrapI: r[in.dst] = ir::WrapToDType(r[in.a], in.type); break;
-      case Op::kBoolD: r[in.dst] = d[in.a] != 0.0; break;
-      case Op::kBoolI: r[in.dst] = r[in.a] != 0; break;
+  // Token-threaded dispatch: one handler per opcode, in Op order, and every
+  // handler ends in its own indirect jump through this table. The
+  // static_assert holds its length; MachineTest.EveryOpcodeComputesItsOwnResult
+  // holds its order (a swapped pair of handlers fails it).
+  static const void* const kHandlers[] = {
+      &&halt,
+      &&ldc_d, &&ldc_i, &&mov_d, &&mov_i,
+      &&cvt_d2i, &&cvt_i2d, &&wrap_i, &&bool_d, &&bool_i,
+      &&add_d, &&sub_d, &&mul_d, &&div_d, &&min_d, &&max_d, &&mod_d, &&rem_d, &&pow_d,
+      &&atan2_d, &&neg_d, &&abs_d, &&sign_d, &&sqrt_d, &&exp_d, &&log_d, &&floor_d,
+      &&ceil_d, &&round_d, &&sin_d, &&cos_d, &&tan_d,
+      &&add_i, &&sub_i, &&mul_i, &&div_i, &&min_i, &&max_i, &&mod_i, &&rem_i, &&neg_i,
+      &&abs_i, &&sign_i, &&and_i, &&or_i, &&xor_i, &&shl_i, &&shr_i,
+      &&not_l,
+      &&lt_d, &&le_d, &&gt_d, &&ge_d, &&eq_d, &&ne_d,
+      &&lt_i, &&le_i, &&gt_i, &&ge_i, &&eq_i, &&ne_i,
+      &&br_lt_d, &&br_le_d, &&br_gt_d, &&br_ge_d, &&br_eq_d, &&br_ne_d,
+      &&br_lt_i, &&br_le_i, &&br_gt_i, &&br_ge_i, &&br_eq_i, &&br_ne_i,
+      &&jmp, &&jz, &&jnz,
+      &&ldin_d, &&ldin_i, &&stout_d, &&stout_i, &&ldst_d, &&ldst_i, &&stst_d, &&stst_i,
+      &&cov, &&edge, &&mcdc, &&cov_if, &&cov_cond,
+  };
+  static_assert(std::size(kHandlers) == kNumOps, "one dispatch-table entry per opcode");
 
-      case Op::kAddD: d[in.dst] = d[in.a] + d[in.b]; break;
-      case Op::kSubD: d[in.dst] = d[in.a] - d[in.b]; break;
-      case Op::kMulD: d[in.dst] = d[in.a] * d[in.b]; break;
-      case Op::kDivD: d[in.dst] = SafeDiv(d[in.a], d[in.b]); break;
-      case Op::kMinD: d[in.dst] = std::fmin(d[in.a], d[in.b]); break;
-      case Op::kMaxD: d[in.dst] = std::fmax(d[in.a], d[in.b]); break;
-      case Op::kModD: d[in.dst] = SafeMod(d[in.a], d[in.b]); break;
-      case Op::kRemD: d[in.dst] = SafeRem(d[in.a], d[in.b]); break;
-      case Op::kPowD: d[in.dst] = Finite(std::pow(d[in.a], d[in.b])); break;
-      case Op::kAtan2D: d[in.dst] = std::atan2(d[in.a], d[in.b]); break;
-      case Op::kNegD: d[in.dst] = -d[in.a]; break;
-      case Op::kAbsD: d[in.dst] = std::fabs(d[in.a]); break;
-      case Op::kSignD: d[in.dst] = (d[in.a] > 0.0) ? 1.0 : ((d[in.a] < 0.0) ? -1.0 : 0.0); break;
-      case Op::kSqrtD: d[in.dst] = SafeSqrt(d[in.a]); break;
-      case Op::kExpD: d[in.dst] = Finite(std::exp(d[in.a])); break;
-      case Op::kLogD: d[in.dst] = SafeLog(d[in.a]); break;
-      case Op::kFloorD: d[in.dst] = std::floor(d[in.a]); break;
-      case Op::kCeilD: d[in.dst] = std::ceil(d[in.a]); break;
-      case Op::kRoundD: d[in.dst] = std::nearbyint(d[in.a]); break;
-      case Op::kSinD: d[in.dst] = std::sin(d[in.a]); break;
-      case Op::kCosD: d[in.dst] = std::cos(d[in.a]); break;
-      case Op::kTanD: d[in.dst] = Finite(std::tan(d[in.a])); break;
+// Dispatches *ip. The prologue runs once per dispatch: the margin sites of
+// the program point before ip (on fall-through and jump landing alike), and
+// the instruction-count strobe (timed mode: one sample every N dispatches,
+// no clock read).
+#define CFTCG_VM_DISPATCH                                      \
+  do {                                                         \
+    if constexpr (kRecordMargins) RecordMarginsAt(ip - code);  \
+    if constexpr (kStrobing) {                                 \
+      if (--strobe_countdown == 0) {                           \
+        strobe_countdown = strobe_period;                      \
+        ++samples[ip - code];                                  \
+      }                                                        \
+    }                                                          \
+    goto* kHandlers[static_cast<std::size_t>(ip->op)];         \
+  } while (false)
+// Continues at the next instruction (also a transfer not taken).
+#define CFTCG_VM_NEXT  \
+  do {                 \
+    ++ip;              \
+    CFTCG_VM_DISPATCH; \
+  } while (false)
+// A control transfer taken to ip->imm; a backward one spends the budget.
+#define CFTCG_VM_JUMP                                            \
+  do {                                                           \
+    const Insn* const target = code + ip->imm;                   \
+    if (target <= ip && --back_jumps == 0) {                     \
+      return abort_hang(ip - code);                              \
+    }                                                            \
+    if constexpr (kCounting) ++taken[ip - code];                 \
+    ip = target;                                                 \
+    CFTCG_VM_DISPATCH;                                           \
+  } while (false)
+// Fused compare-and-branch: the comparison's flag is still written, then
+// the jz it replaced is taken when the flag is 0.
+#define CFTCG_VM_BRANCH_IF_ZERO            \
+  do {                                     \
+    if (r[ip->dst] == 0) CFTCG_VM_JUMP;    \
+    CFTCG_VM_NEXT;                         \
+  } while (false)
 
-      case Op::kAddI: r[in.dst] = ir::WrapToDType(r[in.a] + r[in.b], in.type); break;
-      case Op::kSubI: r[in.dst] = ir::WrapToDType(r[in.a] - r[in.b], in.type); break;
-      case Op::kMulI: r[in.dst] = ir::WrapToDType(r[in.a] * r[in.b], in.type); break;
-      case Op::kDivI: r[in.dst] = ir::WrapToDType(SafeDivI(r[in.a], r[in.b]), in.type); break;
-      case Op::kMinI: r[in.dst] = r[in.a] < r[in.b] ? r[in.a] : r[in.b]; break;
-      case Op::kMaxI: r[in.dst] = r[in.a] > r[in.b] ? r[in.a] : r[in.b]; break;
-      case Op::kModI: r[in.dst] = ir::WrapToDType(SafeModI(r[in.a], r[in.b]), in.type); break;
-      case Op::kRemI: r[in.dst] = ir::WrapToDType(SafeRemI(r[in.a], r[in.b]), in.type); break;
-      case Op::kNegI: r[in.dst] = ir::WrapToDType(-r[in.a], in.type); break;
-      case Op::kAbsI: r[in.dst] = ir::WrapToDType(r[in.a] < 0 ? -r[in.a] : r[in.a], in.type); break;
-      case Op::kSignI: r[in.dst] = (r[in.a] > 0) ? 1 : ((r[in.a] < 0) ? -1 : 0); break;
-      case Op::kAndBitsI: r[in.dst] = ir::WrapToDType(r[in.a] & r[in.b], in.type); break;
-      case Op::kOrBitsI: r[in.dst] = ir::WrapToDType(r[in.a] | r[in.b], in.type); break;
-      case Op::kXorBitsI: r[in.dst] = ir::WrapToDType(r[in.a] ^ r[in.b], in.type); break;
-      case Op::kShlI: {
-        const auto sh = static_cast<std::uint64_t>(r[in.b] & 63);
-        r[in.dst] = ir::WrapToDType(static_cast<std::int64_t>(
-                                        static_cast<std::uint64_t>(r[in.a]) << sh),
-                                    in.type);
-        break;
-      }
-      case Op::kShrI: {
-        const auto sh = r[in.b] & 63;
-        r[in.dst] = ir::WrapToDType(r[in.a] >> sh, in.type);
-        break;
-      }
-      case Op::kNotL: r[in.dst] = r[in.a] == 0; break;
+  CFTCG_VM_DISPATCH;
 
-      case Op::kLtD: r[in.dst] = d[in.a] < d[in.b]; break;
-      case Op::kLeD: r[in.dst] = d[in.a] <= d[in.b]; break;
-      case Op::kGtD: r[in.dst] = d[in.a] > d[in.b]; break;
-      case Op::kGeD: r[in.dst] = d[in.a] >= d[in.b]; break;
-      case Op::kEqD:
-        r[in.dst] = d[in.a] == d[in.b];
-        TraceEqD(d[in.a], d[in.b]);
-        break;
-      case Op::kNeD:
-        r[in.dst] = d[in.a] != d[in.b];
-        TraceEqD(d[in.a], d[in.b]);
-        break;
-      case Op::kLtI: r[in.dst] = r[in.a] < r[in.b]; break;
-      case Op::kLeI: r[in.dst] = r[in.a] <= r[in.b]; break;
-      case Op::kGtI: r[in.dst] = r[in.a] > r[in.b]; break;
-      case Op::kGeI: r[in.dst] = r[in.a] >= r[in.b]; break;
-      case Op::kEqI:
-        r[in.dst] = r[in.a] == r[in.b];
-        TraceEqI(r[in.a], r[in.b]);
-        break;
-      case Op::kNeI:
-        r[in.dst] = r[in.a] != r[in.b];
-        TraceEqI(r[in.a], r[in.b]);
-        break;
+halt:
+  if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
+  return true;
+ldc_d: d[ip->dst] = ip->dimm; CFTCG_VM_NEXT;
+ldc_i:
+  // Wrap to the declared width: an out-of-range literal (e.g. a negative
+  // saturation bound wired to an unsigned signal) must behave like the same
+  // assignment in the generated C.
+  r[ip->dst] = ir::WrapToDType(static_cast<std::int64_t>(ip->dimm), ip->type);
+  CFTCG_VM_NEXT;
+mov_d: d[ip->dst] = d[ip->a]; CFTCG_VM_NEXT;
+mov_i: r[ip->dst] = r[ip->a]; CFTCG_VM_NEXT;
+cvt_d2i: r[ip->dst] = ir::WrapToDType(TruncToI64(d[ip->a]), ip->type); CFTCG_VM_NEXT;
+cvt_i2d: d[ip->dst] = static_cast<double>(r[ip->a]); CFTCG_VM_NEXT;
+wrap_i: r[ip->dst] = ir::WrapToDType(r[ip->a], ip->type); CFTCG_VM_NEXT;
+bool_d: r[ip->dst] = d[ip->a] != 0.0; CFTCG_VM_NEXT;
+bool_i: r[ip->dst] = r[ip->a] != 0; CFTCG_VM_NEXT;
 
-      // Fused compare-and-branch: the comparison's flag is still written,
-      // then the jz it replaced is taken when the flag is 0.
-      case Op::kBrLtD: r[in.dst] = d[in.a] < d[in.b]; goto branch_if_zero;
-      case Op::kBrLeD: r[in.dst] = d[in.a] <= d[in.b]; goto branch_if_zero;
-      case Op::kBrGtD: r[in.dst] = d[in.a] > d[in.b]; goto branch_if_zero;
-      case Op::kBrGeD: r[in.dst] = d[in.a] >= d[in.b]; goto branch_if_zero;
-      case Op::kBrEqD:
-        r[in.dst] = d[in.a] == d[in.b];
-        TraceEqD(d[in.a], d[in.b]);
-        goto branch_if_zero;
-      case Op::kBrNeD:
-        r[in.dst] = d[in.a] != d[in.b];
-        TraceEqD(d[in.a], d[in.b]);
-        goto branch_if_zero;
-      case Op::kBrLtI: r[in.dst] = r[in.a] < r[in.b]; goto branch_if_zero;
-      case Op::kBrLeI: r[in.dst] = r[in.a] <= r[in.b]; goto branch_if_zero;
-      case Op::kBrGtI: r[in.dst] = r[in.a] > r[in.b]; goto branch_if_zero;
-      case Op::kBrGeI: r[in.dst] = r[in.a] >= r[in.b]; goto branch_if_zero;
-      case Op::kBrEqI:
-        r[in.dst] = r[in.a] == r[in.b];
-        TraceEqI(r[in.a], r[in.b]);
-        goto branch_if_zero;
-      case Op::kBrNeI:
-        r[in.dst] = r[in.a] != r[in.b];
-        TraceEqI(r[in.a], r[in.b]);
-        goto branch_if_zero;
+add_d: d[ip->dst] = d[ip->a] + d[ip->b]; CFTCG_VM_NEXT;
+sub_d: d[ip->dst] = d[ip->a] - d[ip->b]; CFTCG_VM_NEXT;
+mul_d: d[ip->dst] = d[ip->a] * d[ip->b]; CFTCG_VM_NEXT;
+div_d: d[ip->dst] = SafeDiv(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+min_d: d[ip->dst] = std::fmin(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+max_d: d[ip->dst] = std::fmax(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+mod_d: d[ip->dst] = SafeMod(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+rem_d: d[ip->dst] = SafeRem(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+pow_d: d[ip->dst] = Finite(std::pow(d[ip->a], d[ip->b])); CFTCG_VM_NEXT;
+atan2_d: d[ip->dst] = std::atan2(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
+neg_d: d[ip->dst] = -d[ip->a]; CFTCG_VM_NEXT;
+abs_d: d[ip->dst] = std::fabs(d[ip->a]); CFTCG_VM_NEXT;
+sign_d: d[ip->dst] = (d[ip->a] > 0.0) ? 1.0 : ((d[ip->a] < 0.0) ? -1.0 : 0.0); CFTCG_VM_NEXT;
+sqrt_d: d[ip->dst] = SafeSqrt(d[ip->a]); CFTCG_VM_NEXT;
+exp_d: d[ip->dst] = Finite(std::exp(d[ip->a])); CFTCG_VM_NEXT;
+log_d: d[ip->dst] = SafeLog(d[ip->a]); CFTCG_VM_NEXT;
+floor_d: d[ip->dst] = std::floor(d[ip->a]); CFTCG_VM_NEXT;
+ceil_d: d[ip->dst] = std::ceil(d[ip->a]); CFTCG_VM_NEXT;
+round_d: d[ip->dst] = std::nearbyint(d[ip->a]); CFTCG_VM_NEXT;
+sin_d: d[ip->dst] = std::sin(d[ip->a]); CFTCG_VM_NEXT;
+cos_d: d[ip->dst] = std::cos(d[ip->a]); CFTCG_VM_NEXT;
+tan_d: d[ip->dst] = Finite(std::tan(d[ip->a])); CFTCG_VM_NEXT;
 
-      case Op::kJmp: goto jump;
-      case Op::kJmpIfZero:
-        if (r[in.a] == 0) goto jump;
-        break;
-      case Op::kJmpIfNotZero:
-        if (r[in.a] != 0) goto jump;
-        break;
+add_i: r[ip->dst] = ir::WrapToDType(r[ip->a] + r[ip->b], ip->type); CFTCG_VM_NEXT;
+sub_i: r[ip->dst] = ir::WrapToDType(r[ip->a] - r[ip->b], ip->type); CFTCG_VM_NEXT;
+mul_i: r[ip->dst] = ir::WrapToDType(r[ip->a] * r[ip->b], ip->type); CFTCG_VM_NEXT;
+div_i: r[ip->dst] = ir::WrapToDType(SafeDivI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
+min_i: r[ip->dst] = r[ip->a] < r[ip->b] ? r[ip->a] : r[ip->b]; CFTCG_VM_NEXT;
+max_i: r[ip->dst] = r[ip->a] > r[ip->b] ? r[ip->a] : r[ip->b]; CFTCG_VM_NEXT;
+mod_i: r[ip->dst] = ir::WrapToDType(SafeModI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
+rem_i: r[ip->dst] = ir::WrapToDType(SafeRemI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
+neg_i: r[ip->dst] = ir::WrapToDType(-r[ip->a], ip->type); CFTCG_VM_NEXT;
+abs_i: r[ip->dst] = ir::WrapToDType(r[ip->a] < 0 ? -r[ip->a] : r[ip->a], ip->type); CFTCG_VM_NEXT;
+sign_i: r[ip->dst] = (r[ip->a] > 0) ? 1 : ((r[ip->a] < 0) ? -1 : 0); CFTCG_VM_NEXT;
+and_i: r[ip->dst] = ir::WrapToDType(r[ip->a] & r[ip->b], ip->type); CFTCG_VM_NEXT;
+or_i: r[ip->dst] = ir::WrapToDType(r[ip->a] | r[ip->b], ip->type); CFTCG_VM_NEXT;
+xor_i: r[ip->dst] = ir::WrapToDType(r[ip->a] ^ r[ip->b], ip->type); CFTCG_VM_NEXT;
+shl_i: {
+  const auto sh = static_cast<std::uint64_t>(r[ip->b] & 63);
+  r[ip->dst] = ir::WrapToDType(
+      static_cast<std::int64_t>(static_cast<std::uint64_t>(r[ip->a]) << sh), ip->type);
+  CFTCG_VM_NEXT;
+}
+shr_i: {
+  const auto sh = r[ip->b] & 63;
+  r[ip->dst] = ir::WrapToDType(r[ip->a] >> sh, ip->type);
+  CFTCG_VM_NEXT;
+}
+not_l: r[ip->dst] = r[ip->a] == 0; CFTCG_VM_NEXT;
 
-      case Op::kLoadInD: d[in.dst] = in_d_[static_cast<std::size_t>(in.imm)]; break;
-      case Op::kLoadInI: r[in.dst] = in_i_[static_cast<std::size_t>(in.imm)]; break;
-      case Op::kStoreOutD: out_d_[static_cast<std::size_t>(in.imm)] = d[in.a]; break;
-      case Op::kStoreOutI: out_i_[static_cast<std::size_t>(in.imm)] = r[in.a]; break;
-      case Op::kLoadStateD: d[in.dst] = state_d_[static_cast<std::size_t>(in.imm)]; break;
-      case Op::kLoadStateI: r[in.dst] = state_i_[static_cast<std::size_t>(in.imm)]; break;
-      case Op::kStoreStateD: state_d_[static_cast<std::size_t>(in.imm)] = d[in.a]; break;
-      case Op::kStoreStateI: state_i_[static_cast<std::size_t>(in.imm)] = r[in.a]; break;
+lt_d: r[ip->dst] = d[ip->a] < d[ip->b]; CFTCG_VM_NEXT;
+le_d: r[ip->dst] = d[ip->a] <= d[ip->b]; CFTCG_VM_NEXT;
+gt_d: r[ip->dst] = d[ip->a] > d[ip->b]; CFTCG_VM_NEXT;
+ge_d: r[ip->dst] = d[ip->a] >= d[ip->b]; CFTCG_VM_NEXT;
+eq_d:
+  r[ip->dst] = d[ip->a] == d[ip->b];
+  TraceEqD(d[ip->a], d[ip->b]);
+  CFTCG_VM_NEXT;
+ne_d:
+  r[ip->dst] = d[ip->a] != d[ip->b];
+  TraceEqD(d[ip->a], d[ip->b]);
+  CFTCG_VM_NEXT;
+lt_i: r[ip->dst] = r[ip->a] < r[ip->b]; CFTCG_VM_NEXT;
+le_i: r[ip->dst] = r[ip->a] <= r[ip->b]; CFTCG_VM_NEXT;
+gt_i: r[ip->dst] = r[ip->a] > r[ip->b]; CFTCG_VM_NEXT;
+ge_i: r[ip->dst] = r[ip->a] >= r[ip->b]; CFTCG_VM_NEXT;
+eq_i:
+  r[ip->dst] = r[ip->a] == r[ip->b];
+  TraceEqI(r[ip->a], r[ip->b]);
+  CFTCG_VM_NEXT;
+ne_i:
+  r[ip->dst] = r[ip->a] != r[ip->b];
+  TraceEqI(r[ip->a], r[ip->b]);
+  CFTCG_VM_NEXT;
 
-      case Op::kCov:
-        if (sink != nullptr) sink->Hit(in.imm);
-        break;
-      case Op::kEdge:
-        if (edge_map != nullptr) edge_map[in.imm] = 1;
-        break;
-      case Op::kMcdcEval:
-        if (sink != nullptr) {
-          sink->RecordEval(in.imm, static_cast<std::uint32_t>(r[in.a]),
-                           static_cast<std::uint32_t>(r[in.b]), static_cast<int>(r[in.aux]));
-        }
-        break;
-      case Op::kCovIf:
-        if (sink != nullptr) sink->Hit(r[in.a] != 0 ? in.imm : in.aux);
-        break;
-      case Op::kCovCond: {
-        const bool value = r[in.a] != 0;
-        const auto bit = static_cast<std::int64_t>(in.dimm);
-        if (in.b >= 0) r[in.b] |= bit;
-        if (value) r[in.dst] |= bit;
-        if (sink != nullptr) sink->Hit(value ? in.imm : in.aux);
-        break;
-      }
-    }
-    ++pc;
-    continue;
+br_lt_d: r[ip->dst] = d[ip->a] < d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_le_d: r[ip->dst] = d[ip->a] <= d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_gt_d: r[ip->dst] = d[ip->a] > d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_ge_d: r[ip->dst] = d[ip->a] >= d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_eq_d:
+  r[ip->dst] = d[ip->a] == d[ip->b];
+  TraceEqD(d[ip->a], d[ip->b]);
+  CFTCG_VM_BRANCH_IF_ZERO;
+br_ne_d:
+  r[ip->dst] = d[ip->a] != d[ip->b];
+  TraceEqD(d[ip->a], d[ip->b]);
+  CFTCG_VM_BRANCH_IF_ZERO;
+br_lt_i: r[ip->dst] = r[ip->a] < r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_le_i: r[ip->dst] = r[ip->a] <= r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_gt_i: r[ip->dst] = r[ip->a] > r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_ge_i: r[ip->dst] = r[ip->a] >= r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_eq_i:
+  r[ip->dst] = r[ip->a] == r[ip->b];
+  TraceEqI(r[ip->a], r[ip->b]);
+  CFTCG_VM_BRANCH_IF_ZERO;
+br_ne_i:
+  r[ip->dst] = r[ip->a] != r[ip->b];
+  TraceEqI(r[ip->a], r[ip->b]);
+  CFTCG_VM_BRANCH_IF_ZERO;
 
-  branch_if_zero:
-    if (r[in.dst] != 0) {
-      ++pc;
-      continue;
-    }
-  jump: {
-    // Every control transfer lands here; backward ones spend the budget.
-    const auto target = static_cast<std::size_t>(in.imm);
-    if (target <= pc && --back_jumps == 0) return abort_hang();
-    pc = target;
+jmp: CFTCG_VM_JUMP;
+jz:
+  if (r[ip->a] == 0) CFTCG_VM_JUMP;
+  CFTCG_VM_NEXT;
+jnz:
+  if (r[ip->a] != 0) CFTCG_VM_JUMP;
+  CFTCG_VM_NEXT;
+
+ldin_d: d[ip->dst] = in_d_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
+ldin_i: r[ip->dst] = in_i_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
+stout_d: out_d_[static_cast<std::size_t>(ip->imm)] = d[ip->a]; CFTCG_VM_NEXT;
+stout_i: out_i_[static_cast<std::size_t>(ip->imm)] = r[ip->a]; CFTCG_VM_NEXT;
+ldst_d: d[ip->dst] = state_d_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
+ldst_i: r[ip->dst] = state_i_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
+stst_d: state_d_[static_cast<std::size_t>(ip->imm)] = d[ip->a]; CFTCG_VM_NEXT;
+stst_i: state_i_[static_cast<std::size_t>(ip->imm)] = r[ip->a]; CFTCG_VM_NEXT;
+
+cov:
+  if (sink != nullptr) sink->Hit(ip->imm);
+  CFTCG_VM_NEXT;
+edge:
+  if (edge_map != nullptr) edge_map[ip->imm] = 1;
+  CFTCG_VM_NEXT;
+mcdc:
+  if (sink != nullptr) {
+    sink->RecordEval(ip->imm, static_cast<std::uint32_t>(r[ip->a]),
+                     static_cast<std::uint32_t>(r[ip->b]), static_cast<int>(r[ip->aux]));
   }
-  }
+  CFTCG_VM_NEXT;
+cov_if:
+  if (sink != nullptr) sink->Hit(r[ip->a] != 0 ? ip->imm : ip->aux);
+  CFTCG_VM_NEXT;
+cov_cond: {
+  const bool value = r[ip->a] != 0;
+  const auto bit = static_cast<std::int64_t>(ip->dimm);
+  if (ip->b >= 0) r[ip->b] |= bit;
+  if (value) r[ip->dst] |= bit;
+  if (sink != nullptr) sink->Hit(value ? ip->imm : ip->aux);
+  CFTCG_VM_NEXT;
+}
+
+#undef CFTCG_VM_BRANCH_IF_ZERO
+#undef CFTCG_VM_JUMP
+#undef CFTCG_VM_NEXT
+#undef CFTCG_VM_DISPATCH
 }
 
 }  // namespace cftcg::vm

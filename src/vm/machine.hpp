@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,9 +27,20 @@ class Machine {
   /// Model_init(): restores initial state.
   void Reset();
 
-  /// Fills the input slots from one raw tuple (TupleSize() bytes), exactly
-  /// like the generated driver's per-field memcpy (Figure 3 of the paper).
-  void SetInputsFromBytes(const std::uint8_t* tuple);
+  /// Fills the input slots from one raw tuple (TupleSize() bytes), each
+  /// field decoded by ir::Value::FromBytes like the generated driver does
+  /// (Figure 3 of the paper).
+  void SetInputsFromBytes(const std::uint8_t* tuple) {
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      const InputField& f = inputs_[i];
+      const ir::Value v = ir::Value::FromBytes(f.type, tuple + f.offset);
+      if (ir::DTypeIsFloat(f.type)) {
+        in_d_[i] = v.AsDouble();
+      } else {
+        in_i_[i] = v.AsInt64();
+      }
+    }
+  }
 
   /// Typed input assignment (used by the baselines and tests).
   void SetInputs(std::span<const ir::Value> values);
@@ -56,12 +68,26 @@ class Machine {
   /// equality comparisons record both operands. Pass nullptr to detach.
   void set_cmp_trace(CmpTrace* trace) { cmp_trace_ = trace; }
 
-  /// Attaches an execution profile: every dispatch bumps one counter (and,
-  /// when the strobe is armed, occasionally one sample slot). The caller
-  /// sizes the buffers with ExecProfile::AttachTo first. Pass nullptr to
-  /// detach; the detached dispatch loop is a separate specialization and
-  /// carries no profiling code at all.
-  void set_profile(ExecProfile* profile) { profile_ = profile; }
+  /// Attaches an execution profile (flushing the one attached before). The
+  /// dispatch loop counts Step entries and taken control transfers in the
+  /// Machine, and FlushProfile() expands them into the profile's
+  /// per-instruction dispatch counts; when the strobe is armed, every
+  /// dispatch also advances the sample countdown. The caller sizes the
+  /// buffers with ExecProfile::AttachTo first. Pass nullptr to detach; the
+  /// detached dispatch loop is a separate specialization and carries no
+  /// profiling code at all.
+  void set_profile(ExecProfile* profile) {
+    FlushProfile();
+    profile_ = profile;
+  }
+
+  /// Adds the dispatches counted since the last flush to the attached
+  /// profile's insn_counts (off the hot path: one walk over the run ends and
+  /// one sweep over the code, no allocation). The profile's dispatch counts are exact only after a
+  /// flush; `steps` and the strobe samples are always current. Const: it
+  /// moves counts from the Machine's pending buffers into the attached
+  /// profile and changes nothing a Step would observe.
+  void FlushProfile() const;
 
   /// Attaches a branch-distance recorder (Reset to the spec by the caller)
   /// for the program's margin sites. Pass nullptr to detach; the detached
@@ -79,15 +105,26 @@ class Machine {
 
  private:
   /// Dispatch-loop profiling modes, one specialization each: kOff carries no
-  /// profiling code at all, kCount is one counter increment per dispatch
-  /// (the always-on plane, gated ≤5% overhead by the bench suite), kStrobe
-  /// adds the sampling countdown kept in a register.
+  /// profiling code at all, kCount is one counter increment per Step and per
+  /// taken transfer (the always-on plane, gated ≤5% overhead by the bench
+  /// suite), kStrobe
+  /// adds the per-dispatch sampling countdown kept in a register.
   enum class ProfileMode { kOff, kCount, kStrobe };
   /// Specialized per profiling mode and on whether margins are recorded.
   template <bool kRecordMargins>
   bool StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map);
   template <ProfileMode kMode, bool kRecordMargins>
   bool StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map);
+
+  /// Records the margin sites of instruction `pc`, if it has any. Forced
+  /// inline: the dispatch loop is too large for the inliner's budget, and
+  /// this check runs on every dispatch of the margin-recording loops.
+  [[gnu::always_inline]] void RecordMarginsAt(std::ptrdiff_t pc) const {
+    const auto at = static_cast<std::size_t>(pc);
+    if (margin_at_[at] != margin_at_[at + 1]) RecordMarginSites(at);
+  }
+  /// Records every margin site of instruction `at`.
+  void RecordMarginSites(std::size_t at) const;
 
   /// Records one margin site from the current register values.
   void RecordMargin(const MarginSite& m) const {
@@ -109,9 +146,27 @@ class Machine {
     if (cmp_trace_ != nullptr && a != b) cmp_trace_->RecordInt(a, b);
   }
 
+  /// One tuple field: where it starts and how it decodes.
+  struct InputField {
+    std::size_t offset = 0;
+    ir::DType type = ir::DType::kDouble;
+  };
+
   const Program* program_;
   CmpTrace* cmp_trace_ = nullptr;
   ExecProfile* profile_ = nullptr;
+  // Profile counts pending since the last FlushProfile: Step entries, and
+  // per pc the transfers taken and the hangs aborted there. landings_ is
+  // FlushProfile's work buffer (taken counts added onto their targets), kept
+  // zeroed between flushes.
+  mutable std::uint64_t pending_steps_ = 0;
+  mutable std::vector<std::uint64_t> taken_;
+  mutable std::vector<std::uint64_t> aborted_;
+  mutable std::vector<std::uint64_t> landings_;
+  // The pcs that end a run of dispatches (halt and every control transfer),
+  // ascending.
+  std::vector<std::size_t> run_ends_;
+  std::vector<InputField> inputs_;
   coverage::MarginRecorder* margins_ = nullptr;
   // Sites of pc: program_->margins[margin_at_[pc] .. margin_at_[pc + 1]).
   std::vector<std::int32_t> margin_at_;

@@ -1,12 +1,15 @@
 // Raw VM execution-profile buffers (the campaign self-profiler's VM plane).
 //
-// An ExecProfile is a plain counter buffer a Machine writes into while it
-// dispatches: one dispatch count per instruction (always cheap — one add per
-// dispatch), plus an opt-in instruction-count strobe that takes one "sample"
-// every strobe_period dispatches without ever reading a clock. Sampled
-// dispatch positions are a deterministic function of the executed
-// instruction stream, so profiles merge and resume exactly like the other
-// campaign counters.
+// An ExecProfile is a plain counter buffer a Machine writes into: one
+// dispatch count per instruction, plus an opt-in instruction-count strobe
+// that takes one "sample" every strobe_period dispatches without ever
+// reading a clock. The Machine counts the dispatches cheaply — one add per
+// Step and per taken control transfer, not per dispatch — and
+// Machine::FlushProfile() expands its pending counts into insn_counts, so
+// insn_counts is exact after a flush (the Fuzzer flushes whenever its
+// planes are read); steps and the samples are always current. Sampled dispatch positions are
+// a deterministic function of the executed instruction stream, so profiles
+// merge and resume exactly like the other campaign counters.
 //
 // The buffers deliberately live VM-side with no aggregation logic; the
 // obs::profiler layer folds them against Program::insn_block /
@@ -21,7 +24,8 @@
 namespace cftcg::vm {
 
 struct ExecProfile {
-  /// Dispatch count per instruction index (size = program.code.size()).
+  /// Dispatch count per instruction index (size = program.code.size());
+  /// exact after Machine::FlushProfile().
   std::vector<std::uint64_t> insn_counts;
   /// Strobe samples per instruction index; only advanced when
   /// strobe_period != 0 (the --profile timed mode).

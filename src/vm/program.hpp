@@ -80,8 +80,12 @@ enum class Op : std::uint8_t {
   // no mask register); if (iregs[a]) iregs[dst] |= bit (the values vector);
   // sink->Hit(iregs[a] ? imm : aux). bit = (int64)dimm. The register updates
   // happen with or without a sink.
-  kCovCond,
+  kCovCond,  // the last opcode: kNumOps counts through it
 };
+
+/// Number of opcodes. The Machine's dispatch table has one entry per opcode
+/// and static_asserts this length; OpName covers every opcode below it.
+inline constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kCovCond) + 1;
 
 struct Insn {
   Op op = Op::kHalt;

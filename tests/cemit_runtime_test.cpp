@@ -9,11 +9,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
+#include "ir/builder.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -38,23 +40,19 @@ std::string HarnessMain(const CompiledModel& cm) {
   out += "  " + std::string(cm.model().name()) + "_init();\n";
   out += StrFormat("  while (fread(buf, 1, %zu, stdin) == %zu) {\n",
                    cm.instrumented().TupleSize(), cm.instrumented().TupleSize());
-  std::size_t offset = 0;
+  // Inputs decode through the emitted <model>_decode, exactly as in the
+  // generated FuzzTestOneInput driver.
   std::vector<std::string> args;
+  std::vector<std::string> decode_args = {"buf"};
   for (ir::BlockId id : root.Inports()) {
     const auto& b = root.block(id);
-    const auto t = b.out_type(0);
-    out += StrFormat("    %s %s; memcpy(&%s, buf + %zu, %zu);\n",
-                     std::string(ir::DTypeCName(t)).c_str(), b.name().c_str(), b.name().c_str(),
-                     offset, ir::DTypeSize(t));
-    // The driver semantics: non-finite floats are sanitized to zero.
-    if (t == ir::DType::kDouble) {
-      out += StrFormat("    if (!(%s == %s) || %s - %s != 0) %s = 0; /* NaN/Inf guard */\n",
-                       b.name().c_str(), b.name().c_str(), b.name().c_str(), b.name().c_str(),
-                       b.name().c_str());
-    }
-    offset += ir::DTypeSize(t);
+    out += StrFormat("    %s %s = 0;\n", std::string(ir::DTypeCName(b.out_type(0))).c_str(),
+                     b.name().c_str());
+    decode_args.push_back("&" + b.name());
     args.push_back(b.name());
   }
+  out += "    " + std::string(cm.model().name()) + "_decode(" + JoinStrings(decode_args, ", ") +
+         ");\n";
   for (ir::BlockId id : root.Outports()) {
     const auto& b = root.block(id);
     const ir::Wire* w = root.DriverOf(id, 0);
@@ -114,6 +112,41 @@ std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& str
   return out;
 }
 
+/// Compiles the emitted C code plus the harness, runs it on `stream` and
+/// returns its transcript (empty, with a test failure, when it cannot).
+std::string CompiledTranscript(const CompiledModel& cm, const std::string& tag,
+                               const std::vector<std::uint8_t>& stream) {
+  auto code = cm.EmitFuzzingCode();
+  EXPECT_TRUE(code.ok()) << code.message();
+  if (!code.ok()) return "";
+  const std::string dir = ::testing::TempDir();
+  const std::string src = dir + "/cftcg_rt_" + tag + ".c";
+  const std::string bin = dir + "/cftcg_rt_" + tag;
+  {
+    std::ofstream out(src);
+    out << code.value() << HarnessMain(cm);
+  }
+  // -fwrapv: the VM defines signed overflow as two's-complement wrap, so
+  // the C build must too.
+  const int cc = std::system(
+      ("cc -std=c99 -O1 -fwrapv -o " + bin + " " + src + " -lm 2> " + src + ".log").c_str());
+  EXPECT_EQ(cc, 0) << [&] {
+    std::ifstream log(src + ".log");
+    return std::string((std::istreambuf_iterator<char>(log)), std::istreambuf_iterator<char>());
+  }();
+  if (cc != 0) return "";
+  const std::string input_path = src + ".in";
+  {
+    std::ofstream out(input_path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(stream.data()),
+              static_cast<std::streamsize>(stream.size()));
+  }
+  const std::string got_path = src + ".out";
+  EXPECT_EQ(std::system((bin + " < " + input_path + " > " + got_path).c_str()), 0);
+  std::ifstream got_file(got_path);
+  return std::string((std::istreambuf_iterator<char>(got_file)), std::istreambuf_iterator<char>());
+}
+
 class CemitRuntimeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
@@ -124,28 +157,6 @@ TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
   ASSERT_TRUE(compiled.ok()) << compiled.message();
   auto cm = compiled.take();
 
-  auto code = cm->EmitFuzzingCode();
-  ASSERT_TRUE(code.ok()) << code.message();
-
-  const std::string dir = ::testing::TempDir();
-  const std::string src = dir + "/cftcg_rt_" + GetParam() + ".c";
-  const std::string bin = dir + "/cftcg_rt_" + GetParam();
-  {
-    std::ofstream out(src);
-    out << code.value() << HarnessMain(*cm);
-  }
-  // -fwrapv: the VM defines signed overflow as two's-complement wrap, so
-  // the C build must too.
-  ASSERT_EQ(std::system(("cc -std=c99 -O1 -fwrapv -o " + bin + " " + src + " -lm 2> " + src +
-                         ".log")
-                            .c_str()),
-            0)
-      << [&] {
-           std::ifstream log(src + ".log");
-           return std::string((std::istreambuf_iterator<char>(log)),
-                              std::istreambuf_iterator<char>());
-         }();
-
   // Mixed stream: random tuples plus held repeats, several hundred steps.
   Rng rng(2024);
   const std::size_t tuple = cm->instrumented().TupleSize();
@@ -155,18 +166,7 @@ TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
     if (step == 0 || rng.NextBool(0.5)) rng.FillBytes(cur.data(), tuple);
     stream.insert(stream.end(), cur.begin(), cur.end());
   }
-  const std::string input_path = src + ".in";
-  {
-    std::ofstream out(input_path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(stream.data()),
-              static_cast<std::streamsize>(stream.size()));
-  }
-  const std::string got_path = src + ".out";
-  ASSERT_EQ(std::system((bin + " < " + input_path + " > " + got_path).c_str()), 0);
-  std::ifstream got_file(got_path);
-  const std::string got((std::istreambuf_iterator<char>(got_file)),
-                        std::istreambuf_iterator<char>());
-
+  const std::string got = CompiledTranscript(*cm, GetParam(), stream);
   const std::string want = VmTranscript(*cm, stream);
   ASSERT_EQ(got, want) << "compiled C diverged from the VM on " << GetParam();
 }
@@ -176,6 +176,46 @@ TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
 // unchecked casts). See EXPERIMENTS.md for the full discussion.
 INSTANTIATE_TEST_SUITE_P(Models, CemitRuntimeTest,
                          ::testing::Values("SolarPV", "EVCS", "TWC", "CPUTask"));
+
+// The input decode itself: boolean, single and double root inports fed
+// boolean bytes other than 0 and 1 and NaN/±Inf payloads. The emitted
+// driver must decode them as the VM does (low bit; non-finite reads as 0).
+TEST(CemitRuntimeDecodeTest, CompiledCDecodesInputsLikeVm) {
+  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  ir::ModelBuilder mb("Decode");
+  auto b = mb.Inport("B", ir::DType::kBool);
+  auto s = mb.Inport("S", ir::DType::kSingle);
+  auto x = mb.Inport("X", ir::DType::kDouble);
+  mb.Outport("NB", mb.Not(b));
+  mb.Outport("SO", s);
+  mb.Outport("XO", x);
+  mb.Outport("XP", mb.Relational("gt", x, mb.Constant(0.0)));
+  auto compiled = CompiledModel::FromModel(mb.Build());
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  auto cm = compiled.take();
+  ASSERT_EQ(cm->instrumented().TupleSize(), 13u);
+
+  const std::uint8_t bools[] = {0x02, 0x00, 0x01, 0x03, 0xFE, 0xFF, 0x80};
+  const std::uint32_t singles[] = {0x7FC00000u, 0x7F800000u, 0xFF800000u, 0x7FC00001u,
+                                   0xFFFFFFFFu, 0x3FC00000u, 0x80000000u};
+  const std::uint64_t doubles[] = {0x7FF8000000000000ull, 0x7FF0000000000000ull,
+                                   0xFFF0000000000000ull, 0xFFF8000000000123ull,
+                                   0x7FF0000000000001ull, 0xC004000000000000ull,
+                                   0x0000000000000001ull};
+  std::vector<std::uint8_t> stream;
+  for (std::size_t k = 0; k < 49; ++k) {
+    std::uint8_t t[13];
+    t[0] = bools[k % 7];
+    std::memcpy(t + 1, &singles[(k / 7) % 7], 4);
+    std::memcpy(t + 5, &doubles[(k + k / 7) % 7], 8);
+    stream.insert(stream.end(), t, t + 13);
+  }
+  const std::string want = VmTranscript(*cm, stream);
+  // The first tuple: B = 0x02 reads false, S and X are NaN and read as 0.
+  ASSERT_EQ(want.substr(0, want.find("c ")), "o 1\no 0\no 0\no 0\n");
+  const std::string got = CompiledTranscript(*cm, "decode", stream);
+  ASSERT_EQ(got, want) << "compiled C decodes inputs differently from the VM";
+}
 
 }  // namespace
 }  // namespace cftcg

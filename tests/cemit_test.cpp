@@ -30,11 +30,14 @@ TEST(CEmitTest, DriverMatchesFigure3Structure) {
   const std::string code = EmitFor(std::move(model));
   // The per-iteration tuple length of Figure 3.
   EXPECT_NE(code.find("const size_t dataLen = 9;"), std::string::npos);
-  // The tuple-splitting loop and the per-field memcpys.
+  // The tuple-splitting loop, decoding each tuple through the per-field
+  // memcpys of SolarPV_decode.
   EXPECT_NE(code.find("while ((i + 1) * dataLen <= size)"), std::string::npos);
-  EXPECT_NE(code.find("memcpy(&Enable, data + i * dataLen + 0, 1);"), std::string::npos);
-  EXPECT_NE(code.find("memcpy(&Power, data + i * dataLen + 1, 4);"), std::string::npos);
-  EXPECT_NE(code.find("memcpy(&PanelID, data + i * dataLen + 5, 4);"), std::string::npos);
+  EXPECT_NE(code.find("SolarPV_decode(data + i * dataLen, &Enable, &Power, &PanelID);"),
+            std::string::npos);
+  EXPECT_NE(code.find("memcpy(Enable, tuple + 0, 1);"), std::string::npos);
+  EXPECT_NE(code.find("memcpy(Power, tuple + 1, 4);"), std::string::npos);
+  EXPECT_NE(code.find("memcpy(PanelID, tuple + 5, 4);"), std::string::npos);
   // Init before the loop, step inside it.
   EXPECT_NE(code.find("SolarPV_init();"), std::string::npos);
   EXPECT_NE(code.find("SolarPV_step("), std::string::npos);

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
 #include "coverage/provenance.hpp"
 #include "coverage/report.hpp"
 #include "coverage/sink.hpp"
 #include "coverage/spec.hpp"
 #include "obs/json.hpp"
+#include "support/rng.hpp"
 
 namespace cftcg::coverage {
 namespace {
@@ -43,6 +48,74 @@ TEST(SinkTest, IterationLifecycle) {
   EXPECT_EQ(sink.total().Count(), 2U);
   sink.ResetCampaign();
   EXPECT_EQ(sink.total().Count(), 0U);
+}
+
+// RecordEval skips a repeat of a decision's previous evaluation. The
+// filtered sets must equal an unfiltered reference (insert while below the
+// cap) over random streams heavy in repeats, past the cap, and across
+// MergeFrom, ResetCampaign and RestoreCampaign.
+TEST(SinkTest, RepeatFilterKeepsEvalSetsExact) {
+  CoverageSpec spec;
+  const DecisionId small = spec.AddDecision("small", 2);
+  const DecisionId wide = spec.AddDecision("wide", 2);
+  using Sets = std::vector<std::unordered_set<std::uint64_t>>;
+  const auto ref_insert = [](Sets& ref, DecisionId d, std::uint64_t e) {
+    auto& set = ref[static_cast<std::size_t>(d)];
+    if (set.size() < CoverageSink::kMaxEvalsPerDecision) set.insert(e);
+  };
+  Rng rng(11);
+  // Runs of 1..4 identical evaluations, alternating between a decision with
+  // 16 distinct evaluations and one with 65536 (it reaches the cap).
+  const auto feed = [&](CoverageSink& sink, Sets& ref, int runs) {
+    for (int k = 0; k < runs; ++k) {
+      const DecisionId d = rng.NextBelow(2) == 0 ? small : wide;
+      const auto values = static_cast<std::uint32_t>(rng.NextBelow(d == small ? 2 : 8192));
+      const auto mask = static_cast<std::uint32_t>(rng.NextBelow(4));
+      const auto outcome = static_cast<int>(rng.NextBelow(2));
+      for (std::uint64_t j = 0, n = 1 + rng.NextBelow(4); j < n; ++j) {
+        sink.RecordEval(d, values, mask, outcome);
+        ref_insert(ref, d, PackEval(values, mask, outcome));
+      }
+    }
+  };
+  CoverageSink sink(spec);
+  Sets ref(2);
+  feed(sink, ref, 6000);
+  EXPECT_EQ(sink.evals(), ref);
+  EXPECT_EQ(sink.evals()[static_cast<std::size_t>(wide)].size(),
+            CoverageSink::kMaxEvalsPerDecision);
+
+  // MergeFrom only grows the sets; the filter's memory stays valid.
+  CoverageSink other(spec);
+  Sets other_ref(2);
+  feed(other, other_ref, 500);
+  ASSERT_EQ(other.evals(), other_ref);
+  sink.MergeFrom(other);
+  for (std::size_t d = 0; d < 2; ++d) {
+    for (const std::uint64_t e : other.evals()[d]) ref_insert(ref, static_cast<DecisionId>(d), e);
+  }
+  feed(sink, ref, 2000);
+  EXPECT_EQ(sink.evals(), ref);
+
+  // After a reset, the evaluation recorded last before it counts again.
+  sink.RecordEval(small, 3, 1, 1);
+  sink.ResetCampaign();
+  ref = Sets(2);
+  sink.RecordEval(small, 3, 1, 1);
+  ref_insert(ref, small, PackEval(3, 1, 1));
+  feed(sink, ref, 3000);
+  EXPECT_EQ(sink.evals(), ref);
+
+  // Likewise after a restore that does not contain it.
+  sink.RecordEval(small, 2, 3, 0);
+  const std::vector<std::vector<std::uint64_t>> saved = {{PackEval(1, 1, 1)}, {}};
+  ASSERT_TRUE(sink.RestoreCampaign(sink.total().words(), saved));
+  ref = Sets(2);
+  ref_insert(ref, small, PackEval(1, 1, 1));
+  sink.RecordEval(small, 2, 3, 0);
+  ref_insert(ref, small, PackEval(2, 3, 0));
+  feed(sink, ref, 3000);
+  EXPECT_EQ(sink.evals(), ref);
 }
 
 TEST(McdcPackTest, RoundTrip) {

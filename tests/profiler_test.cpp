@@ -10,14 +10,17 @@
 //   * per-block dispatch counts fold back to exactly the total dispatches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/parallel.hpp"
 #include "obs/profiler.hpp"
+#include "support/rng.hpp"
 #include "vm/machine.hpp"
 #include "vm/profile.hpp"
 
@@ -53,6 +56,110 @@ TEST(ExecProfileTest, MergeFromIsElementwiseSum) {
   EXPECT_EQ(a.insn_samples, (std::vector<std::uint64_t>{5, 1, 0, 1}));
   EXPECT_EQ(a.steps, 17u);
   EXPECT_EQ(a.TotalDispatches(), 11u + 22 + 33 + 40);
+}
+
+// The count plane is exact. With a strobe period of 1 every dispatch takes
+// a sample, so the sample plane is a per-dispatch count; the count plane
+// (one increment per Step and per taken transfer, expanded by FlushProfile)
+// must equal it after a flush. Each model runs detached from and attached to a margin
+// recorder (the two dispatch-loop specializations), flushed mid-stream.
+TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesOnEveryModel) {
+  for (const bench_models::BenchModelInfo& info : bench_models::Roster()) {
+    auto model = bench_models::Build(info.name);
+    ASSERT_TRUE(model.ok()) << info.name;
+    auto compiled = CompiledModel::FromModel(model.take());
+    ASSERT_TRUE(compiled.ok()) << compiled.message();
+    auto cm = compiled.take();
+    const vm::Program& program = cm->instrumented();
+    vm::Machine m(program);
+    vm::ExecProfile exec;
+    exec.strobe_period = 1;
+    exec.AttachTo(program);
+    m.set_profile(&exec);
+    coverage::CoverageSink sink(cm->spec());
+    coverage::MarginRecorder margins;
+    margins.Reset(cm->spec());
+    Rng rng(7);
+    std::vector<std::uint8_t> tuple(std::max<std::size_t>(program.TupleSize(), 1));
+    constexpr int kSteps = 1500;
+    for (int k = 0; k < kSteps; ++k) {
+      if (k % 40 == 0) m.Reset();
+      if (k == kSteps / 2) m.set_margins(&margins);
+      if (k == kSteps / 3) m.FlushProfile();
+      rng.FillBytes(tuple.data(), tuple.size());
+      sink.BeginIteration();
+      m.SetInputsFromBytes(tuple.data());
+      ASSERT_TRUE(m.Step(&sink)) << info.name;
+    }
+    m.FlushProfile();
+    EXPECT_EQ(exec.steps, static_cast<std::uint64_t>(kSteps)) << info.name;
+    EXPECT_GT(exec.TotalDispatches(), static_cast<std::uint64_t>(kSteps)) << info.name;
+    EXPECT_EQ(exec.insn_counts, exec.insn_samples) << info.name;
+  }
+}
+
+// ... including a Step the budget aborts: the back-edge transfer it aborts
+// on is dispatched but neither taken nor fallen through. Detaching the
+// profile flushes it.
+TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesThroughAHang) {
+  // i0 += 1; if i0 < limit goto 0 (flag in i2); then one more add; halt.
+  vm::Program p;
+  p.num_iregs = 4;
+  p.const_i = {{1, 1}, {3, 1'000'000}};
+  vm::Insn add;
+  add.op = vm::Op::kAddI;
+  add.type = ir::DType::kInt32;
+  add.dst = 0;
+  add.a = 0;
+  add.b = 1;
+  vm::Insn lt;
+  lt.op = vm::Op::kLtI;
+  lt.dst = 2;
+  lt.a = 0;
+  lt.b = 3;
+  vm::Insn jnz;
+  jnz.op = vm::Op::kJmpIfNotZero;
+  jnz.a = 2;
+  jnz.imm = 0;
+  vm::Insn halt;
+  halt.op = vm::Op::kHalt;
+  p.code = {add, lt, jnz, add, halt};
+  vm::Machine m(p);
+  vm::ExecProfile exec;
+  exec.strobe_period = 1;
+  exec.AttachTo(p);
+  m.set_profile(&exec);
+  m.set_step_budget(5);
+  EXPECT_FALSE(m.Step(nullptr));  // aborted on the 5th back edge
+  m.set_step_budget(0);
+  EXPECT_TRUE(m.Step(nullptr));   // runs on to the limit
+  m.set_profile(nullptr);
+  EXPECT_EQ(exec.insn_counts, exec.insn_samples);
+  EXPECT_EQ(exec.insn_counts[2], 5u + (1'000'000 - 5));  // jnz: 5 aborted + the rest
+  EXPECT_EQ(exec.insn_counts[4], 1u);                     // one halt
+}
+
+// The same oracle through the campaign engines: Begin, RunChunk and
+// ImportEntry leave the planes flushed, so a campaign's count plane equals
+// its per-dispatch samples, sequential and across lanes with imports.
+TEST(ExecProfileTest, CampaignCountPlaneEqualsPerDispatchSamples) {
+  auto cm = CompileAfc();
+  fuzz::FuzzerOptions options;
+  options.seed = 9;
+  options.profile_timing = true;
+  options.profile_strobe_period = 1;
+  fuzz::Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
+  const fuzz::CampaignResult one = fuzzer.Run(ExecBudget(1500));
+  ASSERT_GT(one.exec_profile.TotalDispatches(), 0u);
+  EXPECT_EQ(one.exec_profile.insn_counts, one.exec_profile.insn_samples);
+
+  fuzz::ParallelOptions parallel;
+  parallel.num_workers = 3;
+  parallel.sync_every = 256;
+  fuzz::ParallelFuzzer lanes(cm->instrumented(), cm->spec(), options, parallel);
+  const fuzz::ParallelCampaignResult three = lanes.Run(ExecBudget(3000));
+  ASSERT_GT(three.merged.measure_iterations, 0u);  // imports were replayed
+  EXPECT_EQ(three.merged.exec_profile.insn_counts, three.merged.exec_profile.insn_samples);
 }
 
 TEST(ProfilerTest, SequentialCampaignProfileIsDeterministic) {
@@ -195,6 +302,8 @@ TEST(CampaignProfileTest, UnattributedProgramFoldsToGlue) {
   std::uint8_t input = 0;
   m.SetInputsFromBytes(&input);
   ASSERT_TRUE(m.Step(nullptr));
+  m.FlushProfile();  // dispatch counts are exact only after a flush
+  EXPECT_EQ(exec.TotalDispatches(), 1u);
   const obs::CampaignProfile profile = obs::BuildCampaignProfile(p, exec, obs::PhaseProfile{});
   ASSERT_EQ(profile.blocks.size(), 1u);
   EXPECT_EQ(profile.blocks[0].name, "(glue)");

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Golden campaign fingerprints. Every non-comment line of the golden file is
-#   <model> TAB <extra fuzz flags> TAB <expected state: line>
+#   <model> TAB <extra fuzz flags> TAB <expected line>
 # and names the campaign
 #   cftcg fuzz <model> --max-execs 20000 --seed 3 <extra fuzz flags>
-# whose final `state:` line (corpus / coverage / provenance digests) must
-# match character for character. A VM or lowering change that claims to keep
-# campaigns bit-identical is held to that claim here.
+# whose first output line starting with the expected line's first word must
+# match it character for character: the final `state:` line (corpus /
+# coverage / provenance digests), or for a `--profile` campaign the
+# `profile:` line of VM dispatch, step and strobe-sample totals. A VM or
+# lowering change that claims to keep campaigns and their profiles
+# bit-identical is held to that claim here.
 #
 # The optional residual golden holds the `residual` trace events (best branch
 # distance per uncovered outcome) of traced campaigns, one event per line:
@@ -60,8 +63,10 @@ while IFS= read -r line || [ -n "$line" ]; do
     continue
   fi
   IFS=$'\t' read -r model flags want <<< "$line"
+  key=${want%% *}
   # shellcheck disable=SC2086  # flags is a word list by design
-  got=$("$cli" fuzz "$model" --max-execs 20000 --seed 3 $flags | grep '^state:')
+  got=$("$cli" fuzz "$model" --max-execs 20000 --seed 3 $flags |
+        awk -v k="$key " 'index($0, k) == 1 && !found { print; found = 1 }')
   printf '%s\t%s\t%s\n' "$model" "$flags" "$got" >> "$out"
   checked=$((checked + 1))
   if [ "$mode" != "--write" ] && [ "$got" != "$want" ]; then

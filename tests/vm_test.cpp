@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "coverage/sink.hpp"
+#include "support/numerics.hpp"
+#include "support/rng.hpp"
 #include "vm/machine.hpp"
 #include "vm/program.hpp"
 
@@ -453,6 +458,318 @@ TEST(OperandEffectTest, EveryOpcodeTouchesOnlyDeclaredRegisters) {
     }
   }
   EXPECT_EQ(checked, static_cast<int>(Op::kCovCond) + 1);  // every opcode, kCovCond last
+}
+
+// kNumOps sizes the Machine's dispatch table: it must count every opcode
+// OpName names (its switch is exhaustive) and nothing past them.
+TEST(ProgramTest, NumOpsCountsEveryOpcode) {
+  for (std::size_t k = 0; k < kNumOps; ++k) EXPECT_NE(OpName(static_cast<Op>(k)), "?") << k;
+  EXPECT_EQ(OpName(static_cast<Op>(kNumOps)), "?");
+}
+
+// The dispatch table pairs handlers with opcodes by position only, so a
+// reordered table or an opcode inserted mid-enum would run the wrong
+// handler. Each opcode runs on six operand sets and must produce what a
+// reference model, matched to the opcode by name, predicts — registers,
+// outputs, state, coverage hits, edges, MCDC evaluations and whether it
+// jumped. The reference outcomes of any two opcodes differ on some operand
+// set (checked below), so any swap of two handlers fails.
+TEST(MachineTest, EveryOpcodeComputesItsOwnResult) {
+  constexpr int kRegs = 6;
+  constexpr int kLanding = 7;  // a taken jump lands on `cov 7`
+  constexpr ir::DType kT = ir::DType::kInt32;
+  struct Operands {
+    double da, db, in_d;
+    std::int64_t ia, ib, aux, in_i;
+  };
+  const Operands kSets[] = {
+      {7.5, -2.0, 1.75, 13, 3, 1, 21},
+      {2.0, 2.0, -4.5, -7, 2, 0, -8},
+      {-2.5, 3.25, 0.0, 5, 5, 1, 0},
+      {2.2, 0.5, 9.0, 5'000'000'000, 0, 0, 77},
+      {0.0, -3.0, 2.5, 4, 7, 1, 5},
+      {-1.25, 4.0, 3.0, 0, -3, 1, -1},
+  };
+
+  struct Snapshot {
+    std::vector<std::uint64_t> d;  // bit patterns
+    std::vector<std::int64_t> i;
+    std::uint64_t out_d = 0;
+    std::int64_t out_i = 0;
+    std::uint64_t state_d = 0;
+    std::int64_t state_i = 0;
+    std::vector<bool> hits;
+    std::vector<std::uint8_t> edges;
+    std::vector<std::uint64_t> evals;
+    bool operator==(const Snapshot&) const = default;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // Fields: dst 1, a 2, b 3, aux 4, dimm 2.0, imm the jump target (2), the
+  // int input/output slot (1) or slot 0 (coverage slot, decision, edge).
+  const auto insn_of = [](Op op) {
+    int imm = 0;
+    if (EffectOf(op).jumps) imm = 2;
+    if (op == Op::kLoadInI || op == Op::kStoreOutI) imm = 1;
+    return I(op, 1, 2, 3, imm, 4, 2.0, kT);
+  };
+  const auto initial = [&](const Operands& s) {
+    Snapshot snap;
+    for (int r = 0; r < kRegs; ++r) {
+      snap.d.push_back(bits(r == 2 ? s.da : r == 3 ? s.db : 10.0 + r));
+      snap.i.push_back(r == 2 ? s.ia : r == 3 ? s.ib : r == 4 ? s.aux : 100 + r);
+    }
+    snap.out_d = bits(0.0);
+    snap.state_d = bits(0.5);
+    snap.state_i = 3;
+    snap.hits.assign(8, false);
+    snap.edges.assign(8, 0);
+    return snap;
+  };
+  // The reference model: what `in` does to the initial snapshot of `s`.
+  const auto reference = [&](const Insn& in, const Operands& s) {
+    using namespace cftcg::num;
+    Snapshot x = initial(s);
+    const double a = s.da;
+    const double b = s.db;
+    const std::int64_t ia = s.ia;
+    const std::int64_t ib = s.ib;
+    const auto wrap = [](std::int64_t v) { return ir::WrapToDType(v, kT); };
+    double dd = std::bit_cast<double>(x.d[1]);
+    std::int64_t& di = x.i[1];
+    bool jumped = false;
+    bool branch = false;  // a fused compare-and-branch: jumps when di == 0
+    switch (in.op) {
+      case Op::kHalt: break;
+      case Op::kLoadConstD: dd = 2.0; break;
+      case Op::kLoadConstI: di = 2; break;
+      case Op::kMovD: dd = a; break;
+      case Op::kMovI: di = ia; break;
+      case Op::kCvtDToI: di = wrap(TruncToI64(a)); break;
+      case Op::kCvtIToD: dd = static_cast<double>(ia); break;
+      case Op::kWrapI: di = wrap(ia); break;
+      case Op::kBoolD: di = a != 0.0; break;
+      case Op::kBoolI: di = ia != 0; break;
+      case Op::kAddD: dd = a + b; break;
+      case Op::kSubD: dd = a - b; break;
+      case Op::kMulD: dd = a * b; break;
+      case Op::kDivD: dd = SafeDiv(a, b); break;
+      case Op::kMinD: dd = std::fmin(a, b); break;
+      case Op::kMaxD: dd = std::fmax(a, b); break;
+      case Op::kModD: dd = SafeMod(a, b); break;
+      case Op::kRemD: dd = SafeRem(a, b); break;
+      case Op::kPowD: dd = Finite(std::pow(a, b)); break;
+      case Op::kAtan2D: dd = std::atan2(a, b); break;
+      case Op::kNegD: dd = -a; break;
+      case Op::kAbsD: dd = std::fabs(a); break;
+      case Op::kSignD: dd = a > 0.0 ? 1.0 : a < 0.0 ? -1.0 : 0.0; break;
+      case Op::kSqrtD: dd = SafeSqrt(a); break;
+      case Op::kExpD: dd = Finite(std::exp(a)); break;
+      case Op::kLogD: dd = SafeLog(a); break;
+      case Op::kFloorD: dd = std::floor(a); break;
+      case Op::kCeilD: dd = std::ceil(a); break;
+      case Op::kRoundD: dd = std::nearbyint(a); break;
+      case Op::kSinD: dd = std::sin(a); break;
+      case Op::kCosD: dd = std::cos(a); break;
+      case Op::kTanD: dd = Finite(std::tan(a)); break;
+      case Op::kAddI: di = wrap(ia + ib); break;
+      case Op::kSubI: di = wrap(ia - ib); break;
+      case Op::kMulI: di = wrap(ia * ib); break;
+      case Op::kDivI: di = wrap(SafeDivI(ia, ib)); break;
+      case Op::kMinI: di = std::min(ia, ib); break;
+      case Op::kMaxI: di = std::max(ia, ib); break;
+      case Op::kModI: di = wrap(SafeModI(ia, ib)); break;
+      case Op::kRemI: di = wrap(SafeRemI(ia, ib)); break;
+      case Op::kNegI: di = wrap(-ia); break;
+      case Op::kAbsI: di = wrap(ia < 0 ? -ia : ia); break;
+      case Op::kSignI: di = ia > 0 ? 1 : ia < 0 ? -1 : 0; break;
+      case Op::kAndBitsI: di = wrap(ia & ib); break;
+      case Op::kOrBitsI: di = wrap(ia | ib); break;
+      case Op::kXorBitsI: di = wrap(ia ^ ib); break;
+      case Op::kShlI:
+        di = wrap(static_cast<std::int64_t>(static_cast<std::uint64_t>(ia) << (ib & 63)));
+        break;
+      case Op::kShrI: di = wrap(ia >> (ib & 63)); break;
+      case Op::kNotL: di = ia == 0; break;
+      case Op::kLtD: di = a < b; break;
+      case Op::kLeD: di = a <= b; break;
+      case Op::kGtD: di = a > b; break;
+      case Op::kGeD: di = a >= b; break;
+      case Op::kEqD: di = a == b; break;
+      case Op::kNeD: di = a != b; break;
+      case Op::kLtI: di = ia < ib; break;
+      case Op::kLeI: di = ia <= ib; break;
+      case Op::kGtI: di = ia > ib; break;
+      case Op::kGeI: di = ia >= ib; break;
+      case Op::kEqI: di = ia == ib; break;
+      case Op::kNeI: di = ia != ib; break;
+      case Op::kBrLtD: di = a < b; branch = true; break;
+      case Op::kBrLeD: di = a <= b; branch = true; break;
+      case Op::kBrGtD: di = a > b; branch = true; break;
+      case Op::kBrGeD: di = a >= b; branch = true; break;
+      case Op::kBrEqD: di = a == b; branch = true; break;
+      case Op::kBrNeD: di = a != b; branch = true; break;
+      case Op::kBrLtI: di = ia < ib; branch = true; break;
+      case Op::kBrLeI: di = ia <= ib; branch = true; break;
+      case Op::kBrGtI: di = ia > ib; branch = true; break;
+      case Op::kBrGeI: di = ia >= ib; branch = true; break;
+      case Op::kBrEqI: di = ia == ib; branch = true; break;
+      case Op::kBrNeI: di = ia != ib; branch = true; break;
+      case Op::kJmp: jumped = true; break;
+      case Op::kJmpIfZero: jumped = ia == 0; break;
+      case Op::kJmpIfNotZero: jumped = ia != 0; break;
+      case Op::kLoadInD: dd = s.in_d; break;
+      case Op::kLoadInI: di = s.in_i; break;
+      case Op::kStoreOutD: x.out_d = bits(a); break;
+      case Op::kStoreOutI: x.out_i = wrap(ia); break;  // read back at the port's type
+      case Op::kLoadStateD: dd = 0.5; break;
+      case Op::kLoadStateI: di = 3; break;
+      case Op::kStoreStateD: x.state_d = bits(a); break;
+      case Op::kStoreStateI: x.state_i = ia; break;
+      case Op::kCov: x.hits[0] = true; break;
+      case Op::kEdge: x.edges[0] = 1; break;
+      case Op::kMcdcEval:
+        x.evals.push_back(coverage::PackEval(static_cast<std::uint32_t>(ia),
+                                             static_cast<std::uint32_t>(ib),
+                                             static_cast<int>(s.aux)));
+        break;
+      case Op::kCovIf: x.hits[ia != 0 ? 0 : 4] = true; break;
+      case Op::kCovCond:
+        x.i[3] |= 2;
+        if (ia != 0) di |= 2;
+        x.hits[ia != 0 ? 0 : 4] = true;
+        break;
+    }
+    x.d[1] = bits(dd);
+    if (branch) jumped = di == 0;
+    if (jumped) x.hits[kLanding] = true;
+    return x;
+  };
+  coverage::CoverageSpec spec;
+  spec.AddDecision("d", 8);
+  const auto run = [&](const Insn& in, const Operands& s) {
+    Program p;
+    p.num_dregs = kRegs;
+    p.num_iregs = kRegs;
+    p.num_edges = 8;
+    p.input_types = {ir::DType::kDouble, kT};
+    p.output_types = {ir::DType::kDouble, kT};
+    p.state_d = {StateSlot{true, 0.5, ir::DType::kDouble, "sd"}};
+    p.state_i = {StateSlot{false, 3.0, kT, "si"}};
+    const Snapshot init = initial(s);
+    for (int r = 0; r < kRegs; ++r) {
+      const auto u = static_cast<std::size_t>(r);
+      p.const_d.push_back({r, std::bit_cast<double>(init.d[u])});
+      p.const_i.push_back({r, init.i[u]});
+    }
+    p.code = {in, I(Op::kHalt), I(Op::kCov, 0, 0, 0, kLanding), I(Op::kHalt)};
+    coverage::CoverageSink sink(spec);
+    Snapshot snap;
+    snap.edges.assign(8, 0);
+    Machine m(p);
+    m.SetInputs(std::vector<ir::Value>{ir::Value::Real(ir::DType::kDouble, s.in_d),
+                                       ir::Value::Int(kT, s.in_i)});
+    EXPECT_TRUE(m.Step(&sink, snap.edges.data())) << OpName(in.op);
+    for (int r = 0; r < kRegs; ++r) {
+      snap.d.push_back(bits(m.dreg(r)));
+      snap.i.push_back(m.ireg(r));
+    }
+    snap.out_d = bits(m.GetOutput(0).AsDouble());
+    snap.out_i = m.GetOutput(1).AsInt64();
+    snap.state_d = bits(m.state_d(0));
+    snap.state_i = m.state_i(0);
+    for (std::size_t k = 0; k < 8; ++k) snap.hits.push_back(sink.curr().Test(k));
+    snap.evals.assign(sink.evals()[0].begin(), sink.evals()[0].end());
+    return snap;
+  };
+  std::vector<std::vector<Snapshot>> expected(kNumOps);
+  for (std::size_t k = 0; k < kNumOps; ++k) {
+    const Insn in = insn_of(static_cast<Op>(k));
+    for (const Operands& s : kSets) {
+      expected[k].push_back(reference(in, s));
+      EXPECT_TRUE(run(in, s) == expected[k].back())
+          << OpName(in.op) << " on operands " << s.da << ", " << s.db << " / " << s.ia << ", "
+          << s.ib;
+    }
+  }
+  for (std::size_t x = 0; x < kNumOps; ++x) {
+    for (std::size_t y = x + 1; y < kNumOps; ++y) {
+      EXPECT_FALSE(expected[x] == expected[y])
+          << OpName(static_cast<Op>(x)) << " and " << OpName(static_cast<Op>(y))
+          << " are indistinguishable on these operands";
+    }
+  }
+}
+
+// The Machine decodes each tuple field with ir::Value::FromBytes at offsets
+// it precomputes: its input slots read exactly what FromBytes decodes, for
+// every DType, on random bytes and on NaN/Inf payloads and boolean bytes
+// other than 0 and 1.
+TEST(MachineTest, InputDecodeMatchesValueFromBytes) {
+  Program p;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int t = 0; t < ir::kNumDTypes; ++t) p.input_types.push_back(static_cast<ir::DType>(t));
+  }
+  const int n = static_cast<int>(p.input_types.size());
+  p.num_dregs = n;
+  p.num_iregs = n;
+  for (int i = 0; i < n; ++i) {
+    const bool is_float = ir::DTypeIsFloat(p.input_types[static_cast<std::size_t>(i)]);
+    p.code.push_back(I(is_float ? Op::kLoadInD : Op::kLoadInI, i, 0, 0, i));
+  }
+  p.code.push_back(I(Op::kHalt));
+  Machine m(p);
+  const std::uint32_t special_f[] = {0x7FC00000u, 0xFFC00001u, 0x7F800000u, 0xFF800000u,
+                                     0x7F800001u, 0x00000001u};
+  const std::uint64_t special_d[] = {0x7FF8000000000000ull, 0xFFF8000000000abcull,
+                                     0x7FF0000000000000ull, 0xFFF0000000000000ull,
+                                     0x7FF0000000000001ull, 0x0000000000000001ull};
+  Rng rng(3);
+  std::vector<std::uint8_t> tuple(p.TupleSize());
+  int non_finite = 0;
+  int odd_bools = 0;
+  for (int k = 0; k < 3000; ++k) {
+    rng.FillBytes(tuple.data(), tuple.size());
+    std::size_t offset = 0;
+    for (const ir::DType t : p.input_types) {
+      if (k % 2 == 0 && t == ir::DType::kSingle) {
+        std::memcpy(tuple.data() + offset, &special_f[rng.NextBelow(6)], 4);
+      } else if (k % 2 == 0 && t == ir::DType::kDouble) {
+        std::memcpy(tuple.data() + offset, &special_d[rng.NextBelow(6)], 8);
+      }
+      offset += ir::DTypeSize(t);
+    }
+    m.SetInputsFromBytes(tuple.data());
+    ASSERT_TRUE(m.Step(nullptr));
+    offset = 0;
+    for (int i = 0; i < n; ++i) {
+      const ir::DType t = p.input_types[static_cast<std::size_t>(i)];
+      const std::uint8_t* field = tuple.data() + offset;
+      const ir::Value v = ir::Value::FromBytes(t, field);
+      if (ir::DTypeIsFloat(t)) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(m.dreg(i)),
+                  std::bit_cast<std::uint64_t>(v.AsDouble()))
+            << "field " << i;
+        float f = 0;
+        double x = 0;
+        std::memcpy(&f, field, 4);
+        if (t == ir::DType::kDouble) std::memcpy(&x, field, 8);
+        const bool finite = t == ir::DType::kSingle ? std::isfinite(f) : std::isfinite(x);
+        if (!finite) {
+          ++non_finite;
+          EXPECT_EQ(m.dreg(i), 0.0);
+        }
+      } else {
+        EXPECT_EQ(m.ireg(i), v.AsInt64()) << "field " << i;
+        if (t == ir::DType::kBool) {
+          if (*field > 1) ++odd_bools;
+          EXPECT_EQ(m.ireg(i), *field & 1);
+        }
+      }
+      offset += ir::DTypeSize(t);
+    }
+  }
+  EXPECT_GT(non_finite, 1000);
+  EXPECT_GT(odd_bools, 1000);
 }
 
 TEST(ProgramTest, DisassembleMentionsOps) {
