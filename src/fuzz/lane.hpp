@@ -13,13 +13,17 @@
 //   * ProcessLane (supervisor.cpp): the Fuzzer lives in a forked child,
 //     commanded over checksummed wire frames, respawned after a crash.
 //
-// The driver calls, per lane:
+// The driver runs every per-lane phase as start-on-all-lanes, then
+// await-all: it starts the phase on every live lane before it awaits any
+// of them, so no lane waits for the driver to reach it. Per lane:
 //
-//   Begin, AwaitRound             the seed round: seed (or restore) the corpus
-//   { StartRound, AwaitRound,     one round — every lane starts before any is
-//     NewEntries, Sync,           awaited — then the single-threaded barrier,
-//     TakeEvents }*               which forwards the round's events
-//   Finish                        the lane's final campaign result
+//   Begin, Await                  the seed round: seed (or restore) the corpus
+//   { StartRound, Await,          one round, then the single-threaded barrier
+//     NewEntries, StartSync,      (export selection in lane-id order); each
+//     Await, TakeEvents }*        lane finishes its imports before its next
+//                                 round starts; events forwarded in id order
+//   StartFinish, Await,           the lane's final campaign result
+//     TakeResult
 //
 // Both transports see the same calls with the same arguments, so a
 // fault-free campaign is bit-identical across them.
@@ -99,39 +103,46 @@ class Lane {
   Lane(const Lane&) = delete;
   Lane& operator=(const Lane&) = delete;
 
-  /// Opens the campaign; its seed entries arrive with the next AwaitRound.
+  // -- Phases: each Start* (and Begin) returns at once; Await waits for it.
+  /// Starts opening the campaign; its seed entries arrive with the Await.
   virtual void Begin() = 0;
   /// Starts advancing the campaign to `target` cumulative executions.
   virtual void StartRound(std::uint64_t target) = 0;
-  /// Waits for the seed round or the round started last.
-  virtual void AwaitRound() = 0;
+  /// Starts importing other lanes' entries (in export order); the Await
+  /// closes the barrier. The entries must stay valid until then.
+  virtual void StartSync(const std::vector<const CorpusEntry*>& imports) = 0;
+  /// Starts the lane's final campaign result (TakeResult, after the Await).
+  virtual void StartFinish() = 0;
+  /// Waits for the phase started last.
+  virtual void Await() = 0;
+
   /// Entries at corpus index >= `from` that the lane reported at this
-  /// barrier. The pointers are valid until the lane's next Sync.
+  /// barrier. The pointers are valid until the lane's next StartSync.
   [[nodiscard]] virtual std::vector<const CorpusEntry*> NewEntries(std::size_t from) const = 0;
-  /// Imports other lanes' entries (in export order) and closes the barrier.
-  virtual void Sync(const std::vector<const CorpusEntry*>& imports) = 0;
   /// The lane's per-execution trace events (JSONL, want_events only) since
-  /// the last take: the round's and the imports' of its Sync. A round the
+  /// the last take: the round's and the imports' of its sync. A round the
   /// transport replayed replaces the lost attempt's events.
   virtual std::string TakeEvents() = 0;
-  virtual CampaignResult Finish() = 0;
+  /// The final campaign result of the finish phase.
+  virtual CampaignResult TakeResult() = 0;
 
-  // -- Barrier state: valid after AwaitRound / Sync, and after Finish. -----
+  // -- Barrier state: valid after each Await. ----------------------------
   /// False once the transport gave up on the lane.
   [[nodiscard]] virtual bool live() const { return true; }
   [[nodiscard]] virtual bool done() const = 0;
   [[nodiscard]] virtual LaneCounters counters() const = 0;
-  /// Wall seconds the last round took (-1: the round did not complete).
+  /// Wall seconds the lane spent in its last round, timed where the round
+  /// runs (-1: the round did not complete).
   [[nodiscard]] virtual double round_seconds() const = 0;
   virtual void MergeCoverageInto(coverage::CoverageSink& global) const = 0;
   [[nodiscard]] virtual const vm::ExecProfile& exec_profile() const = 0;
   [[nodiscard]] virtual const obs::PhaseProfile& phase_profile() const = 0;
-  /// The lane's resumable state (barriers only, not after Finish).
+  /// The lane's resumable state (barriers only, not after the finish).
   [[nodiscard]] virtual FuzzerState SaveState() const = 0;
   [[nodiscard]] virtual std::vector<std::uint64_t> CorpusSignatures() const = 0;
-  /// First-hit attribution (after Finish; null unless want_provenance).
+  /// First-hit attribution (after the finish; null unless want_provenance).
   [[nodiscard]] virtual const coverage::ProvenanceMap* provenance() const = 0;
-  /// Best branch distance per decision outcome (after Finish; empty unless
+  /// Best branch distance per decision outcome (after the finish; empty unless
   /// want_margins).
   [[nodiscard]] virtual std::vector<double> margins() const = 0;
 };
@@ -147,6 +158,9 @@ inline std::vector<std::uint64_t> Signatures(const std::vector<CorpusEntry>& ent
 using OpenLane = std::function<std::unique_ptr<Lane>(const LaneSpec&)>;
 
 /// Runs one campaign over `parallel.num_workers` lanes opened by `open`.
+/// Checkpoints are captured at barriers and written behind the next round:
+/// checkpoint k is on disk before barrier k+1, and the interrupt's or the
+/// last barrier's before the lanes finish.
 /// `faults` arms driver-side faults (torn checkpoints); `supervision`, when
 /// set, is the process transport's lane-loss accounting, reported in
 /// heartbeats and the trace.

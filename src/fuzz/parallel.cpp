@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -71,9 +72,10 @@ void EmitResiduals(const obs::CampaignTelemetry& telemetry, const coverage::Cove
   }
 }
 
-// In-process transport: the lane's Fuzzer runs each round on a thread of
-// its own. Lanes share only the read-only Programs, and AwaitRound joins the
-// thread before the driver reads anything, so the barrier needs no locking.
+// In-process transport: the lane's Fuzzer runs each phase — seeding, a
+// round, its imports, the finish — on a thread of its own. Lanes share only
+// the read-only Programs, and Await joins the thread before the driver
+// reads anything, so the barrier needs no locking.
 class ThreadLane final : public Lane {
  public:
   ThreadLane(const vm::Program& instrumented, const coverage::CoverageSpec& spec,
@@ -89,9 +91,11 @@ class ThreadLane final : public Lane {
     options.resume = lane.resume;
     fuzzer_ = std::make_unique<Fuzzer>(instrumented, spec, options, fuzz_only);
   }
-  ~ThreadLane() override { AwaitRound(); }
+  ~ThreadLane() override { Await(); }
 
-  void Begin() override { fuzzer_->Begin(budget_); }
+  void Begin() override {
+    thread_ = std::thread([this] { fuzzer_->Begin(budget_); });
+  }
   void StartRound(std::uint64_t target) override {
     round_s_ = -1;
     thread_ = std::thread([this, target] {
@@ -100,7 +104,16 @@ class ThreadLane final : public Lane {
       round_s_ = watch.Elapsed();
     });
   }
-  void AwaitRound() override {
+  void StartSync(const std::vector<const CorpusEntry*>& imports) override {
+    if (imports.empty()) return;
+    thread_ = std::thread([this, imports] {
+      for (const CorpusEntry* e : imports) fuzzer_->ImportEntry(e->data, e->signature);
+    });
+  }
+  void StartFinish() override {
+    thread_ = std::thread([this] { result_ = fuzzer_->Finish(); });
+  }
+  void Await() override {
     if (thread_.joinable()) thread_.join();
   }
   std::vector<const CorpusEntry*> NewEntries(std::size_t from) const override {
@@ -109,11 +122,8 @@ class ThreadLane final : public Lane {
     for (std::size_t k = from; k < corpus.size(); ++k) out.push_back(&corpus.entry(k));
     return out;
   }
-  void Sync(const std::vector<const CorpusEntry*>& imports) override {
-    for (const CorpusEntry* e : imports) fuzzer_->ImportEntry(e->data, e->signature);
-  }
   std::string TakeEvents() override { return std::exchange(events_, std::string()); }
-  CampaignResult Finish() override { return fuzzer_->Finish(); }
+  CampaignResult TakeResult() override { return std::move(result_); }
 
   bool done() const override { return fuzzer_->done(); }
   LaneCounters counters() const override {
@@ -146,6 +156,7 @@ class ThreadLane final : public Lane {
   obs::CampaignTelemetry events_telemetry_{nullptr, &events_trace_};
   std::unique_ptr<Fuzzer> fuzzer_;
   double round_s_ = -1;
+  CampaignResult result_;
   std::thread thread_;  // last: joined before the members it uses go away
 };
 
@@ -318,10 +329,18 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     return sum;
   };
 
+  // Checkpoints are written behind the next round. At a barrier the driver
+  // captures the campaign (lane states plus its own barrier state) into
+  // `pending`, the lanes' only wait; once the next round has started on
+  // every lane, the idle driver thread encodes and writes it. So checkpoint
+  // k is on disk before barrier k+1. An interrupt or the campaign end writes
+  // synchronously.
+  std::optional<CampaignCheckpoint> pending;
   std::uint64_t checkpoint_ordinal = 0;
-  const auto write_checkpoint = [&]() {
-    const double ckpt_t0 = elapsed();
-    CampaignCheckpoint ckpt = CheckpointHeader(options, SpecFingerprint(spec, instrumented));
+  const auto capture_checkpoint = [&]() {
+    const double t0 = elapsed();
+    CampaignCheckpoint& ckpt =
+        pending.emplace(CheckpointHeader(options, SpecFingerprint(spec, instrumented)));
     ckpt.num_workers = static_cast<std::uint32_t>(n);
     ckpt.sync_every = sync_every;
     ckpt.rounds = out.rounds;
@@ -332,7 +351,17 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     ckpt.elapsed_s = elapsed();
     ckpt.workers.reserve(n);
     for (const auto& lane : lanes) ckpt.workers.push_back(lane->SaveState());
-    std::string bytes = SerializeCheckpoint(ckpt);
+    driver_phases.Add(obs::ProfilePhase::kCheckpoint, elapsed() - t0);
+  };
+  // Encodes and writes the pending checkpoint, if any, touching no lane.
+  // Returns how long that took.
+  const auto commit_checkpoint = [&]() -> double {
+    if (!pending) return 0;
+    const double t0 = elapsed();
+    std::string bytes = SerializeCheckpoint(*pending);
+    std::uint64_t exec = 0;
+    for (const FuzzerState& w : pending->workers) exec += w.executions;
+    pending.reset();
     ++checkpoint_ordinal;
     Status status = Status::Ok();
     bool torn = false;
@@ -364,15 +393,17 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
         std::fprintf(stderr, "cftcg: checkpoint write failed: %s\n", status.message().c_str());
       }
     }
+    const double commit_s = elapsed() - t0;
     if (trace != nullptr) {
       trace->Emit(obs::TraceEvent("checkpoint")
                       .F64("time_s", elapsed())
-                      .U64("exec", sum_counters().executions)
+                      .U64("exec", exec)
                       .U64("bytes", bytes.size())
-                      .U64("ok", status.ok() && !torn ? 1 : 0));
+                      .U64("ok", status.ok() && !torn ? 1 : 0)
+                      .F64("commit_s", commit_s));
     }
     if (registry != nullptr) registry->GetCounter("fuzz.checkpoints").Increment();
-    driver_phases.Add(obs::ProfilePhase::kCheckpoint, elapsed() - ckpt_t0);
+    return commit_s;
   };
 
   // The barrier merge, single-threaded in lane-id order. Pass 1 collects the
@@ -405,11 +436,17 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
         ++out.imports;
       }
     }
-    // Imported entries carry already-seen signatures; the cursors skip over
-    // them so the next scan starts at fresh entries.
+    // Every lane replays its imports at once. Imported entries carry
+    // already-seen signatures; the cursors skip over them so the next scan
+    // starts at fresh entries.
+    std::vector<char> syncing(n, 0);
     for (std::size_t j = 0; j < n; ++j) {
-      if (!reporting[j] || !lanes[j]->live()) continue;
-      lanes[j]->Sync(imports[j]);
+      syncing[j] = reporting[j] && lanes[j]->live() ? 1 : 0;
+      if (syncing[j]) lanes[j]->StartSync(imports[j]);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!syncing[j]) continue;
+      lanes[j]->Await();
       scanned[j] = lanes[j]->counters().corpus;
     }
     if (trace != nullptr) {
@@ -556,7 +593,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   // state), and the seeds sync before the first fuzzing round so no lane
   // mutates blind to coverage another lane's seeds already reached.
   for (auto& lane : lanes) lane->Begin();
-  for (auto& lane : lanes) lane->AwaitRound();
+  for (auto& lane : lanes) lane->Await();
   sync();
 
   // Periodic checkpointing: the whole-campaign checkpoint (lane states +
@@ -578,23 +615,33 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     }
     if (round_lanes == 0) break;
     // Round: every running lane advances sync_every executions, all lanes
-    // at once; the barrier waits for the slowest.
+    // at once; meanwhile the driver commits the last barrier's checkpoint,
+    // then waits for the slowest lane.
     for (std::size_t i = 0; i < n; ++i) {
       if (!reporting[i]) continue;
       round_t0[i] = elapsed();
       lanes[i]->StartRound(lanes[i]->counters().executions + sync_every);
     }
+    const bool committed = pending.has_value();
+    commit_checkpoint();
+    const double commit_end = elapsed();
     for (std::size_t i = 0; i < n; ++i) {
-      if (reporting[i]) lanes[i]->AwaitRound();
+      if (reporting[i]) lanes[i]->Await();
     }
     ++out.rounds;
     // Barrier-idle accounting: the round lasts as long as its slowest lane;
-    // everyone else waited the difference out.
+    // everyone else waited the difference out. A commit that outlasts the
+    // round is checkpoint time the lanes waited on.
     std::vector<double> dur(n, -1.0);
     double round_span = 0;
+    double round_end = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (reporting[i]) dur[i] = lanes[i]->round_seconds();
       round_span = std::max(round_span, dur[i]);
+      if (dur[i] >= 0) round_end = std::max(round_end, round_t0[i] + dur[i]);
+    }
+    if (committed && commit_end > round_end) {
+      driver_phases.Add(obs::ProfilePhase::kCheckpoint, commit_end - round_end);
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (dur[i] < 0) continue;
@@ -613,24 +660,30 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
       next_profile_pub = now + 1.0;
     }
     if (sum_counters().executions >= next_checkpoint) {
-      write_checkpoint();
+      capture_checkpoint();
       next_checkpoint += options.checkpoint_every;
     }
     // Cooperative interruption, honored at the barrier only: lanes always
     // complete their round, so the flushed checkpoint sits at the same
-    // schedule point an uninterrupted campaign passes through.
+    // schedule point an uninterrupted campaign passes through. A barrier
+    // that is also a periodic checkpoint is captured (and written) once.
     if (options.interrupt != nullptr && options.interrupt->load(std::memory_order_relaxed)) {
       out.interrupted = true;
-      if (!options.checkpoint_path.empty()) write_checkpoint();
+      if (!pending && !options.checkpoint_path.empty()) capture_checkpoint();
       break;
     }
   }
+  // The interrupt's or the last barrier's checkpoint, written before the
+  // lanes finish: nothing runs behind it.
+  driver_phases.Add(obs::ProfilePhase::kCheckpoint, commit_checkpoint());
 
-  // Final merge, in lane-id order throughout.
+  // Final merge, in lane-id order throughout; the lanes finish at once.
+  for (auto& lane : lanes) lane->StartFinish();
+  for (auto& lane : lanes) lane->Await();
   CampaignResult& merged = out.merged;
   std::unordered_set<std::uint64_t> sigs;
   for (std::size_t i = 0; i < n; ++i) {
-    CampaignResult r = lanes[i]->Finish();
+    CampaignResult r = lanes[i]->TakeResult();
     merged.executions += r.executions;
     merged.model_iterations += r.model_iterations;
     merged.measure_iterations += r.measure_iterations;

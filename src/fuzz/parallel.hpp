@@ -10,14 +10,16 @@
 //            merge:
 //              * corpus sync: entries admitted by one lane this round are
 //                imported into every other lane, deduplicated by coverage
-//                signature (first lane in id order wins a signature);
+//                signature (first lane in id order wins a signature); the
+//                lanes replay their imports at once;
 //              * frontier merge: lane coverage folds into a global
 //                CoverageSink (CoverageSink::MergeFrom) for aggregated
 //                heartbeats and the final union report;
 //              * telemetry and durability: the lanes' per-execution trace
 //                events, forwarded in lane-id order; one aggregated `stat`
 //                heartbeat with registry and board updates when due; the
-//                merged /profile snapshot; periodic checkpoints; the
+//                merged /profile snapshot; the periodic checkpoint's
+//                capture (it is written behind the next round); the
 //                interrupt check.
 //
 // The driver (RunLaneCampaign, fuzz/lane.hpp) is shared by both engines;

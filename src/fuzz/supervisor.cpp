@@ -203,12 +203,15 @@ struct ChildSpec {
   // resume state was scanned at the barrier that produced the state.
   std::size_t shipped = cs.lane.resume != nullptr ? fuzzer.corpus().size() : 0;
 
-  const auto send_corpus_tail = [&](std::uint8_t type) {
+  // `round_s`: the seconds this process spent on the round, timed here so
+  // the parent's wait on other lanes never counts as round time.
+  const auto send_corpus_tail = [&](std::uint8_t type, double round_s) {
     wire::Writer w;
     const Corpus& corpus = fuzzer.corpus();
     w.U64(shipped);  // base cursor: parent skips anything it already scanned
     w.U8(fuzzer.done() ? 1 : 0);
     w.U64(fuzzer.executions());
+    w.F64(round_s);
     w.U64(corpus.size() - shipped);
     for (std::size_t k = shipped; k < corpus.size(); ++k) {
       const CorpusEntry& e = corpus.entry(k);
@@ -220,7 +223,7 @@ struct ChildSpec {
     if (!ChildWriteFrame(cs.res_fd, type, w.take())) std::_Exit(kExitProtocol + 1);
   };
 
-  send_corpus_tail(kMsgHello);
+  send_corpus_tail(kMsgHello, 0);
 
   while (true) {
     std::uint8_t type = 0;
@@ -233,6 +236,7 @@ struct ChildSpec {
       const std::uint64_t fault_at = r.U64();
       const std::uint64_t fault_param = r.U64();
       if (r.failed()) std::_Exit(kExitProtocol);
+      const obs::Stopwatch watch;
       if (fault == static_cast<std::uint8_t>(support::FaultKind::kCrash) ||
           fault == static_cast<std::uint8_t>(support::FaultKind::kHang)) {
         // Run up to the fault point so the lane dies with real mid-round
@@ -247,7 +251,7 @@ struct ChildSpec {
       if (fault == static_cast<std::uint8_t>(support::FaultKind::kSlowLane)) {
         support::io::SleepMs(static_cast<int>(fault_param));
       }
-      send_corpus_tail(kMsgRound);
+      send_corpus_tail(kMsgRound, watch.Elapsed());
     } else if (type == kMsgSync) {
       const std::uint64_t count = r.U64();
       for (std::uint64_t i = 0; i < count; ++i) {
@@ -284,6 +288,7 @@ struct RoundReply {
   std::uint64_t base = 0;  // corpus index of entries[0]
   bool done = false;
   std::uint64_t executions = 0;
+  double round_s = 0;                // the child's own timing of the round
   std::vector<CorpusEntry> entries;  // data and signature only
   std::string events;                // the round's trace events (JSONL)
 };
@@ -293,6 +298,7 @@ bool ParseRoundReply(const std::string& payload, RoundReply* out) {
   out->base = r.U64();
   out->done = r.U8() != 0;
   out->executions = r.U64();
+  out->round_s = r.F64();
   const std::uint64_t count = r.U64();
   out->entries.clear();
   for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
@@ -351,9 +357,11 @@ struct ProcessTransport {
 
 // Forked-process transport: the lane's Fuzzer lives in a child commanded
 // over a pair of pipes (RUN / SYNC / FINISH in; HELLO / ROUND / STATE /
-// RESULT out). The parent keeps the lane's last post-sync barrier state: it
-// is what heartbeats, checkpoints and /profile read, and what a respawned
-// child resumes from after a crash, a hang or a torn frame.
+// RESULT out). A Start* call only sends the command; Await reads the reply
+// and owns the recovery of its phase. The parent keeps the lane's last
+// post-sync barrier state: it is what heartbeats, checkpoints and /profile
+// read, and what a respawned child resumes from after a crash, a hang or a
+// torn frame.
 class ProcessLane final : public Lane {
  public:
   ProcessLane(ProcessTransport& transport, const LaneSpec& spec)
@@ -380,31 +388,36 @@ class ProcessLane final : public Lane {
     expect_ = kMsgRound;
     ran_since_state_ = true;
     round_s_ = -1;
-    round_t0_ = Now();
     if (SendRun()) return;
     OnDeath("died before round", /*hang=*/false);
     if (Respawn() && !SendRun()) Retire();
   }
 
-  void AwaitRound() override {
-    const bool seeding = expect_ == kMsgHello;
-    while (!retired_) {
-      std::string payload;
-      const Io io = Await(expect_, &payload);
-      if (io == Io::kOk && ParseRoundReply(payload, &reply_)) {
-        if (!seeding) round_s_ = Now() - round_t0_;
-        done_ = reply_.done;
-        executions_ = reply_.executions;
-        StampBoard(executions_);
-        return;
-      }
-      const bool hang = io == Io::kTimeout;
-      OnDeath(hang ? "heartbeat timeout" : seeding ? "died during seeding" : "died mid-round",
-              hang);
-      if (!Respawn()) return;
-      if (seeding || SendRun()) continue;
-      OnDeath("died at respawn", /*hang=*/false);
-      if (Respawn() && !SendRun()) Retire();
+  void StartSync(const std::vector<const CorpusEntry*>& imports) override {
+    wire::Writer w;
+    w.U64(imports.size());
+    for (const CorpusEntry* e : imports) {
+      w.Bytes(e->data);
+      w.U64(e->signature);
+    }
+    sync_payload_ = w.take();
+    ++syncs_;
+    expect_ = kMsgState;
+    sync_sent_ = SendSync();
+  }
+
+  void StartFinish() override {
+    expect_ = kMsgResult;
+    finish_sent_ = !retired_ && pid_ >= 0 && Send(kMsgFinish, std::string());
+  }
+
+  void Await() override {
+    if (expect_ == kMsgState) {
+      AwaitState();
+    } else if (expect_ == kMsgResult) {
+      AwaitResult();
+    } else {
+      AwaitRound();
     }
   }
 
@@ -419,116 +432,12 @@ class ProcessLane final : public Lane {
     return out;
   }
 
-  void Sync(const std::vector<const CorpusEntry*>& imports) override {
-    wire::Writer w;
-    w.U64(imports.size());
-    for (const CorpusEntry* e : imports) {
-      w.Bytes(e->data);
-      w.U64(e->signature);
-    }
-    const std::string payload = w.take();
-    ++syncs_;
-    bool replay = false;
-    while (!retired_) {
-      if (replay) {
-        // The respawned child restored the pre-round state: redo the round
-        // (deterministic: same state, same RNG, no fault — it was consumed
-        // at arming). Its entries were already scanned at this barrier.
-        std::string round;
-        if (!SendRun() || Await(kMsgRound, &round) != Io::kOk ||
-            !ParseRoundReply(round, &reply_)) {
-          OnDeath("died replaying round", /*hang=*/false);
-          if (!Respawn()) return;
-          continue;
-        }
-        replay = false;
-      }
-      bool corrupt = false;
-      if (support::FaultInjector* faults = t_.supervise.faults) {
-        if (support::FaultEvent* ev = faults->NextCorruptDelta(spec_.index, syncs_)) {
-          ev->fired = true;
-          corrupt = true;
-          Trace(obs::TraceEvent("fault_injected")
-                    .F64("time_s", Now())
-                    .Str("kind", "corrupt")
-                    .U64("worker", static_cast<std::uint64_t>(spec_.index))
-                    .U64("at", syncs_));
-        }
-      }
-      std::string reply;
-      if (Send(kMsgSync, payload, corrupt) && Await(kMsgState, &reply) == Io::kOk) {
-        wire::Reader r(reply);
-        FuzzerState st;
-        const bool parsed = ReadFuzzerState(r, st);
-        std::string sync_events = r.Str();
-        if (parsed && !r.failed()) {
-          state_ = std::move(st);
-          sync_events_ = std::move(sync_events);
-          has_state_ = true;
-          executions_ = state_.executions;
-          ran_since_state_ = false;
-          if (obs::CampaignStatusBoard* board = t_.options.status_board) {
-            board->SetWorkerRestarting(spec_.index, false);
-            StampBoard(executions_);
-            if (done_) board->SetWorkerDone(spec_.index);
-          }
-          return;
-        }
-      }
-      // Death (or an unparseable state, treated the same) anywhere in the
-      // exchange: respawn from the last barrier state and replay the phase.
-      OnDeath(corrupt ? "corrupted delta" : "died in sync", /*hang=*/false);
-      if (!Respawn()) return;
-      replay = ran_since_state_;
-    }
-  }
-
-  CampaignResult Finish() override {
-    // A retired or just-died lane joins the merge with its last barrier
-    // state: coverage and corpus up to the barrier are valid campaign output.
-    CampaignResult r;
-    if (!retired_ && pid_ >= 0) {
-      std::string payload;
-      FuzzerState final_state;
-      FocusStats focus;
-      if (Send(kMsgFinish, std::string()) && Await(kMsgResult, &payload) == Io::kOk &&
-          ParseLaneResult(payload, &final_state, &focus)) {
-        state_ = std::move(final_state);
-        has_state_ = true;
-        r.focus_stats = std::move(focus);
-        ClosePipes();
-        Reap(/*force_kill=*/false);
-      } else {
-        OnDeath("died during finish", /*hang=*/false);
-      }
-    }
-    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
-      board->SetWorkerDone(spec_.index);
-    }
-    if (spec_.want_provenance) {
-      provenance_ = std::make_unique<coverage::ProvenanceMap>(t_.spec);
-      for (const coverage::ObjectiveFirstHit& h : state_.provenance_hits) {
-        provenance_->AbsorbHit(h);
-      }
-    }
-    r.corpus_fingerprint = CorpusFingerprint(state_.corpus);
-    r.executions = state_.executions;
-    r.model_iterations = state_.model_iterations;
-    r.measure_iterations = state_.measure_iterations;
-    r.hangs = state_.hangs;
-    r.strategy_stats = state_.strategy_stats;
-    r.test_cases = state_.test_cases;
-    r.exec_profile = state_.exec_profile;
-    r.fuzz_exec_profile = state_.fuzz_exec_profile;
-    r.phase_profile = state_.phase_profile;
-    return r;
-  }
-
   std::string TakeEvents() override {
     std::string out = std::exchange(reply_.events, std::string());
     out += std::exchange(sync_events_, std::string());
     return out;
   }
+  CampaignResult TakeResult() override { return std::move(result_); }
 
   bool live() const override { return !retired_; }
   bool done() const override { return done_; }
@@ -594,6 +503,112 @@ class ProcessLane final : public Lane {
     if (t_.options.telemetry != nullptr && t_.options.telemetry->registry != nullptr) {
       t_.options.telemetry->registry->GetCounter(counter).Increment();
     }
+  }
+
+  // -- Phase replies ------------------------------------------------------
+
+  void AwaitRound() {
+    const bool seeding = expect_ == kMsgHello;
+    while (!retired_) {
+      std::string payload;
+      const Io io = Await(expect_, &payload);
+      if (io == Io::kOk && ParseRoundReply(payload, &reply_)) {
+        if (!seeding) round_s_ = reply_.round_s;
+        done_ = reply_.done;
+        executions_ = reply_.executions;
+        StampBoard(executions_);
+        return;
+      }
+      const bool hang = io == Io::kTimeout;
+      OnDeath(hang ? "heartbeat timeout" : seeding ? "died during seeding" : "died mid-round",
+              hang);
+      if (!Respawn()) return;
+      if (seeding || SendRun()) continue;
+      OnDeath("died at respawn", /*hang=*/false);
+      if (Respawn() && !SendRun()) Retire();
+    }
+  }
+
+  void AwaitState() {
+    while (!retired_) {
+      std::string reply;
+      if (sync_sent_ && Await(kMsgState, &reply) == Io::kOk && AcceptState(reply)) return;
+      // Death (or an unparseable state, treated the same) anywhere in the
+      // exchange: respawn from the last barrier state, redo the round if one
+      // ran since (deterministic: same state, same RNG, no fault — it was
+      // consumed at arming; its entries were already scanned at this
+      // barrier), and resend the sync.
+      OnDeath(sync_corrupt_ ? "corrupted delta" : "died in sync", /*hang=*/false);
+      while (true) {
+        if (!Respawn()) return;
+        std::string round;
+        if (!ran_since_state_ || (SendRun() && Await(kMsgRound, &round) == Io::kOk &&
+                                  ParseRoundReply(round, &reply_))) {
+          break;
+        }
+        OnDeath("died replaying round", /*hang=*/false);
+      }
+      sync_sent_ = SendSync();
+    }
+  }
+
+  bool AcceptState(const std::string& reply) {
+    wire::Reader r(reply);
+    FuzzerState st;
+    const bool parsed = ReadFuzzerState(r, st);
+    std::string sync_events = r.Str();
+    if (!parsed || r.failed()) return false;
+    state_ = std::move(st);
+    sync_events_ = std::move(sync_events);
+    has_state_ = true;
+    executions_ = state_.executions;
+    ran_since_state_ = false;
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->SetWorkerRestarting(spec_.index, false);
+      StampBoard(executions_);
+      if (done_) board->SetWorkerDone(spec_.index);
+    }
+    return true;
+  }
+
+  void AwaitResult() {
+    // A retired or just-died lane joins the merge with its last barrier
+    // state: coverage and corpus up to the barrier are valid campaign output.
+    CampaignResult& r = result_;
+    if (!retired_ && pid_ >= 0) {
+      std::string payload;
+      FuzzerState final_state;
+      FocusStats focus;
+      if (finish_sent_ && Await(kMsgResult, &payload) == Io::kOk &&
+          ParseLaneResult(payload, &final_state, &focus)) {
+        state_ = std::move(final_state);
+        has_state_ = true;
+        r.focus_stats = std::move(focus);
+        ClosePipes();
+        Reap(/*force_kill=*/false);
+      } else {
+        OnDeath("died during finish", /*hang=*/false);
+      }
+    }
+    if (obs::CampaignStatusBoard* board = t_.options.status_board) {
+      board->SetWorkerDone(spec_.index);
+    }
+    if (spec_.want_provenance) {
+      provenance_ = std::make_unique<coverage::ProvenanceMap>(t_.spec);
+      for (const coverage::ObjectiveFirstHit& h : state_.provenance_hits) {
+        provenance_->AbsorbHit(h);
+      }
+    }
+    r.corpus_fingerprint = CorpusFingerprint(state_.corpus);
+    r.executions = state_.executions;
+    r.model_iterations = state_.model_iterations;
+    r.measure_iterations = state_.measure_iterations;
+    r.hangs = state_.hangs;
+    r.strategy_stats = state_.strategy_stats;
+    r.test_cases = state_.test_cases;
+    r.exec_profile = state_.exec_profile;
+    r.fuzz_exec_profile = state_.fuzz_exec_profile;
+    r.phase_profile = state_.phase_profile;
   }
 
   // -- Framed I/O with deadlines ------------------------------------------
@@ -701,6 +716,24 @@ class ProcessLane final : public Lane {
     w.U64(fault_at);
     w.U64(fault_param);
     return Send(kMsgRun, w.take());
+  }
+
+  // Sends SYNC with this barrier's imports. Arms the lane's corrupt-delta
+  // fault for this sync ordinal, consumed at arming like lane faults.
+  bool SendSync() {
+    sync_corrupt_ = false;
+    if (support::FaultInjector* faults = t_.supervise.faults) {
+      if (support::FaultEvent* ev = faults->NextCorruptDelta(spec_.index, syncs_)) {
+        ev->fired = true;
+        sync_corrupt_ = true;
+        Trace(obs::TraceEvent("fault_injected")
+                  .F64("time_s", Now())
+                  .Str("kind", "corrupt")
+                  .U64("worker", static_cast<std::uint64_t>(spec_.index))
+                  .U64("at", syncs_));
+      }
+    }
+    return Send(kMsgSync, sync_payload_, sync_corrupt_);
   }
 
   // -- Spawn / death / recovery -------------------------------------------
@@ -843,17 +876,21 @@ class ProcessLane final : public Lane {
   bool done_ = false;
   std::uint64_t executions_ = 0;
   std::uint64_t run_target_ = 0;     // this round's RUN target
-  std::uint8_t expect_ = kMsgHello;  // reply the next AwaitRound collects
+  std::uint8_t expect_ = kMsgHello;  // reply the next Await collects
   bool ran_since_state_ = false;     // a RUN went out after the last STATE
   FuzzerState state_;                // last post-sync barrier state (respawn point)
   bool has_state_ = false;
   std::uint64_t syncs_ = 0;          // SYNC exchanges (the corrupt-delta fault ordinal)
+  std::string sync_payload_;         // this barrier's SYNC, kept for a resend
+  bool sync_sent_ = false;           // the last SYNC send reached the pipe
+  bool sync_corrupt_ = false;        // ... carrying the corrupt-delta fault
+  bool finish_sent_ = false;
   int restarts_ = 0;
   double backoff_s_;
   RoundReply reply_;
   std::string sync_events_;          // trace events of the imports in the last SYNC
-  double round_t0_ = 0;
   double round_s_ = -1;
+  CampaignResult result_;
   std::uint64_t relayed_ = 0;        // highest count shown on the status board
   std::unique_ptr<coverage::ProvenanceMap> provenance_;
 };

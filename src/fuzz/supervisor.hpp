@@ -12,13 +12,16 @@
 //                    SYNC(import list)             round-barrier corpus merge
 //                    FINISH                        final state + report extras
 //   child → parent:  HELLO(seed entries)           after Fuzzer::Begin
-//                    ROUND(done, execs, new corpus entries since the cursor)
+//                    ROUND(done, execs, the child's round seconds,
+//                          new corpus entries since the cursor)
 //                    STATE(full FuzzerState)       post-sync barrier state
 //                    RESULT(state + fingerprint + provenance)
 //
 // HELLO, ROUND and STATE also carry the lane's per-execution trace events
 // since the previous reply, so a round replayed after a respawn replaces
-// the lost attempt's events instead of duplicating them.
+// the lost attempt's events instead of duplicating them. Every phase goes
+// out to all children before the parent reads any reply (RUN, SYNC and
+// FINISH alike), and recovery from a death happens while reading it.
 //
 // Fault containment: the supervisor detects worker death (pipe EOF), kills
 // lanes that miss their reply deadline (heartbeat timeout), quarantines the

@@ -18,6 +18,8 @@
 #include "cftcg/pipeline.hpp"
 #include "fuzz/checkpoint.hpp"
 #include "fuzz/parallel.hpp"
+#include "fuzz/supervisor.hpp"
+#include "obs/telemetry.hpp"
 #include "support/atomic_file.hpp"
 #include "vm/machine.hpp"
 #include "vm/program.hpp"
@@ -174,6 +176,51 @@ TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
     SCOPED_TRACE(workers);
     CheckInterruptedResume(workers);
   }
+}
+
+// A barrier that is both a periodic checkpoint and the interrupt's writes
+// its state once: one `checkpoint` event, one file, taken at round 1 —
+// threaded and isolated alike.
+TEST(CheckpointTest, InterruptAtPeriodicBarrierWritesOnce) {
+  const std::string ckpt_path = "checkpoint_test_once.ckpt";
+  auto cm = Compile(bench_models::BuildAfc());
+  std::atomic<bool> stop{true};
+  FuzzerOptions options;
+  options.seed = 7;
+  options.interrupt = &stop;
+  options.checkpoint_path = ckpt_path;
+  options.checkpoint_every = 1;  // every barrier crosses a periodic boundary
+  for (const bool isolated : {false, true}) {
+    SCOPED_TRACE(isolated ? "isolated" : "threaded");
+    std::remove(ckpt_path.c_str());
+    std::string trace;
+    obs::TraceWriter writer(&trace);
+    obs::CampaignTelemetry telemetry{nullptr, &writer};
+    options.telemetry = &telemetry;
+    ParallelCampaignResult r;
+    if (isolated) {
+      SupervisorOptions sup;
+      sup.num_workers = 3;
+      sup.sync_every = 256;
+      r = Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(6000));
+    } else {
+      ParallelOptions parallel;
+      parallel.num_workers = 3;
+      parallel.sync_every = 256;
+      r = ParallelFuzzer(cm->instrumented(), cm->spec(), options, parallel).Run(ExecBudget(6000));
+    }
+    EXPECT_TRUE(r.interrupted);
+    std::size_t checkpoints = 0;
+    for (std::size_t pos = trace.find("\"ev\":\"checkpoint\""); pos != std::string::npos;
+         pos = trace.find("\"ev\":\"checkpoint\"", pos + 1)) {
+      ++checkpoints;
+    }
+    EXPECT_EQ(checkpoints, 1U);
+    auto ckpt = ReadCheckpointFile(ckpt_path);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.message();
+    EXPECT_EQ(ckpt.value().rounds, 1U);
+  }
+  std::remove(ckpt_path.c_str());
 }
 
 // -- Profile counters across checkpoint/resume -----------------------------

@@ -294,6 +294,58 @@ TEST(SupervisedFaultTest, CorruptedDeltaIsDetectedAndResynced) {
   EXPECT_EQ(clean.corpus_signatures, faulted.corpus_signatures);
 }
 
+// Every lane's SYNC goes out before any STATE reply is read, so recoveries
+// run while other lanes' syncs are in flight. Two lanes whose frames are
+// corrupted at the same sync ordinal both respawn, replay their round and
+// resync; the campaign still ends in the fault-free state.
+TEST(SupervisedFaultTest, CorruptedDeltasOnTwoLanesAtOneSyncResync) {
+  auto cm = Compile("TCP");
+  const SupervisedCampaignResult clean = RunSupervised(*cm, 7, 3, 900);
+  support::FaultInjector inj;
+  for (const int lane : {0, 2}) {
+    inj.events().push_back(support::FaultEvent{support::FaultKind::kCorruptDelta, lane,
+                                               /*at=*/3, 0, false, false});
+  }
+  const SupervisedCampaignResult faulted = RunSupervised(*cm, 7, 3, 900, nullptr, &inj);
+  EXPECT_EQ(faulted.crashes, 2U);
+  EXPECT_EQ(faulted.restarts, 2U);
+  EXPECT_EQ(faulted.lanes_retired, 0U);
+  ExpectSameCampaign(clean.merged, faulted.merged);
+  EXPECT_EQ(clean.corpus_signatures, faulted.corpus_signatures);
+}
+
+// A lane that crashes during a sync the other lanes are running: lane 1's
+// frame at sync 2 is corrupted, and the round it replays to recover crashes
+// too (its first round armed the slow-lane event, so the crash is armed by
+// the replay). Two deaths, two respawns, and the fault-free state.
+TEST(SupervisedFaultTest, CrashDuringConcurrentSyncRecovers) {
+  auto cm = Compile("TCP");
+  const SupervisedCampaignResult clean = RunSupervised(*cm, 7, 3, 900);
+  support::FaultInjector inj;
+  inj.events().push_back(support::FaultEvent{support::FaultKind::kSlowLane, /*lane=*/1,
+                                             /*at=*/1, /*param=*/10, false, false});
+  inj.events().push_back(support::FaultEvent{support::FaultKind::kCorruptDelta, /*lane=*/1,
+                                             /*at=*/2, 0, false, false});
+  inj.events().push_back(
+      support::FaultEvent{support::FaultKind::kCrash, /*lane=*/1, /*at=*/1, 0, false, false});
+  InMemoryTrace trace;
+  FuzzerOptions options;
+  options.seed = 7;
+  options.telemetry = &trace.telemetry;
+  SupervisorOptions sup;
+  sup.num_workers = 3;
+  sup.sync_every = 64;
+  sup.faults = &inj;
+  const SupervisedCampaignResult faulted =
+      Supervisor(cm->instrumented(), cm->spec(), options, sup).Run(ExecBudget(900));
+  EXPECT_EQ(faulted.crashes, 2U);
+  EXPECT_EQ(faulted.restarts, 2U);
+  EXPECT_EQ(faulted.lanes_retired, 0U);
+  EXPECT_NE(trace.buffer.find("\"reason\":\"died replaying round\""), std::string::npos);
+  ExpectSameCampaign(clean.merged, faulted.merged);
+  EXPECT_EQ(clean.corpus_signatures, faulted.corpus_signatures);
+}
+
 TEST(SupervisedFaultTest, ExhaustedRestartBudgetRetiresLaneAndCampaignCompletes) {
   auto cm = Compile("TCP");
   support::FaultInjector inj;
