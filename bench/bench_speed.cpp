@@ -1,6 +1,7 @@
 // E5 — §4 execution-speed comparison: iterations/second of the compiled
-// path (bytecode VM standing in for Clang-compiled fuzz code) vs the
-// simulation engine (interpreter with per-step dispatch and logging).
+// path (the model's vm::Program run as native code, standing in for
+// Clang-compiled fuzz code) vs the simulation engine (interpreter with
+// per-step dispatch and logging).
 //
 // The paper reports >26,000 it/s for CFTCG vs 6 it/s for SimCoTest on
 // SolarPV. Our absolute numbers differ (our interpreter is a lean C++ tree
@@ -8,14 +9,24 @@
 // of magnitude ahead — is the load-bearing claim, and the extrapolated
 // "hours to reach queue-full at simulation speed" story in
 // bench_cputask_deepstate builds on it.
-// A third pass re-runs the compiled path with the count-only self-profiler
-// attached (one counter add per Step and per taken jump, strobe off, the
-// pending counts flushed into the profile every 1024 iterations — at least
-// as often as a campaign reads it: once per 1024-execution round), giving the
-// `profile_overhead_pct` number the CI bench-gate holds to <= 5%.
+// Per model, four configurations of one Machine are interleaved:
+//   * `vm_iters_per_s`: Machine::Step, which runs native code wherever the
+//     host allows it (and the bytecode interpreter otherwise);
+//   * `bytecode_iters_per_s`: Machine::StepBytecode, the interpreter, and
+//     `native_speedup`, the ratio of the two;
+//   * the count-only self-profiler attached (one counter add per Step and
+//     per taken jump, strobe off, the pending counts flushed into the
+//     profile every 1024 iterations — at least as often as a campaign reads
+//     it: once per 1024-execution round), giving the `profile_overhead_pct`
+//     number the CI bench-gate holds to <= 5%;
+//   * a MarginRecorder attached, as every observed campaign has, giving
+//     `margins_overhead_pct`.
+// `native_translate_us` and `native_code_bytes` are one translation of the
+// plain configuration.
 #include <chrono>
 
 #include "bench/bench_util.hpp"
+#include "coverage/sink.hpp"
 #include "sim/interpreter.hpp"
 #include "support/rng.hpp"
 #include "vm/profile.hpp"
@@ -34,32 +45,43 @@ int main(int argc, char** argv) {
 
   std::printf("=== Execution speed: compiled fuzz code vs simulation engine (%.2fs each) ===\n",
               args.budget_s);
-  bench::Table table({"Model", "VM it/s", "Profiled it/s", "Overhead", "Interp it/s", "Speedup"});
+  bench::Table table({"Model", "VM it/s", "Bytecode it/s", "Native", "Profiled it/s", "Overhead",
+                      "Margins it/s", "Overhead", "Interp it/s", "Speedup", "Translate"});
   bench::JsonSink json(args, "speed");
   for (const auto& name : args.ModelNames()) {
     auto cm = bench::CompileOrDie(name);
-    const std::size_t tuple = cm->instrumented().TupleSize();
+    const vm::Program& program = cm->instrumented();
+    const std::size_t tuple = program.TupleSize();
     Rng rng(args.seed);
     std::vector<std::uint8_t> buf(tuple);
     coverage::CoverageSink sink(cm->spec());
 
-    // Compiled path, bare and with the always-on profiler plane attached
-    // (count-only: strobe_period = 0, so no clock or sampling work — just
-    // the dispatch counting and flushes every `fuzz` campaign now pays;
-    // FlushProfile is a no-op on the bare passes). The two
-    // configurations are interleaved in short alternating sub-passes and
-    // each rate is the best sub-pass: max-rate filtering discards scheduler
-    // preemptions and frequency excursions that would otherwise swamp the
-    // few-percent overhead the bench gate holds to.
-    vm::Machine machine(cm->instrumented());
+    // One translation of the plain configuration, timed on its own.
+    vm::Machine fresh(program);
+    fresh.Step(&sink);
+    const double translate_us = fresh.native_translate_us();
+    const std::size_t code_bytes = fresh.native_code_bytes();
+
+    // The compiled path in four configurations (see the file comment; the
+    // profiled one is count-only: strobe_period = 0, so no clock or
+    // sampling work — just the dispatch counting and flushes every `fuzz`
+    // campaign pays; FlushProfile is a no-op on the other passes). They are
+    // interleaved in short alternating sub-passes and each rate is the best
+    // sub-pass: max-rate filtering discards scheduler preemptions and
+    // frequency excursions that would otherwise swamp the few-percent
+    // overheads the bench gate holds to.
+    enum Config { kNative, kBytecode, kProfiled, kMargins, kConfigs };
+    vm::Machine machine(program);
     vm::ExecProfile profile;
-    profile.AttachTo(cm->instrumented());
+    profile.AttachTo(program);
+    coverage::MarginRecorder margins;
+    margins.Reset(cm->spec());
     constexpr int kSubPasses = 3;
-    double vm_rate = 0;
-    double prof_rate = 0;
-    for (int pass = 0; pass < 2 * kSubPasses; ++pass) {
-      const bool profiled = pass % 2 != 0;
-      machine.set_profile(profiled ? &profile : nullptr);
+    double rate[kConfigs] = {};
+    for (int pass = 0; pass < kConfigs * kSubPasses; ++pass) {
+      const int config = pass % kConfigs;
+      machine.set_profile(config == kProfiled ? &profile : nullptr);
+      machine.set_margins(config == kMargins ? &margins : nullptr);
       std::uint64_t iters = 0;
       const auto sub_start = std::chrono::steady_clock::now();
       while (Seconds(sub_start) < args.budget_s / kSubPasses) {
@@ -67,17 +89,23 @@ int main(int argc, char** argv) {
           rng.FillBytes(buf.data(), buf.size());
           sink.BeginIteration();
           machine.SetInputsFromBytes(buf.data());
-          machine.Step(&sink);
+          if (config == kBytecode) {
+            machine.StepBytecode(&sink);
+          } else {
+            machine.Step(&sink);
+          }
           ++iters;
         }
         if (iters % 1024 == 0) machine.FlushProfile();
       }
-      const double rate = static_cast<double>(iters) / Seconds(sub_start);
-      double& best = profiled ? prof_rate : vm_rate;
-      if (rate > best) best = rate;
+      rate[config] = std::max(rate[config], static_cast<double>(iters) / Seconds(sub_start));
     }
     machine.set_profile(nullptr);
-    const double overhead_pct = vm_rate > 0 ? 100.0 * (vm_rate - prof_rate) / vm_rate : 0;
+    machine.set_margins(nullptr);
+    const double vm_rate = rate[kNative];
+    const auto overhead = [&](int config) {
+      return vm_rate > 0 ? 100.0 * (vm_rate - rate[config]) / vm_rate : 0.0;
+    };
 
     // Simulation engine.
     sim::Interpreter interp(cm->scheduled(), /*log_signals=*/true);
@@ -95,16 +123,25 @@ int main(int argc, char** argv) {
     }
     const double interp_rate = static_cast<double>(interp_iters) / Seconds(start);
 
-    table.AddRow({name, StrFormat("%.0f", vm_rate), StrFormat("%.0f", prof_rate),
-                  StrFormat("%.1f%%", overhead_pct), StrFormat("%.0f", interp_rate),
-                  StrFormat("%.0fx", vm_rate / interp_rate)});
+    table.AddRow({name, StrFormat("%.0f", vm_rate), StrFormat("%.0f", rate[kBytecode]),
+                  StrFormat("%.2fx", vm_rate / rate[kBytecode]),
+                  StrFormat("%.0f", rate[kProfiled]), StrFormat("%.1f%%", overhead(kProfiled)),
+                  StrFormat("%.0f", rate[kMargins]), StrFormat("%.1f%%", overhead(kMargins)),
+                  StrFormat("%.0f", interp_rate), StrFormat("%.0fx", vm_rate / interp_rate),
+                  StrFormat("%.0fus %zuB", translate_us, code_bytes)});
     json.Add(bench::JsonSink::Row(name)
                  .Num("vm_iters_per_s", vm_rate)
-                 .Num("vm_iters_per_s_profiled", prof_rate)
-                 .Num("profile_overhead_pct", overhead_pct)
+                 .Num("bytecode_iters_per_s", rate[kBytecode])
+                 .Num("native_speedup", vm_rate / rate[kBytecode])
+                 .Num("vm_iters_per_s_profiled", rate[kProfiled])
+                 .Num("profile_overhead_pct", overhead(kProfiled))
+                 .Num("vm_iters_per_s_margins", rate[kMargins])
+                 .Num("margins_overhead_pct", overhead(kMargins))
                  .Num("interp_iters_per_s", interp_rate)
                  .Num("speedup", vm_rate / interp_rate)
-                 .Num("wall_s", 3 * args.budget_s));
+                 .Num("native_translate_us", translate_us)
+                 .Num("native_code_bytes", static_cast<double>(code_bytes))
+                 .Num("wall_s", (kConfigs + 1) * args.budget_s));
   }
   table.Print();
   json.Write();

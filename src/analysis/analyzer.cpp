@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/strings.hpp"
+#include "support/numerics.hpp"
 
 namespace cftcg::analysis {
 
@@ -578,7 +579,7 @@ class AbstractExec {
       v.v = AbsVal::Point(init, t);
     } else {
       v.v = AbsVal::Point(
-          static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(init), t)), t);
+          static_cast<double>(ir::WrapToDType(num::TruncToI64(init), t)), t);
       v.v.type = t;
     }
     st.outs.assign(1, std::move(v));
@@ -699,7 +700,7 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
       x.v = ir::DTypeIsFloat(t)
                 ? AbsVal::Point(v, t)
                 : AbsVal::Point(
-                      static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(v), t)), t);
+                      static_cast<double>(ir::WrapToDType(num::TruncToI64(v), t)), t);
       Set(sys, b.id(), 0, std::move(x));
       return;
     }
@@ -973,8 +974,8 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
       double lo = b.params().GetDouble("lower", 0.0);
       double hi = b.params().GetDouble("upper", 1.0);
       if (!ir::DTypeIsFloat(t)) {
-        lo = static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(lo), t));
-        hi = static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(hi), t));
+        lo = static_cast<double>(ir::WrapToDType(num::TruncToI64(lo), t));
+        hi = static_cast<double>(ir::WrapToDType(num::TruncToI64(hi), t));
       }
       Harvest(u, lo);
       Harvest(u, hi);
@@ -1158,13 +1159,10 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
         if (a.v.iv.lo() == a.v.iv.hi()) Harvest(c, a.v.iv.lo());
       } else if (b.kind() == BlockKind::kCompareToConstant) {
         const double v = b.params().GetDouble("value", 0.0);
-        const bool fractional = v != std::floor(v);
-        if (ir::DTypeIsFloat(a.v.type) || fractional) {
+        if (ir::DTypeIsFloat(a.v.type) || !ir::DTypeHolds(a.v.type, v)) {
           c.v = AbsVal::Point(v);
         } else {
-          c.v = AbsVal::Point(
-              static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(v), a.v.type)),
-              a.v.type);
+          c.v = AbsVal::Point(v, a.v.type);
         }
         Harvest(a, v);
       } else {
@@ -1242,8 +1240,8 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
       deps.insert(c.deps.begin(), c.deps.end());
       if (a.v.iv.lo() == a.v.iv.hi() && c.v.iv.lo() == c.v.iv.hi() && FinB(a.v.iv.lo()) &&
           FinB(c.v.iv.lo())) {
-        const auto x = static_cast<std::int64_t>(a.v.iv.lo());
-        const auto y = static_cast<std::int64_t>(c.v.iv.lo());
+        const std::int64_t x = num::TruncToI64(a.v.iv.lo());
+        const std::int64_t y = num::TruncToI64(c.v.iv.lo());
         std::int64_t r = x & y;
         if (b.kind() == BlockKind::kBitwiseOr) r = x | y;
         if (b.kind() == BlockKind::kBitwiseXor) r = x ^ y;
@@ -1278,14 +1276,11 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
         tri = ABool(ctrl);
       } else {
         const double thr = b.params().GetDouble("threshold", 0.0);
-        const bool fractional = thr != std::floor(thr);
         AV th;
-        if (ir::DTypeIsFloat(ctrl.v.type) || fractional) {
+        if (ir::DTypeIsFloat(ctrl.v.type) || !ir::DTypeHolds(ctrl.v.type, thr)) {
           th.v = AbsVal::Point(thr);
         } else {
-          th.v = AbsVal::Point(
-              static_cast<double>(ir::WrapToDType(static_cast<std::int64_t>(thr), ctrl.v.type)),
-              ctrl.v.type);
+          th.v = AbsVal::Point(thr, ctrl.v.type);
         }
         Harvest(ctrl, thr);
         tri = ARelate(ctrl, th, criteria);

@@ -8,6 +8,7 @@
 
 #include "blocks/registry.hpp"
 #include "support/strings.hpp"
+#include "support/numerics.hpp"
 
 namespace cftcg::codegen {
 
@@ -237,7 +238,7 @@ class CEmitter {
         const double v = b.params().GetDouble("value", 0.0);
         const std::string lit = ir::DTypeIsFloat(t)
                                     ? DoubleToString(v)
-                                    : StrFormat("%lld", static_cast<long long>(v));
+                                    : StrFormat("%lld", static_cast<long long>(num::TruncToI64(v)));
         B(Decl(sys, b, 0, t, lit));
         return Status::Ok();
       }
@@ -369,7 +370,8 @@ class CEmitter {
         AddState(CType(b.out_type(0)), sname,
                  ir::DTypeIsFloat(b.out_type(0))
                      ? DoubleToString(b.params().GetDouble("init", 0.0))
-                     : StrFormat("%lld", static_cast<long long>(b.params().GetDouble("init", 0.0))));
+                     : StrFormat("%lld", static_cast<long long>(
+                           num::TruncToI64(b.params().GetDouble("init", 0.0)))));
         B(Decl(sys, b, 0, b.out_type(0), sname));
         return Status::Ok();
       }
@@ -490,12 +492,12 @@ class CEmitter {
     const std::string u = Cast(InExpr(sys, b, 0), InType(sys, b, 0), t);
     const std::string lo = ir::DTypeIsFloat(t)
                                ? DoubleToString(b.params().GetDouble("lower", 0.0))
-                               : StrFormat("%lld", static_cast<long long>(
-                                                       b.params().GetDouble("lower", 0.0)));
+                               : StrFormat("%lld", static_cast<long long>(num::TruncToI64(
+                                                       b.params().GetDouble("lower", 0.0))));
     const std::string hi = ir::DTypeIsFloat(t)
                                ? DoubleToString(b.params().GetDouble("upper", 1.0))
-                               : StrFormat("%lld", static_cast<long long>(
-                                                       b.params().GetDouble("upper", 1.0)));
+                               : StrFormat("%lld", static_cast<long long>(num::TruncToI64(
+                                                       b.params().GetDouble("upper", 1.0))));
     const auto d = sm_.DecisionAt(&b, 0);
     B(Decl(sys, b, 0, t, "0"));
     const std::string v = VarOf(sys, b.id(), 0);
@@ -717,7 +719,8 @@ class CEmitter {
     const std::string sname = StrFormat("s_%s_%d", Sanitize(b.name()).c_str(), var_counter_++);
     state_name_[&b] = sname;
     AddState(CType(t), sname,
-             StrFormat("%lld", static_cast<long long>(b.params().GetDouble("init", 0.0))));
+             StrFormat("%lld", static_cast<long long>(
+                                   num::TruncToI64(b.params().GetDouble("init", 0.0)))));
     const auto d = sm_.DecisionAt(&b, 0);
     const long long limit = static_cast<long long>(b.params().GetInt("limit", 10));
     B(StrFormat("if ((%s) != 0) {", InExpr(sys, b, 0).c_str()));

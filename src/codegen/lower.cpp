@@ -9,6 +9,7 @@
 
 #include "blocks/registry.hpp"
 #include "support/strings.hpp"
+#include "support/numerics.hpp"
 
 namespace cftcg::codegen {
 
@@ -125,7 +126,7 @@ class Lowerer {
     // The value an ldc.i of this literal holds: through the double
     // immediate, then wrapped to the declared width.
     const std::int64_t wrapped =
-        ir::WrapToDType(static_cast<std::int64_t>(static_cast<double>(v)), t);
+        ir::WrapToDType(num::TruncToI64(static_cast<double>(v)), t);
     const auto [it, fresh] = pool_i_.try_emplace(wrapped, 0);
     if (fresh) {
       it->second = NewI();
@@ -373,7 +374,7 @@ class Lowerer {
         const DType t = b.out_type(0);
         const double v = b.params().GetDouble("value", 0.0);
         Slot s = ir::DTypeIsFloat(t) ? ConstD(v)
-                                     : ConstI(ir::WrapToDType(static_cast<std::int64_t>(v), t), t);
+                                     : ConstI(ir::WrapToDType(num::TruncToI64(v), t), t);
         s.type = t;
         SetValue(sys, b.id(), 0, s);
         return Status::Ok();
@@ -744,8 +745,8 @@ class Lowerer {
     const double hi_v = b.params().GetDouble("upper", 1.0);
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
     Slot out = NewSlot(t);
-    Slot lo = out.is_float ? ConstD(lo_v) : ConstI(static_cast<std::int64_t>(lo_v), t);
-    Slot hi = out.is_float ? ConstD(hi_v) : ConstI(static_cast<std::int64_t>(hi_v), t);
+    Slot lo = out.is_float ? ConstD(lo_v) : ConstI(num::TruncToI64(lo_v), t);
+    Slot hi = out.is_float ? ConstD(hi_v) : ConstI(num::TruncToI64(hi_v), t);
     AddMargin(d, 1, 0, u, lo);
     AddMargin(d, 2, 1, u, hi);
     const int below = NewI();
@@ -899,10 +900,11 @@ class Lowerer {
       c = InputOf(sys, b, 1);
     } else if (b.kind() == BlockKind::kCompareToConstant) {
       const double v = b.params().GetDouble("value", 0.0);
-      // A fractional threshold against an integer signal must compare in the
-      // floating domain, as the generated C would.
-      const bool fractional = v != std::floor(v);
-      c = (a.is_float || fractional) ? ConstD(v) : ConstI(static_cast<std::int64_t>(v), a.type);
+      // A threshold that is no value of an integer signal's type (fractional
+      // or out of range) must compare in the floating domain, as the
+      // generated C would.
+      c = (a.is_float || !ir::DTypeHolds(a.type, v)) ? ConstD(v)
+                                                     : ConstI(static_cast<std::int64_t>(v), a.type);
     } else {
       c = a.is_float ? ConstD(0.0) : ConstI(0, a.type);
     }
@@ -977,10 +979,9 @@ class Lowerer {
       Slot zero = ctrl.is_float ? ConstD(0.0) : ConstI(0, ctrl.type);
       cond = Compare(ctrl, zero, "ne");
     } else {
-      // A fractional threshold against an integer control compares in the
-      // floating domain (generated C promotes the operand).
-      const bool fractional = thr != std::floor(thr);
-      Slot th = (ctrl.is_float || fractional)
+      // A threshold that is no value of an integer control's type compares
+      // in the floating domain (generated C promotes the operand).
+      Slot th = (ctrl.is_float || !ir::DTypeHolds(ctrl.type, thr))
                     ? ConstD(thr)
                     : ConstI(static_cast<std::int64_t>(thr), ctrl.type);
       cond = Compare(ctrl, th, criteria);

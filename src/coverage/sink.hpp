@@ -89,6 +89,10 @@ class CoverageSink {
     if (set.size() < kMaxEvalsPerDecision) set.insert(e);
   }
 
+  /// The last evaluation RecordEval saw, per decision: native model code
+  /// runs RecordEval's repeat filter against it before calling out.
+  [[nodiscard]] const std::uint64_t* last_evals() const { return last_eval_.data(); }
+
   // -- Iteration control --------------------------------------------------
   /// Clears the per-iteration map (Algorithm 1 line 11).
   void BeginIteration() { curr_.ClearAll(); }
@@ -96,6 +100,9 @@ class CoverageSink {
   std::size_t AccumulateIteration() { return total_.MergeAndCountNew(curr_); }
 
   [[nodiscard]] const DynamicBitset& curr() const { return curr_; }
+  /// The curr words, writable: native model code sets its bits through
+  /// this (slot k is bit k % 64 of word k / 64).
+  [[nodiscard]] std::uint64_t* curr_words() { return curr_.word_data(); }
   [[nodiscard]] const DynamicBitset& total() const { return total_; }
   [[nodiscard]] DynamicBitset& mutable_total() { return total_; }
   [[nodiscard]] const std::vector<std::unordered_set<std::uint64_t>>& evals() const {

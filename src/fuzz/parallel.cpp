@@ -1,6 +1,7 @@
 #include "fuzz/parallel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cassert>
 #include <cstdio>
 #include <iterator>
@@ -521,8 +522,11 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   const auto heartbeat = [&]() {
     const double now = elapsed();
     if (now < next_stat) return;
-    do next_stat += tm->stats_every_s;
-    while (next_stat <= now);
+    // The first period boundary past now, in one step: adding one period at
+    // a time costs now / stats_every_s iterations, which with a tiny period
+    // (a heartbeat per barrier) never catches up on a slow host.
+    next_stat += (std::floor((now - next_stat) / tm->stats_every_s) + 1) * tm->stats_every_s;
+    if (next_stat <= now) next_stat = now + tm->stats_every_s;
     for (const auto& lane : lanes) lane->MergeCoverageInto(global);
     const LaneCounters c = sum_counters();
     const coverage::MetricReport report = coverage::ComputeReport(global, options.justifications);

@@ -1,5 +1,7 @@
 #include "ir/dtype.hpp"
 
+#include <cmath>
+
 #include <array>
 #include <cassert>
 
@@ -41,6 +43,11 @@ std::int64_t DTypeMin(DType t) {
 std::int64_t DTypeMax(DType t) {
   assert(!DTypeIsFloat(t));
   return Info(t).max;
+}
+
+bool DTypeHolds(DType t, double v) {
+  return v == std::floor(v) && v >= static_cast<double>(DTypeMin(t)) &&
+         v <= static_cast<double>(DTypeMax(t));
 }
 
 std::string_view DTypeName(DType t) { return Info(t).name; }

@@ -46,6 +46,11 @@ bool DTypeIsSigned(DType t);
 std::int64_t DTypeMin(DType t);
 std::int64_t DTypeMax(DType t);
 
+/// True when `v` is exactly a value of integer type `t`: a whole number in
+/// its range. A model threshold that is not compares in the floating
+/// domain, as the generated C's promotion does.
+bool DTypeHolds(DType t, double v);
+
 /// Wraps a wide integer into the type's representable range using two's
 /// complement semantics (what the generated C code does on overflow).
 inline std::int64_t WrapToDType(std::int64_t value, DType t) {

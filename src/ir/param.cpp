@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "support/strings.hpp"
+#include "support/numerics.hpp"
 
 namespace cftcg::ir {
 
@@ -14,7 +15,7 @@ double ParamValue::AsDouble() const {
 
 std::int64_t ParamValue::AsInt64() const {
   if (const auto* i = std::get_if<std::int64_t>(&v_)) return *i;
-  if (const auto* d = std::get_if<double>(&v_)) return static_cast<std::int64_t>(*d);
+  if (const auto* d = std::get_if<double>(&v_)) return num::TruncToI64(*d);
   return 0;
 }
 

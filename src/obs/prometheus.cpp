@@ -13,7 +13,9 @@ namespace {
 std::string PromNumber(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::fabs(v) < 1e15) {
+  // The range check first: casting a double past long long's range is
+  // undefined.
+  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<long long>(v))) {
     return StrFormat("%lld", static_cast<long long>(v));
   }
   return StrFormat("%.17g", v);

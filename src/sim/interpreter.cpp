@@ -184,7 +184,7 @@ class Exec {
         const DType t = b.out_type(0);
         const double v = b.params().GetDouble("value", 0.0);
         Set(sys, b.id(), 0,
-            ir::DTypeIsFloat(t) ? IVal::D(v, t) : IVal::I(static_cast<std::int64_t>(v), t));
+            ir::DTypeIsFloat(t) ? IVal::D(v, t) : IVal::I(num::TruncToI64(v), t));
         return;
       }
       case BlockKind::kGain: {
@@ -282,7 +282,7 @@ class Exec {
         }
         CovOutcome(d, outcome);
         Set(sys, b.id(), 0,
-            u.is_float ? IVal::D(res, t) : IVal::I(static_cast<std::int64_t>(res), t));
+            u.is_float ? IVal::D(res, t) : IVal::I(num::TruncToI64(res), t));
         return;
       }
       case BlockKind::kSqrt: return Unary(sys, b, [](double v) { return SafeSqrt(v); });
@@ -334,9 +334,9 @@ class Exec {
           }
         } else {
           const auto lo = ir::WrapToDType(
-              static_cast<std::int64_t>(b.params().GetDouble("lower", 0.0)), t);
+              num::TruncToI64(b.params().GetDouble("lower", 0.0)), t);
           const auto hi = ir::WrapToDType(
-              static_cast<std::int64_t>(b.params().GetDouble("upper", 1.0)), t);
+              num::TruncToI64(b.params().GetDouble("upper", 1.0)), t);
           if (u.i < lo) {
             CovOutcome(d, 0);
             Set(sys, b.id(), 0, IVal::I(lo, t));
@@ -427,9 +427,9 @@ class Exec {
           c = In(sys, b, 1);
         } else if (b.kind() == BlockKind::kCompareToConstant) {
           const double v = b.params().GetDouble("value", 0.0);
-          const bool fractional = v != std::floor(v);
-          c = (a.is_float || fractional) ? IVal::D(v)
-                                         : IVal::I(static_cast<std::int64_t>(v), a.type);
+          c = (a.is_float || !ir::DTypeHolds(a.type, v))
+                  ? IVal::D(v)
+                  : IVal::I(static_cast<std::int64_t>(v), a.type);
         } else {
           c = a.is_float ? IVal::D(0.0) : IVal::I(0, a.type);
         }
@@ -504,8 +504,7 @@ class Exec {
           cond = ctrl.AsB();
         } else {
           const double thr = b.params().GetDouble("threshold", 0.0);
-          const bool fractional = thr != std::floor(thr);
-          IVal th = (ctrl.is_float || fractional)
+          IVal th = (ctrl.is_float || !ir::DTypeHolds(ctrl.type, thr))
                         ? IVal::D(thr)
                         : IVal::I(static_cast<std::int64_t>(thr), ctrl.type);
           cond = Relate(ctrl, th, criteria);
@@ -571,7 +570,7 @@ class Exec {
         const DType t = b.out_type(0);
         if (st.i.empty()) {
           st.i.assign(
-              1, ir::WrapToDType(static_cast<std::int64_t>(b.params().GetDouble("init", 0.0)), t));
+              1, ir::WrapToDType(num::TruncToI64(b.params().GetDouble("init", 0.0)), t));
         }
         const auto d = sm_.DecisionAt(&b, 0);
         if (In(sys, b, 0).AsB()) {
@@ -695,7 +694,7 @@ class Exec {
             Set(sys, b.id(), k, IVal::D(st.d[static_cast<std::size_t>(k)], t));
           } else {
             Set(sys, b.id(), k,
-                IVal::I(static_cast<std::int64_t>(st.d[static_cast<std::size_t>(k)]), t));
+                IVal::I(num::TruncToI64(st.d[static_cast<std::size_t>(k)]), t));
           }
         }
         return;
@@ -711,7 +710,7 @@ class Exec {
     if (ir::DTypeIsFloat(t)) {
       st.d.assign(n, init);
     } else {
-      st.i.assign(n, ir::WrapToDType(static_cast<std::int64_t>(init), t));
+      st.i.assign(n, ir::WrapToDType(num::TruncToI64(init), t));
     }
   }
 

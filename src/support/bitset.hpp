@@ -96,6 +96,8 @@ class DynamicBitset {
   }
 
   [[nodiscard]] const std::vector<std::uint64_t>& words() const { return words_; }
+  /// The words, writable in place (native model code sets bits through it).
+  [[nodiscard]] std::uint64_t* word_data() { return words_.data(); }
 
   /// Restores a bitset from checkpointed words. The word vector must be the
   /// exact backing store for num_bits (returns false and leaves the bitset

@@ -16,16 +16,25 @@ inline double SafeDiv(double a, double b) {
   return std::isfinite(r) ? r : 0.0;  // generated code guards division by zero
 }
 
-inline std::int64_t SafeDivI(std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a / b; }
+/// Integer division guarded like the generated code (x / 0 = 0). A divisor
+/// of -1 negates with two's-complement wrap, so INT64_MIN / -1 is INT64_MIN
+/// rather than a trap.
+inline std::int64_t SafeDivI(std::int64_t a, std::int64_t b) {
+  if (b == 0) return 0;
+  if (b == -1) return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
+  return a / b;
+}
 
 /// MATLAB mod: result follows the divisor's sign.
 inline std::int64_t SafeModI(std::int64_t a, std::int64_t b) {
-  if (b == 0) return 0;
+  if (b == 0 || b == -1) return 0;
   const std::int64_t r = a % b;
   return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
 }
 
-inline std::int64_t SafeRemI(std::int64_t a, std::int64_t b) { return b == 0 ? 0 : a % b; }
+inline std::int64_t SafeRemI(std::int64_t a, std::int64_t b) {
+  return b == 0 || b == -1 ? 0 : a % b;
+}
 
 inline double SafeMod(double a, double b) {
   if (b == 0.0) return 0.0;

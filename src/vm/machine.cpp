@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -13,20 +14,123 @@ namespace cftcg::vm {
 
 using namespace cftcg::num;
 
+namespace {
+
+// Two's-complement integer arithmetic without signed overflow: what the
+// hardware (and the native templates) compute for any int64 operands.
+std::int64_t WrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
+}
+std::int64_t WrapSub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b));
+}
+std::int64_t WrapMul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b));
+}
+
+/// The semantics of one data instruction (ldc.d through ne.i): registers in,
+/// registers out. The interpreter's handlers (with `op` a constant, so the
+/// switch folds away) and the native code's slow path both run this, so
+/// each opcode is defined once. eq/ne compute only their flag here; TORC
+/// recording is the caller's.
+[[gnu::always_inline]] inline void Compute(Op op, const Insn& in, double* d, std::int64_t* r) {
+  double& dd = d[in.dst];
+  std::int64_t& di = r[in.dst];
+  const ir::DType t = in.type;
+  switch (op) {
+    case Op::kLoadConstD: dd = in.dimm; return;
+    // Wrap to the declared width: an out-of-range literal (e.g. a negative
+    // saturation bound wired to an unsigned signal) must behave like the
+    // same assignment in the generated C.
+    case Op::kLoadConstI: di = ir::WrapToDType(TruncToI64(in.dimm), t); return;
+    case Op::kMovD: dd = d[in.a]; return;
+    case Op::kMovI: di = r[in.a]; return;
+    case Op::kCvtDToI: di = ir::WrapToDType(TruncToI64(d[in.a]), t); return;
+    case Op::kCvtIToD: dd = static_cast<double>(r[in.a]); return;
+    case Op::kWrapI: di = ir::WrapToDType(r[in.a], t); return;
+    case Op::kBoolD: di = d[in.a] != 0.0; return;
+    case Op::kBoolI: di = r[in.a] != 0; return;
+    case Op::kAddD: dd = d[in.a] + d[in.b]; return;
+    case Op::kSubD: dd = d[in.a] - d[in.b]; return;
+    case Op::kMulD: dd = d[in.a] * d[in.b]; return;
+    case Op::kDivD: dd = SafeDiv(d[in.a], d[in.b]); return;
+    case Op::kMinD: dd = std::fmin(d[in.a], d[in.b]); return;
+    case Op::kMaxD: dd = std::fmax(d[in.a], d[in.b]); return;
+    case Op::kModD: dd = SafeMod(d[in.a], d[in.b]); return;
+    case Op::kRemD: dd = SafeRem(d[in.a], d[in.b]); return;
+    case Op::kPowD: dd = Finite(std::pow(d[in.a], d[in.b])); return;
+    case Op::kAtan2D: dd = std::atan2(d[in.a], d[in.b]); return;
+    case Op::kNegD: dd = -d[in.a]; return;
+    case Op::kAbsD: dd = std::fabs(d[in.a]); return;
+    case Op::kSignD: dd = (d[in.a] > 0.0) ? 1.0 : ((d[in.a] < 0.0) ? -1.0 : 0.0); return;
+    case Op::kSqrtD: dd = SafeSqrt(d[in.a]); return;
+    case Op::kExpD: dd = Finite(std::exp(d[in.a])); return;
+    case Op::kLogD: dd = SafeLog(d[in.a]); return;
+    case Op::kFloorD: dd = std::floor(d[in.a]); return;
+    case Op::kCeilD: dd = std::ceil(d[in.a]); return;
+    case Op::kRoundD: dd = std::nearbyint(d[in.a]); return;
+    case Op::kSinD: dd = std::sin(d[in.a]); return;
+    case Op::kCosD: dd = std::cos(d[in.a]); return;
+    case Op::kTanD: dd = Finite(std::tan(d[in.a])); return;
+    case Op::kAddI: di = ir::WrapToDType(WrapAdd(r[in.a], r[in.b]), t); return;
+    case Op::kSubI: di = ir::WrapToDType(WrapSub(r[in.a], r[in.b]), t); return;
+    case Op::kMulI: di = ir::WrapToDType(WrapMul(r[in.a], r[in.b]), t); return;
+    case Op::kDivI: di = ir::WrapToDType(SafeDivI(r[in.a], r[in.b]), t); return;
+    case Op::kMinI: di = r[in.a] < r[in.b] ? r[in.a] : r[in.b]; return;
+    case Op::kMaxI: di = r[in.a] > r[in.b] ? r[in.a] : r[in.b]; return;
+    case Op::kModI: di = ir::WrapToDType(SafeModI(r[in.a], r[in.b]), t); return;
+    case Op::kRemI: di = ir::WrapToDType(SafeRemI(r[in.a], r[in.b]), t); return;
+    case Op::kNegI: di = ir::WrapToDType(WrapSub(0, r[in.a]), t); return;
+    case Op::kAbsI: di = ir::WrapToDType(r[in.a] < 0 ? WrapSub(0, r[in.a]) : r[in.a], t); return;
+    case Op::kSignI: di = (r[in.a] > 0) ? 1 : ((r[in.a] < 0) ? -1 : 0); return;
+    case Op::kAndBitsI: di = ir::WrapToDType(r[in.a] & r[in.b], t); return;
+    case Op::kOrBitsI: di = ir::WrapToDType(r[in.a] | r[in.b], t); return;
+    case Op::kXorBitsI: di = ir::WrapToDType(r[in.a] ^ r[in.b], t); return;
+    case Op::kShlI:
+      di = ir::WrapToDType(
+          static_cast<std::int64_t>(static_cast<std::uint64_t>(r[in.a]) << (r[in.b] & 63)), t);
+      return;
+    case Op::kShrI: di = ir::WrapToDType(r[in.a] >> (r[in.b] & 63), t); return;
+    case Op::kNotL: di = r[in.a] == 0; return;
+    case Op::kLtD: di = d[in.a] < d[in.b]; return;
+    case Op::kLeD: di = d[in.a] <= d[in.b]; return;
+    case Op::kGtD: di = d[in.a] > d[in.b]; return;
+    case Op::kGeD: di = d[in.a] >= d[in.b]; return;
+    case Op::kEqD: di = d[in.a] == d[in.b]; return;
+    case Op::kNeD: di = d[in.a] != d[in.b]; return;
+    case Op::kLtI: di = r[in.a] < r[in.b]; return;
+    case Op::kLeI: di = r[in.a] <= r[in.b]; return;
+    case Op::kGtI: di = r[in.a] > r[in.b]; return;
+    case Op::kGeI: di = r[in.a] >= r[in.b]; return;
+    case Op::kEqI: di = r[in.a] == r[in.b]; return;
+    case Op::kNeI: di = r[in.a] != r[in.b]; return;
+    default: return;  // control flow, I/O and coverage are not data instructions
+  }
+}
+
+/// kMcdcEval, shared like Compute.
+[[gnu::always_inline]] inline void RecordMcdc(coverage::CoverageSink* sink, const Insn& in,
+                                              const std::int64_t* r) {
+  if (sink != nullptr) {
+    sink->RecordEval(in.imm, static_cast<std::uint32_t>(r[in.a]),
+                     static_cast<std::uint32_t>(r[in.b]), static_cast<int>(r[in.aux]));
+  }
+}
+
+}  // namespace
+
 
 Machine::Machine(const Program& program) : program_(&program) {
-  dregs_.assign(static_cast<std::size_t>(program.num_dregs), 0.0);
-  iregs_.assign(static_cast<std::size_t>(program.num_iregs), 0);
-  in_d_.assign(program.input_types.size(), 0.0);
-  in_i_.assign(program.input_types.size(), 0);
-  out_d_.assign(program.output_types.size(), 0.0);
-  out_i_.assign(program.output_types.size(), 0);
-  state_d_.resize(program.state_d.size());
-  state_i_.resize(program.state_i.size());
+  dlay_ = FileLayout::Of(program.num_dregs, program.input_types.size(),
+                         program.output_types.size(), program.state_d.size());
+  ilay_ = FileLayout::Of(program.num_iregs, program.input_types.size(),
+                         program.output_types.size(), program.state_i.size());
+  dfile_.assign(static_cast<std::size_t>(dlay_.size), 0.0);
+  ifile_.assign(static_cast<std::size_t>(ilay_.size), 0);
   // The constant pool: no instruction writes these registers, so one
   // preload here serves every Step().
-  for (const auto& c : program.const_d) dregs_[static_cast<std::size_t>(c.reg)] = c.value;
-  for (const auto& c : program.const_i) iregs_[static_cast<std::size_t>(c.reg)] = c.value;
+  for (const auto& c : program.const_d) dfile_[static_cast<std::size_t>(c.reg)] = c.value;
+  for (const auto& c : program.const_i) ifile_[static_cast<std::size_t>(c.reg)] = c.value;
   // margin_at_[pc] = number of margin sites before pc (they are pc-sorted).
   margin_at_.assign(program.code.size() + 1, 0);
   for (const MarginSite& m : program.margins) {
@@ -34,13 +138,23 @@ Machine::Machine(const Program& program) : program_(&program) {
     ++margin_at_[static_cast<std::size_t>(m.pc) + 1];
   }
   std::partial_sum(margin_at_.begin(), margin_at_.end(), margin_at_.begin());
-  taken_.assign(program.code.size(), 0);
+  edges_.assign(program.code.size(), 0);
   aborted_.assign(program.code.size(), 0);
   landings_.assign(program.code.size(), 0);
+  std::int32_t max_slot = -1;
+  std::int32_t max_decision = -1;
   for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
-    const Op op = program.code[pc].op;
-    if (op == Op::kHalt || EffectOf(op).jumps) run_ends_.push_back(pc);
+    const Insn& in = program.code[pc];
+    if (in.op == Op::kHalt || EffectOf(in.op).jumps) run_ends_.push_back(pc);
+    if (in.op == Op::kCov) max_slot = std::max(max_slot, in.imm);
+    if (in.op == Op::kMcdcEval) max_decision = std::max(max_decision, in.imm);
+    if (in.op == Op::kCovIf || in.op == Op::kCovCond) {
+      max_slot = std::max({max_slot, in.imm, in.aux});
+    }
   }
+  dropped_cov_.assign(static_cast<std::size_t>(max_slot + 1) / 64 + 1, 0);
+  dropped_evals_.assign(static_cast<std::size_t>(max_decision + 1), 0);
+  dropped_edges_.assign(static_cast<std::size_t>(std::max(program.num_edges, 0)), 0);
   std::size_t offset = 0;
   for (const ir::DType t : program.input_types) {
     inputs_.push_back(InputField{offset, t});
@@ -55,15 +169,18 @@ void Machine::FlushProfile() const {
   // run end (halt, jmp, jz/jnz, br.*); a hang aborts on a back-edge
   // transfer, which ends its run too. Runs start at pc 0 (one per Step), at
   // the targets of taken transfers, and after a jz/jnz/br.* that fell
-  // through — as often as it ran, less the times it was taken or aborted.
-  // So once the taken counts are added onto their targets, one upward sweep
-  // recovers every instruction's dispatch count, and clears the pending
-  // counts behind it.
+  // through. One upward sweep recovers every instruction's dispatch count,
+  // and clears the pending counts behind it. The sweep meets a forward
+  // transfer before its target, so it derives what the target receives: a
+  // forward jmp sends every run covering it, a forward jz/jnz/br.* all but
+  // its counted fall-throughs. A backward transfer's target is behind the
+  // sweep, so its taken count is added onto the target first.
   const std::vector<Insn>& code = program_->code;
   std::uint64_t* counts = profile_->insn_counts.data();
   assert(profile_->insn_counts.size() == code.size() && "profile sized for another program");
   for (const std::size_t end : run_ends_) {
-    if (taken_[end] != 0) landings_[static_cast<std::size_t>(code[end].imm)] += taken_[end];
+    const auto target = static_cast<std::size_t>(code[end].imm);
+    if (target <= end && edges_[end] != 0) landings_[target] += edges_[end];
   }
   std::uint64_t live = pending_steps_;  // runs covering pc
   std::size_t pc = 0;
@@ -73,10 +190,18 @@ void Machine::FlushProfile() const {
       landings_[pc] = 0;
       counts[pc] += live;
     }
-    // The runs that fall through to end + 1 (none after a halt or jmp).
+    // The runs that fall through to end + 1: none after a halt or jmp.
     const Op op = code[end].op;
-    live = op == Op::kHalt || op == Op::kJmp ? 0 : live - taken_[end] - aborted_[end];
-    taken_[end] = aborted_[end] = 0;
+    const auto target = static_cast<std::size_t>(code[end].imm);
+    std::uint64_t next = 0;
+    if (op != Op::kHalt && target > end) {
+      next = op == Op::kJmp ? 0 : edges_[end];
+      landings_[target] += live - next;
+    } else if (op != Op::kHalt && op != Op::kJmp) {
+      next = live - edges_[end] - aborted_[end];
+    }
+    live = next;
+    edges_[end] = aborted_[end] = 0;
   }
   pending_steps_ = 0;
 }
@@ -88,10 +213,11 @@ void Machine::RecordMarginSites(std::size_t at) const {
 }
 
 void Machine::Reset() {
-  for (std::size_t i = 0; i < state_d_.size(); ++i) state_d_[i] = program_->state_d[i].init;
-  for (std::size_t i = 0; i < state_i_.size(); ++i) {
-    state_i_[i] = ir::WrapToDType(static_cast<std::int64_t>(program_->state_i[i].init),
-                                  program_->state_i[i].type);
+  double* const state_d = dfile_.data() + dlay_.state;
+  std::int64_t* const state_i = ifile_.data() + ilay_.state;
+  for (std::size_t i = 0; i < program_->state_d.size(); ++i) state_d[i] = program_->state_d[i].init;
+  for (std::size_t i = 0; i < program_->state_i.size(); ++i) {
+    state_i[i] = ir::WrapToDType(TruncToI64(program_->state_i[i].init), program_->state_i[i].type);
   }
 }
 
@@ -99,9 +225,9 @@ void Machine::SetInputs(std::span<const ir::Value> values) {
   for (std::size_t i = 0; i < values.size() && i < program_->input_types.size(); ++i) {
     const ir::Value v = values[i].CastTo(program_->input_types[i]);
     if (ir::DTypeIsFloat(program_->input_types[i])) {
-      in_d_[i] = v.AsDouble();
+      dfile_[static_cast<std::size_t>(dlay_.in) + i] = v.AsDouble();
     } else {
-      in_i_[i] = v.AsInt64();
+      ifile_[static_cast<std::size_t>(ilay_.in) + i] = v.AsInt64();
     }
   }
 }
@@ -109,11 +235,105 @@ void Machine::SetInputs(std::span<const ir::Value> values) {
 ir::Value Machine::GetOutput(int index) const {
   const auto i = static_cast<std::size_t>(index);
   const ir::DType t = program_->output_types[i];
-  if (ir::DTypeIsFloat(t)) return ir::Value::Real(t, out_d_[i]);
-  return ir::Value::Int(t, out_i_[i]);
+  if (ir::DTypeIsFloat(t)) return ir::Value::Real(t, dfile_[At(dlay_.out, index)]);
+  return ir::Value::Int(t, ifile_[At(ilay_.out, index)]);
 }
 
 bool Machine::Step(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
+  if constexpr (kNativeTarget) {
+    if (const NativeCode* code = NativeForConfig(); code != nullptr) {
+      return StepNative(*code, sink, edge_map);
+    }
+  }
+  return StepBytecode(sink, edge_map);
+}
+
+std::size_t Machine::native_code_bytes() const {
+  std::size_t bytes = 0;
+  for (const NativeCode& code : native_.code) bytes += code.code_bytes();
+  return bytes;
+}
+
+const NativeCode* Machine::NativeForConfig() {
+  if (native_.refused) return nullptr;
+  const int profile = profile_ == nullptr ? 0 : profile_->strobe_period == 0 ? 1 : 2;
+  const bool margins = margins_ != nullptr;
+  NativeCode& code = native_.code[static_cast<std::size_t>(profile + (margins ? 3 : 0))];
+  if (!code) {
+    const auto start = std::chrono::steady_clock::now();
+    const NativeConfig config{profile != 0, profile == 2, margins};
+    const NativeHooks hooks{&Machine::NativeSlow, &Machine::NativeTrace, &Machine::NativeMargins};
+    code = TranslateX64(*program_, dlay_, ilay_, config, hooks);
+    if (!code) {
+      native_.refused = true;
+      return nullptr;
+    }
+    native_.translate_us +=
+        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+            .count();
+  }
+  return &code;
+}
+
+bool Machine::StepNative(const NativeCode& code, coverage::CoverageSink* sink,
+                         std::uint8_t* edge_map) {
+  NativeFrame f;
+  f.d = dfile_.data();
+  f.r = ifile_.data();
+  f.cov = sink != nullptr ? sink->curr_words() : dropped_cov_.data();
+  f.edges = edge_map != nullptr ? edge_map : dropped_edges_.data();
+  f.last_evals = sink != nullptr ? sink->last_evals() : dropped_evals_.data();
+  f.cmp_trace = cmp_trace_;
+  f.back_jumps = step_budget_ == 0 ? std::numeric_limits<std::uint64_t>::max() : step_budget_;
+  f.sink = sink;
+  f.owner = this;
+  // The count plane as in StepImpl: Step entries here, taken transfers in
+  // the code, hang aborts below.
+  const bool strobing = profile_ != nullptr && profile_->strobe_period != 0;
+  if (profile_ != nullptr) {
+    ++profile_->steps;
+    ++pending_steps_;
+    f.edges_counted = edges_.data();
+  }
+  if (strobing) {
+    f.samples = profile_->insn_samples.data();
+    f.strobe_period = profile_->strobe_period;
+    f.strobe_countdown = profile_->strobe_countdown;
+  }
+  const std::int64_t end = code.Run(&f);
+  if (strobing) profile_->strobe_countdown = f.strobe_countdown;
+  if (end < 0) return true;
+  if (profile_ != nullptr) ++aborted_[static_cast<std::size_t>(end)];
+  return false;
+}
+
+void Machine::NativeSlow(NativeFrame* frame, std::int32_t pc) {
+  const auto* m = static_cast<const Machine*>(frame->owner);
+  const Insn& in = m->program_->code[static_cast<std::size_t>(pc)];
+  if (in.op == Op::kMcdcEval) {
+    RecordMcdc(frame->sink, in, frame->r);
+  } else {
+    assert(!EffectOf(in.op).jumps && in.op != Op::kHalt && "control flow is always inline");
+    Compute(in.op, in, frame->d, frame->r);
+  }
+}
+
+void Machine::NativeTrace(NativeFrame* frame, std::int32_t pc) {
+  auto* m = static_cast<Machine*>(frame->owner);
+  const Insn& in = m->program_->code[static_cast<std::size_t>(pc)];
+  const Op op = in.op;
+  if (op == Op::kEqD || op == Op::kNeD || op == Op::kBrEqD || op == Op::kBrNeD) {
+    m->TraceEqD(frame->d[in.a], frame->d[in.b]);
+  } else {
+    m->TraceEqI(frame->r[in.a], frame->r[in.b]);
+  }
+}
+
+void Machine::NativeMargins(NativeFrame* frame, std::int32_t pc) {
+  static_cast<const Machine*>(frame->owner)->RecordMarginSites(static_cast<std::size_t>(pc));
+}
+
+bool Machine::StepBytecode(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   if (margins_ != nullptr) return StepWith<true>(sink, edge_map);
   return StepWith<false>(sink, edge_map);
 }
@@ -137,20 +357,27 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   constexpr bool kStrobing = kMode == ProfileMode::kStrobe;
   const Insn* const code = program_->code.data();
   const Insn* ip = code;
-  double* d = dregs_.data();
-  std::int64_t* r = iregs_.data();
+  double* const d = dfile_.data();
+  std::int64_t* const r = ifile_.data();
+  double* const in_d = d + dlay_.in;
+  double* const out_d = d + dlay_.out;
+  double* const state_d = d + dlay_.state;
+  std::int64_t* const in_i = r + ilay_.in;
+  std::int64_t* const out_i = r + ilay_.out;
+  std::int64_t* const state_i = r + ilay_.state;
   // Back-edge budget: decremented only on backward control transfers, so the
   // common straight-line path pays nothing. 0 configured = unlimited.
   std::uint64_t back_jumps =
       step_budget_ == 0 ? std::numeric_limits<std::uint64_t>::max() : step_budget_;
-  // Counting records each Step entry and each taken transfer (at the
-  // transfer), and FlushProfile() expands them into per-instruction dispatch
-  // counts, including the final kHalt and the aborted tail of a hang; a
-  // transfer not taken costs nothing here. The strobe countdown lives in a
+  // Counting records each Step entry, each backward transfer taken and each
+  // forward jz/jnz/br.* not taken (at the transfer), and FlushProfile()
+  // expands them into per-instruction dispatch counts, including the final
+  // kHalt and the aborted tail of a hang; a forward transfer taken costs
+  // nothing here. The strobe countdown lives in a
   // register for the duration of the iteration and is written back at every
   // exit, so the sampled positions stay a pure function of the executed
   // instruction stream across Step() calls.
-  [[maybe_unused]] std::uint64_t* taken = taken_.data();
+  [[maybe_unused]] std::uint64_t* edges = edges_.data();
   [[maybe_unused]] std::uint64_t* samples = nullptr;
   [[maybe_unused]] std::uint64_t strobe_period = 0;
   [[maybe_unused]] std::uint64_t strobe_countdown = 0;
@@ -217,161 +444,159 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
     ++ip;              \
     CFTCG_VM_DISPATCH; \
   } while (false)
-// A control transfer taken to ip->imm; a backward one spends the budget.
+// A control transfer taken to ip->imm; a backward one spends the budget
+// and is counted.
 #define CFTCG_VM_JUMP                                            \
   do {                                                           \
     const Insn* const target = code + ip->imm;                   \
-    if (target <= ip && --back_jumps == 0) {                     \
-      return abort_hang(ip - code);                              \
+    if (target <= ip) {                                          \
+      if (--back_jumps == 0) return abort_hang(ip - code);       \
+      if constexpr (kCounting) ++edges[ip - code];               \
     }                                                            \
-    if constexpr (kCounting) ++taken[ip - code];                 \
     ip = target;                                                 \
     CFTCG_VM_DISPATCH;                                           \
+  } while (false)
+// A jz/jnz/br.* not taken; a forward one counts its fall-through.
+#define CFTCG_VM_FALL_THROUGH                                    \
+  do {                                                           \
+    if constexpr (kCounting) {                                   \
+      if (ip->imm > ip - code) ++edges[ip - code];               \
+    }                                                            \
+    CFTCG_VM_NEXT;                                               \
   } while (false)
 // Fused compare-and-branch: the comparison's flag is still written, then
 // the jz it replaced is taken when the flag is 0.
 #define CFTCG_VM_BRANCH_IF_ZERO            \
   do {                                     \
     if (r[ip->dst] == 0) CFTCG_VM_JUMP;    \
-    CFTCG_VM_NEXT;                         \
+    CFTCG_VM_FALL_THROUGH;                 \
   } while (false)
 
   CFTCG_VM_DISPATCH;
 
+// Data instructions run Compute with their opcode as a constant (so its
+// switch folds away); fused compare-and-branches compute the flag, then
+// take the jz.
 halt:
   if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
   return true;
-ldc_d: d[ip->dst] = ip->dimm; CFTCG_VM_NEXT;
-ldc_i:
-  // Wrap to the declared width: an out-of-range literal (e.g. a negative
-  // saturation bound wired to an unsigned signal) must behave like the same
-  // assignment in the generated C.
-  r[ip->dst] = ir::WrapToDType(static_cast<std::int64_t>(ip->dimm), ip->type);
-  CFTCG_VM_NEXT;
-mov_d: d[ip->dst] = d[ip->a]; CFTCG_VM_NEXT;
-mov_i: r[ip->dst] = r[ip->a]; CFTCG_VM_NEXT;
-cvt_d2i: r[ip->dst] = ir::WrapToDType(TruncToI64(d[ip->a]), ip->type); CFTCG_VM_NEXT;
-cvt_i2d: d[ip->dst] = static_cast<double>(r[ip->a]); CFTCG_VM_NEXT;
-wrap_i: r[ip->dst] = ir::WrapToDType(r[ip->a], ip->type); CFTCG_VM_NEXT;
-bool_d: r[ip->dst] = d[ip->a] != 0.0; CFTCG_VM_NEXT;
-bool_i: r[ip->dst] = r[ip->a] != 0; CFTCG_VM_NEXT;
+ldc_d: Compute(Op::kLoadConstD, *ip, d, r); CFTCG_VM_NEXT;
+ldc_i: Compute(Op::kLoadConstI, *ip, d, r); CFTCG_VM_NEXT;
+mov_d: Compute(Op::kMovD, *ip, d, r); CFTCG_VM_NEXT;
+mov_i: Compute(Op::kMovI, *ip, d, r); CFTCG_VM_NEXT;
+cvt_d2i: Compute(Op::kCvtDToI, *ip, d, r); CFTCG_VM_NEXT;
+cvt_i2d: Compute(Op::kCvtIToD, *ip, d, r); CFTCG_VM_NEXT;
+wrap_i: Compute(Op::kWrapI, *ip, d, r); CFTCG_VM_NEXT;
+bool_d: Compute(Op::kBoolD, *ip, d, r); CFTCG_VM_NEXT;
+bool_i: Compute(Op::kBoolI, *ip, d, r); CFTCG_VM_NEXT;
 
-add_d: d[ip->dst] = d[ip->a] + d[ip->b]; CFTCG_VM_NEXT;
-sub_d: d[ip->dst] = d[ip->a] - d[ip->b]; CFTCG_VM_NEXT;
-mul_d: d[ip->dst] = d[ip->a] * d[ip->b]; CFTCG_VM_NEXT;
-div_d: d[ip->dst] = SafeDiv(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-min_d: d[ip->dst] = std::fmin(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-max_d: d[ip->dst] = std::fmax(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-mod_d: d[ip->dst] = SafeMod(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-rem_d: d[ip->dst] = SafeRem(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-pow_d: d[ip->dst] = Finite(std::pow(d[ip->a], d[ip->b])); CFTCG_VM_NEXT;
-atan2_d: d[ip->dst] = std::atan2(d[ip->a], d[ip->b]); CFTCG_VM_NEXT;
-neg_d: d[ip->dst] = -d[ip->a]; CFTCG_VM_NEXT;
-abs_d: d[ip->dst] = std::fabs(d[ip->a]); CFTCG_VM_NEXT;
-sign_d: d[ip->dst] = (d[ip->a] > 0.0) ? 1.0 : ((d[ip->a] < 0.0) ? -1.0 : 0.0); CFTCG_VM_NEXT;
-sqrt_d: d[ip->dst] = SafeSqrt(d[ip->a]); CFTCG_VM_NEXT;
-exp_d: d[ip->dst] = Finite(std::exp(d[ip->a])); CFTCG_VM_NEXT;
-log_d: d[ip->dst] = SafeLog(d[ip->a]); CFTCG_VM_NEXT;
-floor_d: d[ip->dst] = std::floor(d[ip->a]); CFTCG_VM_NEXT;
-ceil_d: d[ip->dst] = std::ceil(d[ip->a]); CFTCG_VM_NEXT;
-round_d: d[ip->dst] = std::nearbyint(d[ip->a]); CFTCG_VM_NEXT;
-sin_d: d[ip->dst] = std::sin(d[ip->a]); CFTCG_VM_NEXT;
-cos_d: d[ip->dst] = std::cos(d[ip->a]); CFTCG_VM_NEXT;
-tan_d: d[ip->dst] = Finite(std::tan(d[ip->a])); CFTCG_VM_NEXT;
+add_d: Compute(Op::kAddD, *ip, d, r); CFTCG_VM_NEXT;
+sub_d: Compute(Op::kSubD, *ip, d, r); CFTCG_VM_NEXT;
+mul_d: Compute(Op::kMulD, *ip, d, r); CFTCG_VM_NEXT;
+div_d: Compute(Op::kDivD, *ip, d, r); CFTCG_VM_NEXT;
+min_d: Compute(Op::kMinD, *ip, d, r); CFTCG_VM_NEXT;
+max_d: Compute(Op::kMaxD, *ip, d, r); CFTCG_VM_NEXT;
+mod_d: Compute(Op::kModD, *ip, d, r); CFTCG_VM_NEXT;
+rem_d: Compute(Op::kRemD, *ip, d, r); CFTCG_VM_NEXT;
+pow_d: Compute(Op::kPowD, *ip, d, r); CFTCG_VM_NEXT;
+atan2_d: Compute(Op::kAtan2D, *ip, d, r); CFTCG_VM_NEXT;
+neg_d: Compute(Op::kNegD, *ip, d, r); CFTCG_VM_NEXT;
+abs_d: Compute(Op::kAbsD, *ip, d, r); CFTCG_VM_NEXT;
+sign_d: Compute(Op::kSignD, *ip, d, r); CFTCG_VM_NEXT;
+sqrt_d: Compute(Op::kSqrtD, *ip, d, r); CFTCG_VM_NEXT;
+exp_d: Compute(Op::kExpD, *ip, d, r); CFTCG_VM_NEXT;
+log_d: Compute(Op::kLogD, *ip, d, r); CFTCG_VM_NEXT;
+floor_d: Compute(Op::kFloorD, *ip, d, r); CFTCG_VM_NEXT;
+ceil_d: Compute(Op::kCeilD, *ip, d, r); CFTCG_VM_NEXT;
+round_d: Compute(Op::kRoundD, *ip, d, r); CFTCG_VM_NEXT;
+sin_d: Compute(Op::kSinD, *ip, d, r); CFTCG_VM_NEXT;
+cos_d: Compute(Op::kCosD, *ip, d, r); CFTCG_VM_NEXT;
+tan_d: Compute(Op::kTanD, *ip, d, r); CFTCG_VM_NEXT;
 
-add_i: r[ip->dst] = ir::WrapToDType(r[ip->a] + r[ip->b], ip->type); CFTCG_VM_NEXT;
-sub_i: r[ip->dst] = ir::WrapToDType(r[ip->a] - r[ip->b], ip->type); CFTCG_VM_NEXT;
-mul_i: r[ip->dst] = ir::WrapToDType(r[ip->a] * r[ip->b], ip->type); CFTCG_VM_NEXT;
-div_i: r[ip->dst] = ir::WrapToDType(SafeDivI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
-min_i: r[ip->dst] = r[ip->a] < r[ip->b] ? r[ip->a] : r[ip->b]; CFTCG_VM_NEXT;
-max_i: r[ip->dst] = r[ip->a] > r[ip->b] ? r[ip->a] : r[ip->b]; CFTCG_VM_NEXT;
-mod_i: r[ip->dst] = ir::WrapToDType(SafeModI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
-rem_i: r[ip->dst] = ir::WrapToDType(SafeRemI(r[ip->a], r[ip->b]), ip->type); CFTCG_VM_NEXT;
-neg_i: r[ip->dst] = ir::WrapToDType(-r[ip->a], ip->type); CFTCG_VM_NEXT;
-abs_i: r[ip->dst] = ir::WrapToDType(r[ip->a] < 0 ? -r[ip->a] : r[ip->a], ip->type); CFTCG_VM_NEXT;
-sign_i: r[ip->dst] = (r[ip->a] > 0) ? 1 : ((r[ip->a] < 0) ? -1 : 0); CFTCG_VM_NEXT;
-and_i: r[ip->dst] = ir::WrapToDType(r[ip->a] & r[ip->b], ip->type); CFTCG_VM_NEXT;
-or_i: r[ip->dst] = ir::WrapToDType(r[ip->a] | r[ip->b], ip->type); CFTCG_VM_NEXT;
-xor_i: r[ip->dst] = ir::WrapToDType(r[ip->a] ^ r[ip->b], ip->type); CFTCG_VM_NEXT;
-shl_i: {
-  const auto sh = static_cast<std::uint64_t>(r[ip->b] & 63);
-  r[ip->dst] = ir::WrapToDType(
-      static_cast<std::int64_t>(static_cast<std::uint64_t>(r[ip->a]) << sh), ip->type);
-  CFTCG_VM_NEXT;
-}
-shr_i: {
-  const auto sh = r[ip->b] & 63;
-  r[ip->dst] = ir::WrapToDType(r[ip->a] >> sh, ip->type);
-  CFTCG_VM_NEXT;
-}
-not_l: r[ip->dst] = r[ip->a] == 0; CFTCG_VM_NEXT;
+add_i: Compute(Op::kAddI, *ip, d, r); CFTCG_VM_NEXT;
+sub_i: Compute(Op::kSubI, *ip, d, r); CFTCG_VM_NEXT;
+mul_i: Compute(Op::kMulI, *ip, d, r); CFTCG_VM_NEXT;
+div_i: Compute(Op::kDivI, *ip, d, r); CFTCG_VM_NEXT;
+min_i: Compute(Op::kMinI, *ip, d, r); CFTCG_VM_NEXT;
+max_i: Compute(Op::kMaxI, *ip, d, r); CFTCG_VM_NEXT;
+mod_i: Compute(Op::kModI, *ip, d, r); CFTCG_VM_NEXT;
+rem_i: Compute(Op::kRemI, *ip, d, r); CFTCG_VM_NEXT;
+neg_i: Compute(Op::kNegI, *ip, d, r); CFTCG_VM_NEXT;
+abs_i: Compute(Op::kAbsI, *ip, d, r); CFTCG_VM_NEXT;
+sign_i: Compute(Op::kSignI, *ip, d, r); CFTCG_VM_NEXT;
+and_i: Compute(Op::kAndBitsI, *ip, d, r); CFTCG_VM_NEXT;
+or_i: Compute(Op::kOrBitsI, *ip, d, r); CFTCG_VM_NEXT;
+xor_i: Compute(Op::kXorBitsI, *ip, d, r); CFTCG_VM_NEXT;
+shl_i: Compute(Op::kShlI, *ip, d, r); CFTCG_VM_NEXT;
+shr_i: Compute(Op::kShrI, *ip, d, r); CFTCG_VM_NEXT;
+not_l: Compute(Op::kNotL, *ip, d, r); CFTCG_VM_NEXT;
 
-lt_d: r[ip->dst] = d[ip->a] < d[ip->b]; CFTCG_VM_NEXT;
-le_d: r[ip->dst] = d[ip->a] <= d[ip->b]; CFTCG_VM_NEXT;
-gt_d: r[ip->dst] = d[ip->a] > d[ip->b]; CFTCG_VM_NEXT;
-ge_d: r[ip->dst] = d[ip->a] >= d[ip->b]; CFTCG_VM_NEXT;
+lt_d: Compute(Op::kLtD, *ip, d, r); CFTCG_VM_NEXT;
+le_d: Compute(Op::kLeD, *ip, d, r); CFTCG_VM_NEXT;
+gt_d: Compute(Op::kGtD, *ip, d, r); CFTCG_VM_NEXT;
+ge_d: Compute(Op::kGeD, *ip, d, r); CFTCG_VM_NEXT;
 eq_d:
-  r[ip->dst] = d[ip->a] == d[ip->b];
+  Compute(Op::kEqD, *ip, d, r);
   TraceEqD(d[ip->a], d[ip->b]);
   CFTCG_VM_NEXT;
 ne_d:
-  r[ip->dst] = d[ip->a] != d[ip->b];
+  Compute(Op::kNeD, *ip, d, r);
   TraceEqD(d[ip->a], d[ip->b]);
   CFTCG_VM_NEXT;
-lt_i: r[ip->dst] = r[ip->a] < r[ip->b]; CFTCG_VM_NEXT;
-le_i: r[ip->dst] = r[ip->a] <= r[ip->b]; CFTCG_VM_NEXT;
-gt_i: r[ip->dst] = r[ip->a] > r[ip->b]; CFTCG_VM_NEXT;
-ge_i: r[ip->dst] = r[ip->a] >= r[ip->b]; CFTCG_VM_NEXT;
+lt_i: Compute(Op::kLtI, *ip, d, r); CFTCG_VM_NEXT;
+le_i: Compute(Op::kLeI, *ip, d, r); CFTCG_VM_NEXT;
+gt_i: Compute(Op::kGtI, *ip, d, r); CFTCG_VM_NEXT;
+ge_i: Compute(Op::kGeI, *ip, d, r); CFTCG_VM_NEXT;
 eq_i:
-  r[ip->dst] = r[ip->a] == r[ip->b];
+  Compute(Op::kEqI, *ip, d, r);
   TraceEqI(r[ip->a], r[ip->b]);
   CFTCG_VM_NEXT;
 ne_i:
-  r[ip->dst] = r[ip->a] != r[ip->b];
+  Compute(Op::kNeI, *ip, d, r);
   TraceEqI(r[ip->a], r[ip->b]);
   CFTCG_VM_NEXT;
 
-br_lt_d: r[ip->dst] = d[ip->a] < d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_le_d: r[ip->dst] = d[ip->a] <= d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_gt_d: r[ip->dst] = d[ip->a] > d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_ge_d: r[ip->dst] = d[ip->a] >= d[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_lt_d: Compute(Op::kLtD, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_le_d: Compute(Op::kLeD, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_gt_d: Compute(Op::kGtD, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_ge_d: Compute(Op::kGeD, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
 br_eq_d:
-  r[ip->dst] = d[ip->a] == d[ip->b];
+  Compute(Op::kEqD, *ip, d, r);
   TraceEqD(d[ip->a], d[ip->b]);
   CFTCG_VM_BRANCH_IF_ZERO;
 br_ne_d:
-  r[ip->dst] = d[ip->a] != d[ip->b];
+  Compute(Op::kNeD, *ip, d, r);
   TraceEqD(d[ip->a], d[ip->b]);
   CFTCG_VM_BRANCH_IF_ZERO;
-br_lt_i: r[ip->dst] = r[ip->a] < r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_le_i: r[ip->dst] = r[ip->a] <= r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_gt_i: r[ip->dst] = r[ip->a] > r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
-br_ge_i: r[ip->dst] = r[ip->a] >= r[ip->b]; CFTCG_VM_BRANCH_IF_ZERO;
+br_lt_i: Compute(Op::kLtI, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_le_i: Compute(Op::kLeI, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_gt_i: Compute(Op::kGtI, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
+br_ge_i: Compute(Op::kGeI, *ip, d, r); CFTCG_VM_BRANCH_IF_ZERO;
 br_eq_i:
-  r[ip->dst] = r[ip->a] == r[ip->b];
+  Compute(Op::kEqI, *ip, d, r);
   TraceEqI(r[ip->a], r[ip->b]);
   CFTCG_VM_BRANCH_IF_ZERO;
 br_ne_i:
-  r[ip->dst] = r[ip->a] != r[ip->b];
+  Compute(Op::kNeI, *ip, d, r);
   TraceEqI(r[ip->a], r[ip->b]);
   CFTCG_VM_BRANCH_IF_ZERO;
 
 jmp: CFTCG_VM_JUMP;
 jz:
   if (r[ip->a] == 0) CFTCG_VM_JUMP;
-  CFTCG_VM_NEXT;
+  CFTCG_VM_FALL_THROUGH;
 jnz:
   if (r[ip->a] != 0) CFTCG_VM_JUMP;
-  CFTCG_VM_NEXT;
+  CFTCG_VM_FALL_THROUGH;
 
-ldin_d: d[ip->dst] = in_d_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
-ldin_i: r[ip->dst] = in_i_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
-stout_d: out_d_[static_cast<std::size_t>(ip->imm)] = d[ip->a]; CFTCG_VM_NEXT;
-stout_i: out_i_[static_cast<std::size_t>(ip->imm)] = r[ip->a]; CFTCG_VM_NEXT;
-ldst_d: d[ip->dst] = state_d_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
-ldst_i: r[ip->dst] = state_i_[static_cast<std::size_t>(ip->imm)]; CFTCG_VM_NEXT;
-stst_d: state_d_[static_cast<std::size_t>(ip->imm)] = d[ip->a]; CFTCG_VM_NEXT;
-stst_i: state_i_[static_cast<std::size_t>(ip->imm)] = r[ip->a]; CFTCG_VM_NEXT;
+ldin_d: d[ip->dst] = in_d[ip->imm]; CFTCG_VM_NEXT;
+ldin_i: r[ip->dst] = in_i[ip->imm]; CFTCG_VM_NEXT;
+stout_d: out_d[ip->imm] = d[ip->a]; CFTCG_VM_NEXT;
+stout_i: out_i[ip->imm] = r[ip->a]; CFTCG_VM_NEXT;
+ldst_d: d[ip->dst] = state_d[ip->imm]; CFTCG_VM_NEXT;
+ldst_i: r[ip->dst] = state_i[ip->imm]; CFTCG_VM_NEXT;
+stst_d: state_d[ip->imm] = d[ip->a]; CFTCG_VM_NEXT;
+stst_i: state_i[ip->imm] = r[ip->a]; CFTCG_VM_NEXT;
 
 cov:
   if (sink != nullptr) sink->Hit(ip->imm);
@@ -380,17 +605,14 @@ edge:
   if (edge_map != nullptr) edge_map[ip->imm] = 1;
   CFTCG_VM_NEXT;
 mcdc:
-  if (sink != nullptr) {
-    sink->RecordEval(ip->imm, static_cast<std::uint32_t>(r[ip->a]),
-                     static_cast<std::uint32_t>(r[ip->b]), static_cast<int>(r[ip->aux]));
-  }
+  RecordMcdc(sink, *ip, r);
   CFTCG_VM_NEXT;
 cov_if:
   if (sink != nullptr) sink->Hit(r[ip->a] != 0 ? ip->imm : ip->aux);
   CFTCG_VM_NEXT;
 cov_cond: {
   const bool value = r[ip->a] != 0;
-  const auto bit = static_cast<std::int64_t>(ip->dimm);
+  const auto bit = TruncToI64(ip->dimm);
   if (ip->b >= 0) r[ip->b] |= bit;
   if (value) r[ip->dst] |= bit;
   if (sink != nullptr) sink->Hit(value ? ip->imm : ip->aux);
@@ -398,6 +620,7 @@ cov_cond: {
 }
 
 #undef CFTCG_VM_BRANCH_IF_ZERO
+#undef CFTCG_VM_FALL_THROUGH
 #undef CFTCG_VM_JUMP
 #undef CFTCG_VM_NEXT
 #undef CFTCG_VM_DISPATCH

@@ -5,8 +5,17 @@
 // equivalent of calling the generated Model_step() function in the paper's
 // fuzz driver. Reset() is Model_init(): it restores every state slot to its
 // initial value (run once per test case).
+//
+// Two engines run a Step, with identical effects. Native code
+// (native_x64.hpp) runs whenever the build targets x86-64 and the host grants
+// an executable mapping; it is translated at the first Step of each
+// configuration (profile off / counting / strobing, margins on / off).
+// Otherwise the threaded bytecode interpreter runs. StepBytecode() calls the
+// interpreter directly: it is the reference the native code is tested
+// against.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +24,7 @@
 
 #include "coverage/sink.hpp"
 #include "vm/cmp_trace.hpp"
+#include "vm/native_x64.hpp"
 #include "vm/profile.hpp"
 #include "vm/program.hpp"
 
@@ -35,9 +45,9 @@ class Machine {
       const InputField& f = inputs_[i];
       const ir::Value v = ir::Value::FromBytes(f.type, tuple + f.offset);
       if (ir::DTypeIsFloat(f.type)) {
-        in_d_[i] = v.AsDouble();
+        dfile_[static_cast<std::size_t>(dlay_.in) + i] = v.AsDouble();
       } else {
-        in_i_[i] = v.AsInt64();
+        ifile_[static_cast<std::size_t>(ilay_.in) + i] = v.AsInt64();
       }
     }
   }
@@ -49,8 +59,18 @@ class Machine {
   /// events (may be nullptr when running uninstrumented programs);
   /// `edge_map` (size program.num_edges) receives code-level edges (may be
   /// nullptr). Returns true if the iteration ran to kHalt; false if it was
-  /// aborted because the step budget was exhausted (a hang).
+  /// aborted because the step budget was exhausted (a hang). Runs native
+  /// code when there is any (see the file comment), else the interpreter.
   bool Step(coverage::CoverageSink* sink, std::uint8_t* edge_map = nullptr);
+
+  /// Step() on the bytecode interpreter, whatever the host: the reference
+  /// engine, with exactly the effects of a native Step.
+  bool StepBytecode(coverage::CoverageSink* sink, std::uint8_t* edge_map = nullptr);
+
+  /// Bytes of native code translated so far (0 when every Step so far ran
+  /// the interpreter), and the time the translations took.
+  [[nodiscard]] std::size_t native_code_bytes() const;
+  [[nodiscard]] double native_translate_us() const { return native_.translate_us; }
 
   /// Hang containment: caps the number of backward control transfers (loop
   /// iterations) one Step() may take before it is aborted. Straight-line
@@ -69,11 +89,11 @@ class Machine {
   void set_cmp_trace(CmpTrace* trace) { cmp_trace_ = trace; }
 
   /// Attaches an execution profile (flushing the one attached before). The
-  /// dispatch loop counts Step entries and taken control transfers in the
-  /// Machine, and FlushProfile() expands them into the profile's
-  /// per-instruction dispatch counts; when the strobe is armed, every
-  /// dispatch also advances the sample countdown. The caller sizes the
-  /// buffers with ExecProfile::AttachTo first. Pass nullptr to detach; the
+  /// dispatch loop counts Step entries and one edge per conditional or
+  /// backward control transfer in the Machine, and FlushProfile() expands
+  /// them into the profile's per-instruction dispatch counts; when the
+  /// strobe is armed, every dispatch also advances the sample countdown. The
+  /// caller sizes the buffers with ExecProfile::AttachTo first. Pass nullptr to detach; the
   /// detached dispatch loop is a separate specialization and carries no
   /// profiling code at all.
   void set_profile(ExecProfile* profile) {
@@ -95,21 +115,36 @@ class Machine {
   void set_margins(coverage::MarginRecorder* margins) { margins_ = margins; }
 
   /// Peek at persistent state (tests / debugging).
-  [[nodiscard]] double state_d(int slot) const { return state_d_[static_cast<std::size_t>(slot)]; }
-  [[nodiscard]] std::int64_t state_i(int slot) const {
-    return state_i_[static_cast<std::size_t>(slot)];
-  }
+  [[nodiscard]] double state_d(int slot) const { return dfile_[At(dlay_.state, slot)]; }
+  [[nodiscard]] std::int64_t state_i(int slot) const { return ifile_[At(ilay_.state, slot)]; }
   /// Peek at registers (tests / debugging).
-  [[nodiscard]] double dreg(int r) const { return dregs_[static_cast<std::size_t>(r)]; }
-  [[nodiscard]] std::int64_t ireg(int r) const { return iregs_[static_cast<std::size_t>(r)]; }
+  [[nodiscard]] double dreg(int r) const { return dfile_[At(0, r)]; }
+  [[nodiscard]] std::int64_t ireg(int r) const { return ifile_[At(0, r)]; }
+  /// The whole double / int register file: registers, then the input,
+  /// output and state slots (FileLayout). Tests compare engines with it.
+  [[nodiscard]] const std::vector<double>& dfile() const { return dfile_; }
+  [[nodiscard]] const std::vector<std::int64_t>& ifile() const { return ifile_; }
 
  private:
   /// Dispatch-loop profiling modes, one specialization each: kOff carries no
-  /// profiling code at all, kCount is one counter increment per Step and per
-  /// taken transfer (the always-on plane, gated ≤5% overhead by the bench
-  /// suite), kStrobe
-  /// adds the per-dispatch sampling countdown kept in a register.
+  /// profiling code at all, kCount is one counter increment per Step, per
+  /// backward transfer taken and per forward jz/jnz/br.* not taken (the
+  /// always-on plane, gated ≤5% overhead by the bench suite), kStrobe adds
+  /// the per-dispatch sampling countdown kept in a register.
   enum class ProfileMode { kOff, kCount, kStrobe };
+  static std::size_t At(std::int32_t region, int k) {
+    return static_cast<std::size_t>(region) + static_cast<std::size_t>(k);
+  }
+
+  /// The native code for the current configuration, translated on first
+  /// use; nullptr when the interpreter must run.
+  const NativeCode* NativeForConfig();
+  bool StepNative(const NativeCode& code, coverage::CoverageSink* sink, std::uint8_t* edge_map);
+  // The native code's out-of-line calls (NativeHooks).
+  static void NativeSlow(NativeFrame* frame, std::int32_t pc);
+  static void NativeTrace(NativeFrame* frame, std::int32_t pc);
+  static void NativeMargins(NativeFrame* frame, std::int32_t pc);
+
   /// Specialized per profiling mode and on whether margins are recorded.
   template <bool kRecordMargins>
   bool StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map);
@@ -130,7 +165,7 @@ class Machine {
   void RecordMargin(const MarginSite& m) const {
     const auto value = [this](const MarginOperand& o) {
       const auto reg = static_cast<std::size_t>(o.reg);
-      return o.is_float ? dregs_[reg] : static_cast<double>(iregs_[reg]);
+      return o.is_float ? dfile_[reg] : static_cast<double>(ifile_[reg]);
     };
     const double diff = value(m.lhs) - value(m.rhs);
     margins_->Record(m.decision, m.ge_outcome, m.lt_outcome,
@@ -152,15 +187,37 @@ class Machine {
     ir::DType type = ir::DType::kDouble;
   };
 
+  /// Native translations, one per configuration. A copy starts empty and
+  /// translates again at its first Step; a move takes the mappings. So no
+  /// two Machines ever share or double-free a mapping.
+  struct NativeCache {
+    static constexpr std::size_t kConfigs = 6;  // profile off/count/strobe x margins
+    std::array<NativeCode, kConfigs> code;
+    bool refused = false;  // translating or mapping failed: the interpreter runs
+    double translate_us = 0;
+
+    NativeCache() = default;
+    NativeCache(const NativeCache& /*other*/) {}
+    NativeCache& operator=(const NativeCache& other) {
+      if (this != &other) *this = NativeCache();
+      return *this;
+    }
+    NativeCache(NativeCache&&) noexcept = default;
+    NativeCache& operator=(NativeCache&&) noexcept = default;
+    ~NativeCache() = default;
+  };
+
   const Program* program_;
   CmpTrace* cmp_trace_ = nullptr;
   ExecProfile* profile_ = nullptr;
   // Profile counts pending since the last FlushProfile: Step entries, and
-  // per pc the transfers taken and the hangs aborted there. landings_ is
-  // FlushProfile's work buffer (taken counts added onto their targets), kept
-  // zeroed between flushes.
+  // per pc the hangs aborted there and its counted edge — the times a
+  // backward transfer was taken, or a forward jz/jnz/br.* fell through (a
+  // forward transfer taken, and a forward jmp, are derived by the flush).
+  // landings_ is FlushProfile's work buffer (runs arriving at each target),
+  // kept zeroed between flushes.
   mutable std::uint64_t pending_steps_ = 0;
-  mutable std::vector<std::uint64_t> taken_;
+  mutable std::vector<std::uint64_t> edges_;
   mutable std::vector<std::uint64_t> aborted_;
   mutable std::vector<std::uint64_t> landings_;
   // The pcs that end a run of dispatches (halt and every control transfer),
@@ -171,14 +228,17 @@ class Machine {
   // Sites of pc: program_->margins[margin_at_[pc] .. margin_at_[pc + 1]).
   std::vector<std::int32_t> margin_at_;
   std::uint64_t step_budget_ = 0;
-  std::vector<double> dregs_;
-  std::vector<std::int64_t> iregs_;
-  std::vector<double> in_d_;
-  std::vector<std::int64_t> in_i_;
-  std::vector<double> out_d_;
-  std::vector<std::int64_t> out_i_;
-  std::vector<double> state_d_;
-  std::vector<std::int64_t> state_i_;
+  // The register files: registers, then input, output and state slots.
+  FileLayout dlay_;
+  FileLayout ilay_;
+  std::vector<double> dfile_;
+  std::vector<std::int64_t> ifile_;
+  // What native code reads and writes for coverage when Step gets no sink
+  // or no edge map (the interpreter skips those instructions instead).
+  std::vector<std::uint64_t> dropped_cov_;
+  std::vector<std::uint8_t> dropped_edges_;
+  std::vector<std::uint64_t> dropped_evals_;
+  NativeCache native_;
 };
 
 }  // namespace cftcg::vm

@@ -4,7 +4,8 @@
 // dispatch count per instruction, plus an opt-in instruction-count strobe
 // that takes one "sample" every strobe_period dispatches without ever
 // reading a clock. The Machine counts the dispatches cheaply — one add per
-// Step and per taken control transfer, not per dispatch — and
+// Step, per backward transfer taken and per forward conditional transfer
+// not taken, not per dispatch — and
 // Machine::FlushProfile() expands its pending counts into insn_counts, so
 // insn_counts is exact after a flush (the Fuzzer flushes whenever its
 // planes are read); steps and the samples are always current. Sampled dispatch positions are

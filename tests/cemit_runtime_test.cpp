@@ -86,8 +86,10 @@ std::string HarnessMain(const CompiledModel& cm) {
   return out;
 }
 
-/// Expected transcript from the VM for the same input stream.
-std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& stream) {
+/// Expected transcript from the VM for the same input stream: Machine::Step,
+/// or the bytecode interpreter when `bytecode` is set.
+std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& stream,
+                         bool bytecode = false) {
   vm::Machine machine(cm.instrumented());
   coverage::CoverageSink sink(cm.spec());
   const std::size_t tuple = cm.instrumented().TupleSize();
@@ -95,7 +97,11 @@ std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& str
   for (std::size_t off = 0; off + tuple <= stream.size(); off += tuple) {
     sink.BeginIteration();
     machine.SetInputsFromBytes(stream.data() + off);
-    machine.Step(&sink);
+    if (bytecode) {
+      machine.StepBytecode(&sink);
+    } else {
+      machine.Step(&sink);
+    }
     for (int o = 0; o < machine.num_outputs(); ++o) {
       const ir::Value v = machine.GetOutput(o);
       if (ir::DTypeIsFloat(v.type())) {
@@ -215,6 +221,40 @@ TEST(CemitRuntimeDecodeTest, CompiledCDecodesInputsLikeVm) {
   ASSERT_EQ(want.substr(0, want.find("c ")), "o 1\no 0\no 0\no 0\n");
   const std::string got = CompiledTranscript(*cm, "decode", stream);
   ASSERT_EQ(got, want) << "compiled C decodes inputs differently from the VM";
+}
+
+// Whole CompareToConstant and Switch thresholds past an int8 signal's range
+// compare in the floating domain, as the C promotion does (`(x) < (1000)`
+// reads true for every int8), and an int32 Constant of 1e30 holds what the
+// C assignment of its saturated literal holds. Native code, the bytecode
+// interpreter and the compiled C agree on every step.
+TEST(CemitRuntimeThresholdTest, OutOfRangeThresholdsCompareLikeC) {
+  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  ir::ModelBuilder mb("Thresholds");
+  auto x = mb.Inport("X", ir::DType::kInt8);
+  auto y = mb.Inport("Y", ir::DType::kInt32);
+  const auto compare = [&](const char* op, double value, const char* name) {
+    ir::ParamMap p;
+    p.Set("op", ir::ParamValue(std::string(op)));
+    p.Set("value", ir::ParamValue(value));
+    return mb.Op(ir::BlockKind::kCompareToConstant, name, {x}, std::move(p));
+  };
+  mb.Outport("Below", compare("lt", 1000.0, "below"));
+  mb.Outport("Above", compare("gt", 300.0, "above"));
+  mb.Outport("AboveMin", compare("ge", -1000.0, "above_min"));
+  mb.Outport("Big", mb.Constant(1e30, ir::DType::kInt32));
+  mb.Outport("Sw", mb.Switch(y, x, mb.Constant(7.0, ir::DType::kInt32), 1000.0));
+  auto compiled = CompiledModel::FromModel(mb.Build());
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  auto cm = compiled.take();
+  Rng rng(17);
+  std::vector<std::uint8_t> stream(cm->instrumented().TupleSize() * 200);
+  rng.FillBytes(stream.data(), stream.size());
+  const std::string native = VmTranscript(*cm, stream);
+  ASSERT_EQ(native, VmTranscript(*cm, stream, /*bytecode=*/true));
+  ASSERT_EQ(native.rfind("o 1\no 0\no 1\n", 0), 0U)
+      << "int8 < 1000 and int8 >= -1000 read true, int8 > 300 false";
+  ASSERT_EQ(CompiledTranscript(*cm, "thresholds", stream), native);
 }
 
 }  // namespace

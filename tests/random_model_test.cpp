@@ -4,10 +4,12 @@
 //   * the VM and the interpreter to agree bit-for-bit on outputs and
 //     coverage over random input streams,
 //   * the model XML round-trip to reproduce identical behaviour,
-//   * the emitted C to be syntactically valid (when a compiler exists).
+//   * the emitted C to be syntactically valid (when a compiler exists),
+//   * native code to match the bytecode interpreter in lockstep.
 #include <gtest/gtest.h>
 
 #include "cftcg/pipeline.hpp"
+#include "lockstep.hpp"
 #include "ir/builder.hpp"
 #include "parser/model_io.hpp"
 #include "sim/interpreter.hpp"
@@ -188,6 +190,22 @@ TEST_P(RandomModelTest, CompileExecuteRoundTrip) {
           << "xml round-trip diverged, seed " << GetParam() << " step " << step;
     }
   }
+}
+
+// The lockstep oracle (lockstep.hpp) on every seed's model: 1 000 tuples with
+// every plane attached and 1 000 with none.
+TEST_P(RandomModelTest, NativeMatchesTheInterpreterInLockstep) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+  auto compiled = CompiledModel::FromModel(RandomModel(rng));
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  auto cm = compiled.take();
+  Rng exec_rng(rng.NextU64());
+  lockstep::Planes all;
+  all.profile = 2;
+  all.margins = all.sink = all.cmp_trace = true;
+  all.step_budget = 1000;
+  EXPECT_TRUE(lockstep::Run(cm->instrumented(), cm->spec(), all, exec_rng, 1000));
+  EXPECT_TRUE(lockstep::Run(cm->instrumented(), cm->spec(), lockstep::Planes{}, exec_rng, 1000));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomModelTest, ::testing::Range(0, 40));
