@@ -974,8 +974,8 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
       double lo = b.params().GetDouble("lower", 0.0);
       double hi = b.params().GetDouble("upper", 1.0);
       if (!ir::DTypeIsFloat(t)) {
-        lo = static_cast<double>(ir::WrapToDType(num::TruncToI64(lo), t));
-        hi = static_cast<double>(ir::WrapToDType(num::TruncToI64(hi), t));
+        lo = static_cast<double>(ir::ClampToDType(num::TruncToI64(lo), t));
+        hi = static_cast<double>(ir::ClampToDType(num::TruncToI64(hi), t));
       }
       Harvest(u, lo);
       Harvest(u, hi);
@@ -986,8 +986,8 @@ void AbstractExec::ExecBlock(const Model& sys, const Block& b, int reach,
       const int tri_lo = ARelate(u, lo_av, "lt");
       // The runtime tests the limits sequentially (u < lo, else u > hi, else
       // inside), so the later branches see only the not-below values. The
-      // refinement matters when integer wrapping inverts the limits (lo > hi
-      // makes "inside" impossible). NaN fails both comparisons and falls
+      // refinement matters when the limits are inverted (lo > hi makes
+      // "inside" impossible). NaN fails both comparisons and falls
       // through to the inside branch unclamped.
       const Interval not_below = u.v.iv.RefineGe(lo_av.v.iv);
       const bool can0 = tri_lo != 0;

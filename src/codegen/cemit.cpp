@@ -490,14 +490,16 @@ class CEmitter {
   Status EmitSaturation(const Model& sys, const Block& b) {
     const DType t = b.out_type(0);
     const std::string u = Cast(InExpr(sys, b, 0), InType(sys, b, 0), t);
-    const std::string lo = ir::DTypeIsFloat(t)
-                               ? DoubleToString(b.params().GetDouble("lower", 0.0))
-                               : StrFormat("%lld", static_cast<long long>(num::TruncToI64(
-                                                       b.params().GetDouble("lower", 0.0))));
-    const std::string hi = ir::DTypeIsFloat(t)
-                               ? DoubleToString(b.params().GetDouble("upper", 1.0))
-                               : StrFormat("%lld", static_cast<long long>(num::TruncToI64(
-                                                       b.params().GetDouble("upper", 1.0))));
+    // Integer bounds past the type clamp to its range, as in the VM: the
+    // literal is then a value of the type and compares exactly.
+    const auto limit = [&](const char* name, double fallback) {
+      const double v = b.params().GetDouble(name, fallback);
+      if (ir::DTypeIsFloat(t)) return DoubleToString(v);
+      return StrFormat("%lld",
+                       static_cast<long long>(ir::ClampToDType(num::TruncToI64(v), t)));
+    };
+    const std::string lo = limit("lower", 0.0);
+    const std::string hi = limit("upper", 1.0);
     const auto d = sm_.DecisionAt(&b, 0);
     B(Decl(sys, b, 0, t, "0"));
     const std::string v = VarOf(sys, b.id(), 0);

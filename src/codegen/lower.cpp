@@ -745,8 +745,9 @@ class Lowerer {
     const double hi_v = b.params().GetDouble("upper", 1.0);
     const coverage::DecisionId d = sm_.DecisionAt(&b, 0);
     Slot out = NewSlot(t);
-    Slot lo = out.is_float ? ConstD(lo_v) : ConstI(num::TruncToI64(lo_v), t);
-    Slot hi = out.is_float ? ConstD(hi_v) : ConstI(num::TruncToI64(hi_v), t);
+    // Integer bounds past the type clamp to its range (never wrap).
+    Slot lo = out.is_float ? ConstD(lo_v) : ConstI(ir::ClampToDType(num::TruncToI64(lo_v), t), t);
+    Slot hi = out.is_float ? ConstD(hi_v) : ConstI(ir::ClampToDType(num::TruncToI64(hi_v), t), t);
     AddMargin(d, 1, 0, u, lo);
     AddMargin(d, 2, 1, u, hi);
     const int below = NewI();

@@ -17,6 +17,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -98,6 +100,43 @@ class CoverageSink {
   void BeginIteration() { curr_.ClearAll(); }
   /// Merges curr into total; returns number of newly covered slots.
   std::size_t AccumulateIteration() { return total_.MergeAndCountNew(curr_); }
+
+  /// What FinishIteration found in one iteration's curr.
+  struct IterationDelta {
+    std::size_t new_bits = 0;     // AccumulateIteration's count
+    std::size_t differences = 0;  // curr().CountDifferences(last) before the copy
+    std::uint64_t hash = 0;       // curr().Hash()
+  };
+  /// Algorithm 1's bookkeeping after one iteration, as one pass over the
+  /// words: AccumulateIteration, then CountDifferences against `last`, then
+  /// `last = curr`, then Hash, then BeginIteration for the next iteration.
+  /// The fuzzing loop keeps curr clear between iterations this way; other
+  /// callers may keep BeginIteration/AccumulateIteration.
+  IterationDelta FinishIteration(DynamicBitset& last) {
+    assert(last.size() == curr_.size());
+    std::uint64_t* const curr = curr_.word_data();
+    std::uint64_t* const total = total_.word_data();
+    std::uint64_t* const prev = last.word_data();
+    const std::size_t words = curr_.words().size();
+    IterationDelta out;
+    out.hash = DynamicBitset::kHashBasis;
+    for (std::size_t i = 0; i < words; ++i) {
+      const std::uint64_t c = curr[i];
+      // Most words add nothing and repeat the last iteration, so each count
+      // is skipped when its word is zero.
+      if (const std::uint64_t fresh = c & ~total[i]; fresh != 0) {
+        out.new_bits += PopCount64(fresh);
+        total[i] |= c;
+      }
+      if (const std::uint64_t diff = c ^ prev[i]; diff != 0) {
+        out.differences += PopCount64(diff);
+        prev[i] = c;
+      }
+      out.hash = DynamicBitset::HashWord(out.hash, c);
+      curr[i] = 0;
+    }
+    return out;
+  }
 
   [[nodiscard]] const DynamicBitset& curr() const { return curr_; }
   /// The curr words, writable: native model code sets its bits through

@@ -15,13 +15,6 @@ namespace cftcg::fuzz {
 
 namespace {
 
-// FNV-1a step for the per-input coverage signatures.
-inline std::uint64_t MixSignature(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ULL;
-  return h;
-}
-
 const std::vector<std::uint8_t> kEmptyInput;
 
 }  // namespace
@@ -94,27 +87,30 @@ std::size_t Fuzzer::RunOneInstrumented(const std::vector<std::uint8_t>& data, bo
   last_cov_.ClearAll();          // lastCov = {0,...}
   bool any_new = false;
   std::size_t total_new = 0;
-  std::uint64_t signature = 1469598103934665603ULL;
+  std::uint64_t signature = DynamicBitset::kHashBasis;
   last_input_hung_ = false;
+  // g_CurrCov is clear here: FinishIteration clears it after every
+  // complete iteration, and a hang clears it below.
   for (std::size_t off = 0; off + tuple_size <= data.size(); off += tuple_size) {
-    sink_.BeginIteration();                    // g_CurrCov = {0,...}
     machine_.SetInputsFromBytes(data.data() + off);
     if (!machine_.Step(&sink_)) {              // Model_step(tuple)
       // Step budget blown: discard the aborted iteration's partial coverage
       // and stop replaying this input; the caller quarantines it. Coverage
       // accumulated by earlier (complete) iterations is kept.
+      sink_.BeginIteration();
       last_input_hung_ = true;
       break;
     }
     ++model_iterations_;
-    const std::size_t fresh = sink_.AccumulateIteration();  // new bits vs g_TotalCov
-    if (fresh > 0) {
+    // New bits vs g_TotalCov, the per-branch difference count against
+    // lastCov, lastCov = g_CurrCov and g_CurrCov = {0,...}, in one pass.
+    const coverage::CoverageSink::IterationDelta delta = sink_.FinishIteration(last_cov_);
+    if (delta.new_bits > 0) {
       any_new = true;  // outputTestCase(data, size)
-      total_new += fresh;
+      total_new += delta.new_bits;
     }
-    metric += sink_.curr().CountDifferences(last_cov_);  // per-branch difference count
-    last_cov_ = sink_.curr();
-    if (options_.collect_signatures) signature = MixSignature(signature, sink_.curr().Hash());
+    metric += delta.differences;
+    if (options_.collect_signatures) signature = DynamicBitset::HashWord(signature, delta.hash);
   }
   if (options_.collect_signatures) last_signature_ = signature;
   if (found_new != nullptr) *found_new = any_new;
@@ -168,11 +164,11 @@ std::size_t Fuzzer::RunOneEdges(const std::vector<std::uint8_t>& data, bool* fou
   }
   bool any_new = false;
   std::size_t covered = 0;
-  std::uint64_t signature = 1469598103934665603ULL;
+  std::uint64_t signature = DynamicBitset::kHashBasis;
   for (std::size_t i = 0; i < edge_curr_.size(); ++i) {
     if (edge_curr_[i] != 0) {
       ++covered;
-      if (options_.collect_signatures) signature = MixSignature(signature, i);
+      if (options_.collect_signatures) signature = DynamicBitset::HashWord(signature, i);
       if (edge_total_[i] == 0) {
         edge_total_[i] = 1;
         any_new = true;

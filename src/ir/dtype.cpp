@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -43,6 +44,11 @@ std::int64_t DTypeMin(DType t) {
 std::int64_t DTypeMax(DType t) {
   assert(!DTypeIsFloat(t));
   return Info(t).max;
+}
+
+std::int64_t ClampToDType(std::int64_t value, DType t) {
+  if (DTypeIsFloat(t)) return value;
+  return std::clamp(value, Info(t).min, Info(t).max);
 }
 
 bool DTypeHolds(DType t, double v) {

@@ -68,6 +68,11 @@ inline std::int64_t WrapToDType(std::int64_t value, DType t) {
   return value;
 }
 
+/// Clamps a wide integer into an integer type's representable range: how a
+/// limit parameter past the type (a Saturation bound) is read, so the
+/// limit never wraps around. Float types pass the value through.
+std::int64_t ClampToDType(std::int64_t value, DType t);
+
 /// Name used in model files and generated code ("int32", "boolean", ...).
 std::string_view DTypeName(DType t);
 Result<DType> DTypeFromName(std::string_view name);

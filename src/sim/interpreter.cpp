@@ -333,9 +333,9 @@ class Exec {
             Set(sys, b.id(), 0, u);
           }
         } else {
-          const auto lo = ir::WrapToDType(
+          const auto lo = ir::ClampToDType(
               num::TruncToI64(b.params().GetDouble("lower", 0.0)), t);
-          const auto hi = ir::WrapToDType(
+          const auto hi = ir::ClampToDType(
               num::TruncToI64(b.params().GetDouble("upper", 1.0)), t);
           if (u.i < lo) {
             CovOutcome(d, 0);

@@ -6,7 +6,6 @@
 // all of them are defined here so every model iteration inlines them.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +13,16 @@
 #include <vector>
 
 namespace cftcg {
+
+/// Set bits in one word, branch-free and inline. std::popcount compiles to
+/// a libgcc call (__popcountdi2) for baseline x86-64, which does not assume
+/// the popcnt instruction; this is a few shifts, masks and one multiply.
+constexpr std::size_t PopCount64(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
 
 class DynamicBitset {
  public:
@@ -47,7 +56,7 @@ class DynamicBitset {
   /// Number of set bits.
   [[nodiscard]] std::size_t Count() const {
     std::size_t total = 0;
-    for (auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
+    for (auto w : words_) total += PopCount64(w);
     return total;
   }
 
@@ -56,7 +65,7 @@ class DynamicBitset {
     assert(num_bits_ == other.num_bits_);
     std::size_t total = 0;
     for (std::size_t i = 0; i < words_.size(); ++i) {
-      total += static_cast<std::size_t>(std::popcount(words_[i] ^ other.words_[i]));
+      total += PopCount64(words_[i] ^ other.words_[i]);
     }
     return total;
   }
@@ -67,7 +76,7 @@ class DynamicBitset {
     std::size_t new_bits = 0;
     for (std::size_t i = 0; i < words_.size(); ++i) {
       const std::uint64_t fresh = other.words_[i] & ~words_[i];
-      new_bits += static_cast<std::size_t>(std::popcount(fresh));
+      new_bits += PopCount64(fresh);
       words_[i] |= other.words_[i];
     }
     return new_bits;
@@ -87,12 +96,14 @@ class DynamicBitset {
   /// 64-bit hash of the contents (used to deduplicate coverage signatures).
   [[nodiscard]] std::uint64_t Hash() const {
     // FNV-1a over the words; cheap and adequate for signature dedup.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (auto w : words_) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    }
+    std::uint64_t h = kHashBasis;
+    for (auto w : words_) h = HashWord(h, w);
     return h;
+  }
+  /// Hash()'s start value and its step over one word.
+  static constexpr std::uint64_t kHashBasis = 1469598103934665603ULL;
+  static constexpr std::uint64_t HashWord(std::uint64_t h, std::uint64_t w) {
+    return (h ^ w) * 1099511628211ULL;
   }
 
   [[nodiscard]] const std::vector<std::uint64_t>& words() const { return words_; }

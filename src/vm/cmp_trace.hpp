@@ -8,7 +8,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace cftcg::vm {
 
@@ -40,6 +42,18 @@ class CmpTrace {
   [[nodiscard]] std::size_t double_count() const { return double_count_; }
   [[nodiscard]] std::int64_t int_at(std::size_t i) const { return ints_[i % kCapacity]; }
   [[nodiscard]] double double_at(std::size_t i) const { return doubles_[i % kCapacity]; }
+
+  /// Byte offsets of the ring's fields. Native model code (native_x64.cpp)
+  /// records into the ring directly, exactly as RecordInt and RecordDouble
+  /// do; nothing else writes it from outside.
+  struct Offsets {
+    std::size_t ints, doubles, int_idx, int_count, double_idx, double_count;
+  };
+  static Offsets NativeOffsets() {
+    return {offsetof(CmpTrace, ints_),      offsetof(CmpTrace, doubles_),
+            offsetof(CmpTrace, int_idx_),   offsetof(CmpTrace, int_count_),
+            offsetof(CmpTrace, double_idx_), offsetof(CmpTrace, double_count_)};
+  }
 
   void Clear() {
     int_idx_ = int_count_ = 0;
@@ -84,5 +98,7 @@ class CmpTrace {
   std::size_t double_idx_ = 0;
   std::size_t double_count_ = 0;
 };
+
+static_assert(std::is_standard_layout_v<CmpTrace>, "NativeOffsets needs a standard layout");
 
 }  // namespace cftcg::vm

@@ -39,9 +39,9 @@ std::int64_t WrapMul(std::int64_t a, std::int64_t b) {
   const ir::DType t = in.type;
   switch (op) {
     case Op::kLoadConstD: dd = in.dimm; return;
-    // Wrap to the declared width: an out-of-range literal (e.g. a negative
-    // saturation bound wired to an unsigned signal) must behave like the
-    // same assignment in the generated C.
+    // Wrap to the declared width: an out-of-range literal (e.g. an int32
+    // Constant of 1e30) must behave like the same assignment in the
+    // generated C.
     case Op::kLoadConstI: di = ir::WrapToDType(TruncToI64(in.dimm), t); return;
     case Op::kMovD: dd = d[in.a]; return;
     case Op::kMovI: di = r[in.a]; return;
@@ -262,7 +262,7 @@ const NativeCode* Machine::NativeForConfig() {
   if (!code) {
     const auto start = std::chrono::steady_clock::now();
     const NativeConfig config{profile != 0, profile == 2, margins};
-    const NativeHooks hooks{&Machine::NativeSlow, &Machine::NativeTrace, &Machine::NativeMargins};
+    const NativeHooks hooks{&Machine::NativeSlow, &Machine::NativeMargins};
     code = TranslateX64(*program_, dlay_, ilay_, config, hooks);
     if (!code) {
       native_.refused = true;
@@ -315,17 +315,6 @@ void Machine::NativeSlow(NativeFrame* frame, std::int32_t pc) {
   } else {
     assert(!EffectOf(in.op).jumps && in.op != Op::kHalt && "control flow is always inline");
     Compute(in.op, in, frame->d, frame->r);
-  }
-}
-
-void Machine::NativeTrace(NativeFrame* frame, std::int32_t pc) {
-  auto* m = static_cast<Machine*>(frame->owner);
-  const Insn& in = m->program_->code[static_cast<std::size_t>(pc)];
-  const Op op = in.op;
-  if (op == Op::kEqD || op == Op::kNeD || op == Op::kBrEqD || op == Op::kBrNeD) {
-    m->TraceEqD(frame->d[in.a], frame->d[in.b]);
-  } else {
-    m->TraceEqI(frame->r[in.a], frame->r[in.b]);
   }
 }
 

@@ -142,7 +142,6 @@ class Machine {
   bool StepNative(const NativeCode& code, coverage::CoverageSink* sink, std::uint8_t* edge_map);
   // The native code's out-of-line calls (NativeHooks).
   static void NativeSlow(NativeFrame* frame, std::int32_t pc);
-  static void NativeTrace(NativeFrame* frame, std::int32_t pc);
   static void NativeMargins(NativeFrame* frame, std::int32_t pc);
 
   /// Specialized per profiling mode and on whether margins are recorded.

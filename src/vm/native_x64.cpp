@@ -10,6 +10,7 @@
 
 #include "ir/dtype.hpp"
 #include "support/numerics.hpp"
+#include "vm/cmp_trace.hpp"
 
 namespace cftcg::vm {
 
@@ -51,6 +52,7 @@ enum Reg : int {
   kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsp = 4, kRbp = 5, kRsi = 6, kRdi = 7,
   kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15,
 };
+constexpr int kNoIndex = -1;
 
 // What the base registers hold while native code runs. All are callee-saved,
 // so they survive the hooks; everything else lives in memory between
@@ -62,9 +64,11 @@ constexpr Reg kCountdown = kR13;  // the strobe countdown (strobe configs)
 constexpr Reg kEdges = kR14;      // the count plane's edge counts (count configs)
 constexpr Reg kCov = kR15;        // coverage bits
 
+/// [base + disp], or [base + index * 8 + disp].
 struct Mem {
   int base;
   std::int32_t disp;
+  int index = kNoIndex;
 };
 
 // x86 condition codes; c ^ 1 is the negation of c.
@@ -114,16 +118,21 @@ class Assembler {
     for (int k = 0; k < 8; ++k) Byte(static_cast<std::uint8_t>(v >> (8 * k)));
   }
 
-  /// [prefix] [REX] opcode ModRM(reg, [base + disp]).
+  /// [prefix] [REX] opcode ModRM(reg, m).
   void RM(std::uint8_t prefix, bool w, std::initializer_list<std::uint8_t> op, int reg, Mem m) {
     if (prefix != 0) Byte(prefix);
-    Rex(w, reg, m.base);
+    const bool indexed = m.index != kNoIndex;
+    Rex(w, reg, m.base, indexed ? m.index : 0);
     for (const std::uint8_t b : op) Byte(b);
     const int base = m.base & 7;
     const bool disp8 = m.disp >= -128 && m.disp <= 127;
     const int mod = (m.disp == 0 && base != 5) ? 0 : disp8 ? 1 : 2;
-    Byte(static_cast<std::uint8_t>(mod << 6 | (reg & 7) << 3 | base));
-    if (base == 4) Byte(0x24);  // SIB: no index (rsp/r12 base)
+    Byte(static_cast<std::uint8_t>(mod << 6 | (reg & 7) << 3 | (indexed ? 4 : base)));
+    if (indexed) {
+      Byte(static_cast<std::uint8_t>(3 << 6 | (m.index & 7) << 3 | base));  // SIB: scale 8
+    } else if (base == 4) {
+      Byte(0x24);  // SIB: no index (rsp/r12 base)
+    }
     if (mod == 1) Byte(static_cast<std::uint8_t>(m.disp));
     if (mod == 2) Imm32(m.disp);
   }
@@ -214,6 +223,18 @@ class Assembler {
     RR(0, true, {0xC1}, 4, r);
     Byte(count);
   }
+  void AddRI8(int r, std::int8_t v) {
+    RR(0, true, {0x83}, 0, r);
+    Byte(static_cast<std::uint8_t>(v));
+  }
+  void Lea(int r, Mem m) { RM(0, true, {0x8D}, r, m); }
+  void Cvttsd2siRX(int r, int x) { RR(0xF2, true, {0x0F, 0x2C}, r, x); }
+  void Cvtsi2sdXR(int x, int r) { RR(0xF2, true, {0x0F, 0x2A}, x, r); }
+  // Bit 63 of a register: ext 6 = btr (clear), 7 = btc (flip).
+  void BitOp63(int ext, int r) {
+    RR(0, true, {0x0F, 0xBA}, ext, r);
+    Byte(63);
+  }
   void Push(int r) {
     Rex(false, 0, r);
     Byte(static_cast<std::uint8_t>(0x50 | (r & 7)));
@@ -223,6 +244,11 @@ class Assembler {
     Byte(static_cast<std::uint8_t>(0x58 | (r & 7)));
   }
   void CallR(int r) { RR(0, false, {0xFF}, 2, r); }
+  void Call(int label) {
+    Byte(0xE8);
+    Rel32(label);
+  }
+  void Ret() { Byte(0xC3); }
 
  private:
   std::int32_t Pos() const { return static_cast<std::int32_t>(bytes.size()); }
@@ -230,8 +256,9 @@ class Assembler {
     fixups_.emplace_back(Pos(), label);
     Imm32(0);
   }
-  void Rex(bool w, int reg, int rm) {
-    const int rex = 0x40 | (w ? 8 : 0) | ((reg & 8) != 0 ? 4 : 0) | ((rm & 8) != 0 ? 1 : 0);
+  void Rex(bool w, int reg, int rm, int index = 0) {
+    const int rex = 0x40 | (w ? 8 : 0) | ((reg & 8) != 0 ? 4 : 0) | ((index & 8) != 0 ? 2 : 0) |
+                    ((rm & 8) != 0 ? 1 : 0);
     if (rex != 0x40) Byte(static_cast<std::uint8_t>(rex));
   }
 
@@ -268,6 +295,7 @@ class Translator {
     as_.Byte(0x0B);
     Exit();
     for (const Stub& stub : stubs_) EmitStub(stub);
+    EmitTraceRoutines();
     return as_.Resolve();
   }
 
@@ -374,7 +402,7 @@ class Translator {
     as_.RR(0, true, {0x83}, 0, kRsp);  // add rsp, 8
     as_.Byte(8);
     for (auto it = std::rbegin(kSaved); it != std::rend(kSaved); ++it) as_.Pop(*it);
-    as_.Byte(0xC3);  // ret
+    as_.Ret();
   }
 
   /// Calls `hook(frame, pc)`. Clobbers every caller-saved register.
@@ -392,7 +420,7 @@ class Translator {
       kAbort,   // a hang: return pc (no resume)
       kSample,  // a strobe sample at pc, then re-arm the countdown
       kSlow,    // the slow hook for pc
-      kTrace,   // the trace hook for pc, when a trace is attached
+      kTrace,   // TORC for the eq/ne at pc, when a trace is attached
     };
     Kind kind;
     int label;
@@ -420,13 +448,108 @@ class Translator {
         as_.IncM(At(kRax, stub.pc));
         break;
       case Stub::Kind::kSlow: CallHook(hooks_.slow, stub.pc); break;
-      case Stub::Kind::kTrace:
-        as_.CmpMI8(F(offsetof(NativeFrame, cmp_trace)), 0);
+      case Stub::Kind::kTrace: {
+        const Insn& in = p_.code[static_cast<std::size_t>(stub.pc)];
+        as_.MovRM(kRsi, F(offsetof(NativeFrame, cmp_trace)));
+        as_.TestRR(kRsi, kRsi);
         as_.Jcc(kE, stub.resume);
-        CallHook(hooks_.trace, stub.pc);
+        if (IsDoubleEquality(in.op)) {
+          as_.MovsdXM(0, D(in.a));
+          as_.MovsdXM(1, D(in.b));
+          as_.Call(TraceLabel(trace_double_));
+        } else {
+          as_.MovRM(kRax, I(in.a));
+          as_.MovRM(kRdx, I(in.b));
+          if (in.dst == in.a || in.dst == in.b) {  // the flag took an operand's place
+            as_.AluRR(0x39, kRax, kRdx);
+            as_.Jcc(kE, stub.resume);
+          }
+          as_.Call(TraceLabel(trace_int_));
+        }
         break;
+      }
     }
     as_.Jmp(stub.resume);
+  }
+
+  // -- TORC ----------------------------------------------------------------
+  // CmpTrace::RecordInt and RecordDouble as two routines shared by every
+  // eq/ne of the translation, reached by a near call with a private
+  // convention: rsi holds the CmpTrace, rax and rdx the int pair or xmm0
+  // and xmm1 the double pair. They clobber rax, rcx, rdx, rdi and xmm2,
+  // make no call, and are emitted only when some stub calls them.
+  static bool IsDoubleEquality(Op op) {
+    return op == Op::kEqD || op == Op::kNeD || op == Op::kBrEqD || op == Op::kBrNeD;
+  }
+
+  /// The label of a routine, made on first use.
+  int TraceLabel(int& label) {
+    if (label < 0) label = as_.NewLabel();
+    return label;
+  }
+
+  static Mem Ring(std::size_t field) { return Mem{kRsi, static_cast<std::int32_t>(field)}; }
+
+  /// Stores the pair into a ring as the CmpTrace does: at idx % 64 and
+  /// (idx + 1) % 64, then idx += 2, then count = count < 64 ? idx : 64.
+  /// `store` writes the pair's first (k = 0) or second (k = 1) operand to
+  /// the ring slot it is given.
+  template <typename Store>
+  void PushPair(std::size_t slots, std::size_t idx, std::size_t count, Store store) {
+    static_assert(CmpTrace::kCapacity == 64, "the ring index is masked with 63");
+    static_assert(!kNativeTarget || sizeof(std::size_t) == 8, "the indices are 64-bit words");
+    as_.MovRM(kRcx, Ring(idx));
+    for (int k = 0; k < 2; ++k) {
+      as_.Lea(kRdi, Mem{kRcx, k});
+      as_.AndR32I(kRdi, 63);
+      store(k, Mem{kRsi, static_cast<std::int32_t>(slots), kRdi});
+    }
+    as_.AddRI8(kRcx, 2);
+    as_.MovMR(Ring(idx), kRcx);
+    as_.MovR32I(kRdi, 64);
+    as_.CmpMI8(Ring(count), 64);
+    as_.CmovRR(kB, kRdi, kRcx);
+    as_.MovMR(Ring(count), kRdi);
+  }
+
+  /// Jumps to `fail` unless xmm`x` holds an integral double strictly
+  /// inside ±9e15 (CmpTrace's test); leaves its int64 value in `r`. Past
+  /// 2^52 every double is whole, so the range is |trunc(v)| <= 9e15 - 1.
+  void Integral(int x, int r, int fail) {
+    constexpr std::int64_t kLimit = 8'999'999'999'999'999;
+    as_.Cvttsd2siRX(r, x);  // INT64_MIN for NaN, ±Inf and past ±2^63
+    as_.MovRI64(kRcx, static_cast<std::uint64_t>(kLimit));
+    as_.MovRR(kRdi, r);
+    as_.AluRR(0x01, kRdi, kRcx);  // add rdi, rcx
+    as_.MovRI64(kRcx, static_cast<std::uint64_t>(2 * kLimit));
+    as_.AluRR(0x39, kRdi, kRcx);  // cmp rdi, rcx
+    as_.Jcc(kA, fail);
+    as_.XorpsXX(2, 2);
+    as_.Cvtsi2sdXR(2, r);
+    as_.UcomisdXX(2, x);
+    as_.Jcc(kNe, fail);
+  }
+
+  void EmitTraceRoutines() {
+    const CmpTrace::Offsets o = CmpTrace::NativeOffsets();
+    if (trace_double_ >= 0) {
+      as_.Bind(trace_double_);
+      PushPair(o.doubles, o.double_idx, o.double_count,
+               [&](int k, Mem slot) { as_.MovsdMX(slot, k); });
+      // A pair of integral doubles also feeds the int ring.
+      const int done = as_.NewLabel();
+      Integral(0, kRax, done);
+      Integral(1, kRdx, done);
+      as_.Jmp(TraceLabel(trace_int_));
+      as_.Bind(done);
+      as_.Ret();
+    }
+    if (trace_int_ >= 0) {
+      as_.Bind(trace_int_);
+      PushPair(o.ints, o.int_idx, o.int_count,
+               [&](int k, Mem slot) { as_.MovMR(slot, k == 0 ? kRax : kRdx); });
+      as_.Ret();
+    }
   }
 
   /// Emits `jcc label` to a stub of `kind` for `pc` that comes back right
@@ -566,9 +689,10 @@ class Translator {
   }
 
   /// eq/ne (and their fused forms): the flag, then TORC — operands that
-  /// differ are recorded by the trace hook, which reads them back after the
+  /// differ are recorded by the trace stub, which reads them back after the
   /// flag is stored, as the interpreter does (an int flag may overwrite an
-  /// operand register, so such an instruction always asks the hook).
+  /// operand register, so such an instruction always enters the stub, which
+  /// compares what is left).
   void Equality(int pc, const Insn& in, Op base, bool fused) {
     const bool is_d = base == Op::kEqD || base == Op::kNeD;
     const bool ne = base == Op::kNeD || base == Op::kNeI;
@@ -674,6 +798,28 @@ class Translator {
         as_.MovsdMX(D(in.dst), 0);
         return;
       }
+      case Op::kMinD:
+      case Op::kMaxD: {
+        // fmin(a, b) on an ordered pair is b < a ? b : a, and fmax is
+        // b > a ? b : a: minsd/maxsd with b as the destination, which
+        // returns a on a tie (so fmin(-0.0, 0.0) is -0.0, as in glibc). An
+        // unordered pair takes the slow hook.
+        const int resume = as_.NewLabel();
+        const int slow = AddStub(Stub::Kind::kSlow, pc, resume);
+        as_.MovsdXM(0, D(in.b));
+        as_.UcomisdXM(0, D(in.a));
+        as_.Jcc(kP, slow);
+        as_.SdXM(in.op == Op::kMinD ? 0x5D : 0x5F, 0, D(in.a));
+        as_.MovsdMX(D(in.dst), 0);
+        as_.Bind(resume);
+        return;
+      }
+      case Op::kNegD:
+      case Op::kAbsD:  // the sign bit flipped or cleared: exact for NaN payloads and -0.0
+        as_.MovRM(kRax, D(in.a));
+        as_.BitOp63(in.op == Op::kNegD ? 7 : 6, kRax);
+        as_.MovMR(D(in.dst), kRax);
+        return;
       case Op::kAddI:
       case Op::kSubI:
       case Op::kMulI:
@@ -844,6 +990,8 @@ class Translator {
   std::vector<int> pc_label_;
   std::vector<bool> has_sites_;
   int exit_ = -1;
+  int trace_int_ = -1;     // the TORC routines' labels, or -1 while unused
+  int trace_double_ = -1;
   std::vector<int> abort_;  // per pc, the label of its hang stub, or -1
   std::vector<Stub> stubs_;
 };

@@ -8,8 +8,9 @@
 // outputs, state, coverage bits, MCDC evaluations, TORC operands, profile
 // counts and strobe samples, margin distances — is exactly what the
 // interpreter produces. Control flow is direct jcc/jmp between instruction
-// labels. The hot opcodes have inline templates; every other opcode calls
-// one out-of-line hook that runs the interpreter's own per-opcode code.
+// labels. The hot opcodes have inline templates, TORC included (two shared
+// routines write the CmpTrace ring directly); every other opcode calls one
+// out-of-line hook that runs the interpreter's own per-opcode code.
 //
 // A translation is specialised on its NativeConfig (profile counting,
 // strobe, margins); the per-Step pointers (sink, edge map, cmp trace) come
@@ -73,7 +74,7 @@ struct NativeFrame {
   std::uint8_t* edges = nullptr;   // the edge map, or dropped writes
   // The sink's last evaluation per decision (its repeat filter), or zeros.
   const std::uint64_t* last_evals = nullptr;
-  const CmpTrace* cmp_trace = nullptr;  // only tested against null
+  CmpTrace* cmp_trace = nullptr;  // the TORC ring the code records into, or none
   std::uint64_t* edges_counted = nullptr;  // count plane: counted edges per pc
   std::uint64_t* samples = nullptr;     // strobe samples per pc
   std::uint64_t strobe_period = 0;
@@ -89,7 +90,6 @@ using NativeHook = void (*)(NativeFrame* frame, std::int32_t pc);
 
 struct NativeHooks {
   NativeHook slow = nullptr;     // runs instruction pc (any non-control opcode)
-  NativeHook trace = nullptr;    // records the operands of the eq/ne at pc
   NativeHook margins = nullptr;  // records the margin sites of pc
 };
 

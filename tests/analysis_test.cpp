@@ -91,12 +91,11 @@ TEST(AnalyzerTest, ClampedInputNeverSaturates) {
   EXPECT_TRUE(saw_lint);
 }
 
-TEST(AnalyzerTest, WrappedIntegerLimitsProveMiddleDead) {
-  // The interpreter wraps integer saturation limits to the block dtype:
-  // for int8, -500 wraps to 12 and 500 wraps to -12, so lower > upper and
-  // every input saturates — the pass-through outcome is genuinely dead at
-  // runtime. The analyzer must mirror the wrap instead of reasoning about
-  // the unreachable +-500 the model author wrote.
+TEST(AnalyzerTest, ClampedIntegerLimitsProveSaturationDead) {
+  // Integer saturation limits past the block dtype clamp to its range in
+  // every engine: for int8, -500 and 500 read as -128 and 127, so no input
+  // saturates and only the pass-through outcome is reachable. The analyzer
+  // must see the clamped limits, not the +-500 the model author wrote.
   ModelBuilder mb("m");
   auto u = mb.Inport("u", DType::kInt8);
   mb.Outport("y", mb.Saturation(u, -500, 500, "sat"));
@@ -107,6 +106,27 @@ TEST(AnalyzerTest, WrappedIntegerLimitsProveMiddleDead) {
   const auto* d = FindDecision(cm->spec(), "sat");
   ASSERT_NE(d, nullptr);
   ASSERT_EQ(d->num_outcomes, 3);
+  EXPECT_TRUE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 0)));
+  EXPECT_FALSE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 1)));  // inside
+  EXPECT_TRUE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 2)));
+
+  bool saw_lint = false;
+  for (const auto& l : ma.lints) saw_lint |= l.check == "never-saturates";
+  EXPECT_TRUE(saw_lint);
+}
+
+TEST(AnalyzerTest, InvertedLimitsProveMiddleDead) {
+  // lower > upper: every input saturates (u < 20 reads the lower limit,
+  // anything else exceeds -20), so the pass-through outcome is dead.
+  ModelBuilder mb("m");
+  auto u = mb.Inport("u", DType::kInt8);
+  mb.Outport("y", mb.Saturation(u, 20, -20, "sat"));
+  auto cm = Compile(mb.Build());
+
+  const ModelAnalysis& ma = cm->analysis();
+  ASSERT_TRUE(ma.converged);
+  const auto* d = FindDecision(cm->spec(), "sat");
+  ASSERT_NE(d, nullptr);
   EXPECT_FALSE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 0)));
   EXPECT_TRUE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 1)));  // inside
   EXPECT_FALSE(ma.justifications.SlotExcluded(cm->spec().OutcomeSlot(d->id, 2)));
@@ -195,15 +215,15 @@ TEST(AnalysisReportTest, JsonRoundTrips) {
 }
 
 TEST(AnalyzerFuzzTest, JustificationsStopCampaignWhenFrontierExhausted) {
-  // The wrapped int8 limits prove the pass-through outcome unreachable; the
-  // two saturating outcomes are hit by the very first seeds, after which the
+  // The clamped int8 limits prove both saturating outcomes unreachable; the
+  // pass-through outcome is hit by the very first seed, after which the
   // campaign must stop on its own long before the execution budget.
   ModelBuilder mb("m");
   auto u = mb.Inport("u", DType::kInt8);
   mb.Outport("y", mb.Saturation(u, -500, 500, "sat"));
   auto cm = Compile(mb.Build());
   const ModelAnalysis& ma = cm->analysis();
-  ASSERT_EQ(ma.justifications.NumExcluded(), 1U);
+  ASSERT_EQ(ma.justifications.NumExcluded(), 2U);
 
   fuzz::FuzzerOptions options;
   options.seed = 3;
@@ -216,7 +236,7 @@ TEST(AnalyzerFuzzTest, JustificationsStopCampaignWhenFrontierExhausted) {
   EXPECT_LE(result.executions, options.seed_inputs + 16);
   // The report carries the justified counts and the adjusted percentages
   // reach 100% even though the raw denominators do not.
-  EXPECT_EQ(result.report.outcome_justified, 1);
+  EXPECT_EQ(result.report.outcome_justified, 2);
   EXPECT_LT(result.report.DecisionPct(), 100.0);
   EXPECT_DOUBLE_EQ(result.report.AdjustedDecisionPct(), 100.0);
 }

@@ -16,6 +16,7 @@
 #include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
 #include "ir/builder.hpp"
+#include "sim/interpreter.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -109,6 +110,27 @@ std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& str
       } else {
         out += StrFormat("o %lld\n", static_cast<long long>(v.AsInt64()));
       }
+    }
+    for (int slot = 0; slot < cm.spec().FuzzBranchCount(); ++slot) {
+      if (sink.curr().Test(static_cast<std::size_t>(slot))) out += StrFormat("c %d\n", slot);
+    }
+    out += "end\n";
+  }
+  return out;
+}
+
+/// The same transcript from the simulation interpreter (sim::Interpreter).
+std::string InterpreterTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& stream) {
+  sim::Interpreter interp(cm.scheduled(), /*log_signals=*/false);
+  coverage::CoverageSink sink(cm.spec());
+  const std::size_t tuple = cm.instrumented().TupleSize();
+  std::string out;
+  for (std::size_t off = 0; off + tuple <= stream.size(); off += tuple) {
+    sink.BeginIteration();
+    interp.SetInputsFromBytes(stream.data() + off);
+    interp.Step(&sink);
+    for (int o = 0; o < static_cast<int>(cm.instrumented().output_types.size()); ++o) {
+      out += StrFormat("o %lld\n", static_cast<long long>(interp.GetOutput(o).AsInt64()));
     }
     for (int slot = 0; slot < cm.spec().FuzzBranchCount(); ++slot) {
       if (sink.curr().Test(static_cast<std::size_t>(slot))) out += StrFormat("c %d\n", slot);
@@ -255,6 +277,51 @@ TEST(CemitRuntimeThresholdTest, OutOfRangeThresholdsCompareLikeC) {
   ASSERT_EQ(native.rfind("o 1\no 0\no 1\n", 0), 0U)
       << "int8 < 1000 and int8 >= -1000 read true, int8 > 300 false";
   ASSERT_EQ(CompiledTranscript(*cm, "thresholds", stream), native);
+}
+
+// Saturation bounds outside the block's integer type clamp to the type's
+// range in every engine, never wrap: an int16 block with bounds of ±1e30
+// passes every input through, and an int8 block with bounds of ±1000 too.
+// Native code, the bytecode interpreter, the simulation interpreter and the
+// compiled C agree on every step of a random stream.
+TEST(CemitRuntimeSaturationTest, OutOfRangeBoundsClampInEveryEngine) {
+  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  struct Case {
+    const char* type;
+    const char* bound;
+  };
+  for (const Case& c : {Case{"int16", "1e30"}, Case{"int8", "1000"}}) {
+    const std::string xml = StrFormat(R"(<?xml version="1.0" encoding="UTF-8"?>
+<model name="Sat">
+  <block kind="Inport" name="X">
+    <param name="port" kind="int">0</param>
+    <param name="type" kind="str">%s</param>
+  </block>
+  <block kind="Saturation" name="sat">
+    <param name="lower" kind="real">-%s</param>
+    <param name="upper" kind="real">%s</param>
+  </block>
+  <block kind="Outport" name="Y"><param name="port" kind="int">0</param></block>
+  <wire from="X:0" to="sat:0"/>
+  <wire from="sat:0" to="Y:0"/>
+</model>
+)",
+                                      c.type, c.bound, c.bound);
+    auto compiled = CompiledModel::FromXml(xml);
+    ASSERT_TRUE(compiled.ok()) << compiled.message();
+    auto cm = compiled.take();
+    const std::size_t tuple = cm->instrumented().TupleSize();
+    Rng rng(31);
+    std::vector<std::uint8_t> stream(tuple * 300);
+    rng.FillBytes(stream.data(), stream.size());
+    const std::int16_t five = 5;  // the first input: Sat(5) = 5
+    std::memcpy(stream.data(), &five, tuple);
+    const std::string native = VmTranscript(*cm, stream);
+    ASSERT_EQ(native.rfind("o 5\n", 0), 0U) << c.type << ": " << native.substr(0, 40);
+    ASSERT_EQ(native, VmTranscript(*cm, stream, /*bytecode=*/true)) << c.type;
+    ASSERT_EQ(native, InterpreterTranscript(*cm, stream)) << c.type;
+    ASSERT_EQ(CompiledTranscript(*cm, std::string("sat_") + c.type, stream), native) << c.type;
+  }
 }
 
 }  // namespace

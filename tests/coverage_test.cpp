@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -48,6 +49,72 @@ TEST(SinkTest, IterationLifecycle) {
   EXPECT_EQ(sink.total().Count(), 2U);
   sink.ResetCampaign();
   EXPECT_EQ(sink.total().Count(), 0U);
+}
+
+// The fuzzing loop's fused pass, FinishIteration, against the separate
+// steps it replaces (AccumulateIteration, CountDifferences against the last
+// iteration, the copy, Hash, then BeginIteration) on random 1-5-word maps:
+// words all zero, all ones, random or repeated from the last iteration, and
+// inputs that hang midway (the partial curr is discarded and the next input
+// starts from a clear one). PopCount64 is held to std::popcount on the same
+// words and on edge words.
+TEST(SinkTest, FinishIterationEqualsTheSeparatePasses) {
+  const std::uint64_t kEdgeWords[] = {0, ~std::uint64_t{0}, 1, std::uint64_t{1} << 63,
+                                      0x5555555555555555ULL, 0xAAAAAAAAAAAAAAAAULL,
+                                      0x8000000000000001ULL, 0x00000000FFFFFFFFULL};
+  for (const std::uint64_t w : kEdgeWords) {
+    EXPECT_EQ(PopCount64(w), static_cast<std::size_t>(std::popcount(w))) << w;
+  }
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto slots = static_cast<int>(1 + rng.NextBelow(320));
+    CoverageSpec spec;
+    spec.AddDecision("d", slots);
+    CoverageSink fused(spec);
+    CoverageSink reference(spec);
+    DynamicBitset fused_last(static_cast<std::size_t>(slots));
+    DynamicBitset reference_last(static_cast<std::size_t>(slots));
+    std::vector<std::uint64_t> words((static_cast<std::size_t>(slots) + 63) / 64, 0);
+    for (int input = 0; input < 6; ++input) {
+      fused_last.ClearAll();
+      reference_last.ClearAll();
+      const auto iterations = static_cast<int>(1 + rng.NextBelow(8));
+      const int hang_at = rng.NextBool(0.3) ? static_cast<int>(rng.NextBelow(iterations)) : -1;
+      for (int it = 0; it < iterations; ++it) {
+        ASSERT_EQ(fused.curr().Count(), 0U) << "curr is clear between iterations";
+        reference.BeginIteration();
+        for (std::uint64_t& w : words) {
+          const std::uint64_t kind = rng.NextBelow(4);
+          if (kind == 0) w = 0;
+          if (kind == 1) w = ~std::uint64_t{0};
+          if (kind == 2) w = rng.NextU64() & rng.NextU64();
+          // kind 3 repeats the word of the last iteration
+          EXPECT_EQ(PopCount64(w), static_cast<std::size_t>(std::popcount(w)));
+        }
+        for (int slot = 0; slot < slots; ++slot) {
+          const auto k = static_cast<std::size_t>(slot);
+          if (((words[k / 64] >> (k % 64)) & 1) == 0) continue;
+          fused.Hit(slot);
+          reference.Hit(slot);
+        }
+        if (it == hang_at) {  // the Fuzzer's hang path
+          fused.BeginIteration();
+          break;
+        }
+        const std::size_t new_bits = reference.AccumulateIteration();
+        const std::size_t differences = reference.curr().CountDifferences(reference_last);
+        reference_last = reference.curr();
+        const std::uint64_t hash = reference.curr().Hash();
+        const CoverageSink::IterationDelta delta = fused.FinishIteration(fused_last);
+        ASSERT_EQ(delta.new_bits, new_bits);
+        ASSERT_EQ(delta.differences, differences);
+        ASSERT_EQ(delta.hash, hash);
+        ASSERT_EQ(fused_last, reference_last);
+        ASSERT_EQ(fused.total(), reference.total());
+        ASSERT_EQ(fused.curr().Count(), 0U);
+      }
+    }
+  }
 }
 
 // RecordEval skips a repeat of a decision's previous evaluation. The

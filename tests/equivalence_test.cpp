@@ -78,8 +78,9 @@ TEST_P(EquivalenceTest, VmMatchesInterpreterOnRandomStreams) {
 // Model-text constants outside their block's integer range: a Constant of
 // 1e30 on int32 and -1e30 on uint8, CompareToConstant and Switch thresholds
 // past the int8 range, and Saturation bounds past the int16 range. Each
-// converts through num::TruncToI64 (saturate, then wrap, as cvt.d2i does)
-// or compares in the floating domain, never through an undefined cast; and
+// converts through num::TruncToI64 (saturate, then wrap, as cvt.d2i does;
+// a Saturation bound clamps to its type instead) or compares in the
+// floating domain, never through an undefined cast; and
 // native code, the bytecode interpreter and the simulation interpreter agree
 // on every output and coverage bit.
 TEST(OutOfRangeConstantsTest, EveryEngineAgrees) {

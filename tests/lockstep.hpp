@@ -86,6 +86,7 @@ class Side {
   }
 
   vm::Machine& machine() { return machine_; }
+  [[nodiscard]] const vm::CmpTrace& cmp_trace() const { return cmp_; }
 
   bool Step(bool native) {
     sink_.BeginIteration();

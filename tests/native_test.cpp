@@ -1,10 +1,12 @@
 // Native code against the bytecode interpreter, in lockstep (lockstep.hpp):
-// every opcode at every width over sentinel operands, the eight benchmark
+// every opcode at every width over sentinel operands, TORC and the inline
+// double min/max/neg/abs on their edge values, the eight benchmark
 // models (instrumented and edge-instrumented) under every plane
 // configuration, hanging loops under the back-edge budget, and the
 // ownership of the translated code when Machines are copied and moved.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -167,6 +169,107 @@ TEST(NativeLockstepTest, HangingLoopsSpendTheBudgetAlike) {
       ASSERT_EQ(native.Diff(reference), "") << "n=" << n << (fused ? " fused" : " jnz");
     }
     EXPECT_GT(hangs, 0);
+  }
+}
+
+/// Bit patterns as doubles (NaN payloads survive every copy).
+double FromBits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+// TORC on native code: eq/ne/br.eq/br.ne in the d and i forms, the flag
+// written to a fresh register or over either operand, twice per Step with
+// the operands swapped the second time, over the cross product of values at
+// and around CmpTrace's ±9e15 integral bound, 2^63, NaN, ±Inf, -0.0 and
+// fractions. Hundreds of differing compares wrap both rings many times; the
+// rings (contents, indices, counts) must match the interpreter's after every
+// Step, with a trace attached and with none.
+TEST(NativeLockstepTest, TorcRecordsDifferingComparesAlike) {
+  const coverage::CoverageSpec spec = EightSlotSpec();
+  const std::vector<double> values = {
+      9e15, -9e15, 8999999999999999.0, -8999999999999999.0, 4503599627370497.0,
+      9223372036854775808.0, -9223372036854775808.0, 1e300, NAN, -NAN,
+      INFINITY, -INFINITY, -0.0, 0.0, 0.5, -2.5, 3.0, 7.0,
+      FromBits(0x7FF8000000000123ULL)};
+  const Op ops[] = {Op::kEqD, Op::kNeD, Op::kBrEqD, Op::kBrNeD,
+                    Op::kEqI, Op::kNeI, Op::kBrEqI, Op::kBrNeI};
+  for (const Op op : ops) {
+    for (const int dst : {1, 2, 3}) {  // fresh, aliasing a, aliasing b
+      Program p;
+      p.num_dregs = 4;
+      p.num_iregs = 4;
+      p.input_types.assign(2, ir::DType::kDouble);
+      p.code = {
+          I(Op::kLoadInD, 2, 0, 0, 0),
+          I(Op::kLoadInD, 3, 0, 0, 1),
+          I(Op::kCvtDToI, 2, 2),  // unwrapped: the int64 operands
+          I(Op::kCvtDToI, 3, 3),
+          I(op, dst, 2, 3, 6),
+          I(Op::kCov, 0, 0, 0, 1),
+          I(op, dst, 3, 2, 8),
+          I(Op::kCov, 0, 0, 0, 2),
+          I(Op::kHalt),
+      };
+      for (const bool traced : {true, false}) {
+        lockstep::Planes planes;
+        planes.sink = true;
+        planes.cmp_trace = traced;
+        lockstep::Side native(p, spec, planes);
+        lockstep::Side reference(p, spec, planes);
+        for (const double a : values) {
+          for (const double b : values) {
+            const std::vector<ir::Value> in = {ir::Value::Real(ir::DType::kDouble, a),
+                                               ir::Value::Real(ir::DType::kDouble, b)};
+            native.machine().SetInputs(in);
+            reference.machine().SetInputs(in);
+            ASSERT_TRUE(native.Step(true));
+            ASSERT_TRUE(reference.Step(false));
+            ASSERT_EQ(native.Diff(reference), "")
+                << OpName(op) << " dst " << dst << " a " << a << " b " << b << " traced "
+                << traced;
+          }
+        }
+        const vm::CmpTrace& trace = native.cmp_trace();
+        EXPECT_EQ(trace.int_count(), traced ? vm::CmpTrace::kCapacity : 0U) << OpName(op);
+        const bool is_d = op == Op::kEqD || op == Op::kNeD || op == Op::kBrEqD ||
+                          op == Op::kBrNeD;
+        EXPECT_EQ(trace.double_count(), traced && is_d ? vm::CmpTrace::kCapacity : 0U)
+            << OpName(op);
+      }
+    }
+  }
+}
+
+// min.d/max.d over every ordered and unordered pair of signed zeros,
+// infinities, NaNs with payloads and ordinary values, in both operand
+// orders (fmin(-0.0, 0.0) is -0.0 and fmin(0.0, -0.0) is 0.0), and
+// neg.d/abs.d on the same values: bit-identical to the interpreter's libm.
+TEST(NativeLockstepTest, MinMaxNegAbsMatchLibmBitForBit) {
+  const coverage::CoverageSpec spec = EightSlotSpec();
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, INFINITY, -INFINITY, NAN, -NAN,
+      FromBits(0x7FF8000000000123ULL), FromBits(0xFFF4000000000001ULL),
+      FromBits(0x7FF0000000000001ULL), 1e-310, -3.5};
+  lockstep::Planes planes;
+  planes.sink = true;
+  for (const Op op : {Op::kMinD, Op::kMaxD, Op::kNegD, Op::kAbsD}) {
+    const Program p = OpcodeProgram(I(op, 1, 2, 3));
+    lockstep::Side native(p, spec, planes);
+    lockstep::Side reference(p, spec, planes);
+    for (const double a : values) {
+      for (const double b : values) {
+        const std::vector<ir::Value> in = {
+            ir::Value::Real(ir::DType::kDouble, a), ir::Value::Real(ir::DType::kDouble, b),
+            ir::Value::Real(ir::DType::kDouble, 0), ir::Value::Real(ir::DType::kDouble, 0),
+            ir::Value::Real(ir::DType::kDouble, 0)};
+        native.machine().SetInputs(in);
+        reference.machine().SetInputs(in);
+        ASSERT_EQ(native.Step(true), reference.Step(false));
+        ASSERT_EQ(native.Diff(reference), "") << OpName(op) << " a " << a << " b " << b;
+        if (op == Op::kMinD && a == 0.0 && b == 0.0) {
+          EXPECT_EQ(std::signbit(native.machine().dreg(1)), std::signbit(a))
+              << "fmin of two zeros returns its first operand";
+        }
+      }
+    }
   }
 }
 
