@@ -19,7 +19,7 @@ using namespace cftcg;
 
 std::unique_ptr<CompiledModel>& SolarPv() {
   static auto cm = [] {
-    auto model = bench_models::BuildSolarPv();
+    auto model = bench_models::Build("SolarPV").take();
     auto compiled = CompiledModel::FromModel(std::move(model));
     return compiled.take();
   }();
@@ -157,7 +157,7 @@ BENCHMARK(BM_McdcReport);
 
 void BM_ModelCompile(benchmark::State& state) {
   for (auto _ : state) {
-    auto model = bench_models::BuildSolarPv();
+    auto model = bench_models::Build("SolarPV").take();
     auto cm = CompiledModel::FromModel(std::move(model));
     benchmark::DoNotOptimize(cm.ok());
   }

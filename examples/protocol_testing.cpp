@@ -19,7 +19,7 @@ using namespace cftcg;
 
 int main(int argc, char** argv) {
   const double seconds = argc > 1 ? std::atof(argv[1]) : 2.0;
-  auto compiled = CompiledModel::FromModel(bench_models::BuildTcp());
+  auto compiled = CompiledModel::FromXml(std::string(bench_models::Source("TCP")));
   if (!compiled.ok()) {
     std::fprintf(stderr, "%s\n", compiled.message().c_str());
     return 1;

@@ -9,6 +9,7 @@
 //   $ ./build/examples/solar_pv_campaign [seconds] [outdir]
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "bench_models/bench_models.hpp"
@@ -24,12 +25,21 @@ using namespace cftcg;
 int main(int argc, char** argv) {
   const double seconds = argc > 1 ? std::atof(argv[1]) : 3.0;
   const std::string outdir = argc > 2 ? argv[2] : "/tmp/cftcg_solarpv";
-  std::system(("mkdir -p " + outdir).c_str());
+  std::error_code ec;
+  std::filesystem::create_directories(outdir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n", outdir.c_str(), ec.message().c_str());
+    return 1;
+  }
 
   // Build -> save -> reload, demonstrating the model interchange path.
-  auto built = bench_models::BuildSolarPv();
+  auto built = bench_models::Build("SolarPV");
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.message().c_str());
+    return 1;
+  }
   const std::string model_path = outdir + "/SolarPV.cmx";
-  if (!parser::SaveModelFile(*built, model_path).ok()) return 1;
+  if (!parser::SaveModelFile(*built.value(), model_path).ok()) return 1;
   std::printf("model written to %s\n", model_path.c_str());
 
   auto compiled = CompiledModel::FromFile(model_path);

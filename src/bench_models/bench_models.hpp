@@ -16,10 +16,15 @@
 // state, conditional subsystems, saturations/dead zones, counters, mixed
 // int8/int32/double inports (the width mix that defeats byte-blind
 // mutation in Figure 8).
+//
+// Each model is defined once, as the committed models/<name>.cmx; the build
+// embeds those texts byte for byte (see CMakeLists.txt here), so a model by
+// name and the file of that name are the same model.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/model.hpp"
@@ -35,17 +40,11 @@ struct BenchModelInfo {
 /// The Table 2 roster, in paper order.
 const std::vector<BenchModelInfo>& Roster();
 
-/// Builds a benchmark model by name ("CPUTask", ..., "SolarPV").
-Result<std::unique_ptr<ir::Model>> Build(const std::string& name);
+/// The embedded text of models/<name>.cmx ("CPUTask", ..., "SolarPV");
+/// empty for a name not on the roster.
+std::string_view Source(const std::string& name);
 
-// Individual builders (used directly by focused tests).
-std::unique_ptr<ir::Model> BuildCpuTask();
-std::unique_ptr<ir::Model> BuildAfc();
-std::unique_ptr<ir::Model> BuildTcp();
-std::unique_ptr<ir::Model> BuildRac();
-std::unique_ptr<ir::Model> BuildEvcs();
-std::unique_ptr<ir::Model> BuildTwc();
-std::unique_ptr<ir::Model> BuildUtpc();
-std::unique_ptr<ir::Model> BuildSolarPv();
+/// Parses the embedded text of a benchmark model by name.
+Result<std::unique_ptr<ir::Model>> Build(const std::string& name);
 
 }  // namespace cftcg::bench_models

@@ -1,5 +1,7 @@
 #include "bench_models/bench_models.hpp"
 
+#include "parser/model_io.hpp"
+
 namespace cftcg::bench_models {
 
 const std::vector<BenchModelInfo>& Roster() {
@@ -17,15 +19,9 @@ const std::vector<BenchModelInfo>& Roster() {
 }
 
 Result<std::unique_ptr<ir::Model>> Build(const std::string& name) {
-  if (name == "CPUTask") return BuildCpuTask();
-  if (name == "AFC") return BuildAfc();
-  if (name == "TCP") return BuildTcp();
-  if (name == "RAC") return BuildRac();
-  if (name == "EVCS") return BuildEvcs();
-  if (name == "TWC") return BuildTwc();
-  if (name == "UTPC") return BuildUtpc();
-  if (name == "SolarPV") return BuildSolarPv();
-  return Status::Error("unknown benchmark model: " + name);
+  const std::string_view text = Source(name);
+  if (text.empty()) return Status::Error("unknown benchmark model: " + name);
+  return parser::LoadModel(std::string(text));
 }
 
 }  // namespace cftcg::bench_models

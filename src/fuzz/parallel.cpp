@@ -392,8 +392,10 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
       status = support::WriteFileAtomic(options.checkpoint_path, bytes);
       if (!status.ok()) {
         std::fprintf(stderr, "cftcg: checkpoint write failed: %s\n", status.message().c_str());
+        ++out.checkpoint_write_failures;
       }
     }
+    out.last_checkpoint_write_failed = !status.ok();
     const double commit_s = elapsed() - t0;
     if (trace != nullptr) {
       trace->Emit(obs::TraceEvent("checkpoint")

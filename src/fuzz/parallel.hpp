@@ -84,6 +84,11 @@ struct ParallelCampaignResult {
   /// barrier (a checkpoint was written if checkpoint_path is set; `merged`
   /// still carries the partial report).
   bool interrupted = false;
+  /// Checkpoint writes that failed (a simulated torn write is not one), and
+  /// whether the last write attempted was one of them, which leaves the
+  /// campaign's final state unsaved.
+  std::uint64_t checkpoint_write_failures = 0;
+  bool last_checkpoint_write_failed = false;
 };
 
 class ParallelFuzzer {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 
 #include "bench_models/bench_models.hpp"
 #include "cftcg/pipeline.hpp"
@@ -16,10 +17,39 @@ TEST(RosterTest, EightModelsInPaperOrder) {
   EXPECT_EQ(roster.front().name, "CPUTask");
   EXPECT_EQ(roster.back().name, "SolarPV");
   EXPECT_FALSE(Build("NoSuchModel").ok());
+  EXPECT_TRUE(Source("NoSuchModel").empty());
 }
 
+// Every roster name has an embedded models/<name>.cmx that parses, compiles
+// and carries that name.
+TEST(RosterTest, EveryModelBuildsAndCompilesUnderItsName) {
+  for (const auto& info : Roster()) {
+    auto model = Build(info.name);
+    ASSERT_TRUE(model.ok()) << info.name << ": " << model.message();
+    auto cm = CompiledModel::FromModel(model.take());
+    ASSERT_TRUE(cm.ok()) << info.name << ": " << cm.message();
+    EXPECT_EQ(cm.value()->model().name(), info.name);
+  }
+}
+
+// The build embeds models/<name>.cmx byte for byte, and re-embeds a file
+// edited since.
+class EmbeddedModelTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EmbeddedModelTest, SourceIsTheCommittedFile) {
+  std::ifstream in(std::string(CFTCG_SOURCE_DIR) + "/models/" + GetParam() + ".cmx",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing models/" << GetParam() << ".cmx";
+  const std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(Source(GetParam()), file);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, EmbeddedModelTest,
+                         ::testing::Values("CPUTask", "AFC", "TCP", "RAC", "EVCS", "TWC", "UTPC",
+                                           "SolarPV"));
+
 TEST(SolarPvTest, Figure3InportLayout) {
-  auto model = BuildSolarPv();
+  auto model = Build("SolarPV").take();
   auto cm = CompiledModel::FromModel(std::move(model));
   ASSERT_TRUE(cm.ok());
   const auto& types = cm.value()->instrumented().input_types;
@@ -31,7 +61,7 @@ TEST(SolarPvTest, Figure3InportLayout) {
 }
 
 TEST(SolarPvTest, PanelStateOnlyAdvancesWhenAddressed) {
-  auto cm = CompiledModel::FromModel(BuildSolarPv());
+  auto cm = CompiledModel::FromModel(Build("SolarPV").take());
   ASSERT_TRUE(cm.ok());
   vm::Machine m(cm.value()->instrumented());
 
@@ -60,7 +90,7 @@ TEST(SolarPvTest, PanelStateOnlyAdvancesWhenAddressed) {
 }
 
 TEST(CpuTaskTest, QueueOverflowNeedsSustainedEnqueues) {
-  auto cm = CompiledModel::FromModel(BuildCpuTask());
+  auto cm = CompiledModel::FromModel(Build("CPUTask").take());
   ASSERT_TRUE(cm.ok());
   vm::Machine m(cm.value()->instrumented());
   coverage::CoverageSink sink(cm.value()->spec());
@@ -98,7 +128,7 @@ TEST(CpuTaskTest, QueueOverflowNeedsSustainedEnqueues) {
 }
 
 TEST(TcpTest, HandshakeReachesEstablished) {
-  auto cm = CompiledModel::FromModel(BuildTcp());
+  auto cm = CompiledModel::FromModel(Build("TCP").take());
   ASSERT_TRUE(cm.ok());
   vm::Machine m(cm.value()->instrumented());
 
@@ -125,7 +155,7 @@ TEST(TcpTest, HandshakeReachesEstablished) {
 }
 
 TEST(TcpTest, RstResetsFromEstablished) {
-  auto cm = CompiledModel::FromModel(BuildTcp());
+  auto cm = CompiledModel::FromModel(Build("TCP").take());
   ASSERT_TRUE(cm.ok());
   vm::Machine m(cm.value()->instrumented());
   auto step = [&](std::int8_t syn, std::int8_t ack, std::int32_t seq, std::int32_t ackno,

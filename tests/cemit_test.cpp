@@ -26,7 +26,7 @@ std::string EmitFor(std::unique_ptr<ir::Model> model) {
 
 TEST(CEmitTest, DriverMatchesFigure3Structure) {
   // Rebuild the paper's SolarPV inport layout: int8 + int32 + int32 = 9.
-  auto model = bench_models::BuildSolarPv();
+  auto model = bench_models::Build("SolarPV").take();
   const std::string code = EmitFor(std::move(model));
   // The per-iteration tuple length of Figure 3.
   EXPECT_NE(code.find("const size_t dataLen = 9;"), std::string::npos);
@@ -55,7 +55,7 @@ TEST(CEmitTest, InstrumentationCallsPresent) {
 }
 
 TEST(CEmitTest, UninstrumentedOmitsCoverage) {
-  auto model = bench_models::BuildAfc();
+  auto model = bench_models::Build("AFC").take();
   auto cm = CompiledModel::FromModel(std::move(model));
   ASSERT_TRUE(cm.ok());
   codegen::CEmitOptions opts;
@@ -77,7 +77,7 @@ TEST(CEmitTest, SwitchLowersToIfElse) {
 }
 
 TEST(CEmitTest, ChartLowersToSwitchCase) {
-  auto model = bench_models::BuildTcp();
+  auto model = bench_models::Build("TCP").take();
   const std::string code = EmitFor(std::move(model));
   EXPECT_NE(code.find("switch ("), std::string::npos);
   EXPECT_NE(code.find("/* state CLOSED */"), std::string::npos);

@@ -31,7 +31,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::unique_ptr<CompiledModel> Compile() {
-  auto model = bench_models::BuildAfc();
+  auto model = bench_models::Build("AFC").take();
   auto cm = CompiledModel::FromModel(std::move(model));
   EXPECT_TRUE(cm.ok()) << cm.message();
   return cm.take();

@@ -29,8 +29,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::unique_ptr<CompiledModel> Compile(std::unique_ptr<ir::Model> model) {
-  auto cm = CompiledModel::FromModel(std::move(model));
+std::unique_ptr<CompiledModel> Compile(const std::string& name) {
+  auto cm = CompiledModel::FromXml(std::string(bench_models::Source(name)));
   EXPECT_TRUE(cm.ok()) << cm.message();
   return cm.take();
 }
@@ -48,7 +48,7 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
   const std::uint64_t kStop = 1500;
   const std::uint64_t kTotal = 4000;
 
-  auto baseline_cm = Compile(bench_models::BuildAfc());
+  auto baseline_cm = Compile("AFC");
   FuzzerOptions options;
   options.seed = 42;
   Fuzzer baseline(baseline_cm->instrumented(), baseline_cm->spec(), options);
@@ -58,7 +58,7 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
   // Phase 1: run the same campaign but stop mid-way (chunk boundary — the
   // same inter-execution point a SIGINT checkpoint is taken at) and capture
   // a checkpoint, round-tripping it through the serialized format.
-  auto cm1 = Compile(bench_models::BuildAfc());
+  auto cm1 = Compile("AFC");
   Fuzzer first(cm1->instrumented(), cm1->spec(), options);
   first.Begin(ExecBudget(kTotal));
   ASSERT_EQ(first.RunChunk(kStop), kStop);
@@ -70,7 +70,7 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
   ASSERT_EQ(parsed.value().workers.size(), 1u);
 
   // Phase 2: resume from the parsed state and run out the remaining budget.
-  auto cm2 = Compile(bench_models::BuildAfc());
+  auto cm2 = Compile("AFC");
   FuzzerOptions resume_options = options;
   resume_options.resume = &parsed.value().workers[0];
   Fuzzer second(cm2->instrumented(), cm2->spec(), resume_options);
@@ -91,7 +91,7 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
   // Phase 3: the same checkpoint (one worker, no round size) resumes as a
   // one-lane driver campaign at the default round size — a single lane's
   // schedule does not depend on it.
-  auto cm3 = Compile(bench_models::BuildAfc());
+  auto cm3 = Compile("AFC");
   ParallelOptions one_lane;
   one_lane.resume = &parsed.value();
   const ParallelCampaignResult driven =
@@ -103,7 +103,7 @@ TEST(CheckpointTest, SequentialResumeIsBitIdentical) {
 }
 
 TEST(CheckpointTest, SerializationRoundTripIsExact) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   FuzzerOptions options;
   options.seed = 9;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
@@ -128,7 +128,7 @@ void CheckInterruptedResume(int workers) {
   parallel.num_workers = workers;
   parallel.sync_every = 512;
 
-  auto baseline_cm = Compile(bench_models::BuildAfc());
+  auto baseline_cm = Compile("AFC");
   ParallelFuzzer baseline(baseline_cm->instrumented(), baseline_cm->spec(), options, parallel);
   const ParallelCampaignResult straight = baseline.Run(ExecBudget(kTotal));
   ASSERT_FALSE(straight.interrupted);
@@ -140,7 +140,7 @@ void CheckInterruptedResume(int workers) {
   FuzzerOptions int_options = options;
   int_options.interrupt = &stop;
   int_options.checkpoint_path = ckpt_path;
-  auto cm1 = Compile(bench_models::BuildAfc());
+  auto cm1 = Compile("AFC");
   ParallelFuzzer first(cm1->instrumented(), cm1->spec(), int_options, parallel);
   const ParallelCampaignResult partial = first.Run(ExecBudget(kTotal));
   EXPECT_TRUE(partial.interrupted);
@@ -154,7 +154,7 @@ void CheckInterruptedResume(int workers) {
 
   ParallelOptions resume_parallel = parallel;
   resume_parallel.resume = &ckpt.value();
-  auto cm2 = Compile(bench_models::BuildAfc());
+  auto cm2 = Compile("AFC");
   ParallelFuzzer second(cm2->instrumented(), cm2->spec(), options, resume_parallel);
   const ParallelCampaignResult resumed = second.Run(ExecBudget(kTotal));
 
@@ -183,7 +183,7 @@ TEST(CheckpointTest, ParallelResumeIsBitIdentical) {
 // threaded and isolated alike.
 TEST(CheckpointTest, InterruptAtPeriodicBarrierWritesOnce) {
   const std::string ckpt_path = "checkpoint_test_once.ckpt";
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   std::atomic<bool> stop{true};
   FuzzerOptions options;
   options.seed = 7;
@@ -236,13 +236,13 @@ TEST(CheckpointTest, ProfileCountersSurviveResume) {
   options.seed = 11;
   options.profile_timing = true;  // arm the strobe plane too
 
-  auto baseline_cm = Compile(bench_models::BuildAfc());
+  auto baseline_cm = Compile("AFC");
   Fuzzer baseline(baseline_cm->instrumented(), baseline_cm->spec(), options);
   const CampaignResult straight = baseline.Run(ExecBudget(kTotal));
   ASSERT_GT(straight.exec_profile.TotalDispatches(), 0u);
   ASSERT_GT(straight.exec_profile.steps, 0u);
 
-  auto cm1 = Compile(bench_models::BuildAfc());
+  auto cm1 = Compile("AFC");
   Fuzzer first(cm1->instrumented(), cm1->spec(), options);
   first.Begin(ExecBudget(kTotal));
   ASSERT_EQ(first.RunChunk(kStop), kStop);
@@ -258,7 +258,7 @@ TEST(CheckpointTest, ProfileCountersSurviveResume) {
   EXPECT_EQ(parsed.value().workers[0].exec_profile.insn_counts,
             taken.workers[0].exec_profile.insn_counts);
 
-  auto cm2 = Compile(bench_models::BuildAfc());
+  auto cm2 = Compile("AFC");
   FuzzerOptions resume_options = options;
   resume_options.resume = &parsed.value().workers[0];
   Fuzzer second(cm2->instrumented(), cm2->spec(), resume_options);
@@ -283,7 +283,7 @@ TEST(CheckpointTest, ProfileCountersSurviveResume) {
 // -- Version and identity gating ------------------------------------------
 
 TEST(CheckpointTest, VersionMismatchRejectedBothDirections) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   FuzzerOptions options;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   fuzzer.Begin(ExecBudget(200));
@@ -304,7 +304,7 @@ TEST(CheckpointTest, VersionMismatchRejectedBothDirections) {
 }
 
 TEST(CheckpointTest, TruncationAndTrailingBytesRejected) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   FuzzerOptions options;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   fuzzer.Begin(ExecBudget(200));
@@ -320,7 +320,7 @@ TEST(CheckpointTest, TruncationAndTrailingBytesRejected) {
 }
 
 TEST(CheckpointTest, ValidateRejectsForeignCampaigns) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   FuzzerOptions options;
   options.seed = 5;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
@@ -362,7 +362,7 @@ TEST(CheckpointTest, ValidateRejectsForeignCampaigns) {
 // same model. Its profile planes must be refused, not resumed with counters
 // attributed to the wrong instructions.
 TEST(CheckpointTest, ResumeRefusesProfilePlaneOfAnotherLowering) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile("AFC");
   FuzzerOptions options;
   options.profile_timing = true;  // both VM planes populated
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);

@@ -18,7 +18,7 @@ using ir::ParamMap;
 using ir::ParamValue;
 
 TEST(HybridTest, RunsAndReportsUnionCoverage) {
-  auto cm = CompiledModel::FromModel(bench_models::BuildAfc()).take();
+  auto cm = CompiledModel::FromModel(bench_models::Build("AFC").take()).take();
   fuzz::FuzzBudget budget;
   budget.wall_seconds = 1.0;
   const auto hybrid = RunTool(*cm, Tool::kCftcgHybrid, budget, 3);
@@ -48,7 +48,7 @@ TEST(HybridTest, SolverPhasePicksUpResidualNumericGoal) {
 }
 
 TEST(HybridTest, SeedCoverageSkipsCoveredGoals) {
-  auto cm = CompiledModel::FromModel(bench_models::BuildAfc()).take();
+  auto cm = CompiledModel::FromModel(bench_models::Build("AFC").take()).take();
   // Mark everything covered: the solver then has nothing to do and returns
   // quickly with zero fresh goals.
   sldv::SolverOptions options;

@@ -98,8 +98,8 @@ TEST(FuzzerTest, CoversSaturationQuickly) {
 }
 
 TEST(FuzzerTest, DeterministicGivenSeed) {
-  auto model1 = bench_models::BuildAfc();
-  auto model2 = bench_models::BuildAfc();
+  auto model1 = bench_models::Build("AFC").take();
+  auto model2 = bench_models::Build("AFC").take();
   auto cm1 = Compile(std::move(model1));
   auto cm2 = Compile(std::move(model2));
   FuzzerOptions options;
@@ -123,7 +123,7 @@ TEST(FuzzerTest, TestCasesReplayToReportedCoverage) {
   // Replaying all output test cases on a fresh sink must reproduce at least
   // the decision-outcome coverage the campaign reported (test cases are
   // emitted exactly when new coverage appears).
-  auto cm = Compile(bench_models::BuildSolarPv());
+  auto cm = Compile(bench_models::Build("SolarPV").take());
   FuzzerOptions options;
   options.seed = 3;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
@@ -150,7 +150,7 @@ TEST(FuzzerTest, TestCasesReplayToReportedCoverage) {
 }
 
 TEST(FuzzerTest, FuzzOnlyModeRuns) {
-  auto cm = Compile(bench_models::BuildSolarPv());
+  auto cm = Compile(bench_models::Build("SolarPV").take());
   FuzzerOptions options;
   options.seed = 5;
   options.model_oriented = false;
@@ -164,7 +164,7 @@ TEST(FuzzerTest, FuzzOnlyModeRuns) {
 }
 
 TEST(FuzzerTest, TestCaseTimesAreMonotonic) {
-  auto cm = Compile(bench_models::BuildTwc());
+  auto cm = Compile(bench_models::Build("TWC").take());
   FuzzerOptions options;
   options.seed = 11;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
@@ -182,7 +182,7 @@ TEST(FuzzerTest, TestCaseTimesAreMonotonic) {
 // A campaign — heartbeats, registry, `start`/`stop` — is the round driver's
 // at every -j; CompiledModel::Fuzz runs it over one lane.
 TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile(bench_models::Build("AFC").take());
   FuzzerOptions options;
   options.seed = 21;
 
@@ -249,7 +249,7 @@ TEST(FuzzerTest, TelemetryEmitsOrderedEvents) {
 // A bare Fuzzer writes only its per-execution events; the campaign around
 // them (start, stat, stop, objective) belongs to the driver.
 TEST(FuzzerTest, BareLoopTracesOnlyPerExecutionEvents) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile(bench_models::Build("AFC").take());
   FuzzerOptions options;
   options.seed = 21;
   std::string buffer;
@@ -274,7 +274,7 @@ TEST(FuzzerTest, BareLoopTracesOnlyPerExecutionEvents) {
 }
 
 TEST(FuzzerTest, StrategyStatsAccountApplications) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile(bench_models::Build("AFC").take());
   FuzzerOptions options;
   options.seed = 8;
   Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
@@ -296,7 +296,7 @@ TEST(FuzzerTest, StrategyStatsAccountApplications) {
 }
 
 TEST(FuzzerTest, ProvenanceAttributesEveryCoveredSlot) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile(bench_models::Build("AFC").take());
   FuzzerOptions options;
   options.seed = 5;
   coverage::ProvenanceMap prov(cm->spec());
@@ -340,7 +340,7 @@ TEST(FuzzerTest, ProvenanceAttributesEveryCoveredSlot) {
 }
 
 TEST(FuzzerTest, CorpusEventsFormAWellFoundedGenealogy) {
-  auto cm = Compile(bench_models::BuildAfc());
+  auto cm = Compile(bench_models::Build("AFC").take());
   FuzzerOptions options;
   options.seed = 13;
 

@@ -28,7 +28,7 @@ namespace cftcg {
 namespace {
 
 std::unique_ptr<CompiledModel> CompileAfc() {
-  auto cm = CompiledModel::FromModel(bench_models::BuildAfc());
+  auto cm = CompiledModel::FromModel(bench_models::Build("AFC").take());
   EXPECT_TRUE(cm.ok()) << cm.message();
   return cm.take();
 }

@@ -90,7 +90,7 @@ TEST(SuiteTest, ReduceSuiteKeepsUnionCoverage) {
 }
 
 TEST(SuiteTest, ReduceRealCampaignSuite) {
-  auto model = bench_models::BuildTwc();
+  auto model = bench_models::Build("TWC").take();
   auto cm = CompiledModel::FromModel(std::move(model)).take();
   FuzzerOptions options;
   options.seed = 4;

@@ -19,10 +19,9 @@
 //                                                campaign explorer from a trace:
 //                                                first-hit provenance, corpus
 //                                                genealogy, residual objectives
-//   cftcg export-benchmarks <dir>                write the 8 Table 2 models as .cmx
 //
 // Wherever a <model.cmx> is expected, a Table 2 benchmark name (AFC,
-// SolarPV, ...) also works and loads the built-in model.
+// SolarPV, ...) also works and loads the embedded models/<name>.cmx.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -31,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -58,7 +58,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
-#include "parser/model_io.hpp"
 #include "support/strings.hpp"
 
 using namespace cftcg;
@@ -153,7 +152,6 @@ int Usage() {
       "              [--model model.cmx]        join dependence slices: per-objective\n"
       "                                         influencing-inports panel in the HTML\n"
       "              first-hit provenance explorer (use - for stdout)\n"
-      "  cftcg export-benchmarks <dir>\n"
       "(<model.cmx> may also be a Table 2 benchmark name: CPUTask, AFC, ...)");
   return 2;
 }
@@ -164,25 +162,15 @@ std::string AsciiLower(std::string s) {
 }
 
 std::unique_ptr<CompiledModel> Load(const std::string& path) {
-  // A bare benchmark name (case-insensitive: AFC, afc, ...) loads the
-  // built-in Table 2 model of that name.
+  // A bare benchmark name (case-insensitive: AFC, afc, ...) that names no
+  // file loads the embedded text of models/<name>.cmx, parsed as a file's.
+  std::string xml;
   if (std::ifstream probe(path); !probe) {
     for (const auto& info : bench_models::Roster()) {
-      if (AsciiLower(info.name) != AsciiLower(path)) continue;
-      auto model = bench_models::Build(info.name);
-      if (!model.ok()) {
-        std::fprintf(stderr, "error: %s\n", model.message().c_str());
-        return nullptr;
-      }
-      auto built = CompiledModel::FromModel(model.take());
-      if (!built.ok()) {
-        std::fprintf(stderr, "error: %s\n", built.message().c_str());
-        return nullptr;
-      }
-      return built.take();
+      if (AsciiLower(info.name) == AsciiLower(path)) xml = bench_models::Source(info.name);
     }
   }
-  auto cm = CompiledModel::FromFile(path);
+  auto cm = xml.empty() ? CompiledModel::FromFile(path) : CompiledModel::FromXml(xml);
   if (!cm.ok()) {
     std::fprintf(stderr, "error: %s\n", cm.message().c_str());
     return nullptr;
@@ -505,6 +493,8 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     par.resume = &ckpt;
   }
   fuzz::CampaignResult result;
+  std::uint64_t checkpoint_write_failures = 0;
+  bool last_checkpoint_write_failed = false;
   if (isf.isolate) {
     // Crash-isolated lanes: every worker in its own process, supervised
     // with quarantine + respawn (even at -j1).
@@ -534,6 +524,8 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     }
     auto sresult = cm->FuzzSupervised(options, budget, sup);
     result = std::move(sresult.merged);
+    checkpoint_write_failures = sresult.checkpoint_write_failures;
+    last_checkpoint_write_failed = sresult.last_checkpoint_write_failed;
     std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", sup.num_workers,
                 static_cast<unsigned long long>(sresult.rounds),
                 static_cast<unsigned long long>(sresult.imports));
@@ -550,6 +542,8 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     obs::ScopedTimer span(fuzz_only ? "tool.FuzzOnly" : "tool.CFTCG");
     auto presult = cm->FuzzParallel(options, budget, par);
     result = std::move(presult.merged);
+    checkpoint_write_failures = presult.checkpoint_write_failures;
+    last_checkpoint_write_failed = presult.last_checkpoint_write_failed;
     if (par.num_workers > 1) {
       std::printf("parallel: %d workers, %llu rounds, %llu corpus imports\n", par.num_workers,
                   static_cast<unsigned long long>(presult.rounds),
@@ -613,7 +607,9 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
 
   phase_watch.Restart();
   if (!outdir.empty()) {
-    std::system(("mkdir -p " + outdir).c_str());
+    std::error_code ec;
+    std::filesystem::create_directories(outdir, ec);
+    if (ec) return Fail("cannot create " + outdir + ": " + ec.message());
     fuzz::TupleLayout layout(cm->instrumented().input_types);
     std::vector<std::string> names;
     for (ir::BlockId id : cm->model().Inports()) names.push_back(cm->model().block(id).name());
@@ -687,19 +683,28 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     std::printf("provenance: %zu / %zu objectives first-hit attributed\n",
                 provenance->num_covered(), provenance->num_objectives());
   }
+  // A campaign whose last checkpoint write failed did not save its state:
+  // resuming would restart from an older checkpoint, or from nothing.
+  if (last_checkpoint_write_failed) {
+    std::fprintf(stderr,
+                 "error: the last checkpoint write to %s failed (%llu failed write(s)); "
+                 "campaign state not saved\n",
+                 df.checkpoint_path.c_str(),
+                 static_cast<unsigned long long>(checkpoint_write_failures));
+  }
   if (result.interrupted) {
     // Conventional 128+SIGINT exit code; artifacts above were still flushed
     // so the partial campaign is fully inspectable.
     if (df.checkpoint_path.empty()) {
       std::fprintf(stderr, "interrupted (no --checkpoint configured; progress not saved)\n");
-    } else {
+    } else if (!last_checkpoint_write_failed) {
       std::fprintf(stderr, "interrupted: campaign state saved to %s — continue with:\n"
                            "  cftcg fuzz %s --checkpoint %s --resume\n",
                    df.checkpoint_path.c_str(), path.c_str(), df.checkpoint_path.c_str());
     }
     return 130;
   }
-  return 0;
+  return last_checkpoint_write_failed ? 1 : 0;
 }
 
 /// Replays a campaign trace and reports throughput and time-to-coverage.
@@ -1231,18 +1236,21 @@ int CmdCover(const std::string& path, const std::string& csv_dir,
   coverage::CoverageSink sink(cm->spec());
   const std::size_t tuple = cm->instrumented().TupleSize();
 
-  // Portable-enough directory listing via ls (the repo is POSIX-only).
-  const std::string list_cmd = "ls " + csv_dir + "/*.csv 2>/dev/null";
-  FILE* pipe = popen(list_cmd.c_str(), "r");
-  if (pipe == nullptr) {
-    std::fprintf(stderr, "error: cannot list %s\n", csv_dir.c_str());
-    return 1;
+  // The suite's *.csv files in byte order, the order `ls DIR/*.csv` lists
+  // them in the C locale.
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(csv_dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::filesystem::path& file = it->path();
+    if (file.extension() == ".csv" && file.filename().string().front() != '.') {
+      files.push_back(file.string());
+    }
   }
-  char line[4096];
-  int files = 0;
-  while (std::fgets(line, sizeof line, pipe) != nullptr) {
-    std::string file(line);
-    while (!file.empty() && (file.back() == '\n' || file.back() == '\r')) file.pop_back();
+  if (ec) return Fail("cannot list " + csv_dir + ": " + ec.message());
+  std::sort(files.begin(), files.end());
+  int replayed = 0;
+  for (const std::string& file : files) {
     std::ifstream in(file);
     if (!in) continue;
     std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -1258,10 +1266,9 @@ int CmdCover(const std::string& path, const std::string& csv_dir,
       machine.Step(&sink);
       sink.AccumulateIteration();
     }
-    ++files;
+    ++replayed;
   }
-  pclose(pipe);
-  std::printf("replayed %d test cases\n", files);
+  std::printf("replayed %d test cases\n", replayed);
   std::printf("suite coverage: %s\n",
               coverage::FormatReport(coverage::ComputeReport(sink)).c_str());
   const auto uncovered = coverage::UncoveredOutcomes(cm->spec(), sink.total());
@@ -1307,18 +1314,6 @@ int CmdRun(const std::string& path, const std::string& csv_path) {
   }
   std::printf("coverage of this test case: %s\n",
               coverage::FormatReport(coverage::ComputeReport(sink)).c_str());
-  return 0;
-}
-
-int CmdExportBenchmarks(const std::string& dir) {
-  std::system(("mkdir -p " + dir).c_str());
-  for (const auto& info : bench_models::Roster()) {
-    auto model = bench_models::Build(info.name);
-    if (!model.ok()) return Fail(model.message());
-    const std::string path = dir + "/" + info.name + ".cmx";
-    if (Status s = parser::SaveModelFile(*model.value(), path); !s.ok()) return Fail(s.message());
-    std::printf("wrote %s\n", path.c_str());
-  }
   return 0;
 }
 
@@ -1426,6 +1421,5 @@ int main(int argc, char** argv) {
   if (cmd == "trace-summary") return CmdTraceSummary(target);
   if (cmd == "profile") return CmdProfile(target, diff, folded);
   if (cmd == "explain") return CmdExplain(target, html, json, csv, profile_json, model_path);
-  if (cmd == "export-benchmarks") return CmdExportBenchmarks(target);
   return Usage();
 }
