@@ -97,8 +97,7 @@ fuzz::FocusPlan CompiledModel::BuildFocusPlan() {
 }
 
 Result<std::string> CompiledModel::EmitFuzzingCode() const {
-  codegen::CEmitOptions opts;
-  return codegen::EmitC(scheduled_, opts);
+  return codegen::EmitC(instrumented_, model_->name());
 }
 
 Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt) {

@@ -57,7 +57,8 @@ class CompiledModel {
   /// consumes (FuzzerOptions::focus points at a caller-owned copy).
   [[nodiscard]] fuzz::FocusPlan BuildFocusPlan();
 
-  /// The generated fuzzing code as C text (Figure 3 + Figure 4 artifacts).
+  /// The generated fuzzing code as C text (Figure 3 + Figure 4 artifacts),
+  /// printed from instrumented().
   Result<std::string> EmitFuzzingCode() const;
 
   /// Runs a CFTCG fuzzing campaign: FuzzParallel over one lane.

@@ -1,35 +1,43 @@
-// C code emission.
+// C code emission: the printer of a lowered vm::Program.
 //
-// Produces the textual artifacts the paper shows:
+// Produces the textual artifacts the paper shows, from the one program the
+// bytecode interpreter and the native code run:
 //   * the model step function with model-level branch instrumentation
-//     (CoverageStatistics() calls in every decision arm — Figure 4);
+//     (CoverageStatistics() calls in every decision arm — Figure 4): one C
+//     statement per instruction, registers as double/int64_t locals, the
+//     constant pool as const locals, state slots as statics, a label per
+//     jump target and a block-path comment wherever the emitting block
+//     changes;
+//   * the model init function, which sets every state slot to its initial
+//     value as Machine::Reset does;
 //   * the fuzz driver (FuzzTestOneInput) that splits the fuzzer's byte
 //     stream into per-iteration tuples and decodes each one into the inport
 //     variables (Figure 3) through the emitted <model>_decode, which decodes
 //     like ir::Value::FromBytes (memcpy per field; booleans keep their low
-//     bit, non-finite floats read as 0);
-//   * the model init function.
+//     bit, non-finite floats read as 0).
 //
-// The emitted code is self-contained C99 (compiles with `gcc -std=c99`):
-// tests verify it is syntactically valid when a compiler is available. The
-// in-process execution path uses the VM lowering; both walk the same
-// ScheduledModel, so the printed CoverageStatistics slot numbers match the
-// VM's coverage space exactly.
+// The output is self-contained C99. A static prelude mirrors the VM's
+// per-opcode semantics (src/vm/machine.cpp, Compute): guarded division and
+// remainder, saturating float->int truncation, wrap to the declared width,
+// and integer add/sub/mul computed unsigned. So the printed program has no
+// signed overflow or out-of-range shift, and it computes what the VM
+// computes: slot numbering, division, wraparound and decode agree by
+// construction.
 #pragma once
 
 #include <string>
+#include <string_view>
 
-#include "sched/schedule.hpp"
 #include "support/status.hpp"
+#include "vm/program.hpp"
 
 namespace cftcg::codegen {
 
-struct CEmitOptions {
-  bool model_instrumentation = true;
-  std::string model_name;  // defaults to the model's own name
-};
-
-/// Emits the full fuzzing-code translation unit (init + step + driver).
-Result<std::string> EmitC(const sched::ScheduledModel& sm, const CEmitOptions& opts);
+/// Prints `program` as one translation unit (init + step + decode + driver)
+/// whose functions are named after `model_name`. Fails on a kEdge
+/// instruction (compiled C gets edge feedback from the compiler's own
+/// instrumentation), on a register, jump target or slot index outside the
+/// program, and when the port names do not match the port types.
+Result<std::string> EmitC(const vm::Program& program, std::string_view model_name);
 
 }  // namespace cftcg::codegen

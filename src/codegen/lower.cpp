@@ -43,6 +43,8 @@ class Lowerer {
   Result<vm::Program> Run() {
     const Model& root = *sm_.root;
     prog_.input_types = sm_.InportTypes();
+    for (ir::BlockId id : root.Inports()) prog_.input_names.push_back(root.block(id).name());
+    for (ir::BlockId id : root.Outports()) prog_.output_names.push_back(root.block(id).name());
     prog_.output_types.resize(root.Outports().size());
     if (opts_.edge_instrumentation) NewEdge();  // entry edge
     if (Status s = LowerSystem(root, ""); !s.ok()) return s;

@@ -143,6 +143,10 @@ struct Program {
   std::vector<StateSlot> state_i;
   std::vector<ir::DType> input_types;   // tuple fields, root inport order
   std::vector<ir::DType> output_types;  // root outports
+  // Root port names, parallel to input_types / output_types: the variable
+  // names of the printed C (Figure 3).
+  std::vector<std::string> input_names;
+  std::vector<std::string> output_names;
   int num_edges = 0;                    // code-level edge slots (kEdge)
 
   // Constant pool: preloaded by the Machine constructor, never written by

@@ -1,21 +1,23 @@
-// Runtime equivalence of the emitted C code: the generated translation unit
-// is compiled with the host C compiler, driven with random tuple streams,
-// and must produce the same outputs AND the same CoverageStatistics events
-// as the bytecode VM. This is the strongest possible check that the printed
-// Figure 3/4 artifact is the same program the fuzzer executes.
+// Runtime equivalence of the printed C (tests/c_transcript.hpp): the
+// translation unit codegen::EmitC prints is compiled with the host C
+// compiler under UBSan, driven with tuple streams, and must produce the same
+// outputs, CoverageStatistics slots and McdcRecord tuples as the VM, step by
+// step. The eight benchmark models, a model built on division by zero and
+// out-of-range casts, input decode, out-of-range thresholds and bounds, and
+// a sweep of every opcode at every width on sentinel operands.
 //
 // Skipped when no host C compiler is available.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <limits>
 
 #include "bench_models/bench_models.hpp"
+#include "c_transcript.hpp"
 #include "cftcg/pipeline.hpp"
 #include "ir/builder.hpp"
+#include "lockstep.hpp"
 #include "sim/interpreter.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -23,162 +25,42 @@
 namespace cftcg {
 namespace {
 
-bool HaveCc() { return std::system("cc --version > /dev/null 2>&1") == 0; }
-
-/// Appends a main() that reads raw tuples from stdin and prints, per step,
-/// the outputs and the sorted deduplicated coverage slots.
-std::string HarnessMain(const CompiledModel& cm) {
-  const ir::Model& root = cm.model();
-  std::string out;
-  out += "\n/* === runtime-equivalence harness === */\n";
-  out += "#include <stdio.h>\n#include <stdlib.h>\n";
-  out += "static int g_slots[65536]; static int g_nslots = 0;\n";
-  out += "void CoverageStatistics(int id) { if (g_nslots < 65536) g_slots[g_nslots++] = id; }\n";
-  out += "void McdcRecord(int d, uint32_t v, uint32_t m, int o) { (void)d;(void)v;(void)m;(void)o; }\n";
-  out += "static int cmp_int(const void* a, const void* b) { return *(const int*)a - *(const int*)b; }\n";
-  out += "int main(void) {\n";
-  out += StrFormat("  unsigned char buf[%zu];\n", cm.instrumented().TupleSize());
-  out += "  " + std::string(cm.model().name()) + "_init();\n";
-  out += StrFormat("  while (fread(buf, 1, %zu, stdin) == %zu) {\n",
-                   cm.instrumented().TupleSize(), cm.instrumented().TupleSize());
-  // Inputs decode through the emitted <model>_decode, exactly as in the
-  // generated FuzzTestOneInput driver.
-  std::vector<std::string> args;
-  std::vector<std::string> decode_args = {"buf"};
-  for (ir::BlockId id : root.Inports()) {
-    const auto& b = root.block(id);
-    out += StrFormat("    %s %s = 0;\n", std::string(ir::DTypeCName(b.out_type(0))).c_str(),
-                     b.name().c_str());
-    decode_args.push_back("&" + b.name());
-    args.push_back(b.name());
-  }
-  out += "    " + std::string(cm.model().name()) + "_decode(" + JoinStrings(decode_args, ", ") +
-         ");\n";
-  for (ir::BlockId id : root.Outports()) {
-    const auto& b = root.block(id);
-    const ir::Wire* w = root.DriverOf(id, 0);
-    const auto t = root.block(w->src.block).out_type(w->src.port);
-    out += StrFormat("    %s %s = 0;\n", std::string(ir::DTypeCName(t)).c_str(),
-                     b.name().c_str());
-    args.push_back("&" + b.name());
-  }
-  out += "    g_nslots = 0;\n";
-  out += "    " + std::string(cm.model().name()) + "_step(" + JoinStrings(args, ", ") + ");\n";
-  for (ir::BlockId id : root.Outports()) {
-    const auto& b = root.block(id);
-    const ir::Wire* w = root.DriverOf(id, 0);
-    const auto t = root.block(w->src.block).out_type(w->src.port);
-    if (ir::DTypeIsFloat(t)) {
-      out += StrFormat("    printf(\"o %%.17g\\n\", (double)%s);\n", b.name().c_str());
-    } else {
-      out += StrFormat("    printf(\"o %%lld\\n\", (long long)%s);\n", b.name().c_str());
-    }
-  }
-  out +=
-      "    qsort(g_slots, g_nslots, sizeof(int), cmp_int);\n"
-      "    int prev = -1;\n"
-      "    for (int i = 0; i < g_nslots; ++i) {\n"
-      "      if (g_slots[i] != prev) { printf(\"c %d\\n\", g_slots[i]); prev = g_slots[i]; }\n"
-      "    }\n"
-      "    printf(\"end\\n\");\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n";
-  return out;
-}
-
-/// Expected transcript from the VM for the same input stream: Machine::Step,
-/// or the bytecode interpreter when `bytecode` is set.
-std::string VmTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& stream,
-                         bool bytecode = false) {
-  vm::Machine machine(cm.instrumented());
-  coverage::CoverageSink sink(cm.spec());
-  const std::size_t tuple = cm.instrumented().TupleSize();
-  std::string out;
-  for (std::size_t off = 0; off + tuple <= stream.size(); off += tuple) {
-    sink.BeginIteration();
-    machine.SetInputsFromBytes(stream.data() + off);
-    if (bytecode) {
-      machine.StepBytecode(&sink);
-    } else {
-      machine.Step(&sink);
-    }
-    for (int o = 0; o < machine.num_outputs(); ++o) {
-      const ir::Value v = machine.GetOutput(o);
-      if (ir::DTypeIsFloat(v.type())) {
-        out += StrFormat("o %.17g\n", v.AsDouble());
-      } else {
-        out += StrFormat("o %lld\n", static_cast<long long>(v.AsInt64()));
-      }
-    }
-    for (int slot = 0; slot < cm.spec().FuzzBranchCount(); ++slot) {
-      if (sink.curr().Test(static_cast<std::size_t>(slot))) out += StrFormat("c %d\n", slot);
-    }
-    out += "end\n";
-  }
-  return out;
-}
-
-/// The same transcript from the simulation interpreter (sim::Interpreter).
+/// The transcript of the simulation interpreter (sim::Interpreter), its
+/// outputs printed as integers (the saturation test's are).
 std::string InterpreterTranscript(CompiledModel& cm, const std::vector<std::uint8_t>& stream) {
   sim::Interpreter interp(cm.scheduled(), /*log_signals=*/false);
   coverage::CoverageSink sink(cm.spec());
   const std::size_t tuple = cm.instrumented().TupleSize();
   std::string out;
   for (std::size_t off = 0; off + tuple <= stream.size(); off += tuple) {
-    sink.BeginIteration();
+    sink.ResetCampaign();
     interp.SetInputsFromBytes(stream.data() + off);
     interp.Step(&sink);
     for (int o = 0; o < static_cast<int>(cm.instrumented().output_types.size()); ++o) {
       out += StrFormat("o %lld\n", static_cast<long long>(interp.GetOutput(o).AsInt64()));
     }
-    for (int slot = 0; slot < cm.spec().FuzzBranchCount(); ++slot) {
-      if (sink.curr().Test(static_cast<std::size_t>(slot))) out += StrFormat("c %d\n", slot);
-    }
-    out += "end\n";
+    out += c_transcript::SinkLines(sink);
   }
   return out;
 }
 
-/// Compiles the emitted C code plus the harness, runs it on `stream` and
-/// returns its transcript (empty, with a test failure, when it cannot).
+/// The printed C's transcript for a compiled model.
 std::string CompiledTranscript(const CompiledModel& cm, const std::string& tag,
                                const std::vector<std::uint8_t>& stream) {
-  auto code = cm.EmitFuzzingCode();
-  EXPECT_TRUE(code.ok()) << code.message();
-  if (!code.ok()) return "";
-  const std::string dir = ::testing::TempDir();
-  const std::string src = dir + "/cftcg_rt_" + tag + ".c";
-  const std::string bin = dir + "/cftcg_rt_" + tag;
-  {
-    std::ofstream out(src);
-    out << code.value() << HarnessMain(cm);
-  }
-  // -fwrapv: the VM defines signed overflow as two's-complement wrap, so
-  // the C build must too.
-  const int cc = std::system(
-      ("cc -std=c99 -O1 -fwrapv -o " + bin + " " + src + " -lm 2> " + src + ".log").c_str());
-  EXPECT_EQ(cc, 0) << [&] {
-    std::ifstream log(src + ".log");
-    return std::string((std::istreambuf_iterator<char>(log)), std::istreambuf_iterator<char>());
-  }();
-  if (cc != 0) return "";
-  const std::string input_path = src + ".in";
-  {
-    std::ofstream out(input_path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(stream.data()),
-              static_cast<std::streamsize>(stream.size()));
-  }
-  const std::string got_path = src + ".out";
-  EXPECT_EQ(std::system((bin + " < " + input_path + " > " + got_path).c_str()), 0);
-  std::ifstream got_file(got_path);
-  return std::string((std::istreambuf_iterator<char>(got_file)), std::istreambuf_iterator<char>());
+  return c_transcript::CompiledTranscript(cm.instrumented(), cm.model().name(), tag, stream);
+}
+
+/// The VM's transcript for a compiled model.
+std::string VmTranscript(const CompiledModel& cm, const std::vector<std::uint8_t>& stream,
+                         bool bytecode = false) {
+  return c_transcript::VmTranscript(cm.instrumented(), cm.spec(), stream,
+                                    c_transcript::Inputs::kDecoded, bytecode);
 }
 
 class CemitRuntimeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
-  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
   auto model = bench_models::Build(GetParam());
   ASSERT_TRUE(model.ok());
   auto compiled = CompiledModel::FromModel(model.take());
@@ -196,20 +78,85 @@ TEST_P(CemitRuntimeTest, CompiledCMatchesVm) {
   }
   const std::string got = CompiledTranscript(*cm, GetParam(), stream);
   const std::string want = VmTranscript(*cm, stream);
-  ASSERT_EQ(got, want) << "compiled C diverged from the VM on " << GetParam();
+  ASSERT_EQ(c_transcript::FirstDifference(got, want), "")
+      << "compiled C diverged from the VM on " << GetParam();
 }
 
-// Models whose block set stays inside the C emitter's exactly-matched
-// numeric envelope (no dynamic division by zero, no float->int overflow in
-// unchecked casts). See EXPERIMENTS.md for the full discussion.
 INSTANTIATE_TEST_SUITE_P(Models, CemitRuntimeTest,
-                         ::testing::Values("SolarPV", "EVCS", "TWC", "CPUTask"));
+                         ::testing::Values("CPUTask", "AFC", "TCP", "RAC", "EVCS", "TWC", "UTPC",
+                                           "SolarPV"));
+
+// Division by zero, integer and floating, in a divide, a product, a mod and
+// a rem, and a float->int cast past the target range: the VM's guarded
+// results (x / 0 = 0, a saturated then wrapped cast) hold in the compiled C
+// too, with no undefined behaviour on the way.
+TEST(CemitRuntimeDeviationTest, DivisionByZeroAndOutOfRangeCastsMatchTheVm) {
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
+  using ir::BlockKind;
+  using ir::DType;
+  ir::ModelBuilder mb("DivZero");
+  auto a = mb.Inport("A", DType::kInt32);
+  auto b = mb.Inport("B", DType::kInt32);
+  auto x = mb.Inport("X", DType::kDouble);
+  auto y = mb.Inport("Y", DType::kDouble);
+  ir::ParamMap divide;
+  divide.Set("ops", ir::ParamValue(std::string("*/")));
+  ir::ParamMap to_int16;
+  to_int16.Set("to", ir::ParamValue(std::string("int16")));
+  mb.Outport("Q", mb.Op(BlockKind::kProduct, "q", {a, b}, std::move(divide)));
+  mb.Outport("R", mb.Op(BlockKind::kDivide, "r", {x, y}));
+  mb.Outport("M", mb.Op(BlockKind::kMod, "m", {a, b}));
+  mb.Outport("F", mb.Op(BlockKind::kRem, "f", {x, y}));
+  mb.Outport("C", mb.Op(BlockKind::kDataTypeConversion, "c", {mb.Gain(x, 1e30, "big")},
+                        std::move(to_int16)));
+  auto compiled = CompiledModel::FromModel(mb.Build());
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  auto cm = compiled.take();
+  ASSERT_EQ(cm->instrumented().TupleSize(), 24U);
+
+  struct Tuple {
+    std::int32_t a, b;
+    double x, y;
+  };
+  const Tuple fixed[] = {
+      {7, 0, 1.0, 0.0},
+      {-7, 0, -1.0, -0.0},
+      {0, 0, 0.0, 0.0},
+      {std::numeric_limits<std::int32_t>::min(), -1, 1e300, 1e-300},
+      {std::numeric_limits<std::int32_t>::max(), 0, -1e20, 0.0},
+      {5, 3, 2.5, 0.0},
+  };
+  std::vector<std::uint8_t> stream;
+  for (const Tuple& t : fixed) {
+    std::uint8_t bytes[24];
+    std::memcpy(bytes, &t.a, 4);
+    std::memcpy(bytes + 4, &t.b, 4);
+    std::memcpy(bytes + 8, &t.x, 8);
+    std::memcpy(bytes + 16, &t.y, 8);
+    stream.insert(stream.end(), bytes, bytes + 24);
+  }
+  Rng rng(5);
+  std::vector<std::uint8_t> random(24 * 200);
+  rng.FillBytes(random.data(), random.size());
+  for (std::size_t k = 0; k < random.size(); k += 24) {
+    if (k % 48 == 0) std::memset(random.data() + k + 4, 0, 4);    // B = 0
+    if (k % 72 == 0) std::memset(random.data() + k + 16, 0, 8);   // Y = 0
+  }
+  stream.insert(stream.end(), random.begin(), random.end());
+
+  const std::string native = VmTranscript(*cm, stream);
+  ASSERT_EQ(native, VmTranscript(*cm, stream, /*bytecode=*/true));
+  // 7 / 0, 1 / 0, 7 mod 0 and 1 rem 0 are 0; int16(1e30) saturates to
+  // INT64_MAX and wraps to -1.
+  ASSERT_EQ(native.rfind("o 0\no 0\no 0\no 0\no -1\n", 0), 0U) << native.substr(0, 60);
+  ASSERT_EQ(c_transcript::FirstDifference(CompiledTranscript(*cm, "divzero", stream), native), "");
+}
 
 // The input decode itself: boolean, single and double root inports fed
 // boolean bytes other than 0 and 1 and NaN/±Inf payloads. The emitted
 // driver must decode them as the VM does (low bit; non-finite reads as 0).
 TEST(CemitRuntimeDecodeTest, CompiledCDecodesInputsLikeVm) {
-  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
   ir::ModelBuilder mb("Decode");
   auto b = mb.Inport("B", ir::DType::kBool);
   auto s = mb.Inport("S", ir::DType::kSingle);
@@ -251,7 +198,7 @@ TEST(CemitRuntimeDecodeTest, CompiledCDecodesInputsLikeVm) {
 // C assignment of its saturated literal holds. Native code, the bytecode
 // interpreter and the compiled C agree on every step.
 TEST(CemitRuntimeThresholdTest, OutOfRangeThresholdsCompareLikeC) {
-  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
   ir::ModelBuilder mb("Thresholds");
   auto x = mb.Inport("X", ir::DType::kInt8);
   auto y = mb.Inport("Y", ir::DType::kInt32);
@@ -285,7 +232,7 @@ TEST(CemitRuntimeThresholdTest, OutOfRangeThresholdsCompareLikeC) {
 // Native code, the bytecode interpreter, the simulation interpreter and the
 // compiled C agree on every step of a random stream.
 TEST(CemitRuntimeSaturationTest, OutOfRangeBoundsClampInEveryEngine) {
-  if (!HaveCc()) GTEST_SKIP() << "no host C compiler";
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
   struct Case {
     const char* type;
     const char* bound;
@@ -322,6 +269,123 @@ TEST(CemitRuntimeSaturationTest, OutOfRangeBoundsClampInEveryEngine) {
     ASSERT_EQ(native, InterpreterTranscript(*cm, stream)) << c.type;
     ASSERT_EQ(CompiledTranscript(*cm, std::string("sat_") + c.type, stream), native) << c.type;
   }
+}
+
+// The printer's per-opcode table against the interpreter's: one program,
+// printed as one translation unit, that runs every opcode except the edge
+// probe and port/state I/O (which every model runs) at every DType width —
+// ldc.d, ldc.i and cov.cond also at every immediate of native_test's set —
+// each on fresh, preset destination registers, with every register it
+// writes stored to outputs (an integer as its low and high 32 bits) and a
+// coverage slot behind every jump. Its operands are native_test's sentinels
+// (NaN, infinities, -0.0, 2^63, integer extremes, shift counts of 64 and
+// more, zero divisors), taken raw, so the non-finite ones arrive.
+TEST(CemitRuntimeOpcodeTest, EveryOpcodeAtEveryWidthMatchesTheInterpreter) {
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
+  using ir::DType;
+  using vm::Op;
+  vm::Program p;
+  p.input_types.assign(5, DType::kDouble);
+  p.input_names = {"A", "B", "IA", "IB", "IAux"};
+  int slots = 0;
+  int mcdc = 0;
+  const auto emit = [&](Op op, int dst, int a = 0, int b = 0, int imm = 0, int aux = 0,
+                        double dimm = 0.0, DType t = DType::kDouble) {
+    p.code.push_back(vm::Insn{op, t, dst, a, b, imm, aux, dimm});
+  };
+  // Operands: d0, d1 and (unwrapped) i0, i1, i2; i3 = 32 for the high words.
+  emit(Op::kLoadInD, 0, 0, 0, 0);
+  emit(Op::kLoadInD, 1, 0, 0, 1);
+  for (int k = 0; k < 3; ++k) {
+    emit(Op::kLoadInD, 2, 0, 0, 2 + k);
+    emit(Op::kCvtDToI, k, 2);
+  }
+  emit(Op::kLoadConstI, 3, 0, 0, 0, 0, 32.0);
+  int nd = 3;
+  int ni = 4;
+  std::string current;  // the instruction under test, for the legend
+  std::vector<std::string> legend;  // what each output holds
+  const auto store_d = [&](int reg) {
+    emit(Op::kStoreOutD, 0, reg, 0, static_cast<int>(p.output_types.size()));
+    p.output_types.push_back(DType::kDouble);
+    legend.push_back(current);
+  };
+  const auto store_i = [&](int reg) {
+    const int high = ni++;
+    emit(Op::kStoreOutI, 0, reg, 0, static_cast<int>(p.output_types.size()));
+    p.output_types.push_back(DType::kUInt32);
+    emit(Op::kShrI, high, reg, 3);
+    emit(Op::kStoreOutI, 0, high, 0, static_cast<int>(p.output_types.size()));
+    p.output_types.push_back(DType::kUInt32);
+    legend.insert(legend.end(), {current + " (low)", current + " (high)"});
+  };
+  const double kDimms[] = {2.0, -0.0, 1e30, -1e30, NAN, 300.7, -129.5};
+  for (std::size_t k = 0; k < vm::kNumOps; ++k) {
+    const auto op = static_cast<Op>(k);
+    if (op == Op::kHalt || op == Op::kEdge || (op >= Op::kLoadInD && op <= Op::kStoreStateI)) {
+      continue;
+    }
+    const bool immediate = op == Op::kLoadConstD || op == Op::kLoadConstI || op == Op::kCovCond;
+    for (int t = 0; t < ir::kNumDTypes; ++t) {
+      for (const double dimm : kDimms) {
+        if (!immediate && dimm != 2.0) continue;
+        const vm::OperandEffect fx = vm::EffectOf(op);
+        current = StrFormat("%s %s dimm %g", std::string(vm::OpName(op)).c_str(),
+                            std::string(ir::DTypeName(static_cast<DType>(t))).c_str(), dimm);
+        vm::Insn in{op, static_cast<DType>(t), 0, 0, 1, 0, 2, dimm};
+        if ((fx.write_d & vm::kFieldDst) != 0) {
+          in.dst = nd++;
+          emit(Op::kLoadConstD, in.dst, 0, 0, 0, 0, 0.25);
+        }
+        if ((fx.write_i & vm::kFieldDst) != 0) {
+          in.dst = ni++;
+          emit(Op::kLoadConstI, in.dst, 0, 0, 0, 0, 6.0);
+        }
+        if ((fx.write_i & vm::kFieldB) != 0) {
+          in.b = ni++;
+          emit(Op::kLoadConstI, in.b, 0, 0, 0, 0, 5.0);
+        }
+        if (op == Op::kCov) in.imm = slots++;
+        if (op == Op::kCovIf || op == Op::kCovCond) {
+          in.imm = slots++;
+          in.aux = slots++;
+        }
+        if (op == Op::kMcdcEval) in.imm = 1 + mcdc++;
+        if (fx.jumps) in.imm = static_cast<int>(p.code.size()) + 2;
+        p.code.push_back(in);
+        if (fx.jumps) emit(Op::kCov, 0, 0, 0, slots++);
+        vm::ForEachReg(in, fx.write_d, store_d);
+        vm::ForEachReg(in, fx.write_i, store_i);
+      }
+    }
+  }
+  emit(Op::kHalt, 0);
+  p.num_dregs = nd;
+  p.num_iregs = ni;
+  for (std::size_t k = 0; k < p.output_types.size(); ++k) {
+    p.output_names.push_back(StrFormat("O%zu", k));
+  }
+  coverage::CoverageSpec spec;
+  spec.AddDecision("probes", slots);
+  for (int k = 0; k < mcdc; ++k) spec.AddDecision(StrFormat("mcdc%d", k), 2);
+
+  const std::vector<double>& ds = lockstep::DoubleSentinels();
+  const std::vector<std::int64_t>& is = lockstep::IntSentinels();
+  std::vector<std::uint8_t> stream;
+  for (std::size_t n = 0; n < ds.size() * ds.size(); ++n) {
+    const double fields[5] = {ds[n % ds.size()], ds[(n / ds.size()) % ds.size()],
+                              static_cast<double>(is[n % is.size()]),
+                              static_cast<double>(is[(n / is.size() + n) % is.size()]),
+                              static_cast<double>(n % 3 == 0 ? 0 : 1)};
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(fields);
+    stream.insert(stream.end(), bytes, bytes + sizeof(fields));
+  }
+  const std::string want = c_transcript::VmTranscript(p, spec, stream, c_transcript::Inputs::kRaw,
+                                                      /*bytecode=*/true);
+  const std::string got =
+      c_transcript::CompiledTranscript(p, "Sweep", "sweep", stream, c_transcript::Inputs::kRaw);
+  ASSERT_EQ(c_transcript::FirstDifference(got, want), "")
+      << "each step prints the outputs in this order: " << JoinStrings(legend, ", ");
 }
 
 }  // namespace

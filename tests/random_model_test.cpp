@@ -4,10 +4,11 @@
 //   * the VM and the interpreter to agree bit-for-bit on outputs and
 //     coverage over random input streams,
 //   * the model XML round-trip to reproduce identical behaviour,
-//   * the emitted C to be syntactically valid (when a compiler exists),
-//   * native code to match the bytecode interpreter in lockstep.
+//   * native code to match the bytecode interpreter in lockstep,
+//   * the printed C, compiled (when a compiler exists), to match the VM.
 #include <gtest/gtest.h>
 
+#include "c_transcript.hpp"
 #include "cftcg/pipeline.hpp"
 #include "lockstep.hpp"
 #include "ir/builder.hpp"
@@ -206,6 +207,28 @@ TEST_P(RandomModelTest, NativeMatchesTheInterpreterInLockstep) {
   all.step_budget = 1000;
   EXPECT_TRUE(lockstep::Run(cm->instrumented(), cm->spec(), all, exec_rng, 1000));
   EXPECT_TRUE(lockstep::Run(cm->instrumented(), cm->spec(), lockstep::Planes{}, exec_rng, 1000));
+}
+
+// The C leg (c_transcript.hpp): the seed's model printed, compiled under
+// UBSan and run on CheckEquivalence's tuple stream, with outputs, coverage
+// slots and MCDC tuples equal to the VM's on every step.
+TEST_P(RandomModelTest, CompiledCMatchesTheVm) {
+  if (!c_transcript::HaveCc()) GTEST_SKIP() << "no host C compiler";
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+  auto compiled = CompiledModel::FromModel(RandomModel(rng));
+  ASSERT_TRUE(compiled.ok()) << compiled.message();
+  auto cm = compiled.take();
+  Rng exec_rng(rng.NextU64());
+  std::vector<std::uint8_t> buf(cm->instrumented().TupleSize());
+  std::vector<std::uint8_t> stream;
+  for (int step = 0; step < 60; ++step) {
+    exec_rng.FillBytes(buf.data(), buf.size());
+    stream.insert(stream.end(), buf.begin(), buf.end());
+  }
+  const std::string want = c_transcript::VmTranscript(cm->instrumented(), cm->spec(), stream);
+  const std::string got = c_transcript::CompiledTranscript(
+      cm->instrumented(), cm->model().name(), "random_" + std::to_string(GetParam()), stream);
+  ASSERT_EQ(c_transcript::FirstDifference(got, want), "") << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomModelTest, ::testing::Range(0, 40));
