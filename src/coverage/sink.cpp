@@ -49,7 +49,7 @@ CoverageSink::CoverageSink(const CoverageSpec& spec) : spec_(&spec) {
   curr_.Resize(slots);
   total_.Resize(slots);
   evals_.resize(spec.decisions().size());
-  ForgetLastEvals();
+  ForgetKnownEvals();
 }
 
 void CoverageSink::MergeFrom(const CoverageSink& other) {
@@ -67,7 +67,7 @@ void CoverageSink::ResetCampaign() {
   curr_.ClearAll();
   total_.ClearAll();
   for (auto& set : evals_) set.clear();
-  ForgetLastEvals();
+  ForgetKnownEvals();
 }
 
 }  // namespace cftcg::coverage

@@ -79,21 +79,32 @@ class CoverageSink {
   // -- Hot path (called by executors) -----------------------------------
   void Hit(int slot) { curr_.Set(static_cast<std::size_t>(slot)); }
   void RecordEval(DecisionId d, std::uint32_t values, std::uint32_t mask, int outcome) {
-    // Most evaluations repeat the decision's previous one (69-98% per bench
-    // model in a 20000-execution campaign), which is already in the set (or
-    // was refused at the cap, and the set only grows), so one word compare
-    // skips the hash insert.
+    // Most evaluations repeat one the decision saw recently (69-98% repeat
+    // the previous one per bench model in a 20000-execution campaign, and
+    // nearly all of the rest one of the few before), which is already in
+    // the set (or was refused at the cap, and the set only grows), so a
+    // word compare against the known-evaluation cache skips the hash insert.
     const std::uint64_t e = PackEval(values, mask, outcome);
-    std::uint64_t& last = last_eval_[static_cast<std::size_t>(d)];
-    if (e == last) return;
-    last = e;
+    std::uint64_t& known = known_evals_[KnownEvalSlot(d, e)];
+    if (e == known) return;
+    known = e;
     auto& set = evals_[static_cast<std::size_t>(d)];
     if (set.size() < kMaxEvalsPerDecision) set.insert(e);
   }
 
-  /// The last evaluation RecordEval saw, per decision: native model code
-  /// runs RecordEval's repeat filter against it before calling out.
-  [[nodiscard]] const std::uint64_t* last_evals() const { return last_eval_.data(); }
+  /// Evaluations RecordEval has seen, kEvalWays direct-mapped words per
+  /// decision (KnownEvalSlot): native model code runs RecordEval's filter
+  /// against them before calling out.
+  [[nodiscard]] const std::uint64_t* known_evals() const { return known_evals_.data(); }
+  static constexpr std::size_t kEvalWays = 4;
+  static constexpr std::uint64_t kEvalWayHash = 0x9E3779B97F4A7C15ULL;
+  /// The known-evaluation word of decision `d` that `e` maps to: the top two
+  /// bits of a multiplicative hash pick one of its kEvalWays words.
+  [[nodiscard]] static std::size_t KnownEvalSlot(DecisionId d, std::uint64_t e) {
+    static_assert(kEvalWays == 4, "the way is the hash's top two bits");
+    const auto way = static_cast<std::size_t>((e * kEvalWayHash) >> 62);
+    return static_cast<std::size_t>(d) * kEvalWays + way;
+  }
 
   // -- Iteration control --------------------------------------------------
   /// Clears the per-iteration map (Algorithm 1 line 11).
@@ -163,7 +174,7 @@ class CoverageSink {
                        const std::vector<std::vector<std::uint64_t>>& evals) {
     if (evals.size() != evals_.size()) return false;
     if (!total_.Restore(total_.size(), std::move(total_words))) return false;
-    ForgetLastEvals();
+    ForgetKnownEvals();
     for (std::size_t d = 0; d < evals.size(); ++d) {
       evals_[d].clear();
       for (std::uint64_t e : evals[d]) {
@@ -183,16 +194,16 @@ class CoverageSink {
  private:
   /// No PackEval result sets bits 56..63, so this never matches one.
   static constexpr std::uint64_t kNoEval = ~std::uint64_t{0};
-  void ForgetLastEvals() { last_eval_.assign(evals_.size(), kNoEval); }
+  void ForgetKnownEvals() { known_evals_.assign(evals_.size() * kEvalWays, kNoEval); }
 
   const CoverageSpec* spec_;
   DynamicBitset curr_;
   DynamicBitset total_;
   std::vector<std::unordered_set<std::uint64_t>> evals_;
-  // The last evaluation RecordEval saw per decision: a repeat of it is
+  // Evaluations RecordEval saw, a direct-mapped cache per decision: each is
   // already in evals_ (or was refused at the cap). Reset whenever evals_ is
   // replaced or cleared.
-  std::vector<std::uint64_t> last_eval_;
+  std::vector<std::uint64_t> known_evals_;
 };
 
 }  // namespace cftcg::coverage

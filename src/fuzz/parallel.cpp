@@ -324,6 +324,14 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     out.rounds = resume->rounds;
     out.imports = resume->imports;
   }
+  // Phases are lane-seconds: a wait the driver imposes at a barrier (corpus
+  // sync, checkpoint capture, a commit that outlasts the round) is booked
+  // once per live lane, as every one of them sits through it.
+  const auto live_lanes = [&]() {
+    double live = 0;
+    for (const auto& lane : lanes) live += lane->live() ? 1 : 0;
+    return live;
+  };
   const auto sum_counters = [&]() {
     LaneCounters sum;
     for (const auto& lane : lanes) sum.MergeFrom(lane->counters());
@@ -352,7 +360,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     ckpt.elapsed_s = elapsed();
     ckpt.workers.reserve(n);
     for (const auto& lane : lanes) ckpt.workers.push_back(lane->SaveState());
-    driver_phases.Add(obs::ProfilePhase::kCheckpoint, elapsed() - t0);
+    driver_phases.Add(obs::ProfilePhase::kCheckpoint, (elapsed() - t0) * live_lanes());
   };
   // Encodes and writes the pending checkpoint, if any, touching no lane.
   // Returns how long that took.
@@ -647,7 +655,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
       if (dur[i] >= 0) round_end = std::max(round_end, round_t0[i] + dur[i]);
     }
     if (committed && commit_end > round_end) {
-      driver_phases.Add(obs::ProfilePhase::kCheckpoint, commit_end - round_end);
+      driver_phases.Add(obs::ProfilePhase::kCheckpoint, (commit_end - round_end) * live_lanes());
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (dur[i] < 0) continue;
@@ -657,7 +665,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     }
     const double sync_t0 = elapsed();
     sync();
-    driver_phases.Add(obs::ProfilePhase::kCorpusSync, elapsed() - sync_t0);
+    driver_phases.Add(obs::ProfilePhase::kCorpusSync, (elapsed() - sync_t0) * live_lanes());
     if (board != nullptr && n > 1) board->LogSpan("sync", 0, sync_t0, elapsed() - sync_t0);
     if (tm != nullptr) heartbeat();
     if (pub != nullptr && elapsed() >= next_profile_pub) {
@@ -681,7 +689,7 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   }
   // The interrupt's or the last barrier's checkpoint, written before the
   // lanes finish: nothing runs behind it.
-  driver_phases.Add(obs::ProfilePhase::kCheckpoint, commit_checkpoint());
+  driver_phases.Add(obs::ProfilePhase::kCheckpoint, commit_checkpoint() * live_lanes());
 
   // Final merge, in lane-id order throughout; the lanes finish at once.
   for (auto& lane : lanes) lane->StartFinish();

@@ -28,6 +28,22 @@ std::int64_t WrapMul(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b));
 }
 
+// min.d and max.d as explicit comparisons, as the printed C's MinD/MaxD
+// are: a tie returns a (the native minsd/maxsd with b as the destination),
+// and an unordered pair the operand that is not NaN (b when both are). No
+// libm call, whose tie rule would depend on how the compiler orders the
+// operands of a commutative call.
+double MinD(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  return b < a ? b : a;
+}
+double MaxD(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  return b > a ? b : a;
+}
+
 /// The semantics of one data instruction (ldc.d through ne.i): registers in,
 /// registers out. The interpreter's handlers (with `op` a constant, so the
 /// switch folds away) and the native code's slow path both run this, so
@@ -54,8 +70,8 @@ std::int64_t WrapMul(std::int64_t a, std::int64_t b) {
     case Op::kSubD: dd = d[in.a] - d[in.b]; return;
     case Op::kMulD: dd = d[in.a] * d[in.b]; return;
     case Op::kDivD: dd = SafeDiv(d[in.a], d[in.b]); return;
-    case Op::kMinD: dd = std::fmin(d[in.a], d[in.b]); return;
-    case Op::kMaxD: dd = std::fmax(d[in.a], d[in.b]); return;
+    case Op::kMinD: dd = MinD(d[in.a], d[in.b]); return;
+    case Op::kMaxD: dd = MaxD(d[in.a], d[in.b]); return;
     case Op::kModD: dd = SafeMod(d[in.a], d[in.b]); return;
     case Op::kRemD: dd = SafeRem(d[in.a], d[in.b]); return;
     case Op::kPowD: dd = Finite(std::pow(d[in.a], d[in.b])); return;
@@ -153,7 +169,8 @@ Machine::Machine(const Program& program) : program_(&program) {
     }
   }
   dropped_cov_.assign(static_cast<std::size_t>(max_slot + 1) / 64 + 1, 0);
-  dropped_evals_.assign(static_cast<std::size_t>(max_decision + 1), 0);
+  const auto decisions = static_cast<std::size_t>(max_decision + 1);
+  dropped_evals_.assign(decisions * coverage::CoverageSink::kEvalWays, 0);
   dropped_edges_.assign(static_cast<std::size_t>(std::max(program.num_edges, 0)), 0);
   std::size_t offset = 0;
   for (const ir::DType t : program.input_types) {
@@ -282,7 +299,7 @@ bool Machine::StepNative(const NativeCode& code, coverage::CoverageSink* sink,
   f.r = ifile_.data();
   f.cov = sink != nullptr ? sink->curr_words() : dropped_cov_.data();
   f.edges = edge_map != nullptr ? edge_map : dropped_edges_.data();
-  f.last_evals = sink != nullptr ? sink->last_evals() : dropped_evals_.data();
+  f.known_evals = sink != nullptr ? sink->known_evals() : dropped_evals_.data();
   f.cmp_trace = cmp_trace_;
   f.back_jumps = step_budget_ == 0 ? std::numeric_limits<std::uint64_t>::max() : step_budget_;
   f.sink = sink;

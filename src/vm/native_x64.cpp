@@ -3,11 +3,15 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 
+#include "coverage/sink.hpp"
 #include "ir/dtype.hpp"
 #include "support/numerics.hpp"
 #include "vm/cmp_trace.hpp"
@@ -50,13 +54,15 @@ namespace {
 // General-purpose registers by encoding; xmm registers are plain numbers.
 enum Reg : int {
   kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsp = 4, kRbp = 5, kRsi = 6, kRdi = 7,
-  kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15,
+  kR8 = 8, kR9 = 9, kR10 = 10, kR11 = 11, kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15,
 };
 constexpr int kNoIndex = -1;
+constexpr int kNoHome = -1;
 
 // What the base registers hold while native code runs. All are callee-saved,
-// so they survive the hooks; everything else lives in memory between
-// instructions.
+// so they survive the hooks. The templates' scratch registers are rax, rcx,
+// rdx, xmm0 and xmm1; the rest of the caller-saved registers are homes
+// (Homes below).
 constexpr Reg kD = kRbx;          // the double file
 constexpr Reg kI = kRbp;          // the int file
 constexpr Reg kFrame = kR12;      // the NativeFrame
@@ -161,21 +167,12 @@ class Assembler {
     RR(0, true, {0xC7}, 0, r);
     Imm32(v);
   }
-  void MovMI32(Mem m, std::int32_t v) {  // sign-extends
-    RM(0, true, {0xC7}, 0, m);
-    Imm32(v);
-  }
   void MovsdXM(int x, Mem m) { RM(0xF2, false, {0x0F, 0x10}, x, m); }
   void MovsdMX(Mem m, int x) { RM(0xF2, false, {0x0F, 0x11}, x, m); }
-  void SdXM(std::uint8_t op, int x, Mem m) { RM(0xF2, false, {0x0F, op}, x, m); }
-  void UcomisdXM(int x, Mem m) { RM(0x66, false, {0x0F, 0x2E}, x, m); }
   void UcomisdXX(int x, int y) { RR(0x66, false, {0x0F, 0x2E}, x, y); }
   void XorpsXX(int x, int y) { RR(0, false, {0x0F, 0x57}, x, y); }
-  void Cvtsi2sdXM(int x, Mem m) { RM(0xF2, true, {0x0F, 0x2A}, x, m); }
-  void Cvttsd2siRM(int r, Mem m) { RM(0xF2, true, {0x0F, 0x2C}, r, m); }
   void AluRM(std::uint8_t op, int r, Mem m) { RM(0, true, {op}, r, m); }
   void AluRR(std::uint8_t op, int dst, int src) { RR(0, true, {op}, src, dst); }
-  void ImulRM(int r, Mem m) { RM(0, true, {0x0F, 0xAF}, r, m); }
   void CmpMI8(Mem m, std::int8_t v) {
     RM(0, true, {0x83}, 7, m);
     Byte(static_cast<std::uint8_t>(v));
@@ -214,13 +211,16 @@ class Assembler {
     Byte(v);
   }
   void Movzx8(int dst, int src) { RR(0, false, {0x0F, 0xB6}, dst, src); }
-  void MovzxByteRM(int dst, Mem m) { RM(0, false, {0x0F, 0xB6}, dst, m); }
   void AndR32I(int r, std::int32_t v) {  // zero-extends into the full register
     RR(0, false, {0x81}, 4, r);
     Imm32(v);
   }
   void ShlRI(int r, std::uint8_t count) {
     RR(0, true, {0xC1}, 4, r);
+    Byte(count);
+  }
+  void ShrRI(int r, std::uint8_t count) {
+    RR(0, true, {0xC1}, 5, r);
     Byte(count);
   }
   void AddRI8(int r, std::int8_t v) {
@@ -230,6 +230,13 @@ class Assembler {
   void Lea(int r, Mem m) { RM(0, true, {0x8D}, r, m); }
   void Cvttsd2siRX(int r, int x) { RR(0xF2, true, {0x0F, 0x2C}, r, x); }
   void Cvtsi2sdXR(int x, int r) { RR(0xF2, true, {0x0F, 0x2A}, x, r); }
+  void MovapsXX(int dst, int src) { RR(0, false, {0x0F, 0x28}, dst, src); }
+  void MovqXR(int x, int r) { RR(0x66, true, {0x0F, 0x6E}, x, r); }
+  void MovqRX(int r, int x) { RR(0x66, true, {0x0F, 0x7E}, x, r); }
+  void OrRI32(int r, std::int32_t v) {  // sign-extends
+    RR(0, true, {0x81}, 1, r);
+    Imm32(v);
+  }
   // Bit 63 of a register: ext 6 = btr (clear), 7 = btc (flip).
   void BitOp63(int ext, int r) {
     RR(0, true, {0x0F, 0xBA}, ext, r);
@@ -268,6 +275,234 @@ class Assembler {
 
 constexpr std::int64_t kMaxFileElements = (std::int64_t{1} << 28);
 
+// -- Register homes ----------------------------------------------------------
+// A d or i register keeps one machine register, its home, for the whole of
+// its live interval: the span of code positions from the first to the last
+// at which it is live (holes included, back edges included). Two registers
+// share a home only when their intervals are disjoint, so at every position
+// a home has at most one owner, across labels and merges alike.
+
+/// The machine registers that hold d and i values: every caller-saved
+/// register no template uses as scratch, in the order linear scan hands
+/// them out. The TORC routines use xmm2, rsi and rdi, so those go last.
+constexpr int kDoubleHomes[] = {3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 2};
+constexpr int kIntHomes[] = {kR8, kR9, kR10, kR11, kRsi, kRdi};
+
+/// One register's live interval and its home, or kNoHome.
+struct Interval {
+  std::int32_t start = INT32_MAX;  // empty until extended
+  std::int32_t end = -1;
+  std::int32_t uses = 0;  // static reads and writes: the spill weight
+  int home = kNoHome;
+
+  void Extend(std::int32_t pc) {
+    start = std::min(start, pc);
+    end = std::max(end, pc);
+  }
+  [[nodiscard]] bool Covers(std::int64_t pc) const { return start <= pc && pc <= end; }
+};
+
+/// A fixed-width bitset row per basic block.
+class BlockSets {
+ public:
+  BlockSets(std::size_t blocks, int bits)
+      : words_((static_cast<std::size_t>(bits) + 63) / 64), w_(blocks * words_, 0) {}
+  std::uint64_t* Row(std::size_t b) { return w_.data() + b * words_; }
+  [[nodiscard]] std::size_t words() const { return words_; }
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint64_t> w_;
+};
+
+/// The basic blocks of a program and the operand effects of its
+/// instructions, shared by both files' liveness passes.
+struct ControlFlow {
+  std::vector<OperandEffect> fx;      // per pc
+  std::vector<std::int32_t> first;    // block b is [first[b], first[b + 1])
+  std::vector<std::int32_t> succ;     // per block, two successor blocks or -1
+
+  explicit ControlFlow(const Program& p) {
+    const auto n = static_cast<std::int32_t>(p.code.size());
+    fx.reserve(p.code.size());
+    for (const Insn& in : p.code) fx.push_back(EffectOf(in.op));
+    // Leaders at 0, at every jump target and after every transfer.
+    std::vector<char> leader(static_cast<std::size_t>(n) + 1, 0);
+    leader[0] = 1;
+    for (std::int32_t pc = 0; pc < n; ++pc) {
+      const Insn& in = p.code[static_cast<std::size_t>(pc)];
+      if (fx[static_cast<std::size_t>(pc)].jumps) leader[static_cast<std::size_t>(in.imm)] = 1;
+      if (fx[static_cast<std::size_t>(pc)].jumps || in.op == Op::kHalt) {
+        leader[static_cast<std::size_t>(pc) + 1] = 1;
+      }
+    }
+    std::vector<std::int32_t> block_of(static_cast<std::size_t>(n));
+    for (std::int32_t pc = 0; pc < n; ++pc) {
+      if (leader[static_cast<std::size_t>(pc)] != 0) first.push_back(pc);
+      block_of[static_cast<std::size_t>(pc)] = static_cast<std::int32_t>(first.size()) - 1;
+    }
+    const std::size_t count = first.size();
+    first.push_back(n);
+    succ.assign(2 * count, -1);
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::int32_t last = first[b + 1] - 1;
+      const Insn& in = p.code[static_cast<std::size_t>(last)];
+      if (fx[static_cast<std::size_t>(last)].jumps) {
+        succ[2 * b] = block_of[static_cast<std::size_t>(in.imm)];
+      }
+      const bool falls = in.op != Op::kHalt && in.op != Op::kJmp && last + 1 < n;
+      if (falls) succ[2 * b + 1] = static_cast<std::int32_t>(b) + 1;
+    }
+  }
+  [[nodiscard]] std::size_t blocks() const { return first.size() - 1; }
+};
+
+/// The live intervals of one register file (`is_float`) over `p`'s
+/// control-flow graph: a backward liveness pass over basic blocks to a fixed
+/// point, then one backward walk per block that extends each register's
+/// interval over every position where it is live. A definition whose value
+/// is never read extends nothing, so a register written but never read has
+/// an empty interval.
+std::vector<Interval> LiveIntervals(const Program& p, const ControlFlow& cfg, bool is_float) {
+  const int regs = is_float ? p.num_dregs : p.num_iregs;
+  std::vector<Interval> iv(static_cast<std::size_t>(regs));
+  const auto reads = [&](std::int32_t pc) {
+    const OperandEffect& fx = cfg.fx[static_cast<std::size_t>(pc)];
+    return is_float ? fx.read_d : fx.read_i;
+  };
+  const auto writes = [&](std::int32_t pc) {
+    const OperandEffect& fx = cfg.fx[static_cast<std::size_t>(pc)];
+    return is_float ? fx.write_d : fx.write_i;
+  };
+  const std::vector<std::int32_t>& first = cfg.first;
+  const std::size_t blocks = cfg.blocks();
+  // use: read before any write in the block; def: written in the block.
+  BlockSets use(blocks, regs);
+  BlockSets def(blocks, regs);
+  BlockSets live_in(blocks, regs);
+  BlockSets live_out(blocks, regs);
+  const std::size_t words = use.words();
+  const auto has = [](const std::uint64_t* row, std::int32_t r) {
+    return ((row[static_cast<std::size_t>(r) / 64] >> (r % 64)) & 1U) != 0;
+  };
+  const auto set = [](std::uint64_t* row, std::int32_t r) {
+    row[static_cast<std::size_t>(r) / 64] |= std::uint64_t{1} << (r % 64);
+  };
+  const auto clear = [](std::uint64_t* row, std::int32_t r) {
+    row[static_cast<std::size_t>(r) / 64] &= ~(std::uint64_t{1} << (r % 64));
+  };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint64_t* u = use.Row(b);
+    std::uint64_t* d = def.Row(b);
+    for (std::int32_t pc = first[b]; pc < first[b + 1]; ++pc) {
+      const Insn& in = p.code[static_cast<std::size_t>(pc)];
+      ForEachReg(in, reads(pc), [&](std::int32_t r) {
+        if (!has(d, r)) set(u, r);
+      });
+      ForEachReg(in, writes(pc), [&](std::int32_t r) { set(d, r); });
+    }
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t b = blocks; b-- > 0;) {
+      std::uint64_t* out = live_out.Row(b);
+      for (const std::int32_t s : {cfg.succ[2 * b], cfg.succ[2 * b + 1]}) {
+        if (s < 0) continue;
+        const std::uint64_t* in = live_in.Row(static_cast<std::size_t>(s));
+        for (std::size_t k = 0; k < words; ++k) out[k] |= in[k];
+      }
+      std::uint64_t* in = live_in.Row(b);
+      const std::uint64_t* u = use.Row(b);
+      const std::uint64_t* d = def.Row(b);
+      for (std::size_t k = 0; k < words; ++k) {
+        const std::uint64_t next = u[k] | (out[k] & ~d[k]);
+        changed = changed || next != in[k];
+        in[k] = next;
+      }
+    }
+  }
+  // Live across a block boundary: an interval starts no later than the
+  // first block it is live into and ends no earlier than the last block it
+  // is live out of, so each register is extended once per direction.
+  std::vector<std::uint64_t> seen(words);
+  const auto extend_fresh = [&](const std::uint64_t* row, std::int32_t pc) {
+    for (std::size_t k = 0; k < words; ++k) {
+      for (std::uint64_t w = row[k] & ~seen[k]; w != 0; w &= w - 1) {
+        iv[k * 64 + static_cast<std::size_t>(std::countr_zero(w))].Extend(pc);
+      }
+      seen[k] |= row[k];
+    }
+  };
+  for (std::size_t b = 0; b < blocks; ++b) extend_fresh(live_in.Row(b), first[b]);
+  std::fill(seen.begin(), seen.end(), 0);
+  for (std::size_t b = blocks; b-- > 0;) extend_fresh(live_out.Row(b), first[b + 1] - 1);
+  // Within a block: definitions whose value is read, and every read.
+  std::vector<std::uint64_t> live(words);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::copy_n(live_out.Row(b), words, live.begin());
+    for (std::int32_t pc = first[b + 1] - 1; pc >= first[b]; --pc) {
+      const Insn& in = p.code[static_cast<std::size_t>(pc)];
+      ForEachReg(in, writes(pc), [&](std::int32_t r) {
+        Interval& v = iv[static_cast<std::size_t>(r)];
+        ++v.uses;
+        if (has(live.data(), r)) v.Extend(pc);
+        clear(live.data(), r);
+      });
+      ForEachReg(in, reads(pc), [&](std::int32_t r) {
+        Interval& v = iv[static_cast<std::size_t>(r)];
+        ++v.uses;
+        v.Extend(pc);
+        set(live.data(), r);
+      });
+    }
+  }
+  return iv;
+}
+
+/// Linear scan over `iv` in start order: each interval takes a free home
+/// for its whole length. When none is free, the interval with the fewest
+/// static uses among the current owners and the newcomer goes without (an
+/// owner that loses its home loses it for its whole interval). Intervals
+/// that touch at a position conflict, so a position never has two owners.
+/// Returns the registers with a home, by interval start.
+std::vector<std::int32_t> AssignHomes(std::vector<Interval>& iv, std::span<const int> homes) {
+  std::vector<std::size_t> order;
+  for (std::size_t r = 0; r < iv.size(); ++r) {
+    if (iv[r].end >= 0) order.push_back(r);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return iv[a].start != iv[b].start ? iv[a].start < iv[b].start : a < b;
+  });
+  std::vector<int> free(homes.rbegin(), homes.rend());
+  std::vector<std::size_t> active;
+  for (const std::size_t r : order) {
+    Interval& cur = iv[r];
+    std::erase_if(active, [&](std::size_t a) {
+      if (iv[a].end >= cur.start) return false;
+      free.push_back(iv[a].home);
+      return true;
+    });
+    if (!free.empty()) {
+      cur.home = free.back();
+      free.pop_back();
+      active.push_back(r);
+      continue;
+    }
+    const auto weaker = [&](std::size_t a, std::size_t b) {
+      return iv[a].uses != iv[b].uses ? iv[a].uses < iv[b].uses : iv[a].end > iv[b].end;
+    };
+    const auto weakest = std::min_element(active.begin(), active.end(), weaker);
+    if (iv[*weakest].uses >= cur.uses) continue;
+    std::swap(cur.home, iv[*weakest].home);
+    *weakest = r;
+  }
+  std::vector<std::int32_t> homed;
+  for (const std::size_t r : order) {
+    if (iv[r].home != kNoHome) homed.push_back(static_cast<std::int32_t>(r));
+  }
+  return homed;
+}
+
 /// One translation: checks the program, then emits the entry, one template
 /// per instruction, the shared exit and the out-of-line stubs.
 class Translator {
@@ -285,11 +520,16 @@ class Translator {
     for (const MarginSite& m : p_.margins) has_sites_[static_cast<std::size_t>(m.pc)] = true;
     abort_.assign(p_.code.size(), -1);
     exit_ = as_.NewLabel();
+    as_.bytes.reserve(p_.code.size() * 40);  // ~34 bytes per instruction on the bench models
+    stubs_.reserve(p_.code.size() / 4);
+    AllocateHomes();
 
+    Advance();
     Entry();
-    for (int pc = 0; pc < n; ++pc) {
-      Prologue(pc);
-      Emit(pc);
+    for (pc_ = 0; pc_ < n; ++pc_) {
+      Advance();
+      Prologue(pc_);
+      Emit(pc_);
     }
     as_.Byte(0x0F);  // ud2: past the last instruction (the interpreter would run off the code)
     as_.Byte(0x0B);
@@ -302,6 +542,8 @@ class Translator {
   const std::vector<std::uint8_t>& bytes() const { return as_.bytes; }
 
  private:
+  static constexpr std::size_t kMachineRegs = 16;  // per class: rax..r15, xmm0..xmm15
+
   // -- Operands ------------------------------------------------------------
   static Mem At(Reg base, std::int64_t element) {
     return Mem{base, static_cast<std::int32_t>(8 * element)};
@@ -309,6 +551,185 @@ class Translator {
   static Mem D(std::int64_t element) { return At(kD, element); }
   static Mem I(std::int64_t element) { return At(kI, element); }
   static Mem F(std::size_t offset) { return Mem{kFrame, static_cast<std::int32_t>(offset)}; }
+
+  /// Where an instruction reads a register: its home, or the file.
+  struct Loc {
+    int home;
+    Mem mem;
+  };
+  /// The home of register `reg` at the instruction being emitted, or kNoHome.
+  [[nodiscard]] int HomeD(std::int32_t reg) const { return HomeAt(dv_, reg); }
+  [[nodiscard]] int HomeI(std::int32_t reg) const { return HomeAt(iv_, reg); }
+  [[nodiscard]] int HomeAt(const std::vector<Interval>& iv, std::int32_t reg) const {
+    const Interval& v = iv[static_cast<std::size_t>(reg)];
+    return v.Covers(pc_) ? v.home : kNoHome;
+  }
+  [[nodiscard]] Loc DL(std::int32_t reg) const { return {HomeD(reg), D(reg)}; }
+  [[nodiscard]] Loc IL(std::int32_t reg) const { return {HomeI(reg), I(reg)}; }
+
+  /// [prefix] [REX] opcode ModRM(reg, l): the register form when l has a home.
+  void RX(std::uint8_t prefix, bool w, std::initializer_list<std::uint8_t> op, int reg, Loc l) {
+    if (l.home != kNoHome) {
+      as_.RR(prefix, w, op, reg, l.home);
+    } else {
+      as_.RM(prefix, w, op, reg, l.mem);
+    }
+  }
+
+  /// The xmm register that holds dregs[reg]: its home, or xmm`x` loaded
+  /// from the file.
+  int ReadD(std::int32_t reg, int x) {
+    const int home = HomeD(reg);
+    if (home != kNoHome) return home;
+    as_.MovsdXM(x, D(reg));
+    return x;
+  }
+  /// xmm`x` = dregs[reg].
+  void LoadD(int x, std::int32_t reg) {
+    const int from = ReadD(reg, x);
+    if (from != x) as_.MovapsXX(x, from);
+  }
+  /// The general register that holds iregs[reg]: its home, or `r` loaded
+  /// from the file.
+  int ReadI(std::int32_t reg, int r) {
+    const int home = HomeI(reg);
+    if (home != kNoHome) return home;
+    as_.MovRM(r, I(reg));
+    return r;
+  }
+  /// r = iregs[reg].
+  void LoadI(int r, std::int32_t reg) {
+    const int from = ReadI(reg, r);
+    if (from != r) as_.MovRR(r, from);
+  }
+
+  // Every definition is written through: to the file, then to the home the
+  // register has here. The file is therefore the interpreter's at every
+  // instruction boundary, and a home equals the file wherever its owner is
+  // live.
+
+  /// dregs[reg] = xmm`x`.
+  void WriteD(std::int32_t reg, int x) {
+    as_.MovsdMX(D(reg), x);
+    const int home = HomeD(reg);
+    if (home != kNoHome && home != x) as_.MovapsXX(home, x);
+  }
+  /// dregs[reg] = the bits in rax.
+  void WriteDBits(std::int32_t reg) {
+    as_.MovMR(D(reg), kRax);
+    const int home = HomeD(reg);
+    if (home != kNoHome) as_.MovqXR(home, kRax);
+  }
+  /// iregs[reg] = r.
+  void WriteI(std::int32_t reg, int r) {
+    as_.MovMR(I(reg), r);
+    const int home = HomeI(reg);
+    if (home != kNoHome && home != r) as_.MovRR(home, r);
+  }
+
+  /// An 8-byte copy of a double from `from` to the file slot `to` and, if
+  /// it is not kNoHome, the home `to_home`.
+  void CopyD(Mem to, int to_home, Loc from) {
+    if (from.home != kNoHome) {
+      as_.MovsdMX(to, from.home);
+      if (to_home != kNoHome) as_.MovapsXX(to_home, from.home);
+    } else if (to_home != kNoHome) {
+      as_.MovsdXM(to_home, from.mem);
+      as_.MovsdMX(to, to_home);
+    } else {
+      as_.MovRM(kRax, from.mem);
+      as_.MovMR(to, kRax);
+    }
+  }
+  /// CopyD for an integer.
+  void CopyI(Mem to, int to_home, Loc from) {
+    int via = from.home;
+    if (via == kNoHome) {
+      via = to_home != kNoHome ? to_home : kRax;
+      as_.MovRM(via, from.mem);
+    }
+    as_.MovMR(to, via);
+    if (to_home != kNoHome && to_home != via) as_.MovRR(to_home, via);
+  }
+
+  /// Sets the flags as `cmp iregs[reg], 0` does.
+  void CmpZero(std::int32_t reg) {
+    RX(0, true, {0x83}, 7, IL(reg));
+    as_.Byte(0);
+  }
+
+  /// Gives every register a live interval and, where linear scan finds one,
+  /// a home; lists the homed intervals by start for Advance.
+  void AllocateHomes() {
+    const ControlFlow cfg(p_);
+    dv_ = LiveIntervals(p_, cfg, /*is_float=*/true);
+    iv_ = LiveIntervals(p_, cfg, /*is_float=*/false);
+    homed_[0] = AssignHomes(dv_, kDoubleHomes);
+    // r13 and r14 hold the strobe countdown and the count plane's base only
+    // when the configuration has them; otherwise they are homes that calls
+    // preserve.
+    std::vector<int> int_homes;
+    int_homes.reserve(std::size(kIntHomes) + 2);
+    if (!cfg_.strobe) int_homes.push_back(kCountdown);
+    if (!cfg_.count) int_homes.push_back(kEdges);
+    for (const int home : kIntHomes) int_homes.push_back(home);
+    homed_[1] = AssignHomes(iv_, int_homes);
+    // Flags nothing reads: an i register that only flag-producing
+    // instructions write (and that is not pooled) holds 0 or 1 from the
+    // Machine's zeroed file on, so its upper seven bytes stay zero and one
+    // byte store writes it through. Only registers never read get it, so no
+    // wider load waits on such a store.
+    byte_flag_.assign(iv_.size(), 1);
+    for (const auto& c : p_.const_i) byte_flag_[static_cast<std::size_t>(c.reg)] = 0;
+    for (std::size_t pc = 0; pc < p_.code.size(); ++pc) {
+      const Insn& in = p_.code[pc];
+      if (IsFlagOp(in.op)) continue;
+      ForEachReg(in, cfg.fx[pc].write_i,
+                 [&](std::int32_t r) { byte_flag_[static_cast<std::size_t>(r)] = 0; });
+    }
+    for (std::size_t r = 0; r < iv_.size(); ++r) {
+      if (iv_[r].end >= 0) byte_flag_[r] = 0;
+    }
+    for (auto& owners : born_) owners.fill(-1);
+  }
+
+  /// Moves the home owners up to pc_: each home's latest owner to start.
+  void Advance() {
+    for (const int f : {0, 1}) {
+      const std::vector<Interval>& iv = f == 0 ? dv_ : iv_;
+      const std::vector<std::int32_t>& homed = homed_[f];
+      for (std::size_t& k = next_born_[f]; k < homed.size(); ++k) {
+        const Interval& v = iv[static_cast<std::size_t>(homed[k])];
+        if (v.start > pc_) break;
+        born_[f][static_cast<std::size_t>(v.home)] = homed[k];
+      }
+    }
+  }
+
+  /// Per file (d, i) and machine register, the register it is home to at
+  /// pc_, or -1.
+  using Owners = std::array<std::array<std::int32_t, kMachineRegs>, 2>;
+  [[nodiscard]] Owners OwnersHere() const {
+    Owners out;
+    for (const int f : {0, 1}) {
+      const std::vector<Interval>& iv = f == 0 ? dv_ : iv_;
+      for (std::size_t h = 0; h < kMachineRegs; ++h) {
+        const std::int32_t r = born_[f][h];
+        out[f][h] = r >= 0 && iv[static_cast<std::size_t>(r)].Covers(pc_) ? r : -1;
+      }
+    }
+    return out;
+  }
+
+  /// Loads every owned home from the files: at entry, and after a call out,
+  /// which may clobber every caller-saved register (and the slow hook
+  /// writes its result to the file).
+  void ReloadHomes(const Owners& owners) {
+    for (std::size_t home = 0; home < kMachineRegs; ++home) {
+      if (owners[0][home] >= 0) as_.MovsdXM(static_cast<int>(home), D(owners[0][home]));
+      if (owners[1][home] >= 0) as_.MovRM(static_cast<int>(home), I(owners[1][home]));
+    }
+  }
 
   /// Every operand in range for its file, every jump target an instruction,
   /// every coverage slot non-negative: the templates do no checks of their own.
@@ -362,8 +783,8 @@ class Translator {
         case Op::kEdge:
           if (!in_range(in.imm, p_.num_edges)) return false;
           break;
-        case Op::kMcdcEval:
-          if (in.imm < 0) return false;
+        case Op::kMcdcEval:  // the known-evaluation row's offset fits a disp32
+          if (!in_range(in.imm, std::int64_t{1} << 24)) return false;
           break;
         default: break;
       }
@@ -393,6 +814,7 @@ class Translator {
     as_.MovRM(kCov, F(offsetof(NativeFrame, cov)));
     if (cfg_.count) as_.MovRM(kEdges, F(offsetof(NativeFrame, edges_counted)));
     if (cfg_.strobe) as_.MovRM(kCountdown, F(offsetof(NativeFrame, strobe_countdown)));
+    ReloadHomes(OwnersHere());
   }
 
   /// The shared exit: rax holds the result.
@@ -405,12 +827,13 @@ class Translator {
     as_.Ret();
   }
 
-  /// Calls `hook(frame, pc)`. Clobbers every caller-saved register.
-  void CallHook(NativeHook hook, int pc) {
+  /// Calls `hook(frame, pc)`, then reloads the homes the call clobbered.
+  void CallHook(NativeHook hook, int pc, const Owners& owners) {
     as_.MovRR(kRdi, kFrame);
     as_.MovR32I(kRsi, pc);
     as_.MovRI64(kRax, reinterpret_cast<std::uint64_t>(hook));
     as_.CallR(kRax);
+    ReloadHomes(owners);
   }
 
   /// An out-of-line tail, emitted after the exit: bound at `label`, it does
@@ -426,12 +849,15 @@ class Translator {
     int label;
     int resume;
     int pc;
+    Owners owners;  // the homes' owners at pc, for the stubs that call
   };
 
-  /// Queues a stub for `pc`; returns the label that enters it.
+  /// Queues a stub for `pc`, the instruction being emitted; returns the
+  /// label that enters it.
   int AddStub(Stub::Kind kind, int pc, int resume) {
     const int label = as_.NewLabel();
-    stubs_.push_back(Stub{kind, label, resume, pc});
+    const bool calls = kind == Stub::Kind::kSlow || kind == Stub::Kind::kTrace;
+    stubs_.push_back(Stub{kind, label, resume, pc, calls ? OwnersHere() : Owners{}});
     return label;
   }
 
@@ -447,16 +873,24 @@ class Translator {
         as_.MovRM(kRax, F(offsetof(NativeFrame, samples)));
         as_.IncM(At(kRax, stub.pc));
         break;
-      case Stub::Kind::kSlow: CallHook(hooks_.slow, stub.pc); break;
+      case Stub::Kind::kSlow:
+        if (p_.code[static_cast<std::size_t>(stub.pc)].op == Op::kMcdcEval) {
+          // RecordEval needs a sink; without one the evaluation goes nowhere.
+          as_.RM(0, true, {0x83}, 7, F(offsetof(NativeFrame, sink)));  // cmp [sink], 0
+          as_.Byte(0);
+          as_.Jcc(kE, stub.resume);
+        }
+        CallHook(hooks_.slow, stub.pc, stub.owners);
+        break;
       case Stub::Kind::kTrace: {
         const Insn& in = p_.code[static_cast<std::size_t>(stub.pc)];
-        as_.MovRM(kRsi, F(offsetof(NativeFrame, cmp_trace)));
-        as_.TestRR(kRsi, kRsi);
+        as_.RM(0, true, {0x83}, 7, F(offsetof(NativeFrame, cmp_trace)));  // cmp [trace], 0
+        as_.Byte(0);
         as_.Jcc(kE, stub.resume);
-        if (IsDoubleEquality(in.op)) {
+        const bool is_d = IsDoubleEquality(in.op);
+        if (is_d) {
           as_.MovsdXM(0, D(in.a));
           as_.MovsdXM(1, D(in.b));
-          as_.Call(TraceLabel(trace_double_));
         } else {
           as_.MovRM(kRax, I(in.a));
           as_.MovRM(kRdx, I(in.b));
@@ -464,8 +898,27 @@ class Translator {
             as_.AluRR(0x39, kRax, kRdx);
             as_.Jcc(kE, stub.resume);
           }
-          as_.Call(TraceLabel(trace_int_));
         }
+        // The routines use rsi, rdi and xmm2: saved here when a register
+        // lives in them at pc.
+        const bool rsi = stub.owners[1][kRsi] >= 0;
+        const bool rdi = stub.owners[1][kRdi] >= 0;
+        const bool xmm2 = is_d && stub.owners[0][2] >= 0;
+        if (rsi) as_.Push(kRsi);
+        if (rdi) as_.Push(kRdi);
+        if (xmm2) {
+          as_.RR(0, true, {0x83}, 5, kRsp);  // sub rsp, 8
+          as_.Byte(8);
+          as_.MovsdMX(Mem{kRsp, 0}, 2);
+        }
+        as_.Call(TraceLabel(is_d ? trace_double_ : trace_int_));
+        if (xmm2) {
+          as_.MovsdXM(2, Mem{kRsp, 0});
+          as_.RR(0, true, {0x83}, 0, kRsp);  // add rsp, 8
+          as_.Byte(8);
+        }
+        if (rdi) as_.Pop(kRdi);
+        if (rsi) as_.Pop(kRsi);
         break;
       }
     }
@@ -475,9 +928,11 @@ class Translator {
   // -- TORC ----------------------------------------------------------------
   // CmpTrace::RecordInt and RecordDouble as two routines shared by every
   // eq/ne of the translation, reached by a near call with a private
-  // convention: rsi holds the CmpTrace, rax and rdx the int pair or xmm0
-  // and xmm1 the double pair. They clobber rax, rcx, rdx, rdi and xmm2,
-  // make no call, and are emitted only when some stub calls them.
+  // convention: rax and rdx hold the int pair, or xmm0 and xmm1 the double
+  // pair. Besides scratch they clobber rsi (which they point at the
+  // CmpTrace), rdi and xmm2, which the calling stub saves when they are
+  // homes at its pc. They make no call, and are emitted only when some stub
+  // calls them.
   static bool IsDoubleEquality(Op op) {
     return op == Op::kEqD || op == Op::kNeD || op == Op::kBrEqD || op == Op::kBrNeD;
   }
@@ -534,6 +989,7 @@ class Translator {
     const CmpTrace::Offsets o = CmpTrace::NativeOffsets();
     if (trace_double_ >= 0) {
       as_.Bind(trace_double_);
+      as_.MovRM(kRsi, F(offsetof(NativeFrame, cmp_trace)));
       PushPair(o.doubles, o.double_idx, o.double_count,
                [&](int k, Mem slot) { as_.MovsdMX(slot, k); });
       // A pair of integral doubles also feeds the int ring.
@@ -546,6 +1002,7 @@ class Translator {
     }
     if (trace_int_ >= 0) {
       as_.Bind(trace_int_);
+      as_.MovRM(kRsi, F(offsetof(NativeFrame, cmp_trace)));
       PushPair(o.ints, o.int_idx, o.int_count,
                [&](int k, Mem slot) { as_.MovMR(slot, k == 0 ? kRax : kRdx); });
       as_.Ret();
@@ -599,7 +1056,9 @@ class Translator {
   /// alike: its margin sites, then the strobe countdown.
   void Prologue(int pc) {
     as_.Bind(pc_label_[static_cast<std::size_t>(pc)]);
-    if (cfg_.margins && has_sites_[static_cast<std::size_t>(pc)]) CallHook(hooks_.margins, pc);
+    if (cfg_.margins && has_sites_[static_cast<std::size_t>(pc)]) {
+      CallHook(hooks_.margins, pc, OwnersHere());
+    }
     if (cfg_.strobe) {
       as_.DecR(kCountdown);
       JccStub(kE, Stub::Kind::kSample, pc);
@@ -627,8 +1086,21 @@ class Translator {
 
   /// iregs[dst] = cl (a 0/1 flag).
   void StoreFlag(int dst) {
+    if (byte_flag_[static_cast<std::size_t>(dst)] != 0) {
+      as_.RM(0, false, {0x88}, kRcx, I(dst));  // mov byte [dst], cl
+      return;
+    }
     as_.Movzx8(kRcx, kRcx);
-    as_.MovMR(I(dst), kRcx);
+    WriteI(dst, kRcx);
+  }
+  /// iregs[dst] = (c holds); leaves the flags as they are.
+  void SetFlag(Cond c, int dst) {
+    if (byte_flag_[static_cast<std::size_t>(dst)] != 0) {
+      as_.RM(0, false, {0x0F, static_cast<std::uint8_t>(0x90 | c)}, 0, I(dst));  // setcc byte [dst]
+      return;
+    }
+    as_.Setcc(c, kRcx);
+    StoreFlag(dst);
   }
 
   /// Sets coverage slot `slot` in the sink's curr words. A whole-word
@@ -645,14 +1117,25 @@ class Translator {
     }
   }
 
-  /// mem |= bits (64-bit).
-  void OrBits(Mem m, std::int64_t bits) {
-    if (bits >= INT32_MIN && bits <= INT32_MAX) {
-      as_.OrMI32(m, static_cast<std::int32_t>(bits));
-    } else {
-      as_.MovRI64(kRcx, static_cast<std::uint64_t>(bits));
-      as_.OrMR(m, kRcx);
+  /// iregs[reg] |= bits (64-bit).
+  void OrBits(std::int32_t reg, std::int64_t bits) {
+    const bool imm32 = bits >= INT32_MIN && bits <= INT32_MAX;
+    if (!imm32) as_.MovRI64(kRcx, static_cast<std::uint64_t>(bits));
+    const int home = HomeI(reg);
+    if (home == kNoHome) {
+      if (imm32) {
+        as_.OrMI32(I(reg), static_cast<std::int32_t>(bits));
+      } else {
+        as_.OrMR(I(reg), kRcx);
+      }
+      return;
     }
+    if (imm32) {
+      as_.OrRI32(home, static_cast<std::int32_t>(bits));
+    } else {
+      as_.AluRR(0x09, home, kRcx);  // or home, rcx
+    }
+    as_.MovMR(I(reg), home);
   }
 
   /// Sets the flags for lt/le/gt/ge and returns the condition under which
@@ -661,25 +1144,20 @@ class Translator {
   Cond Compare(Op base, const Insn& in) {
     switch (base) {
       case Op::kLtD:  // b > a
-        as_.MovsdXM(0, D(in.b));
-        as_.UcomisdXM(0, D(in.a));
+        RX(0x66, false, {0x0F, 0x2E}, ReadD(in.b, 0), DL(in.a));
         return kA;
       case Op::kLeD:  // b >= a
-        as_.MovsdXM(0, D(in.b));
-        as_.UcomisdXM(0, D(in.a));
+        RX(0x66, false, {0x0F, 0x2E}, ReadD(in.b, 0), DL(in.a));
         return kAe;
       case Op::kGtD:
-        as_.MovsdXM(0, D(in.a));
-        as_.UcomisdXM(0, D(in.b));
+        RX(0x66, false, {0x0F, 0x2E}, ReadD(in.a, 0), DL(in.b));
         return kA;
       case Op::kGeD:
-        as_.MovsdXM(0, D(in.a));
-        as_.UcomisdXM(0, D(in.b));
+        RX(0x66, false, {0x0F, 0x2E}, ReadD(in.a, 0), DL(in.b));
         return kAe;
       default: break;
     }
-    as_.MovRM(kRax, I(in.a));
-    as_.AluRM(0x3B, kRax, I(in.b));  // cmp rax, [b]
+    RX(0, true, {0x3B}, ReadI(in.a, kRax), IL(in.b));  // cmp a, b
     switch (base) {
       case Op::kLtI: return kL;
       case Op::kLeI: return kLe;
@@ -689,22 +1167,20 @@ class Translator {
   }
 
   /// eq/ne (and their fused forms): the flag, then TORC — operands that
-  /// differ are recorded by the trace stub, which reads them back after the
-  /// flag is stored, as the interpreter does (an int flag may overwrite an
-  /// operand register, so such an instruction always enters the stub, which
-  /// compares what is left).
+  /// differ are recorded by the trace stub, which reads them back from the
+  /// file after the flag is stored, as the interpreter does (an int flag
+  /// may overwrite an operand register, so such an instruction always
+  /// enters the stub, which compares what is left).
   void Equality(int pc, const Insn& in, Op base, bool fused) {
     const bool is_d = base == Op::kEqD || base == Op::kNeD;
     const bool ne = base == Op::kNeD || base == Op::kNeI;
     if (is_d) {
-      as_.MovsdXM(0, D(in.a));
-      as_.UcomisdXM(0, D(in.b));
+      RX(0x66, false, {0x0F, 0x2E}, ReadD(in.a, 0), DL(in.b));
       as_.Setcc(kE, kRcx);
       as_.Setcc(kNp, kRdx);
       as_.AndR8(kRcx, kRdx);
     } else {
-      as_.MovRM(kRax, I(in.a));
-      as_.AluRM(0x3B, kRax, I(in.b));
+      RX(0, true, {0x3B}, ReadI(in.a, kRax), IL(in.b));
       as_.Setcc(kE, kRcx);
     }
     if (ne) as_.XorR8I(kRcx, 1);
@@ -714,11 +1190,11 @@ class Translator {
       as_.Jmp(AddStub(Stub::Kind::kTrace, pc, resume));
       as_.Bind(resume);
     } else {
-      as_.TestRR(kRcx, kRcx);
+      as_.RR(0, false, {0x84}, kRcx, kRcx);  // test cl, cl
       JccStub(ne ? kNe : kE, Stub::Kind::kTrace, pc);  // the operands differ
     }
     if (fused) {
-      as_.CmpMI8(I(in.dst), 0);
+      CmpZero(in.dst);
       BranchIf(kE, pc, in.imm);
     }
   }
@@ -732,138 +1208,142 @@ class Translator {
         return;
       case Op::kLoadConstD:
         as_.MovRI64(kRax, std::bit_cast<std::uint64_t>(in.dimm));
-        as_.MovMR(D(in.dst), kRax);
+        WriteDBits(in.dst);
         return;
       case Op::kLoadConstI: {
         const std::int64_t v = ir::WrapToDType(num::TruncToI64(in.dimm), in.type);
         if (v >= INT32_MIN && v <= INT32_MAX) {
-          as_.MovMI32(I(in.dst), static_cast<std::int32_t>(v));
+          as_.MovRI32(kRax, static_cast<std::int32_t>(v));
         } else {
           as_.MovRI64(kRax, static_cast<std::uint64_t>(v));
-          as_.MovMR(I(in.dst), kRax);
         }
+        WriteI(in.dst, kRax);
         return;
       }
-      case Op::kMovD:
-        as_.MovRM(kRax, D(in.a));
-        as_.MovMR(D(in.dst), kRax);
-        return;
-      case Op::kMovI:
-        as_.MovRM(kRax, I(in.a));
-        as_.MovMR(I(in.dst), kRax);
-        return;
+      case Op::kMovD: CopyD(D(in.dst), HomeD(in.dst), DL(in.a)); return;
+      case Op::kMovI: CopyI(I(in.dst), HomeI(in.dst), IL(in.a)); return;
       case Op::kCvtDToI: {
         // cvttsd2si yields INT64_MIN for NaN, ±Inf and out-of-range values
         // (and for -2^63 itself); those take the interpreter's saturation.
         const int resume = as_.NewLabel();
         const int slow = AddStub(Stub::Kind::kSlow, pc, resume);
-        as_.Cvttsd2siRM(kRax, D(in.a));
+        RX(0xF2, true, {0x0F, 0x2C}, kRax, DL(in.a));  // cvttsd2si rax, a
         as_.CmpRI8(kRax, 1);  // overflows only for INT64_MIN
         as_.Jcc(kO, slow);
         Wrap(in.type);
-        as_.MovMR(I(in.dst), kRax);
+        WriteI(in.dst, kRax);
         as_.Bind(resume);
         return;
       }
-      case Op::kCvtIToD:
-        as_.XorpsXX(0, 0);  // no false dependence on the old xmm0
-        as_.Cvtsi2sdXM(0, I(in.a));
-        as_.MovsdMX(D(in.dst), 0);
+      case Op::kCvtIToD: {
+        const int x = HomeD(in.dst) != kNoHome ? HomeD(in.dst) : 0;
+        as_.XorpsXX(x, x);  // no false dependence on the old value
+        RX(0xF2, true, {0x0F, 0x2A}, x, IL(in.a));  // cvtsi2sd x, a
+        WriteD(in.dst, x);
         return;
+      }
       case Op::kWrapI:
-        as_.MovRM(kRax, I(in.a));
+        LoadI(kRax, in.a);
         Wrap(in.type);
-        as_.MovMR(I(in.dst), kRax);
+        WriteI(in.dst, kRax);
         return;
       case Op::kBoolD:  // != 0.0, and NaN is nonzero
-        as_.MovsdXM(0, D(in.a));
         as_.XorpsXX(1, 1);
-        as_.UcomisdXX(0, 1);
+        RX(0x66, false, {0x0F, 0x2E}, 1, DL(in.a));
         as_.Setcc(kNe, kRcx);
         as_.Setcc(kP, kRdx);
         as_.RR(0, false, {0x08}, kRdx, kRcx);  // or cl, dl
         StoreFlag(in.dst);
         return;
       case Op::kBoolI:
-        as_.CmpMI8(I(in.a), 0);
-        as_.Setcc(kNe, kRcx);
-        StoreFlag(in.dst);
+        CmpZero(in.a);
+        SetFlag(kNe, in.dst);
         return;
       case Op::kAddD:
       case Op::kSubD:
       case Op::kMulD: {
+        // Computed in dst's home unless b lives there (dst == b).
         const std::uint8_t op = in.op == Op::kAddD ? 0x58 : in.op == Op::kSubD ? 0x5C : 0x59;
-        as_.MovsdXM(0, D(in.a));
-        as_.SdXM(op, 0, D(in.b));
-        as_.MovsdMX(D(in.dst), 0);
+        const int home = HomeD(in.dst);
+        const int x = home != kNoHome && DL(in.b).home != home ? home : 0;
+        LoadD(x, in.a);
+        RX(0xF2, false, {0x0F, op}, x, DL(in.b));
+        WriteD(in.dst, x);
         return;
       }
       case Op::kMinD:
       case Op::kMaxD: {
-        // fmin(a, b) on an ordered pair is b < a ? b : a, and fmax is
+        // min(a, b) on an ordered pair is b < a ? b : a, and max is
         // b > a ? b : a: minsd/maxsd with b as the destination, which
-        // returns a on a tie (so fmin(-0.0, 0.0) is -0.0, as in glibc). An
-        // unordered pair takes the slow hook.
+        // returns a on a tie (so min(-0.0, 0.0) is -0.0). An unordered pair
+        // takes the slow hook.
         const int resume = as_.NewLabel();
         const int slow = AddStub(Stub::Kind::kSlow, pc, resume);
-        as_.MovsdXM(0, D(in.b));
-        as_.UcomisdXM(0, D(in.a));
+        LoadD(0, in.b);
+        RX(0x66, false, {0x0F, 0x2E}, 0, DL(in.a));
         as_.Jcc(kP, slow);
-        as_.SdXM(in.op == Op::kMinD ? 0x5D : 0x5F, 0, D(in.a));
-        as_.MovsdMX(D(in.dst), 0);
+        RX(0xF2, false, {0x0F, static_cast<std::uint8_t>(in.op == Op::kMinD ? 0x5D : 0x5F)}, 0,
+           DL(in.a));
+        WriteD(in.dst, 0);
         as_.Bind(resume);
         return;
       }
       case Op::kNegD:
-      case Op::kAbsD:  // the sign bit flipped or cleared: exact for NaN payloads and -0.0
-        as_.MovRM(kRax, D(in.a));
+      case Op::kAbsD: {  // the sign bit flipped or cleared: exact for NaN payloads and -0.0
+        const int home = HomeD(in.a);
+        if (home != kNoHome) {
+          as_.MovqRX(kRax, home);
+        } else {
+          as_.MovRM(kRax, D(in.a));
+        }
         as_.BitOp63(in.op == Op::kNegD ? 7 : 6, kRax);
-        as_.MovMR(D(in.dst), kRax);
+        WriteDBits(in.dst);
         return;
+      }
       case Op::kAddI:
       case Op::kSubI:
       case Op::kMulI:
       case Op::kAndBitsI:
       case Op::kOrBitsI:
       case Op::kXorBitsI:
-        as_.MovRM(kRax, I(in.a));
+        LoadI(kRax, in.a);
         switch (in.op) {
-          case Op::kAddI: as_.AluRM(0x03, kRax, I(in.b)); break;
-          case Op::kSubI: as_.AluRM(0x2B, kRax, I(in.b)); break;
-          case Op::kMulI: as_.ImulRM(kRax, I(in.b)); break;
-          case Op::kAndBitsI: as_.AluRM(0x23, kRax, I(in.b)); break;
-          case Op::kOrBitsI: as_.AluRM(0x0B, kRax, I(in.b)); break;
-          default: as_.AluRM(0x33, kRax, I(in.b)); break;
+          case Op::kAddI: RX(0, true, {0x03}, kRax, IL(in.b)); break;
+          case Op::kSubI: RX(0, true, {0x2B}, kRax, IL(in.b)); break;
+          case Op::kMulI: RX(0, true, {0x0F, 0xAF}, kRax, IL(in.b)); break;
+          case Op::kAndBitsI: RX(0, true, {0x23}, kRax, IL(in.b)); break;
+          case Op::kOrBitsI: RX(0, true, {0x0B}, kRax, IL(in.b)); break;
+          default: RX(0, true, {0x33}, kRax, IL(in.b)); break;
         }
         Wrap(in.type);
-        as_.MovMR(I(in.dst), kRax);
+        WriteI(in.dst, kRax);
         return;
       case Op::kMinI:
-      case Op::kMaxI:  // a < b ? a : b, and a > b ? a : b
-        as_.MovRM(kRax, I(in.a));
-        as_.MovRM(kRcx, I(in.b));
-        as_.AluRR(0x39, kRax, kRcx);  // cmp rax, rcx
-        as_.CmovRR(in.op == Op::kMinI ? kGe : kLe, kRax, kRcx);
-        as_.MovMR(I(in.dst), kRax);
+      case Op::kMaxI: {  // a < b ? a : b, and a > b ? a : b
+        LoadI(kRax, in.a);
+        RX(0, true, {0x3B}, kRax, IL(in.b));  // cmp rax, b
+        const Cond take_b = in.op == Op::kMinI ? kGe : kLe;
+        RX(0, true, {0x0F, static_cast<std::uint8_t>(0x40 | take_b)}, kRax, IL(in.b));  // cmov
+        WriteI(in.dst, kRax);
         return;
+      }
       case Op::kNegI:
-        as_.MovRM(kRax, I(in.a));
+        LoadI(kRax, in.a);
         as_.NegR(kRax);
         Wrap(in.type);
-        as_.MovMR(I(in.dst), kRax);
+        WriteI(in.dst, kRax);
         return;
       case Op::kShlI:
       case Op::kShrI:  // the count is taken mod 64 by the shift itself
-        as_.MovRM(kRcx, I(in.b));
-        as_.MovRM(kRax, I(in.a));
+        LoadI(kRcx, in.b);
+        LoadI(kRax, in.a);
         as_.ShiftRCl(in.op == Op::kShlI ? 4 : 7, kRax);
         Wrap(in.type);
-        as_.MovMR(I(in.dst), kRax);
+        WriteI(in.dst, kRax);
         return;
       case Op::kNotL:
-        as_.CmpMI8(I(in.a), 0);
-        as_.Setcc(kE, kRcx);
-        StoreFlag(in.dst);
+        CmpZero(in.a);
+        SetFlag(kE, in.dst);
         return;
       case Op::kLtD:
       case Op::kLeD:
@@ -873,8 +1353,7 @@ class Translator {
       case Op::kLeI:
       case Op::kGtI:
       case Op::kGeI:
-        as_.Setcc(Compare(in.op, in), kRcx);
-        StoreFlag(in.dst);
+        SetFlag(Compare(in.op, in), in.dst);
         return;
       case Op::kEqD:
       case Op::kNeD:
@@ -889,8 +1368,7 @@ class Translator {
       case Op::kBrGtI:
       case Op::kBrGeI: {
         const Cond holds = Compare(UnfusedOf(in.op), in);
-        as_.Setcc(holds, kRcx);
-        StoreFlag(in.dst);
+        SetFlag(holds, in.dst);
         BranchIf(Negate(holds), pc, in.imm);  // the flag is 0
         return;
       }
@@ -901,17 +1379,21 @@ class Translator {
       case Op::kJmp: Take(pc, in.imm); return;
       case Op::kJmpIfZero:
       case Op::kJmpIfNotZero:
-        as_.CmpMI8(I(in.a), 0);
+        CmpZero(in.a);
         BranchIf(in.op == Op::kJmpIfZero ? kE : kNe, pc, in.imm);
         return;
-      case Op::kLoadInD: Move(D(in.dst), D(dl_.in + in.imm)); return;
-      case Op::kLoadInI: Move(I(in.dst), I(il_.in + in.imm)); return;
-      case Op::kStoreOutD: Move(D(dl_.out + in.imm), D(in.a)); return;
-      case Op::kStoreOutI: Move(I(il_.out + in.imm), I(in.a)); return;
-      case Op::kLoadStateD: Move(D(in.dst), D(dl_.state + in.imm)); return;
-      case Op::kLoadStateI: Move(I(in.dst), I(il_.state + in.imm)); return;
-      case Op::kStoreStateD: Move(D(dl_.state + in.imm), D(in.a)); return;
-      case Op::kStoreStateI: Move(I(il_.state + in.imm), I(in.a)); return;
+      case Op::kLoadInD: CopyD(D(in.dst), HomeD(in.dst), {kNoHome, D(dl_.in + in.imm)}); return;
+      case Op::kLoadInI: CopyI(I(in.dst), HomeI(in.dst), {kNoHome, I(il_.in + in.imm)}); return;
+      case Op::kStoreOutD: CopyD(D(dl_.out + in.imm), kNoHome, DL(in.a)); return;
+      case Op::kStoreOutI: CopyI(I(il_.out + in.imm), kNoHome, IL(in.a)); return;
+      case Op::kLoadStateD:
+        CopyD(D(in.dst), HomeD(in.dst), {kNoHome, D(dl_.state + in.imm)});
+        return;
+      case Op::kLoadStateI:
+        CopyI(I(in.dst), HomeI(in.dst), {kNoHome, I(il_.state + in.imm)});
+        return;
+      case Op::kStoreStateD: CopyD(D(dl_.state + in.imm), kNoHome, DL(in.a)); return;
+      case Op::kStoreStateI: CopyI(I(il_.state + in.imm), kNoHome, IL(in.a)); return;
       case Op::kCov: SetCovBit(in.imm); return;
       case Op::kEdge:
         as_.MovRM(kRax, F(offsetof(NativeFrame, edges)));
@@ -920,7 +1402,7 @@ class Translator {
       case Op::kCovIf: {
         const int other = as_.NewLabel();
         const int done = as_.NewLabel();
-        as_.CmpMI8(I(in.a), 0);
+        CmpZero(in.a);
         as_.Jcc(kE, other);
         SetCovBit(in.imm);
         as_.Jmp(done);
@@ -934,11 +1416,11 @@ class Translator {
         const std::int64_t bit = num::TruncToI64(in.dimm);
         const int other = as_.NewLabel();
         const int done = as_.NewLabel();
-        as_.MovRM(kRax, I(in.a));
-        if (in.b >= 0) OrBits(I(in.b), bit);
+        LoadI(kRax, in.a);
+        if (in.b >= 0) OrBits(in.b, bit);
         as_.TestRR(kRax, kRax);
         as_.Jcc(kE, other);
-        OrBits(I(in.dst), bit);
+        OrBits(in.dst, bit);
         SetCovBit(in.imm);
         as_.Jmp(done);
         as_.Bind(other);
@@ -948,30 +1430,38 @@ class Translator {
       }
       case Op::kMcdcEval: {
         // RecordEval's repeat filter, inline: the evaluation packed as
-        // coverage::PackEval packs it, against the decision's last one. Only
-        // a new evaluation calls out (and RecordEval filters it again).
-        as_.MovRM(kRax, I(in.a));
+        // coverage::PackEval packs it, against the known-evaluation word it
+        // maps to (CoverageSink::KnownEvalSlot). Only an evaluation missing
+        // there calls out (and RecordEval filters it again).
+        LoadI(kRax, in.a);
         as_.AndR32I(kRax, 0xFFFFFF);
-        as_.MovRM(kRcx, I(in.b));
+        LoadI(kRcx, in.b);
         as_.AndR32I(kRcx, 0xFFFFFF);
         as_.ShlRI(kRcx, 24);
         as_.AluRR(0x09, kRax, kRcx);  // or rax, rcx
-        as_.MovzxByteRM(kRcx, I(in.aux));
+        LoadI(kRcx, in.aux);
+        as_.Movzx8(kRcx, kRcx);
         as_.ShlRI(kRcx, 48);
         as_.AluRR(0x09, kRax, kRcx);
-        as_.MovRM(kRdx, F(offsetof(NativeFrame, last_evals)));
-        as_.AluRM(0x3B, kRax, At(kRdx, in.imm));  // cmp rax, last
+        using coverage::CoverageSink;
+        as_.MovRI64(kRcx, CoverageSink::kEvalWayHash);
+        as_.RR(0, true, {0x0F, 0xAF}, kRcx, kRax);  // imul rcx, rax
+        as_.ShrRI(kRcx, 62);
+        as_.MovRM(kRdx, F(offsetof(NativeFrame, known_evals)));
+        const auto row = static_cast<std::int64_t>(in.imm) *
+                         static_cast<std::int64_t>(CoverageSink::kEvalWays);
+        const Mem known{kRdx, static_cast<std::int32_t>(8 * row), kRcx};
+        as_.AluRM(0x3B, kRax, known);  // cmp rax, [known + way]
         JccStub(kNe, Stub::Kind::kSlow, pc);
         return;
       }
-      default: CallHook(hooks_.slow, pc); return;
+      default: CallHook(hooks_.slow, pc, OwnersHere()); return;
     }
   }
 
-  /// dst = src, 8 bytes.
-  void Move(Mem dst, Mem src) {
-    as_.MovRM(kRax, src);
-    as_.MovMR(dst, kRax);
+  /// Whether `op` writes a 0/1 flag to its dst and nothing else.
+  static bool IsFlagOp(Op op) {
+    return op == Op::kBoolD || op == Op::kBoolI || (op >= Op::kNotL && op <= Op::kBrNeI);
   }
 
   /// The comparison a fused compare-and-branch computes (br.lt.d -> lt.d):
@@ -994,6 +1484,17 @@ class Translator {
   int trace_double_ = -1;
   std::vector<int> abort_;  // per pc, the label of its hang stub, or -1
   std::vector<Stub> stubs_;
+  int pc_ = 0;                  // the instruction being emitted
+  std::vector<Interval> dv_;    // per d register, its interval and home
+  std::vector<Interval> iv_;    // per i register
+  std::vector<char> byte_flag_;  // per i register: a flag stored as one byte
+  // Per file (d, i) and home, the registers that own it, in code order.
+  // Per file (0 is d, 1 is i): the registers with a home by interval
+  // start, the next one Advance takes, and per home the latest owner to
+  // start.
+  std::array<std::vector<std::int32_t>, 2> homed_;
+  std::array<std::size_t, 2> next_born_{};
+  std::array<std::array<std::int32_t, kMachineRegs>, 2> born_{};
 };
 
 }  // namespace

@@ -2,15 +2,20 @@
 // x86-64 machine code, run in-process.
 //
 // Each bytecode instruction becomes a short template at its own label.
-// Registers, input/output slots and state stay in memory, in two register
-// files addressed off two base registers (FileLayout), so the translation
-// needs no register allocation and every Machine observable — registers,
-// outputs, state, coverage bits, MCDC evaluations, TORC operands, profile
-// counts and strobe samples, margin distances — is exactly what the
-// interpreter produces. Control flow is direct jcc/jmp between instruction
-// labels. The hot opcodes have inline templates, TORC included (two shared
-// routines write the CmpTrace ring directly); every other opcode calls one
-// out-of-line hook that runs the interpreter's own per-opcode code.
+// Registers, input/output slots and state live in two register files in
+// memory, addressed off two base registers (FileLayout). A register also
+// has a home — a machine register it occupies for its whole live interval,
+// found by linear scan over the program's control-flow graph — when one is
+// free; templates read it from there. Every definition is written through,
+// to the file and the home, so the files are the interpreter's at every
+// instruction boundary, and every Machine observable — registers, outputs,
+// state, coverage bits, MCDC evaluations, TORC operands, profile counts and
+// strobe samples, margin distances — is exactly what the interpreter
+// produces. Control flow is direct jcc/jmp between instruction labels. The
+// hot opcodes have inline templates, TORC included (two shared routines
+// write the CmpTrace ring directly); every other opcode calls one
+// out-of-line hook that runs the interpreter's own per-opcode code, and
+// reloads the homes the call may have clobbered.
 //
 // A translation is specialised on its NativeConfig (profile counting,
 // strobe, margins); the per-Step pointers (sink, edge map, cmp trace) come
@@ -72,8 +77,9 @@ struct NativeFrame {
   std::int64_t* r = nullptr;       // the int file
   std::uint64_t* cov = nullptr;    // the sink's curr words, or dropped writes
   std::uint8_t* edges = nullptr;   // the edge map, or dropped writes
-  // The sink's last evaluation per decision (its repeat filter), or zeros.
-  const std::uint64_t* last_evals = nullptr;
+  // The sink's known evaluations (CoverageSink::known_evals, its repeat
+  // filter), or zeros.
+  const std::uint64_t* known_evals = nullptr;
   CmpTrace* cmp_trace = nullptr;  // the TORC ring the code records into, or none
   std::uint64_t* edges_counted = nullptr;  // count plane: counted edges per pc
   std::uint64_t* samples = nullptr;     // strobe samples per pc

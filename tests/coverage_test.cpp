@@ -117,10 +117,11 @@ TEST(SinkTest, FinishIterationEqualsTheSeparatePasses) {
   }
 }
 
-// RecordEval skips a repeat of a decision's previous evaluation. The
-// filtered sets must equal an unfiltered reference (insert while below the
-// cap) over random streams heavy in repeats, past the cap, and across
-// MergeFrom, ResetCampaign and RestoreCampaign.
+// RecordEval skips an evaluation its known-evaluation cache holds (the
+// previous one, or one of the few before it). The filtered sets must equal
+// an unfiltered reference (insert while below the cap) over random streams
+// heavy in repeats, past the cap, and across MergeFrom, ResetCampaign and
+// RestoreCampaign.
 TEST(SinkTest, RepeatFilterKeepsEvalSetsExact) {
   CoverageSpec spec;
   const DecisionId small = spec.AddDecision("small", 2);

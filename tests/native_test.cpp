@@ -240,9 +240,11 @@ TEST(NativeLockstepTest, TorcRecordsDifferingComparesAlike) {
 
 // min.d/max.d over every ordered and unordered pair of signed zeros,
 // infinities, NaNs with payloads and ordinary values, in both operand
-// orders (fmin(-0.0, 0.0) is -0.0 and fmin(0.0, -0.0) is 0.0), and
-// neg.d/abs.d on the same values: bit-identical to the interpreter's libm.
-TEST(NativeLockstepTest, MinMaxNegAbsMatchLibmBitForBit) {
+// orders (min(-0.0, 0.0) is -0.0 and min(0.0, -0.0) is 0.0), and
+// neg.d/abs.d on the same values: bit-identical to the interpreter, whose
+// min/max are explicit comparisons — a tie returns the first operand, a NaN
+// operand the other one, and two NaNs the second.
+TEST(NativeLockstepTest, MinMaxNegAbsMatchTheInterpreterBitForBit) {
   const coverage::CoverageSpec spec = EightSlotSpec();
   const std::vector<double> values = {
       0.0, -0.0, 1.0, -1.0, INFINITY, -INFINITY, NAN, -NAN,
@@ -264,13 +266,168 @@ TEST(NativeLockstepTest, MinMaxNegAbsMatchLibmBitForBit) {
         reference.machine().SetInputs(in);
         ASSERT_EQ(native.Step(true), reference.Step(false));
         ASSERT_EQ(native.Diff(reference), "") << OpName(op) << " a " << a << " b " << b;
-        if (op == Op::kMinD && a == 0.0 && b == 0.0) {
-          EXPECT_EQ(std::signbit(native.machine().dreg(1)), std::signbit(a))
-              << "fmin of two zeros returns its first operand";
+        const double got = native.machine().dreg(1);
+        if ((op == Op::kMinD || op == Op::kMaxD) && a == 0.0 && b == 0.0) {
+          EXPECT_EQ(std::signbit(got), std::signbit(a))
+              << OpName(op) << " of two zeros returns its first operand";
+        }
+        if ((op == Op::kMinD || op == Op::kMaxD) && (std::isnan(a) || std::isnan(b))) {
+          const double expect = std::isnan(a) ? b : a;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expect))
+              << OpName(op) << " of a NaN pair returns the operand that is not NaN, else b";
         }
       }
     }
   }
+}
+
+/// Runs `p` in lockstep under every plane configuration.
+void ExpectLockstepEverywhere(const Program& p, int tuples) {
+  const coverage::CoverageSpec spec = EightSlotSpec();
+  Rng rng(23);
+  for (const lockstep::Planes& planes : lockstep::PlaneMatrix()) {
+    EXPECT_TRUE(lockstep::Run(p, spec, planes, rng, tuples));
+  }
+}
+
+// Register homes: more d and i values live at once than there are homes
+// (14 xmm, 6 to 8 general), so linear scan spills some for their whole
+// interval while the rest keep theirs across the branches and TORC records
+// in between. Every loaded value is read again at the end, in reverse
+// order; a few are read many times, which is what keeps them out of the
+// spill set.
+TEST(NativeAllocatorTest, MoreLiveValuesThanHomesSpill) {
+  constexpr int kD = 24;
+  constexpr int kI = 12;
+  Program p;
+  p.num_dregs = kD + 2;
+  p.num_iregs = kI + 3;
+  p.input_types.assign(kD, ir::DType::kDouble);
+  p.input_types.insert(p.input_types.end(), kI, ir::DType::kInt32);
+  p.output_types = {ir::DType::kDouble, ir::DType::kInt32};
+  for (int k = 0; k < kD; ++k) p.code.push_back(I(Op::kLoadInD, k, 0, 0, k));
+  for (int k = 0; k < kI; ++k) p.code.push_back(I(Op::kLoadInI, k, 0, 0, kD + k));
+  const int acc_d = kD;
+  const int acc_i = kI;
+  const int flag = kI + 1;
+  p.code.push_back(I(Op::kMovD, acc_d, 3));
+  p.code.push_back(I(Op::kMovI, acc_i, 2));
+  for (int round = 0; round < 4; ++round) {  // d3 and i2 are the hot ones
+    p.code.push_back(I(Op::kMulD, acc_d, acc_d, 3));
+    p.code.push_back(I(Op::kAddI, acc_i, acc_i, 2, 0, 0, 0, ir::DType::kInt32));
+    const auto skip = static_cast<int>(p.code.size()) + 3;
+    p.code.push_back(I(Op::kBrLtD, flag, acc_d, 3, skip));
+    p.code.push_back(I(Op::kCov, 0, 0, 0, round));
+    p.code.push_back(I(Op::kSubD, acc_d, acc_d, 5));
+  }
+  // Differing compares at the peak of the pressure: TORC's routines use
+  // rsi, rdi and xmm2, which are homes here, so the stub saves them.
+  p.code.push_back(I(Op::kNeD, flag, 0, 1));
+  p.code.push_back(I(Op::kCovIf, 0, flag, 0, 4, 5));
+  p.code.push_back(I(Op::kEqI, flag, 0, 1));
+  p.code.push_back(I(Op::kCovIf, 0, flag, 0, 6, 7));
+  for (int k = kD; k-- > 0;) p.code.push_back(I(Op::kAddD, acc_d, acc_d, k));
+  for (int k = kI; k-- > 0;) {
+    p.code.push_back(I(Op::kXorBitsI, acc_i, acc_i, k, 0, 0, 0, ir::DType::kInt32));
+  }
+  p.code.push_back(I(Op::kStoreOutD, 0, acc_d, 0, 0));
+  p.code.push_back(I(Op::kStoreOutI, 0, acc_i, 0, 1));
+  p.code.push_back(I(Op::kHalt));
+  ExpectLockstepEverywhere(p, 40);
+}
+
+// Every out-of-line path taken inside live intervals: div.d, sqrt.d and
+// pow.d call the slow hook; cvt.d2i saturates and min.d/max.d meet NaN
+// through their slow stubs; mcdc calls out on a new evaluation; and margin
+// sites call their hook. Values loaded before each call are read after it,
+// so a home the call clobbered that is not reloaded shows in the outputs.
+TEST(NativeAllocatorTest, SlowPathsInsideLiveIntervals) {
+  Program p;
+  p.num_dregs = 12;
+  p.num_iregs = 8;
+  p.input_types = {ir::DType::kDouble, ir::DType::kDouble, ir::DType::kDouble,
+                   ir::DType::kInt32, ir::DType::kInt8};
+  p.output_types = {ir::DType::kDouble, ir::DType::kDouble, ir::DType::kInt32,
+                    ir::DType::kInt32};
+  p.const_d = {{10, 3.0}};
+  p.const_i = {{6, 5}};
+  p.code = {
+      I(Op::kLoadInD, 0, 0, 0, 0),
+      I(Op::kLoadInD, 1, 0, 0, 1),
+      I(Op::kLoadInD, 2, 0, 0, 2),
+      I(Op::kLoadInI, 0, 0, 0, 3),
+      I(Op::kLoadInI, 1, 0, 0, 4),
+      I(Op::kDivD, 3, 0, 1),
+      I(Op::kSqrtD, 4, 2),
+      I(Op::kPowD, 5, 0, 10),
+      I(Op::kCvtDToI, 2, 1, 0, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kMinD, 6, 0, 1),
+      I(Op::kMaxD, 7, 2, 6),
+      I(Op::kAndBitsI, 3, 0, 6, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kMcdcEval, 0, 3, 1, 0, 6),
+      I(Op::kBrLtD, 4, 3, 10, 16),
+      I(Op::kCov, 0, 0, 0, 1),
+      I(Op::kAddD, 3, 3, 10),
+      I(Op::kAddD, 8, 3, 4),
+      I(Op::kAddD, 8, 8, 5),
+      I(Op::kAddD, 8, 8, 6),
+      I(Op::kAddD, 9, 7, 0),
+      I(Op::kAddD, 9, 9, 1),
+      I(Op::kAddD, 9, 9, 2),
+      I(Op::kAddI, 5, 0, 1, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kAddI, 5, 5, 2, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kAddI, 5, 5, 3, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kStoreOutD, 0, 8, 0, 0),
+      I(Op::kStoreOutD, 0, 9, 0, 1),
+      I(Op::kStoreOutI, 0, 5, 0, 2),
+      I(Op::kStoreOutI, 0, 6, 0, 3),
+      I(Op::kHalt),
+  };
+  p.margins = {
+      MarginSite{6, 0, 0, 1, {true, 0}, {true, 1}, MarginSite::Kind::kDiff},
+      MarginSite{13, 0, 2, 3, {false, 0}, {true, 2}, MarginSite::Kind::kNegAbsDiff},
+      // d3 and d4 are read for the last time where d8 is born: the hook's
+      // reload there must not hand one home to two registers.
+      MarginSite{16, 0, 6, 7, {true, 3}, {true, 4}, MarginSite::Kind::kDiff},
+      MarginSite{20, 0, 4, 5, {true, 7}, {false, 1}, MarginSite::Kind::kDiff},
+  };
+  ExpectLockstepEverywhere(p, 200);
+}
+
+// A loop whose accumulators, bound and constants stay live across its back
+// edge: up to 15 passes (the input's low four bits), each reading what the
+// last one wrote, then outputs read after the loop. d0 is read early in the
+// body and never after the loop, so only the back edge keeps it live past
+// the fresh d5 below it.
+TEST(NativeAllocatorTest, LoopCarriesValuesAcrossItsBackEdge) {
+  Program p;
+  p.num_dregs = 6;
+  p.num_iregs = 6;
+  p.input_types = {ir::DType::kInt32, ir::DType::kDouble};
+  p.output_types = {ir::DType::kDouble, ir::DType::kInt32};
+  p.const_d = {{4, 0.5}};
+  p.const_i = {{4, 15}, {5, 1}};
+  p.code = {
+      I(Op::kLoadInI, 0, 0, 0, 0),
+      I(Op::kAndBitsI, 0, 0, 4, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kLoadInD, 0, 0, 0, 1),
+      I(Op::kLoadConstD, 1, 0, 0, 0, 0, 1.0),
+      I(Op::kLoadConstI, 1, 0, 0, 0, 0, 0.0),
+      I(Op::kJmpIfZero, 0, 0, 0, 15),  // pc 5
+      I(Op::kMulD, 1, 1, 4),           // pc 6: the loop body
+      I(Op::kAddD, 1, 1, 0),           // d0's last read in the body...
+      I(Op::kMulD, 5, 1, 4),           // ...then a fresh value that needs a home
+      I(Op::kAddD, 1, 1, 5),
+      I(Op::kAddI, 1, 1, 0, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kCov, 0, 0, 0, 2),
+      I(Op::kSubI, 0, 0, 5, 0, 0, 0, ir::DType::kInt32),
+      I(Op::kBrGtI, 2, 0, 3, 15),      // pc 13: i3 is 0, never written
+      I(Op::kJmp, 0, 0, 0, 6),         // pc 14: the back edge
+      I(Op::kStoreOutD, 0, 1, 0, 0),   // pc 15
+      I(Op::kStoreOutI, 0, 1, 0, 1),
+      I(Op::kHalt),
+  };
+  ExpectLockstepEverywhere(p, 200);
 }
 
 class NativeModelTest : public ::testing::TestWithParam<std::string> {};

@@ -36,6 +36,10 @@ namespace {
 using cftcg::StrFormat;
 using cftcg::obs::JsonValue;
 
+/// Decimals to print a metric with: rates as whole numbers, ratios such as
+/// native_speedup with three places.
+int Digits(double v) { return v >= 100 ? 0 : 3; }
+
 /// model -> metric map for one artifact's `results` array.
 std::map<std::string, const JsonValue*> IndexResults(const JsonValue& doc) {
   std::map<std::string, const JsonValue*> rows;
@@ -117,7 +121,7 @@ int main(int argc, char** argv) {
     }
     const auto base_it = base.find(model);
     if (base_it == base.end()) {
-      std::printf("  %-12s %12.0f  (no baseline row; not gated)%s\n", model.c_str(), now,
+      std::printf("  %-12s %12.*f  (no baseline row; not gated)%s\n", model.c_str(), Digits(now), now,
                   overhead_note.c_str());
       continue;
     }
@@ -129,8 +133,8 @@ int main(int argc, char** argv) {
     }
     const double delta_pct = 100.0 * (now - was) / was;
     const bool regressed = delta_pct < -max_regression_pct;
-    std::printf("  %-12s %12.0f -> %12.0f  (%+.1f%%)%s%s\n", model.c_str(), was, now, delta_pct,
-                overhead_note.c_str(), regressed ? "  REGRESSION" : "");
+    std::printf("  %-12s %12.*f -> %12.*f  (%+.1f%%)%s%s\n", model.c_str(), Digits(was), was,
+                Digits(now), now, delta_pct, overhead_note.c_str(), regressed ? "  REGRESSION" : "");
     if (regressed) ++failures;
   }
   if (!overheads.empty()) {
