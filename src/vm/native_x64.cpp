@@ -503,6 +503,79 @@ std::vector<std::int32_t> AssignHomes(std::vector<Interval>& iv, std::span<const
   return homed;
 }
 
+/// Whether `op` writes a 0/1 flag to its dst and nothing else.
+bool IsFlagOp(Op op) {
+  return op == Op::kBoolD || op == Op::kBoolI || (op >= Op::kNotL && op <= Op::kBrNeI);
+}
+
+/// Bits that hold every value a wrap to `t` leaves of a `w`-bit
+/// non-negative value (64: it may be negative).
+int WrapWidth(int w, ir::DType t) {
+  switch (t) {
+    case ir::DType::kBool: return std::min(w, 1);
+    case ir::DType::kUInt8: return std::min(w, 8);
+    case ir::DType::kUInt16: return std::min(w, 16);
+    case ir::DType::kUInt32: return std::min(w, 32);
+    case ir::DType::kInt8: return w < 8 ? w : 64;
+    case ir::DType::kInt16: return w < 16 ? w : 64;
+    case ir::DType::kInt32: return w < 32 ? w : 64;
+    case ir::DType::kSingle:
+    case ir::DType::kDouble: return w;
+  }
+  return 64;
+}
+
+/// Bits of a constant: 64 when it is negative.
+int ConstWidth(std::int64_t v) {
+  return v < 0 ? 64 : static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
+}
+
+/// Per i register, how many low bits hold every value it can take (64 when
+/// it may be negative): the least fixed point over its definitions, from
+/// the Machine's zeroed file and the constant pool. Nothing but the program
+/// writes a register, so the bound holds at every instruction boundary.
+std::vector<std::uint8_t> IntWidths(const Program& p, const ControlFlow& cfg) {
+  std::vector<std::uint8_t> w(static_cast<std::size_t>(p.num_iregs), 0);
+  const auto at = [&](std::int32_t r) { return static_cast<int>(w[static_cast<std::size_t>(r)]); };
+  for (const auto& c : p.const_i) {
+    auto& x = w[static_cast<std::size_t>(c.reg)];
+    x = static_cast<std::uint8_t>(std::max(static_cast<int>(x), ConstWidth(c.value)));
+  }
+  const auto produced = [&](const Insn& in, std::int32_t r) {
+    if (IsFlagOp(in.op)) return 1;
+    switch (in.op) {
+      case Op::kLoadConstI:
+        return ConstWidth(ir::WrapToDType(num::TruncToI64(in.dimm), in.type));
+      case Op::kMovI: return at(in.a);
+      case Op::kWrapI: return WrapWidth(at(in.a), in.type);
+      case Op::kAndBitsI: return WrapWidth(std::min(at(in.a), at(in.b)), in.type);
+      case Op::kOrBitsI:
+      case Op::kXorBitsI: return WrapWidth(std::max(at(in.a), at(in.b)), in.type);
+      case Op::kMinI:
+      case Op::kMaxI: return std::max(at(in.a), at(in.b));
+      case Op::kCovCond:  // r |= bit
+        return std::max(at(r), ConstWidth(num::TruncToI64(in.dimm)));
+      case Op::kLoadInI:
+      case Op::kLoadStateI:
+      case Op::kSignI: return 64;
+      default: return WrapWidth(64, in.type);  // the other integer ops wrap to their type
+    }
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t pc = 0; pc < p.code.size(); ++pc) {
+      const Insn& in = p.code[pc];
+      ForEachReg(in, cfg.fx[pc].write_i, [&](std::int32_t r) {
+        const int next = std::max(at(r), produced(in, r));
+        if (next == at(r)) return;
+        w[static_cast<std::size_t>(r)] = static_cast<std::uint8_t>(next);
+        changed = true;
+      });
+    }
+  }
+  return w;
+}
+
 /// One translation: checks the program, then emits the entry, one template
 /// per instruction, the shared exit and the out-of-line stubs.
 class Translator {
@@ -674,22 +747,7 @@ class Translator {
     if (!cfg_.count) int_homes.push_back(kEdges);
     for (const int home : kIntHomes) int_homes.push_back(home);
     homed_[1] = AssignHomes(iv_, int_homes);
-    // Flags nothing reads: an i register that only flag-producing
-    // instructions write (and that is not pooled) holds 0 or 1 from the
-    // Machine's zeroed file on, so its upper seven bytes stay zero and one
-    // byte store writes it through. Only registers never read get it, so no
-    // wider load waits on such a store.
-    byte_flag_.assign(iv_.size(), 1);
-    for (const auto& c : p_.const_i) byte_flag_[static_cast<std::size_t>(c.reg)] = 0;
-    for (std::size_t pc = 0; pc < p_.code.size(); ++pc) {
-      const Insn& in = p_.code[pc];
-      if (IsFlagOp(in.op)) continue;
-      ForEachReg(in, cfg.fx[pc].write_i,
-                 [&](std::int32_t r) { byte_flag_[static_cast<std::size_t>(r)] = 0; });
-    }
-    for (std::size_t r = 0; r < iv_.size(); ++r) {
-      if (iv_[r].end >= 0) byte_flag_[r] = 0;
-    }
+    width_ = IntWidths(p_, cfg);
     for (auto& owners : born_) owners.fill(-1);
   }
 
@@ -1084,18 +1142,30 @@ class Translator {
     }
   }
 
+  // A flag into a register whose values all fit a byte (IntWidths) keeps
+  // its file slot's upper seven bytes zero, so one byte store writes it
+  // through. That store is used where no wider load of the slot follows
+  // soon: the register is never read, or it is read from its home.
+
+  /// Whether dst's flag is written through as one byte at this pc.
+  [[nodiscard]] bool ByteFlag(int dst) const {
+    const auto r = static_cast<std::size_t>(dst);
+    return width_[r] <= 8 && (iv_[r].end < 0 || HomeI(dst) != kNoHome);
+  }
   /// iregs[dst] = cl (a 0/1 flag).
   void StoreFlag(int dst) {
-    if (byte_flag_[static_cast<std::size_t>(dst)] != 0) {
-      as_.RM(0, false, {0x88}, kRcx, I(dst));  // mov byte [dst], cl
+    if (!ByteFlag(dst)) {
+      as_.Movzx8(kRcx, kRcx);
+      WriteI(dst, kRcx);
       return;
     }
-    as_.Movzx8(kRcx, kRcx);
-    WriteI(dst, kRcx);
+    as_.RM(0, false, {0x88}, kRcx, I(dst));  // mov byte [dst], cl
+    const int home = HomeI(dst);
+    if (home != kNoHome) as_.RR(0, false, {0x0F, 0xB6}, home, kRcx);  // movzx home32, cl
   }
   /// iregs[dst] = (c holds); leaves the flags as they are.
   void SetFlag(Cond c, int dst) {
-    if (byte_flag_[static_cast<std::size_t>(dst)] != 0) {
+    if (ByteFlag(dst) && HomeI(dst) == kNoHome) {
       as_.RM(0, false, {0x0F, static_cast<std::uint8_t>(0x90 | c)}, 0, I(dst));  // setcc byte [dst]
       return;
     }
@@ -1433,14 +1503,16 @@ class Translator {
         // coverage::PackEval packs it, against the known-evaluation word it
         // maps to (CoverageSink::KnownEvalSlot). Only an evaluation missing
         // there calls out (and RecordEval filters it again).
+        // (The masks are left out where IntWidths shows them to be no-ops.)
+        const auto width = [&](std::int32_t r) { return width_[static_cast<std::size_t>(r)]; };
         LoadI(kRax, in.a);
-        as_.AndR32I(kRax, 0xFFFFFF);
+        if (width(in.a) > 24) as_.AndR32I(kRax, 0xFFFFFF);
         LoadI(kRcx, in.b);
-        as_.AndR32I(kRcx, 0xFFFFFF);
+        if (width(in.b) > 24) as_.AndR32I(kRcx, 0xFFFFFF);
         as_.ShlRI(kRcx, 24);
         as_.AluRR(0x09, kRax, kRcx);  // or rax, rcx
         LoadI(kRcx, in.aux);
-        as_.Movzx8(kRcx, kRcx);
+        if (width(in.aux) > 8) as_.Movzx8(kRcx, kRcx);
         as_.ShlRI(kRcx, 48);
         as_.AluRR(0x09, kRax, kRcx);
         using coverage::CoverageSink;
@@ -1457,11 +1529,6 @@ class Translator {
       }
       default: CallHook(hooks_.slow, pc, OwnersHere()); return;
     }
-  }
-
-  /// Whether `op` writes a 0/1 flag to its dst and nothing else.
-  static bool IsFlagOp(Op op) {
-    return op == Op::kBoolD || op == Op::kBoolI || (op >= Op::kNotL && op <= Op::kBrNeI);
   }
 
   /// The comparison a fused compare-and-branch computes (br.lt.d -> lt.d):
@@ -1487,7 +1554,7 @@ class Translator {
   int pc_ = 0;                  // the instruction being emitted
   std::vector<Interval> dv_;    // per d register, its interval and home
   std::vector<Interval> iv_;    // per i register
-  std::vector<char> byte_flag_;  // per i register: a flag stored as one byte
+  std::vector<std::uint8_t> width_;  // per i register: IntWidths
   // Per file (d, i) and home, the registers that own it, in code order.
   // Per file (0 is d, 1 is i): the registers with a home by interval
   // start, the next one Advance takes, and per home the latest owner to

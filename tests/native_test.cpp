@@ -430,6 +430,43 @@ TEST(NativeAllocatorTest, LoopCarriesValuesAcrossItsBackEdge) {
   ExpectLockstepEverywhere(p, 200);
 }
 
+// Narrow stores and dropped masks only where every value fits: flags are
+// written over registers that held wide values (inputs, a pooled 40-bit
+// constant, an int8 wrap that turns negative), read and never read, and
+// mcdc evaluations pack wide and negative values, and narrow ones whose
+// masks the template may leave out.
+TEST(NativeAllocatorTest, FlagsAndMcdcOverWideRegisters) {
+  using ir::DType;
+  Program p;
+  p.num_dregs = 1;
+  p.num_iregs = 10;
+  p.input_types = {DType::kInt32, DType::kInt32, DType::kInt8};
+  p.output_types = {DType::kInt32};
+  p.const_i = {{4, std::int64_t{0x1234567890}}, {5, 255}, {6, 0}};
+  p.code = {
+      I(Op::kLoadInI, 0, 0, 0, 0),
+      I(Op::kLoadInI, 1, 0, 0, 1),
+      I(Op::kLoadInI, 2, 0, 0, 2),
+      I(Op::kMcdcEval, 0, 0, 1, 0, 2),                    // wide values, mask, outcome
+      I(Op::kLoadInI, 3, 0, 0, 0),
+      I(Op::kAndBitsI, 7, 1, 5, 0, 0, 0, DType::kInt32),  // 8 bits...
+      I(Op::kWrapI, 7, 7, 0, 0, 0, 0, DType::kInt8),      // ...then maybe negative
+      I(Op::kLtI, 3, 1, 2),                               // over an input, never read
+      I(Op::kLtI, 4, 2, 1),                               // over the pooled constant
+      I(Op::kGtI, 8, 1, 6),
+      I(Op::kAndBitsI, 9, 0, 5, 0, 0, 0, DType::kInt32),  // fits 8 bits
+      I(Op::kMcdcEval, 0, 9, 8, 0, 8),                    // narrow: masks may go
+      I(Op::kMcdcEval, 0, 7, 9, 0, 7),                    // a negative outcome byte
+      I(Op::kEqI, 7, 7, 6),                               // over the int8 wrap
+      I(Op::kLtI, 0, 0, 1),                               // over an input, read below
+      I(Op::kCovIf, 0, 0, 0, 1, 2),
+      I(Op::kAddI, 1, 0, 7, 0, 0, 0, DType::kInt32),
+      I(Op::kStoreOutI, 0, 1, 0, 0),
+      I(Op::kHalt),
+  };
+  ExpectLockstepEverywhere(p, 200);
+}
+
 class NativeModelTest : public ::testing::TestWithParam<std::string> {};
 
 // Each benchmark model, 1 200 tuples with every plane attached and 1 200 with

@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
     }
     const auto base_it = base.find(model);
     if (base_it == base.end()) {
-      std::printf("  %-12s %12.*f  (no baseline row; not gated)%s\n", model.c_str(), Digits(now), now,
-                  overhead_note.c_str());
+      std::printf("  %-12s %12.*f  (no baseline row; not gated)%s\n", model.c_str(), Digits(now),
+                  now, overhead_note.c_str());
       continue;
     }
     const double was = base_it->second->NumberOr(metric, NAN);
@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
     const double delta_pct = 100.0 * (now - was) / was;
     const bool regressed = delta_pct < -max_regression_pct;
     std::printf("  %-12s %12.*f -> %12.*f  (%+.1f%%)%s%s\n", model.c_str(), Digits(was), was,
-                Digits(now), now, delta_pct, overhead_note.c_str(), regressed ? "  REGRESSION" : "");
+                Digits(now), now, delta_pct, overhead_note.c_str(),
+                regressed ? "  REGRESSION" : "");
     if (regressed) ++failures;
   }
   if (!overheads.empty()) {
