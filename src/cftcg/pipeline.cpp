@@ -116,9 +116,7 @@ Status CompiledModel::ValidateResumeProfile(const fuzz::CampaignCheckpoint& ckpt
   for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
     const fuzz::FuzzerState& s = ckpt.workers[i];
     for (Status st : {check(i, "VM count", s.exec_profile.insn_counts, vm_len),
-                      check(i, "VM sample", s.exec_profile.insn_samples, vm_len),
-                      check(i, "fuzz-only count", s.fuzz_exec_profile.insn_counts, fuzz_only_len),
-                      check(i, "fuzz-only sample", s.fuzz_exec_profile.insn_samples,
+                      check(i, "fuzz-only count", s.fuzz_exec_profile.insn_counts,
                             fuzz_only_len)}) {
       if (!st.ok()) return st;
     }

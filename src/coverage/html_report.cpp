@@ -195,15 +195,13 @@ std::string RenderCampaignExplorer(const CampaignExplorerData& data) {
 
   // --- Hot-block execution heatmap (self-profile join) ---------------------
   // Where the campaign actually spent its VM work: dispatch share per block,
-  // tinted hot (red) to cold (green), with the strobe-sampled time share in
-  // the tooltip when the profile was recorded in timed mode.
+  // tinted hot (red) to cold (green).
   if (!data.profile_blocks.empty()) {
     html += "<h2>Hot-block execution heatmap</h2>\n";
     html += StrFormat(
-        "<p>Campaign self-profile: %llu VM instruction dispatches (%llu strobe samples); "
+        "<p>Campaign self-profile: %llu VM instruction dispatches; "
         "red = hot, green = cold.</p>\n",
-        static_cast<unsigned long long>(data.profile_dispatches),
-        static_cast<unsigned long long>(data.profile_samples));
+        static_cast<unsigned long long>(data.profile_dispatches));
     html += "<table><tr><th>Block</th><th>Dispatches</th><th>Share</th><th></th></tr>\n";
     for (const auto& b : data.profile_blocks) {
       const char* heat = b.dispatch_pct >= 30 ? "heat4"
@@ -214,10 +212,10 @@ std::string RenderCampaignExplorer(const CampaignExplorerData& data) {
       const int width = static_cast<int>(b.dispatch_pct / 100.0 * 240.0) + 1;
       html += StrFormat(
           "<tr><td><code>%s</code></td><td>%llu</td>"
-          "<td class=\"%s\" title=\"sampled time share %.1f%%\">%.1f%%</td>"
+          "<td class=\"%s\">%.1f%%</td>"
           "<td><div class=\"bar\" style=\"width:%dpx\"></div></td></tr>\n",
           XmlEscape(b.name).c_str(), static_cast<unsigned long long>(b.dispatches), heat,
-          b.sample_pct, b.dispatch_pct, width);
+          b.dispatch_pct, width);
     }
     html += "</table>\n";
   }

@@ -81,7 +81,6 @@ struct ExplorerProfileBlock {
   std::string name;
   std::uint64_t dispatches = 0;
   double dispatch_pct = 0;  // share of all VM instruction dispatches
-  double sample_pct = 0;    // strobe-sample share (≈ time); 0 when count-only
 };
 
 /// One phase-plane row joined from a campaign self-profile.
@@ -111,7 +110,6 @@ struct CampaignExplorerData {
   std::vector<ExplorerProfileBlock> profile_blocks;
   std::vector<ExplorerProfilePhase> profile_phases;
   std::uint64_t profile_dispatches = 0;
-  std::uint64_t profile_samples = 0;
 };
 
 /// Renders the self-contained campaign explorer HTML document.

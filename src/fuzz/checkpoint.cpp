@@ -93,16 +93,11 @@ void AppendFuzzerState(wire::Writer& w, const FuzzerState& s) {
     w.I64(h.entry_id);
     w.Str(h.chain);
   }
-  // v2: self-profile planes. strobe_period is an option, not state — the
-  // resuming campaign supplies its own; only the countdown carries over.
-  w.U64Vec(s.exec_profile.insn_counts);
-  w.U64Vec(s.exec_profile.insn_samples);
-  w.U64(s.exec_profile.steps);
-  w.U64(s.exec_profile.strobe_countdown);
-  w.U64Vec(s.fuzz_exec_profile.insn_counts);
-  w.U64Vec(s.fuzz_exec_profile.insn_samples);
-  w.U64(s.fuzz_exec_profile.steps);
-  w.U64(s.fuzz_exec_profile.strobe_countdown);
+  // v2: self-profile planes.
+  for (const vm::ExecProfile* p : {&s.exec_profile, &s.fuzz_exec_profile}) {
+    w.U64Vec(p->insn_counts);
+    w.U64(p->steps);
+  }
   w.U32(static_cast<std::uint32_t>(obs::kNumProfilePhases));
   for (int i = 0; i < obs::kNumProfilePhases; ++i) {
     w.F64(s.phase_profile.seconds[static_cast<std::size_t>(i)]);
@@ -111,7 +106,7 @@ void AppendFuzzerState(wire::Writer& w, const FuzzerState& s) {
   w.F64Vec(s.margins);  // v3
 }
 
-bool ReadFuzzerState(wire::Reader& r, FuzzerState& s) {
+bool ReadFuzzerState(wire::Reader& r, FuzzerState& s, std::uint32_t version) {
   for (std::uint64_t& word : s.rng_state) word = r.U64();
   s.executions = r.U64();
   s.model_iterations = r.U64();
@@ -185,14 +180,14 @@ bool ReadFuzzerState(wire::Reader& r, FuzzerState& s) {
     s.provenance_hits.push_back(std::move(h));
   }
   if (bad_hit_kind) return false;
-  s.exec_profile.insn_counts = r.U64Vec();
-  s.exec_profile.insn_samples = r.U64Vec();
-  s.exec_profile.steps = r.U64();
-  s.exec_profile.strobe_countdown = r.U64();
-  s.fuzz_exec_profile.insn_counts = r.U64Vec();
-  s.fuzz_exec_profile.insn_samples = r.U64Vec();
-  s.fuzz_exec_profile.steps = r.U64();
-  s.fuzz_exec_profile.strobe_countdown = r.U64();
+  for (vm::ExecProfile* p : {&s.exec_profile, &s.fuzz_exec_profile}) {
+    p->insn_counts = r.U64Vec();
+    // v3 also carried the dispatch strobe: a sample vector after the counts
+    // and a countdown after the steps, both read and discarded.
+    if (version == 3) (void)r.U64Vec();
+    p->steps = r.U64();
+    if (version == 3) (void)r.U64();
+  }
   if (r.U32() != static_cast<std::uint32_t>(obs::kNumProfilePhases)) return false;
   for (int i = 0; i < obs::kNumProfilePhases; ++i) {
     s.phase_profile.seconds[static_cast<std::size_t>(i)] = r.F64();
@@ -250,11 +245,11 @@ Result<CampaignCheckpoint> ParseCheckpoint(std::string_view bytes) {
   }
   CampaignCheckpoint ckpt;
   ckpt.version = r.U32();
-  if (ckpt.version != kCheckpointVersion) {
-    char buf[96];
+  if (ckpt.version != kCheckpointVersion && ckpt.version != kOldestCheckpointVersion) {
+    char buf[112];
     std::snprintf(buf, sizeof(buf),
-                  "checkpoint version %u is not supported (this build reads version %u)",
-                  ckpt.version, kCheckpointVersion);
+                  "checkpoint version %u is not supported (this build reads versions %u and %u)",
+                  ckpt.version, kOldestCheckpointVersion, kCheckpointVersion);
     return Status::Error(buf);
   }
   ckpt.spec_fingerprint = r.U64();
@@ -286,7 +281,7 @@ Result<CampaignCheckpoint> ParseCheckpoint(std::string_view bytes) {
   }
   for (std::uint64_t i = 0; i < num_workers; ++i) {
     FuzzerState s;
-    if (!ReadFuzzerState(r, s)) {
+    if (!ReadFuzzerState(r, s, ckpt.version)) {
       return Status::Error("corrupt checkpoint: truncated at byte " + std::to_string(r.pos()));
     }
     ckpt.workers.push_back(std::move(s));

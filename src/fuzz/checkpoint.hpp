@@ -10,8 +10,9 @@
 // admission sequence.
 //
 // The on-disk format is a little-endian binary blob with a magic tag and a
-// version word; readers reject any version other than their own (forward
-// and backward) with a structured error instead of misparsing. Files are
+// version word; readers accept their own version and the one before it,
+// and reject any other (forward and backward) with a structured error
+// instead of misparsing. Files are
 // written through support::AtomicFileWriter, so a kill mid-write can never
 // leave a torn checkpoint — the previous complete one survives.
 #pragma once
@@ -34,9 +35,11 @@
 namespace cftcg::fuzz {
 
 // Version history: 1 = initial format; 2 = appended the self-profile planes
-// (per-instruction dispatch/sample counters, strobe countdown, phase times)
-// to every worker state; 3 = appended the best margin distances.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// (per-instruction dispatch and sample counters, sample countdown, phase
+// times) to every worker state; 3 = appended the best margin distances;
+// 4 = dropped the sample counters and countdown. Version 3 still reads.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kOldestCheckpointVersion = 3;
 
 /// Complete resumable state of one Fuzzer (one campaign lane).
 /// Produced by Fuzzer::SaveState(), consumed via FuzzerOptions::resume.
@@ -65,7 +68,7 @@ struct FuzzerState {
   // First-hit attribution recorded so far (replayed via AbsorbHit).
   std::vector<coverage::ObjectiveFirstHit> provenance_hits;
   // Self-profile planes (obs/profiler.hpp), v2: resumed campaigns continue
-  // the dispatch counters and strobe schedule bit-identically.
+  // the dispatch counters bit-identically.
   vm::ExecProfile exec_profile;
   vm::ExecProfile fuzz_exec_profile;
   obs::PhaseProfile phase_profile;
@@ -121,9 +124,11 @@ Result<CampaignCheckpoint> ParseCheckpoint(std::string_view bytes);
 /// protocol ships these as round-barrier messages, so a worker state on the
 /// wire is byte-identical to the corresponding checkpoint fragment.
 void AppendFuzzerState(wire::Writer& w, const FuzzerState& s);
-/// Bounds-checked inverse. Returns false (never crashes, never over-allocates)
-/// on truncated or corrupted input.
-bool ReadFuzzerState(wire::Reader& r, FuzzerState& s);
+/// Bounds-checked inverse of the `version` format (kOldestCheckpointVersion
+/// or kCheckpointVersion). Returns false (never crashes, never
+/// over-allocates) on truncated or corrupted input.
+bool ReadFuzzerState(wire::Reader& r, FuzzerState& s,
+                     std::uint32_t version = kCheckpointVersion);
 
 /// Atomic write (temp + rename): a kill mid-write leaves the previous
 /// complete checkpoint in place.

@@ -40,9 +40,7 @@ Fuzzer::Fuzzer(const vm::Program& instrumented, const coverage::CoverageSpec& sp
   machine_.set_step_budget(options_.step_budget);
   // Self-profiling count plane: always attached (one add per Step and per
   // taken jump, expanded into per-instruction counts whenever the planes are
-  // read: FlushProfiles); the strobe sampler only arms in the --profile
-  // timed mode.
-  exec_profile_.strobe_period = options_.profile_timing ? options_.profile_strobe_period : 0;
+  // read: FlushProfiles).
   exec_profile_.AttachTo(instrumented);
   machine_.set_profile(&exec_profile_);
   if (!options_.field_ranges.empty()) tuple_mutator_.SetFieldRanges(options_.field_ranges);
@@ -140,7 +138,6 @@ std::size_t Fuzzer::RunOneEdges(const std::vector<std::uint8_t>& data, bool* fou
     fuzz_machine_ = std::make_unique<vm::Machine>(*fuzz_only_);
     fuzz_machine_->set_cmp_trace(&cmp_trace_);
     fuzz_machine_->set_step_budget(options_.step_budget);
-    fuzz_exec_profile_.strobe_period = exec_profile_.strobe_period;
     fuzz_exec_profile_.AttachTo(*fuzz_only_);
     fuzz_machine_->set_profile(&fuzz_exec_profile_);
   }
@@ -642,9 +639,8 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
   cmp_trace_.Restore(state.cmp_trace);
   edge_total_ = state.edge_total;
   if (!edge_total_.empty()) edge_curr_.assign(edge_total_.size(), 0);
-  // Self-profile planes: counters and the strobe countdown carry over so a
-  // resumed profile is bit-identical; the strobe period stays an option of
-  // the resuming campaign. Each plane is empty or one counter per
+  // Self-profile planes: the counters carry over so a resumed profile is
+  // bit-identical. Each plane is empty or one counter per
   // instruction of the program it counts (CompiledModel::ValidateResumeProfile
   // is the caller-side gate); AttachTo sizes an empty one. The fuzz-only
   // plane is re-armed by the lazy fuzz-machine init.
@@ -653,7 +649,6 @@ void Fuzzer::RestoreFromState(const FuzzerState& state) {
          "checkpoint profile plane of another program (ValidateResumeProfile not run?)");
   FlushProfiles();  // pending counts belong to the planes being replaced
   exec_profile_ = state.exec_profile;
-  exec_profile_.strobe_period = options_.profile_timing ? options_.profile_strobe_period : 0;
   exec_profile_.AttachTo(*instrumented_);
   fuzz_exec_profile_ = state.fuzz_exec_profile;
   phase_profile_ = state.phase_profile;

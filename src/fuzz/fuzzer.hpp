@@ -109,13 +109,10 @@ struct FuzzerOptions {
   /// never pays for the hashing.
   bool collect_signatures = false;
   // -- Self-profiling (obs/profiler.hpp) ----------------------------------
-  /// The count plane (per-instruction dispatch counters) is always on — one
-  /// add per dispatch. Setting this additionally arms the strobe sampler
-  /// and the phase lap clock (the `--profile` timed mode).
+  /// The count plane (per-instruction dispatch counters) is always on.
+  /// Setting this additionally arms the phase lap clock (the `--profile`
+  /// timed mode).
   bool profile_timing = false;
-  /// Strobe period in dispatches for the timed mode. Prime, so the sampler
-  /// does not resonate with short bytecode loops.
-  std::uint64_t profile_strobe_period = 97;
   /// Optional live snapshot sink (the monitor's /profile endpoint): the
   /// campaign driver publishes the merged CampaignProfile at heartbeats and
   /// at the end. Not owned; must outlive the campaign. Null skips

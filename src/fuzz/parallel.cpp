@@ -266,7 +266,6 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   // idle (a lane finishing its round early) are work the lanes' own lap
   // clocks never see. Round-granularity, so always on.
   obs::PhaseProfile driver_phases;
-  const std::uint64_t strobe_period = options.profile_timing ? options.profile_strobe_period : 0;
   // The campaign-wide profile: every lane's planes as of the last barrier
   // plus the driver plane, folded in lane-id order — one view for every
   // transport.
@@ -277,7 +276,6 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
       exec.MergeFrom(lane->exec_profile());
       phases.MergeFrom(lane->phase_profile());
     }
-    exec.strobe_period = strobe_period;
     obs::CampaignProfile p = obs::BuildCampaignProfile(instrumented, exec, phases);
     p.mode = mode;
     p.seed = options.seed;
@@ -297,7 +295,6 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
     ev.F64("time_s", now)
         .U64("steps", p.vm_steps)
         .U64("dispatches", p.vm_dispatches)
-        .U64("samples", p.samples)
         .F64("execute_s", phase_s(obs::ProfilePhase::kExecute))
         .F64("mutate_s", phase_s(obs::ProfilePhase::kMutate))
         .F64("coverage_s", phase_s(obs::ProfilePhase::kCoverageUpdate));
@@ -723,7 +720,6 @@ ParallelCampaignResult RunLaneCampaign(const vm::Program& instrumented,
   merged.coverage_fingerprint = CoverageFingerprint(global);
   merged.elapsed_s = elapsed();
   merged.interrupted = out.interrupted;
-  merged.exec_profile.strobe_period = strobe_period;
   merged.phase_profile.MergeFrom(driver_phases);
   if (pub != nullptr) pub->Publish(merged_profile(merged.elapsed_s).ToJson());
   trace_profile(merged.elapsed_s);

@@ -27,18 +27,10 @@ double Pct(std::uint64_t part, std::uint64_t whole) {
 
 /// Recomputes derived percentages and canonical row order in place.
 void FinishRows(CampaignProfile* p) {
-  std::uint64_t total_samples = 0;
   std::uint64_t total_dispatches = 0;
-  for (const auto& b : p->blocks) {
-    total_dispatches += b.dispatches;
-    total_samples += b.samples;
-  }
+  for (const auto& b : p->blocks) total_dispatches += b.dispatches;
   p->vm_dispatches = total_dispatches;
-  p->samples = total_samples;
-  for (auto& b : p->blocks) {
-    b.dispatch_pct = Pct(b.dispatches, total_dispatches);
-    b.sample_pct = Pct(b.samples, total_samples);
-  }
+  for (auto& b : p->blocks) b.dispatch_pct = Pct(b.dispatches, total_dispatches);
   for (auto& o : p->opcodes) o.dispatch_pct = Pct(o.dispatches, total_dispatches);
 
   // Deterministic order: hottest first, name as tiebreak.
@@ -75,7 +67,6 @@ CampaignProfile BuildCampaignProfile(const vm::Program& program, const vm::ExecP
                                      const PhaseProfile& phases) {
   CampaignProfile p;
   p.vm_steps = exec.steps;
-  p.strobe_period = exec.strobe_period;
 
   // Fold instruction counters by block (insn_block parallel to code; programs
   // built without attribution profile as all-glue) and by opcode.
@@ -88,20 +79,18 @@ CampaignProfile BuildCampaignProfile(const vm::Program& program, const vm::ExecP
   const std::size_t n = std::min(exec.insn_counts.size(), program.code.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t count = exec.insn_counts[i];
-    const std::uint64_t sample = i < exec.insn_samples.size() ? exec.insn_samples[i] : 0;
-    if (count == 0 && sample == 0) continue;
+    if (count == 0) continue;
     std::size_t slot = num_blocks;  // glue
     if (attributed && program.insn_block[i] >= 0 &&
         static_cast<std::size_t>(program.insn_block[i]) < num_blocks) {
       slot = static_cast<std::size_t>(program.insn_block[i]);
     }
     blocks[slot].dispatches += count;
-    blocks[slot].samples += sample;
     auto& op = opcodes[std::string(vm::OpName(program.code[i].op))];
     op.dispatches += count;
   }
   for (auto& b : blocks) {
-    if (b.dispatches != 0 || b.samples != 0) p.blocks.push_back(std::move(b));
+    if (b.dispatches != 0) p.blocks.push_back(std::move(b));
   }
   for (auto& [name, row] : opcodes) {
     row.name = name;
@@ -130,8 +119,6 @@ std::string CampaignProfile::ToJson() const {
   out += ",\"elapsed_s\":" + JsonNumber(elapsed_s);
   out += ",\"vm_steps\":" + U64(vm_steps);
   out += ",\"vm_dispatches\":" + U64(vm_dispatches);
-  out += ",\"strobe_period\":" + U64(strobe_period);
-  out += ",\"samples\":" + U64(samples);
   out += ",\"phases\":[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     if (i != 0) out += ",";
@@ -142,8 +129,7 @@ std::string CampaignProfile::ToJson() const {
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     if (i != 0) out += ",";
     out += "{\"name\":\"" + JsonEscape(blocks[i].name) +
-           "\",\"dispatches\":" + U64(blocks[i].dispatches) +
-           ",\"samples\":" + U64(blocks[i].samples) + "}";
+           "\",\"dispatches\":" + U64(blocks[i].dispatches) + "}";
   }
   out += "],\"opcodes\":[";
   for (std::size_t i = 0; i < opcodes.size(); ++i) {
@@ -169,7 +155,6 @@ Result<CampaignProfile> ParseCampaignProfile(std::string_view json_text) {
   p.workers = static_cast<int>(root.NumberOr("workers", 1));
   p.elapsed_s = root.NumberOr("elapsed_s", 0);
   p.vm_steps = static_cast<std::uint64_t>(root.NumberOr("vm_steps", 0));
-  p.strobe_period = static_cast<std::uint64_t>(root.NumberOr("strobe_period", 0));
   if (const JsonValue* phases = root.Find("phases");
       phases != nullptr && phases->kind == JsonValue::Kind::kArray) {
     for (const JsonValue& item : phases->items) {
@@ -186,7 +171,6 @@ Result<CampaignProfile> ParseCampaignProfile(std::string_view json_text) {
       ProfileBlockRow row;
       row.name = item.StringOr("name", "");
       row.dispatches = static_cast<std::uint64_t>(item.NumberOr("dispatches", 0));
-      row.samples = static_cast<std::uint64_t>(item.NumberOr("samples", 0));
       p.blocks.push_back(std::move(row));
     }
   }
@@ -215,17 +199,17 @@ std::string CampaignProfile::ToFolded() const {
 
   if (phase_total > 0) {
     // Timed campaign: phase rows in microseconds; the execute phase is
-    // subdivided per block by strobe-sample share when samples exist.
+    // subdivided per block by dispatch share when dispatches were counted.
     for (const auto& ph : phases) {
       if (ph.seconds <= 0 || ph.name == "execute") continue;
       out += "cftcg;" + ph.name + " " + U64(usec(ph.seconds)) + "\n";
     }
     if (execute_s > 0) {
-      if (samples > 0) {
+      if (vm_dispatches > 0) {
         for (const auto& b : blocks) {
-          if (b.samples == 0) continue;
-          const double share =
-              execute_s * static_cast<double>(b.samples) / static_cast<double>(samples);
+          if (b.dispatches == 0) continue;
+          const double share = execute_s * static_cast<double>(b.dispatches) /
+                               static_cast<double>(vm_dispatches);
           out += "cftcg;execute;" + b.name + " " + U64(usec(share)) + "\n";
         }
       } else {
@@ -254,9 +238,6 @@ std::string CampaignProfile::RenderText() const {
     out += Fmt(" (%.1f insns/iteration)",
                static_cast<double>(vm_dispatches) / static_cast<double>(vm_steps));
   }
-  if (strobe_period != 0) {
-    out += Fmt("; strobe 1/%" PRIu64 ", %" PRIu64 " samples", strobe_period, samples);
-  }
   out += "\n";
 
   double phase_total = 0;
@@ -270,16 +251,17 @@ std::string CampaignProfile::RenderText() const {
     }
   }
   if (!blocks.empty()) {
-    out += "hot blocks (by dispatch count):\n";
+    out += "hot blocks (by dispatch count";
+    if (phase_total > 0) out += "; profile.folded splits execute time by this share";
+    out += "):\n";
     std::size_t shown = 0;
     for (const auto& b : blocks) {
       if (shown++ == 20) {
         out += Fmt("  ... %zu more\n", blocks.size() - 20);
         break;
       }
-      out += Fmt("  %-40s %12" PRIu64 " %5.1f%%", b.name.c_str(), b.dispatches, b.dispatch_pct);
-      if (samples > 0) out += Fmt("  time~%5.1f%%", b.sample_pct);
-      out += "\n";
+      out += Fmt("  %-40s %12" PRIu64 " %5.1f%%\n", b.name.c_str(), b.dispatches,
+                 b.dispatch_pct);
     }
   }
   if (!opcodes.empty()) {

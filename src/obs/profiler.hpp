@@ -103,9 +103,7 @@ class PhaseLapTimer {
 struct ProfileBlockRow {
   std::string name;  // block path, or "(glue)" for scheduler glue
   std::uint64_t dispatches = 0;
-  std::uint64_t samples = 0;
   double dispatch_pct = 0;  // share of total dispatches
-  double sample_pct = 0;    // share of strobe samples (≈ execute-time share)
 };
 
 struct ProfileOpcodeRow {
@@ -134,8 +132,6 @@ struct CampaignProfile {
   // VM plane.
   std::uint64_t vm_steps = 0;       // Machine::Step calls (model iterations)
   std::uint64_t vm_dispatches = 0;  // instruction dispatches (Σ block rows)
-  std::uint64_t strobe_period = 0;  // 0 = count-only mode
-  std::uint64_t samples = 0;        // Σ strobe samples
   std::vector<ProfileBlockRow> blocks;    // sorted by dispatches, descending
   std::vector<ProfileOpcodeRow> opcodes;  // sorted by dispatches, descending
 

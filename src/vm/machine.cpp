@@ -273,12 +273,12 @@ std::size_t Machine::native_code_bytes() const {
 
 const NativeCode* Machine::NativeForConfig() {
   if (native_.refused) return nullptr;
-  const int profile = profile_ == nullptr ? 0 : profile_->strobe_period == 0 ? 1 : 2;
+  const bool counting = profile_ != nullptr;
   const bool margins = margins_ != nullptr;
-  NativeCode& code = native_.code[static_cast<std::size_t>(profile + (margins ? 3 : 0))];
+  NativeCode& code = native_.code[(counting ? 1U : 0U) + (margins ? 2U : 0U)];
   if (!code) {
     const auto start = std::chrono::steady_clock::now();
-    const NativeConfig config{profile != 0, profile == 2, margins};
+    const NativeConfig config{counting, margins};
     const NativeHooks hooks{&Machine::NativeSlow, &Machine::NativeMargins};
     code = TranslateX64(*program_, dlay_, ilay_, config, hooks);
     if (!code) {
@@ -306,19 +306,12 @@ bool Machine::StepNative(const NativeCode& code, coverage::CoverageSink* sink,
   f.owner = this;
   // The count plane as in StepImpl: Step entries here, taken transfers in
   // the code, hang aborts below.
-  const bool strobing = profile_ != nullptr && profile_->strobe_period != 0;
   if (profile_ != nullptr) {
     ++profile_->steps;
     ++pending_steps_;
     f.edges_counted = edges_.data();
   }
-  if (strobing) {
-    f.samples = profile_->insn_samples.data();
-    f.strobe_period = profile_->strobe_period;
-    f.strobe_countdown = profile_->strobe_countdown;
-  }
   const std::int64_t end = code.Run(&f);
-  if (strobing) profile_->strobe_countdown = f.strobe_countdown;
   if (end < 0) return true;
   if (profile_ != nullptr) ++aborted_[static_cast<std::size_t>(end)];
   return false;
@@ -347,20 +340,14 @@ bool Machine::StepBytecode(coverage::CoverageSink* sink, std::uint8_t* edge_map)
 template <bool kRecordMargins>
 bool Machine::StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   // Specialized dispatch loops: the detached path compiles with zero
-  // profiling code (not even a per-dispatch branch), the count-only path is
-  // one increment per taken transfer, and only the strobe path carries the
-  // per-dispatch sampling countdown.
-  if (profile_ == nullptr) return StepImpl<ProfileMode::kOff, kRecordMargins>(sink, edge_map);
-  if (profile_->strobe_period == 0) {
-    return StepImpl<ProfileMode::kCount, kRecordMargins>(sink, edge_map);
-  }
-  return StepImpl<ProfileMode::kStrobe, kRecordMargins>(sink, edge_map);
+  // profiling code (not even a per-dispatch branch), the counting path is
+  // one increment per Step and per counted transfer.
+  if (profile_ == nullptr) return StepImpl<false, kRecordMargins>(sink, edge_map);
+  return StepImpl<true, kRecordMargins>(sink, edge_map);
 }
 
-template <Machine::ProfileMode kMode, bool kRecordMargins>
+template <bool kCounting, bool kRecordMargins>
 bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
-  constexpr bool kCounting = kMode != ProfileMode::kOff;
-  constexpr bool kStrobing = kMode == ProfileMode::kStrobe;
   const Insn* const code = program_->code.data();
   const Insn* ip = code;
   double* const d = dfile_.data();
@@ -379,29 +366,17 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   // forward jz/jnz/br.* not taken (at the transfer), and FlushProfile()
   // expands them into per-instruction dispatch counts, including the final
   // kHalt and the aborted tail of a hang; a forward transfer taken costs
-  // nothing here. The strobe countdown lives in a
-  // register for the duration of the iteration and is written back at every
-  // exit, so the sampled positions stay a pure function of the executed
-  // instruction stream across Step() calls.
+  // nothing here.
   [[maybe_unused]] std::uint64_t* edges = edges_.data();
-  [[maybe_unused]] std::uint64_t* samples = nullptr;
-  [[maybe_unused]] std::uint64_t strobe_period = 0;
-  [[maybe_unused]] std::uint64_t strobe_countdown = 0;
   if constexpr (kCounting) {
     ++profile_->steps;
     ++pending_steps_;
   }
-  if constexpr (kStrobing) {
-    samples = profile_->insn_samples.data();
-    strobe_period = profile_->strobe_period;
-    strobe_countdown = profile_->strobe_countdown;
-  }
-  // Hang abort at `pc` (back-edge budget exhausted): count it, flush strobe
-  // state, then false. It takes pc rather than capturing ip, which would
-  // keep ip out of a register.
+  // Hang abort at `pc` (back-edge budget exhausted): count it, then false.
+  // It takes pc rather than capturing ip, which would keep ip out of a
+  // register.
   auto abort_hang = [&](std::ptrdiff_t pc) -> bool {
     if constexpr (kCounting) ++aborted_[static_cast<std::size_t>(pc)];
-    if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
     return false;
   };
 
@@ -430,18 +405,10 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
   static_assert(std::size(kHandlers) == kNumOps, "one dispatch-table entry per opcode");
 
 // Dispatches *ip. The prologue runs once per dispatch: the margin sites of
-// the program point before ip (on fall-through and jump landing alike), and
-// the instruction-count strobe (timed mode: one sample every N dispatches,
-// no clock read).
+// the program point before ip (on fall-through and jump landing alike).
 #define CFTCG_VM_DISPATCH                                      \
   do {                                                         \
     if constexpr (kRecordMargins) RecordMarginsAt(ip - code);  \
-    if constexpr (kStrobing) {                                 \
-      if (--strobe_countdown == 0) {                           \
-        strobe_countdown = strobe_period;                      \
-        ++samples[ip - code];                                  \
-      }                                                        \
-    }                                                          \
     goto* kHandlers[static_cast<std::size_t>(ip->op)];         \
   } while (false)
 // Continues at the next instruction (also a transfer not taken).
@@ -484,7 +451,6 @@ bool Machine::StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map) {
 // switch folds away); fused compare-and-branches compute the flag, then
 // take the jz.
 halt:
-  if constexpr (kStrobing) profile_->strobe_countdown = strobe_countdown;
   return true;
 ldc_d: Compute(Op::kLoadConstD, *ip, d, r); CFTCG_VM_NEXT;
 ldc_i: Compute(Op::kLoadConstI, *ip, d, r); CFTCG_VM_NEXT;

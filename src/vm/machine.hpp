@@ -91,9 +91,8 @@ class Machine {
   /// Attaches an execution profile (flushing the one attached before). The
   /// dispatch loop counts Step entries and one edge per conditional or
   /// backward control transfer in the Machine, and FlushProfile() expands
-  /// them into the profile's per-instruction dispatch counts; when the
-  /// strobe is armed, every dispatch also advances the sample countdown. The
-  /// caller sizes the buffers with ExecProfile::AttachTo first. Pass nullptr to detach; the
+  /// them into the profile's per-instruction dispatch counts. The caller
+  /// sizes the buffers with ExecProfile::AttachTo first. Pass nullptr to detach; the
   /// detached dispatch loop is a separate specialization and carries no
   /// profiling code at all.
   void set_profile(ExecProfile* profile) {
@@ -104,7 +103,7 @@ class Machine {
   /// Adds the dispatches counted since the last flush to the attached
   /// profile's insn_counts (off the hot path: one walk over the run ends and
   /// one sweep over the code, no allocation). The profile's dispatch counts are exact only after a
-  /// flush; `steps` and the strobe samples are always current. Const: it
+  /// flush; `steps` is always current. Const: it
   /// moves counts from the Machine's pending buffers into the attached
   /// profile and changes nothing a Step would observe.
   void FlushProfile() const;
@@ -126,12 +125,6 @@ class Machine {
   [[nodiscard]] const std::vector<std::int64_t>& ifile() const { return ifile_; }
 
  private:
-  /// Dispatch-loop profiling modes, one specialization each: kOff carries no
-  /// profiling code at all, kCount is one counter increment per Step, per
-  /// backward transfer taken and per forward jz/jnz/br.* not taken (the
-  /// always-on plane, gated ≤5% overhead by the bench suite), kStrobe adds
-  /// the per-dispatch sampling countdown kept in a register.
-  enum class ProfileMode { kOff, kCount, kStrobe };
   static std::size_t At(std::int32_t region, int k) {
     return static_cast<std::size_t>(region) + static_cast<std::size_t>(k);
   }
@@ -144,10 +137,14 @@ class Machine {
   static void NativeSlow(NativeFrame* frame, std::int32_t pc);
   static void NativeMargins(NativeFrame* frame, std::int32_t pc);
 
-  /// Specialized per profiling mode and on whether margins are recorded.
+  /// Specialized on whether a profile counts dispatches and on whether
+  /// margins are recorded. Without a profile the loop carries no profiling
+  /// code at all; counting is one increment per Step, per backward transfer
+  /// taken and per forward jz/jnz/br.* not taken (the always-on plane, gated
+  /// ≤5% overhead by the bench suite).
   template <bool kRecordMargins>
   bool StepWith(coverage::CoverageSink* sink, std::uint8_t* edge_map);
-  template <ProfileMode kMode, bool kRecordMargins>
+  template <bool kCounting, bool kRecordMargins>
   bool StepImpl(coverage::CoverageSink* sink, std::uint8_t* edge_map);
 
   /// Records the margin sites of instruction `pc`, if it has any. Forced
@@ -190,7 +187,7 @@ class Machine {
   /// translates again at its first Step; a move takes the mappings. So no
   /// two Machines ever share or double-free a mapping.
   struct NativeCache {
-    static constexpr std::size_t kConfigs = 6;  // profile off/count/strobe x margins
+    static constexpr std::size_t kConfigs = 4;  // profile off/count x margins
     std::array<NativeCode, kConfigs> code;
     bool refused = false;  // translating or mapping failed: the interpreter runs
     double translate_us = 0;

@@ -66,7 +66,6 @@ constexpr int kNoHome = -1;
 constexpr Reg kD = kRbx;          // the double file
 constexpr Reg kI = kRbp;          // the int file
 constexpr Reg kFrame = kR12;      // the NativeFrame
-constexpr Reg kCountdown = kR13;  // the strobe countdown (strobe configs)
 constexpr Reg kEdges = kR14;      // the count plane's edge counts (count configs)
 constexpr Reg kCov = kR15;        // coverage bits
 
@@ -196,7 +195,6 @@ class Assembler {
     Byte(v);
   }
   void IncM(Mem m) { RM(0, true, {0xFF}, 0, m); }
-  void DecR(int r) { RR(0, true, {0xFF}, 1, r); }
   void DecM(Mem m) { RM(0, true, {0xFF}, 1, m); }
   void NegR(int r) { RR(0, true, {0xF7}, 3, r); }
   void ShiftRCl(int ext, int r) { RR(0, true, {0xD3}, ext, r); }  // ext 4 = shl, 7 = sar
@@ -738,12 +736,10 @@ class Translator {
     dv_ = LiveIntervals(p_, cfg, /*is_float=*/true);
     iv_ = LiveIntervals(p_, cfg, /*is_float=*/false);
     homed_[0] = AssignHomes(dv_, kDoubleHomes);
-    // r13 and r14 hold the strobe countdown and the count plane's base only
-    // when the configuration has them; otherwise they are homes that calls
-    // preserve.
-    std::vector<int> int_homes;
+    // r13 is a home that calls preserve; so is r14 when the configuration
+    // has no count plane for it to hold the base of.
+    std::vector<int> int_homes{kR13};
     int_homes.reserve(std::size(kIntHomes) + 2);
-    if (!cfg_.strobe) int_homes.push_back(kCountdown);
     if (!cfg_.count) int_homes.push_back(kEdges);
     for (const int home : kIntHomes) int_homes.push_back(home);
     homed_[1] = AssignHomes(iv_, int_homes);
@@ -871,14 +867,12 @@ class Translator {
     as_.MovRM(kI, F(offsetof(NativeFrame, r)));
     as_.MovRM(kCov, F(offsetof(NativeFrame, cov)));
     if (cfg_.count) as_.MovRM(kEdges, F(offsetof(NativeFrame, edges_counted)));
-    if (cfg_.strobe) as_.MovRM(kCountdown, F(offsetof(NativeFrame, strobe_countdown)));
     ReloadHomes(OwnersHere());
   }
 
   /// The shared exit: rax holds the result.
   void Exit() {
     as_.Bind(exit_);
-    if (cfg_.strobe) as_.MovMR(F(offsetof(NativeFrame, strobe_countdown)), kCountdown);
     as_.RR(0, true, {0x83}, 0, kRsp);  // add rsp, 8
     as_.Byte(8);
     for (auto it = std::rbegin(kSaved); it != std::rend(kSaved); ++it) as_.Pop(*it);
@@ -899,7 +893,6 @@ class Translator {
   struct Stub {
     enum class Kind : std::uint8_t {
       kAbort,   // a hang: return pc (no resume)
-      kSample,  // a strobe sample at pc, then re-arm the countdown
       kSlow,    // the slow hook for pc
       kTrace,   // TORC for the eq/ne at pc, when a trace is attached
     };
@@ -926,11 +919,6 @@ class Translator {
         as_.MovR32I(kRax, stub.pc);
         as_.Jmp(exit_);
         return;
-      case Stub::Kind::kSample:
-        as_.MovRM(kCountdown, F(offsetof(NativeFrame, strobe_period)));
-        as_.MovRM(kRax, F(offsetof(NativeFrame, samples)));
-        as_.IncM(At(kRax, stub.pc));
-        break;
       case Stub::Kind::kSlow:
         if (p_.code[static_cast<std::size_t>(stub.pc)].op == Op::kMcdcEval) {
           // RecordEval needs a sink; without one the evaluation goes nowhere.
@@ -1111,15 +1099,11 @@ class Translator {
 
   // -- Templates -----------------------------------------------------------
   /// What runs before every instruction, on fall-through and jump landing
-  /// alike: its margin sites, then the strobe countdown.
+  /// alike: its margin sites.
   void Prologue(int pc) {
     as_.Bind(pc_label_[static_cast<std::size_t>(pc)]);
     if (cfg_.margins && has_sites_[static_cast<std::size_t>(pc)]) {
       CallHook(hooks_.margins, pc, OwnersHere());
-    }
-    if (cfg_.strobe) {
-      as_.DecR(kCountdown);
-      JccStub(kE, Stub::Kind::kSample, pc);
     }
   }
 

@@ -9,17 +9,17 @@
 // free; templates read it from there. Every definition is written through,
 // to the file and the home, so the files are the interpreter's at every
 // instruction boundary, and every Machine observable — registers, outputs,
-// state, coverage bits, MCDC evaluations, TORC operands, profile counts and
-// strobe samples, margin distances — is exactly what the interpreter
-// produces. Control flow is direct jcc/jmp between instruction labels. The
-// hot opcodes have inline templates, TORC included (two shared routines
-// write the CmpTrace ring directly); every other opcode calls one
-// out-of-line hook that runs the interpreter's own per-opcode code, and
-// reloads the homes the call may have clobbered.
+// state, coverage bits, MCDC evaluations, TORC operands, profile counts,
+// margin distances — is exactly what the interpreter produces. Control
+// flow is direct jcc/jmp between instruction labels. The hot opcodes have
+// inline templates, TORC included (two shared routines write the CmpTrace
+// ring directly); every other opcode calls one out-of-line hook that runs
+// the interpreter's own per-opcode code, and reloads the homes the call
+// may have clobbered.
 //
 // A translation is specialised on its NativeConfig (profile counting,
-// strobe, margins); the per-Step pointers (sink, edge map, cmp trace) come
-// in a NativeFrame. The code lives in a W^X mapping owned by a NativeCode:
+// margins); the per-Step pointers (sink, edge map, cmp trace) come in a
+// NativeFrame. The code lives in a W^X mapping owned by a NativeCode:
 // mapped read-write, filled, then remapped read-execute, never both.
 //
 // TranslateX64 returns an empty NativeCode when the build does not target
@@ -82,9 +82,6 @@ struct NativeFrame {
   const std::uint64_t* known_evals = nullptr;
   CmpTrace* cmp_trace = nullptr;  // the TORC ring the code records into, or none
   std::uint64_t* edges_counted = nullptr;  // count plane: counted edges per pc
-  std::uint64_t* samples = nullptr;     // strobe samples per pc
-  std::uint64_t strobe_period = 0;
-  std::uint64_t strobe_countdown = 0;   // in at entry, out at every exit
   std::uint64_t back_jumps = 0;         // the back-edge budget
   coverage::CoverageSink* sink = nullptr;
   void* owner = nullptr;                // the Machine, for the hooks
@@ -102,7 +99,6 @@ struct NativeHooks {
 /// The optional planes one translation carries.
 struct NativeConfig {
   bool count = false;    // the count plane's edges into NativeFrame::edges_counted
-  bool strobe = false;   // the per-instruction sample countdown
   bool margins = false;  // the margins hook at every pc that has sites
 };
 

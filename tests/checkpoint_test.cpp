@@ -226,15 +226,15 @@ TEST(CheckpointTest, InterruptAtPeriodicBarrierWritesOnce) {
 // -- Profile counters across checkpoint/resume -----------------------------
 
 // The self-profiler planes are campaign state: a resumed campaign's VM
-// dispatch counters, strobe samples, and phase laps must continue from the
-// checkpointed values, and (with a fixed strobe schedule) end bit-identical
-// to an uninterrupted campaign's.
+// dispatch counters and phase laps must continue from the checkpointed
+// values, and the counters end bit-identical to an uninterrupted
+// campaign's.
 TEST(CheckpointTest, ProfileCountersSurviveResume) {
   const std::uint64_t kStop = 1200;
   const std::uint64_t kTotal = 3000;
   FuzzerOptions options;
   options.seed = 11;
-  options.profile_timing = true;  // arm the strobe plane too
+  options.profile_timing = true;  // arm the phase laps too
 
   auto baseline_cm = Compile("AFC");
   Fuzzer baseline(baseline_cm->instrumented(), baseline_cm->spec(), options);
@@ -264,11 +264,10 @@ TEST(CheckpointTest, ProfileCountersSurviveResume) {
   Fuzzer second(cm2->instrumented(), cm2->spec(), resume_options);
   const CampaignResult resumed = second.Run(ExecBudget(kTotal));
 
-  // VM plane: dispatch counts, strobe samples, and the step counter all
-  // continue from the checkpoint — bit-identical to the straight run.
+  // VM plane: dispatch counts and the step counter both continue from the
+  // checkpoint — bit-identical to the straight run.
   EXPECT_EQ(resumed.exec_profile.steps, straight.exec_profile.steps);
   EXPECT_EQ(resumed.exec_profile.insn_counts, straight.exec_profile.insn_counts);
-  EXPECT_EQ(resumed.exec_profile.insn_samples, straight.exec_profile.insn_samples);
   // Phase plane: lap counts are schedule-determined (times are wall-clock
   // and naturally differ), and the resumed run keeps accumulating them.
   const auto total_laps = [](const obs::PhaseProfile& p) {
@@ -292,9 +291,9 @@ TEST(CheckpointTest, VersionMismatchRejectedBothDirections) {
   (void)fuzzer.Finish();
   ASSERT_TRUE(ParseCheckpoint(bytes).ok());
 
-  // The version word sits right after the 8-byte magic. Version 3 is the
-  // current format (margin distances appended); 2 and 4 bracket it.
-  for (std::uint8_t bad_version : {std::uint8_t{2}, std::uint8_t{4}}) {
+  // The version word sits right after the 8-byte magic. Version 4 is the
+  // current format and 3 the oldest one still read; 2 and 5 bracket them.
+  for (std::uint8_t bad_version : {std::uint8_t{2}, std::uint8_t{5}}) {
     std::string patched = bytes;
     patched[8] = static_cast<char>(bad_version);
     auto parsed = ParseCheckpoint(patched);
@@ -373,7 +372,6 @@ TEST(CheckpointTest, ResumeRefusesProfilePlaneOfAnotherLowering) {
   const std::size_t len = cm->instrumented().code.size();
   const std::size_t fo_len = cm->fuzz_only().code.size();
   ASSERT_EQ(ckpt.workers[0].exec_profile.insn_counts.size(), len);
-  ASSERT_EQ(ckpt.workers[0].exec_profile.insn_samples.size(), len);
   EXPECT_TRUE(cm->ValidateResumeProfile(ckpt).ok());
 
   {  // One entry too long: a program one instruction longer wrote it.
@@ -383,9 +381,9 @@ TEST(CheckpointTest, ResumeRefusesProfilePlaneOfAnotherLowering) {
     ASSERT_FALSE(s.ok());
     EXPECT_NE(s.message().find("profile plane"), std::string::npos) << s.message();
   }
-  {
+  {  // One entry too short: a program one instruction shorter wrote it.
     CampaignCheckpoint c = ckpt;
-    c.workers[0].exec_profile.insn_samples.push_back(0);
+    c.workers[0].exec_profile.insn_counts.pop_back();
     EXPECT_FALSE(cm->ValidateResumeProfile(c).ok());
   }
   {
@@ -396,7 +394,6 @@ TEST(CheckpointTest, ResumeRefusesProfilePlaneOfAnotherLowering) {
   {  // Empty planes (never attached) and exactly-sized ones are both fine.
     CampaignCheckpoint c = ckpt;
     c.workers[0].exec_profile.insn_counts.clear();
-    c.workers[0].exec_profile.insn_samples.clear();
     c.workers[0].fuzz_exec_profile.insn_counts.assign(fo_len, 0);
     EXPECT_TRUE(cm->ValidateResumeProfile(c).ok());
   }

@@ -6,8 +6,7 @@
 // every Step, everything either engine can change must be identical: the
 // return value, both register files (registers, inputs, outputs, state),
 // the sink's curr words and MCDC evaluation sets, the TORC ring, the flushed
-// dispatch counts and strobe samples, the strobe countdown, the margin
-// distances and the edge map. Each optional plane can be attached or left
+// dispatch counts, the margin distances and the edge map. Each optional plane can be attached or left
 // off, so every configuration the interpreter supports is compared.
 #pragma once
 
@@ -33,13 +32,12 @@ namespace cftcg::lockstep {
 
 /// Which optional planes both engines run with.
 struct Planes {
-  int profile = 0;  // 0 detached, 1 count-only, 2 count + strobe
+  bool profile = false;  // the count plane attached
   bool margins = false;
   bool sink = false;
   bool cmp_trace = false;
   bool edges = false;
   std::uint64_t step_budget = 0;
-  std::uint64_t strobe_period = 7;
 
   [[nodiscard]] std::string Name() const {
     return "profile=" + std::to_string(profile) + " margins=" + std::to_string(margins) +
@@ -53,7 +51,7 @@ struct Planes {
 inline std::vector<Planes> PlaneMatrix() {
   std::vector<Planes> out;
   for (int mask = 0; mask < 16; ++mask) {
-    for (int profile = 0; profile < 3; ++profile) {
+    for (const bool profile : {false, true}) {
       Planes p;
       p.profile = profile;
       p.margins = (mask & 1) != 0;
@@ -78,8 +76,7 @@ class Side {
       margins_.Reset(spec);
       machine_.set_margins(&margins_);
     }
-    if (planes.profile != 0) {
-      profile_.strobe_period = planes.profile == 2 ? planes.strobe_period : 0;
+    if (planes.profile) {
       profile_.AttachTo(program);
       machine_.set_profile(&profile_);
     }
@@ -121,9 +118,7 @@ class Side {
       return "TORC double ring";
     }
     if (profile_.insn_counts != other.profile_.insn_counts) return "insn_counts";
-    if (profile_.insn_samples != other.profile_.insn_samples) return "insn_samples";
     if (profile_.steps != other.profile_.steps) return "profile steps";
-    if (profile_.strobe_countdown != other.profile_.strobe_countdown) return "strobe countdown";
     if (!SameBits(margins_.distances(), other.margins_.distances())) return "margin distances";
     if (edges_ != other.edges_) return "edge map";
     return "";

@@ -92,8 +92,7 @@ TEST(NativeLockstepTest, EveryOpcodeAtEveryWidthOnSentinels) {
   const std::vector<std::int64_t>& is = lockstep::IntSentinels();
   const double kDimms[] = {2.0, -0.0, 1e30, -1e30, NAN, 300.7, -129.5};
   lockstep::Planes all;
-  all.profile = 2;
-  all.strobe_period = 3;
+  all.profile = true;
   all.margins = all.sink = all.cmp_trace = all.edges = true;
   const lockstep::Planes none;
   for (std::size_t k = 0; k < kNumOps; ++k) {
@@ -134,7 +133,7 @@ TEST(NativeLockstepTest, EveryOpcodeAtEveryWidthOnSentinels) {
 
 // A loop the input sizes: `n` passes through a back edge, under a budget of
 // 10 back jumps, as jnz and as a fused backward branch. Hangs abort at the
-// same pc with the same counts, samples and countdown.
+// same pc with the same counts.
 TEST(NativeLockstepTest, HangingLoopsSpendTheBudgetAlike) {
   const coverage::CoverageSpec spec = EightSlotSpec();
   for (const bool fused : {false, true}) {
@@ -152,8 +151,7 @@ TEST(NativeLockstepTest, HangingLoopsSpendTheBudgetAlike) {
         I(Op::kHalt),
     };
     lockstep::Planes planes;
-    planes.profile = 2;
-    planes.strobe_period = 5;
+    planes.profile = true;
     planes.sink = true;
     planes.step_budget = 10;
     lockstep::Side native(p, spec, planes);
@@ -488,7 +486,7 @@ TEST_P(NativeModelTest, MatchesTheInterpreterInLockstep) {
   }
   for (const bool edges : {false, true}) {
     lockstep::Planes planes;
-    planes.profile = 1;
+    planes.profile = true;
     planes.edges = edges;
     planes.cmp_trace = true;
     EXPECT_TRUE(lockstep::Run(cm->fuzz_only(), cm->spec(), planes, rng, 300));

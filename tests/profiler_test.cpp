@@ -2,9 +2,10 @@
 // phase lap bookkeeping, and the profile.json / folded-stack export loop.
 //
 // The invariants under test mirror the profiler's design contract:
-//   * counting is deterministic — two identical campaigns produce
-//     bit-identical dispatch counters and strobe samples (the strobe is a
-//     function of the executed instruction stream, not of wall time);
+//   * counting is exact and deterministic — the count plane matches pinned
+//     captures, and two identical campaigns produce bit-identical dispatch
+//     counters (a function of the executed instruction stream, not of wall
+//     time);
 //   * the merged parallel profile is the element-wise sum of the worker
 //     planes, and its step counter equals the campaign's model iterations;
 //   * per-block dispatch counts fold back to exactly the total dispatches.
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -42,28 +44,45 @@ fuzz::FuzzBudget ExecBudget(std::uint64_t execs) {
 
 // -- VM plane ---------------------------------------------------------------
 
+/// FNV-1a over the little-endian bytes of a counter plane: a pinned capture
+/// of a whole plane in one number.
+std::uint64_t PlaneHash(const std::vector<std::uint64_t>& counters) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint64_t c : counters) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (c >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
 TEST(ExecProfileTest, MergeFromIsElementwiseSum) {
   vm::ExecProfile a;
   a.insn_counts = {1, 2, 3};
-  a.insn_samples = {0, 1, 0};
   a.steps = 10;
   vm::ExecProfile b;
   b.insn_counts = {10, 20, 30, 40};  // longer: merge must grow
-  b.insn_samples = {5, 0, 0, 1};
   b.steps = 7;
   a.MergeFrom(b);
   EXPECT_EQ(a.insn_counts, (std::vector<std::uint64_t>{11, 22, 33, 40}));
-  EXPECT_EQ(a.insn_samples, (std::vector<std::uint64_t>{5, 1, 0, 1}));
   EXPECT_EQ(a.steps, 17u);
   EXPECT_EQ(a.TotalDispatches(), 11u + 22 + 33 + 40);
 }
 
-// The count plane is exact. With a strobe period of 1 every dispatch takes
-// a sample, so the sample plane is a per-dispatch count; the count plane
-// (one increment per Step and per taken transfer, expanded by FlushProfile)
-// must equal it after a flush. Each model runs detached from and attached to a margin
-// recorder (the two dispatch-loop specializations), flushed mid-stream.
-TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesOnEveryModel) {
+// The count plane is exact. Its per-model hashes below were captured while
+// a second plane counted every dispatch one by one and equalled it on every
+// model; the count plane (one increment per Step and per counted transfer,
+// expanded by FlushProfile) must still produce them after a flush. Each
+// model runs detached from and attached to a margin recorder (the two
+// dispatch-loop specializations), flushed mid-stream.
+TEST(ExecProfileTest, CountPlaneMatchesPinnedCaptureOnEveryModel) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"CPUTask", 13308452660211152734ULL}, {"AFC", 11572426400192548780ULL},
+      {"TCP", 5331055777987009640ULL},      {"RAC", 4952141217633998868ULL},
+      {"EVCS", 16346427545416223230ULL},    {"TWC", 13283889831681857111ULL},
+      {"UTPC", 3981650382270230070ULL},     {"SolarPV", 4312657761034092009ULL},
+  };
   for (const bench_models::BenchModelInfo& info : bench_models::Roster()) {
     auto model = bench_models::Build(info.name);
     ASSERT_TRUE(model.ok()) << info.name;
@@ -73,7 +92,6 @@ TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesOnEveryModel) {
     const vm::Program& program = cm->instrumented();
     vm::Machine m(program);
     vm::ExecProfile exec;
-    exec.strobe_period = 1;
     exec.AttachTo(program);
     m.set_profile(&exec);
     coverage::CoverageSink sink(cm->spec());
@@ -94,14 +112,19 @@ TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesOnEveryModel) {
     m.FlushProfile();
     EXPECT_EQ(exec.steps, static_cast<std::uint64_t>(kSteps)) << info.name;
     EXPECT_GT(exec.TotalDispatches(), static_cast<std::uint64_t>(kSteps)) << info.name;
-    EXPECT_EQ(exec.insn_counts, exec.insn_samples) << info.name;
+    const auto want = pinned.find(info.name);
+    ASSERT_NE(want, pinned.end()) << info.name << " has no pinned count plane";
+    EXPECT_EQ(PlaneHash(exec.insn_counts), want->second) << info.name;
   }
 }
 
 // ... including a Step the budget aborts: the back-edge transfer it aborts
 // on is dispatched but neither taken nor fallen through. Detaching the
-// profile flushes it.
-TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesThroughAHang) {
+// profile flushes it. The counts are worked out by hand: the first Step
+// runs the loop body 5 times (i0 = 1..5) and aborts on the 5th jnz; the
+// second continues from i0 = 5 through i0 = 1'000'000, 999'995 more passes,
+// then the add after the loop and the halt once each.
+TEST(ExecProfileTest, CountPlaneMatchesHandCountThroughAHang) {
   // i0 += 1; if i0 < limit goto 0 (flag in i2); then one more add; halt.
   vm::Program p;
   p.num_iregs = 4;
@@ -126,7 +149,6 @@ TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesThroughAHang) {
   p.code = {add, lt, jnz, add, halt};
   vm::Machine m(p);
   vm::ExecProfile exec;
-  exec.strobe_period = 1;
   exec.AttachTo(p);
   m.set_profile(&exec);
   m.set_step_budget(5);
@@ -134,24 +156,23 @@ TEST(ExecProfileTest, CountPlaneEqualsPerDispatchSamplesThroughAHang) {
   m.set_step_budget(0);
   EXPECT_TRUE(m.Step(nullptr));   // runs on to the limit
   m.set_profile(nullptr);
-  EXPECT_EQ(exec.insn_counts, exec.insn_samples);
-  EXPECT_EQ(exec.insn_counts[2], 5u + (1'000'000 - 5));  // jnz: 5 aborted + the rest
-  EXPECT_EQ(exec.insn_counts[4], 1u);                     // one halt
+  EXPECT_EQ(exec.insn_counts,
+            (std::vector<std::uint64_t>{5 + 999'995, 5 + 999'995, 5 + 999'995, 1, 1}));
+  EXPECT_EQ(exec.steps, 2u);
 }
 
 // The same oracle through the campaign engines: Begin, RunChunk and
-// ImportEntry leave the planes flushed, so a campaign's count plane equals
-// its per-dispatch samples, sequential and across lanes with imports.
-TEST(ExecProfileTest, CampaignCountPlaneEqualsPerDispatchSamples) {
+// ImportEntry leave the planes flushed, so a campaign's count plane is the
+// pinned capture, sequential and across lanes with imports.
+TEST(ExecProfileTest, CampaignCountPlaneMatchesPinnedCapture) {
   auto cm = CompileAfc();
   fuzz::FuzzerOptions options;
   options.seed = 9;
   options.profile_timing = true;
-  options.profile_strobe_period = 1;
   fuzz::Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   const fuzz::CampaignResult one = fuzzer.Run(ExecBudget(1500));
   ASSERT_GT(one.exec_profile.TotalDispatches(), 0u);
-  EXPECT_EQ(one.exec_profile.insn_counts, one.exec_profile.insn_samples);
+  EXPECT_EQ(PlaneHash(one.exec_profile.insn_counts), 12241803956610478903ULL);
 
   fuzz::ParallelOptions parallel;
   parallel.num_workers = 3;
@@ -159,7 +180,7 @@ TEST(ExecProfileTest, CampaignCountPlaneEqualsPerDispatchSamples) {
   fuzz::ParallelFuzzer lanes(cm->instrumented(), cm->spec(), options, parallel);
   const fuzz::ParallelCampaignResult three = lanes.Run(ExecBudget(3000));
   ASSERT_GT(three.merged.measure_iterations, 0u);  // imports were replayed
-  EXPECT_EQ(three.merged.exec_profile.insn_counts, three.merged.exec_profile.insn_samples);
+  EXPECT_EQ(PlaneHash(three.merged.exec_profile.insn_counts), 230591977732548509ULL);
 }
 
 TEST(ProfilerTest, SequentialCampaignProfileIsDeterministic) {
@@ -167,7 +188,7 @@ TEST(ProfilerTest, SequentialCampaignProfileIsDeterministic) {
     auto cm = CompileAfc();
     fuzz::FuzzerOptions options;
     options.seed = seed;
-    options.profile_timing = true;  // arm the strobe plane
+    options.profile_timing = true;  // arm the phase laps
     fuzz::Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
     return fuzzer.Run(ExecBudget(2000));
   };
@@ -175,34 +196,25 @@ TEST(ProfilerTest, SequentialCampaignProfileIsDeterministic) {
   const fuzz::CampaignResult second = run(21);
   ASSERT_GT(first.exec_profile.TotalDispatches(), 0u);
   EXPECT_EQ(first.exec_profile.insn_counts, second.exec_profile.insn_counts);
-  EXPECT_EQ(first.exec_profile.insn_samples, second.exec_profile.insn_samples);
   EXPECT_EQ(first.exec_profile.steps, second.exec_profile.steps);
 
   // The instrumented-machine step counter is the campaign's model-iteration
   // count: per-block exec counts therefore account for all VM work.
   EXPECT_EQ(first.exec_profile.steps, first.model_iterations);
-
-  // The strobe samples every Nth dispatch: totals agree to within one period.
-  const std::uint64_t samples = [&] {
-    std::uint64_t n = 0;
-    for (const std::uint64_t s : first.exec_profile.insn_samples) n += s;
-    return n;
-  }();
-  ASSERT_GT(samples, 0u);
-  const std::uint64_t period = fuzz::FuzzerOptions{}.profile_strobe_period;
-  EXPECT_NEAR(static_cast<double>(samples) * static_cast<double>(period),
-              static_cast<double>(first.exec_profile.TotalDispatches()),
-              static_cast<double>(period));
 }
 
-TEST(ProfilerTest, CountOnlyModeTakesNoSamples) {
+TEST(ProfilerTest, CountOnlyModeKeepsNoPhaseLaps) {
   auto cm = CompileAfc();
   fuzz::FuzzerOptions options;
   options.seed = 4;  // profile_timing stays false: count-only
   fuzz::Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
   const fuzz::CampaignResult result = fuzzer.Run(ExecBudget(500));
   EXPECT_GT(result.exec_profile.TotalDispatches(), 0u);
-  for (const std::uint64_t s : result.exec_profile.insn_samples) EXPECT_EQ(s, 0u);
+  for (const obs::ProfilePhase phase : {obs::ProfilePhase::kMutate, obs::ProfilePhase::kExecute,
+                                        obs::ProfilePhase::kCoverageUpdate}) {
+    EXPECT_EQ(result.phase_profile.laps[static_cast<std::size_t>(phase)], 0u)
+        << obs::ProfilePhaseName(phase);
+  }
 }
 
 TEST(ProfilerTest, ParallelMergedProfileSumsWorkerPlanes) {
@@ -223,7 +235,6 @@ TEST(ProfilerTest, ParallelMergedProfileSumsWorkerPlanes) {
   // Merged counters are deterministic across runs (worker-id-ordered sums of
   // per-worker planes, each deterministic under the fixed schedule).
   EXPECT_EQ(first.merged.exec_profile.insn_counts, second.merged.exec_profile.insn_counts);
-  EXPECT_EQ(first.merged.exec_profile.insn_samples, second.merged.exec_profile.insn_samples);
   EXPECT_EQ(first.merged.exec_profile.steps, second.merged.exec_profile.steps);
 
   // The merged step counter accounts for every instrumented-machine step —
@@ -335,13 +346,10 @@ TEST(CampaignProfileTest, JsonRoundTripPreservesCounters) {
   EXPECT_EQ(back.workers, 1);
   EXPECT_EQ(back.vm_steps, profile.vm_steps);
   EXPECT_EQ(back.vm_dispatches, profile.vm_dispatches);
-  EXPECT_EQ(back.strobe_period, profile.strobe_period);
-  EXPECT_EQ(back.samples, profile.samples);
   ASSERT_EQ(back.blocks.size(), profile.blocks.size());
   for (std::size_t i = 0; i < back.blocks.size(); ++i) {
     EXPECT_EQ(back.blocks[i].name, profile.blocks[i].name);
     EXPECT_EQ(back.blocks[i].dispatches, profile.blocks[i].dispatches);
-    EXPECT_EQ(back.blocks[i].samples, profile.blocks[i].samples);
   }
   ASSERT_EQ(back.phases.size(), profile.phases.size());
 
@@ -351,6 +359,53 @@ TEST(CampaignProfileTest, JsonRoundTripPreservesCounters) {
   EXPECT_NE(profile.RenderText().find("hot blocks"), std::string::npos);
   const std::string diff = obs::RenderProfileDiff(back, profile);
   EXPECT_NE(diff.find("profile diff"), std::string::npos);
+}
+
+// A profile.json saved while profiles also carried a sampled time share
+// (the top-level "strobe_period" and "samples" keys, per-block "samples"
+// and "sample_pct") still loads: the old keys are ignored, and the profile
+// renders, diffs against a current profile and folds, its execute time
+// split across blocks by dispatch share.
+TEST(CampaignProfileTest, OldProfileJsonWithSampleKeysStillLoads) {
+  const std::string old_json =
+      R"j({"cftcg_profile":1,"model":"AFC","mode":"cftcg","seed":3,"workers":1,)j"
+      R"j("elapsed_s":0.5,"vm_steps":1000,"vm_dispatches":120000,)j"
+      R"j("strobe_period":97,"samples":1237,)j"
+      R"j("phases":[{"name":"mutate","seconds":0.1,"laps":1000},)j"
+      R"j({"name":"execute","seconds":0.3,"laps":1000}],)j"
+      R"j("blocks":[{"name":"trim","dispatches":90000,"samples":928,"sample_pct":75.0},)j"
+      R"j({"name":"(glue)","dispatches":30000,"samples":309,"sample_pct":25.0}],)j"
+      R"j("opcodes":[{"name":"add.d","dispatches":120000}]})j";
+  auto parsed = obs::ParseCampaignProfile(old_json);
+  ASSERT_TRUE(parsed.ok()) << parsed.message();
+  const obs::CampaignProfile& old = parsed.value();
+  EXPECT_EQ(old.vm_steps, 1000u);
+  EXPECT_EQ(old.vm_dispatches, 120000u);
+  ASSERT_EQ(old.blocks.size(), 2u);
+  EXPECT_EQ(old.blocks[0].name, "trim");
+  EXPECT_DOUBLE_EQ(old.blocks[0].dispatch_pct, 75.0);
+
+  const std::string text = old.RenderText();
+  EXPECT_NE(text.find("120000 dispatches"), std::string::npos) << text;
+  EXPECT_NE(text.find("trim"), std::string::npos) << text;
+  EXPECT_NE(text.find("splits execute time by this share"), std::string::npos) << text;
+
+  const std::string folded = old.ToFolded();
+  EXPECT_NE(folded.find("cftcg;mutate 100000\n"), std::string::npos) << folded;
+  EXPECT_NE(folded.find("cftcg;execute;trim 225000\n"), std::string::npos) << folded;
+  EXPECT_NE(folded.find("cftcg;execute;(glue) 75000\n"), std::string::npos) << folded;
+
+  auto cm = CompileAfc();
+  fuzz::FuzzerOptions options;
+  options.seed = 3;
+  options.profile_timing = true;
+  fuzz::Fuzzer fuzzer(cm->instrumented(), cm->spec(), options);
+  const fuzz::CampaignResult result = fuzzer.Run(ExecBudget(300));
+  const obs::CampaignProfile current = obs::BuildCampaignProfile(
+      cm->instrumented(), result.exec_profile, result.phase_profile);
+  const std::string diff = obs::RenderProfileDiff(old, current);
+  EXPECT_NE(diff.find("dispatches: 120000 -> "), std::string::npos) << diff;
+  EXPECT_NE(diff.find("trim"), std::string::npos) << diff;
 }
 
 TEST(CampaignProfileTest, ParseRejectsForeignJson) {

@@ -202,7 +202,7 @@ TEST_P(RandomModelTest, NativeMatchesTheInterpreterInLockstep) {
   auto cm = compiled.take();
   Rng exec_rng(rng.NextU64());
   lockstep::Planes all;
-  all.profile = 2;
+  all.profile = true;
   all.margins = all.sink = all.cmp_trace = true;
   all.step_budget = 1000;
   EXPECT_TRUE(lockstep::Run(cm->instrumented(), cm->spec(), all, exec_rng, 1000));

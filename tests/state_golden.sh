@@ -6,7 +6,7 @@
 # whose first output line starting with the expected line's first word must
 # match it character for character: the final `state:` line (corpus /
 # coverage / provenance digests), or for a `--profile` campaign the
-# `profile:` line of VM dispatch, step and strobe-sample totals. A VM or
+# `profile:` line of VM dispatch and step totals. A VM or
 # lowering change that claims to keep campaigns and their profiles
 # bit-identical is held to that claim here.
 #

@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -124,9 +126,8 @@ int Usage() {
       "              [--stall-window N]   flag a worker as stalled after N s without\n"
       "                                   progress (default 10; needs --serve)\n"
       "              [--profile]          timed self-profiling: phase accounting +\n"
-      "                                   strobe-sampled hot blocks; writes\n"
+      "                                   hot blocks by dispatch count; writes\n"
       "                                   profile.json and profile.folded\n"
-      "              [--profile-strobe N] sample every Nth VM dispatch (default 97)\n"
       "              [--isolate]          crash isolation: fork each worker into its own\n"
       "                                   supervised process; worker death or a hang is\n"
       "                                   quarantined and the lane respawned (same\n"
@@ -245,8 +246,7 @@ struct ServeFlags {
 };
 
 struct ProfileFlags {
-  bool enabled = false;             // --profile: timed mode + profile.json/.folded
-  std::uint64_t strobe_period = 97; // sample every Nth VM dispatch
+  bool enabled = false;  // --profile: timed mode + profile.json/.folded
 };
 
 struct DurabilityFlags {
@@ -462,7 +462,6 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
   options.step_budget = df.step_budget;
   options.hangs_dir = df.hangs_dir;
   options.profile_timing = pf.enabled;
-  options.profile_strobe_period = pf.strobe_period;
   // The /profile endpoint serves live snapshots whenever the monitor is up,
   // even in count-only (no --profile) mode: block dispatch shares are always
   // collected, only the timed planes need the opt-in.
@@ -647,10 +646,9 @@ int CmdFuzz(const std::string& path, double seconds, std::uint64_t seed, const s
     if (Status s = support::WriteFileAtomic(profile_folded, prof.ToFolded()); !s.ok()) {
       return Fail(s.message());
     }
-    std::printf("profile: %llu dispatches over %llu VM steps, %llu strobe samples\n",
+    std::printf("profile: %llu dispatches over %llu VM steps\n",
                 static_cast<unsigned long long>(prof.vm_dispatches),
-                static_cast<unsigned long long>(prof.vm_steps),
-                static_cast<unsigned long long>(prof.samples));
+                static_cast<unsigned long long>(prof.vm_steps));
     if (!prof.blocks.empty()) {
       std::printf("profile: hottest block %s (%.1f%% of dispatches)\n",
                   prof.blocks[0].name.c_str(), prof.blocks[0].dispatch_pct);
@@ -723,7 +721,7 @@ int CmdTraceSummary(const std::string& trace_path) {
   // summarized as first->last deltas, the in-trace view of profile.json.
   struct ProfilePoint {
     double time_s = 0;
-    double steps = 0, dispatches = 0, samples = 0;
+    double steps = 0, dispatches = 0;
     double execute_s = 0, mutate_s = 0, coverage_s = 0;
     std::string hot_block;
     double hot_pct = 0;
@@ -764,7 +762,6 @@ int CmdTraceSummary(const std::string& trace_path) {
       p.time_s = ev.NumberOr("time_s", 0);
       p.steps = ev.NumberOr("steps", 0);
       p.dispatches = ev.NumberOr("dispatches", 0);
-      p.samples = ev.NumberOr("samples", 0);
       p.execute_s = ev.NumberOr("execute_s", 0);
       p.mutate_s = ev.NumberOr("mutate_s", 0);
       p.coverage_s = ev.NumberOr("coverage_s", 0);
@@ -874,10 +871,10 @@ int CmdTraceSummary(const std::string& trace_path) {
       const double dt = last.time_s - first.time_s;
       std::printf("self-profile: %zu snapshots, first->last deltas over %.2fs:\n",
                   profile_points.size(), dt);
-      std::printf("  VM steps      +%.0f (%.0f iter/s), dispatches +%.0f, samples +%.0f\n",
+      std::printf("  VM steps      +%.0f (%.0f iter/s), dispatches +%.0f\n",
                   last.steps - first.steps,
                   dt > 0 ? (last.steps - first.steps) / dt : 0.0,
-                  last.dispatches - first.dispatches, last.samples - first.samples);
+                  last.dispatches - first.dispatches);
       std::printf("  phase time    execute +%.3fs, mutate +%.3fs, coverage-update +%.3fs\n",
                   last.execute_s - first.execute_s, last.mutate_s - first.mutate_s,
                   last.coverage_s - first.coverage_s);
@@ -1068,9 +1065,8 @@ int CmdExplain(const std::string& trace_path, const std::string& html_path,
     if (!prof.ok()) return Fail(prof.message());
     const obs::CampaignProfile& p = prof.value();
     data.profile_dispatches = p.vm_dispatches;
-    data.profile_samples = p.samples;
     for (const auto& b : p.blocks) {
-      data.profile_blocks.push_back({b.name, b.dispatches, b.dispatch_pct, b.sample_pct});
+      data.profile_blocks.push_back({b.name, b.dispatches, b.dispatch_pct});
     }
     for (const auto& ph : p.phases) {
       if (ph.seconds > 0) data.profile_phases.push_back({ph.name, ph.seconds, ph.pct});
@@ -1317,6 +1313,60 @@ int CmdRun(const std::string& path, const std::string& csv_path) {
   return 0;
 }
 
+/// Walks a command's options after the target. A value is taken whole or
+/// not at all: a missing value, a negative number, a number with trailing
+/// junk, and an unknown option each record the first error, naming the
+/// flag, and end the walk.
+class ArgWalk {
+ public:
+  ArgWalk(int argc, char** argv, int first) : argc_(argc), argv_(argv), i_(first) {}
+
+  [[nodiscard]] bool Done() const { return i_ >= argc_ || !error_.empty(); }
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+  /// The next option.
+  const std::string& Flag() { return flag_ = argv_[i_++]; }
+  /// The current option's value.
+  std::string Value() {
+    if (i_ < argc_) return argv_[i_++];
+    Reject("needs a value");
+    return "";
+  }
+  /// The current option's value as a decimal count no larger than `max`.
+  std::uint64_t Count(std::uint64_t max = UINT64_MAX) {
+    const std::string text = Value();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (error_.empty() && (ec != std::errc() || end != text.data() + text.size() || v > max)) {
+      Reject("'" + text + "' is not a whole number" +
+             (max == UINT64_MAX ? "" : " up to " + std::to_string(max)));
+    }
+    return v;
+  }
+  /// The current option's value as a non-negative decimal real.
+  double Real() {
+    const std::string text = Value();
+    double v = 0;
+    if (error_.empty() && (!ParseDouble(text, v) || !(v >= 0))) {
+      Reject("'" + text + "' is not a non-negative number");
+    }
+    return v;
+  }
+  /// The current option is not one the command takes.
+  void Unknown() { error_ = "unknown option '" + flag_ + "'"; }
+
+ private:
+  void Reject(const std::string& why) {
+    if (error_.empty()) error_ = flag_ + ": " + why;
+  }
+
+  int argc_;
+  char** argv_;
+  int i_;
+  std::string flag_;
+  std::string error_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1348,61 +1398,57 @@ int main(int argc, char** argv) {
   std::string folded;
   std::string profile_json;
   std::string model_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> std::string { return i + 1 < argc ? argv[++i] : ""; };
-    if (a == "-o" || a == "--out") out = next();
-    else if (a == "--csv") csv = next();
-    else if (a == "--csv-dir") csv_dir = next();
-    else if (a == "--html") html = next();
-    else if (a == "--json") json = next();
-    else if (a == "--seconds") { seconds = std::atof(next().c_str()); seconds_set = true; }
-    else if (a == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+  ArgWalk args(argc, argv, 3);
+  while (!args.Done()) {
+    const std::string& a = args.Flag();
+    if (a == "-o" || a == "--out") out = args.Value();
+    else if (a == "--csv") csv = args.Value();
+    else if (a == "--csv-dir") csv_dir = args.Value();
+    else if (a == "--html") html = args.Value();
+    else if (a == "--json") json = args.Value();
+    else if (a == "--seconds") { seconds = args.Real(); seconds_set = true; }
+    else if (a == "--seed") seed = args.Count();
     else if (a == "--fuzz-only") fuzz_only = true;
     else if (a == "--minimize") minimize = true;
     else if (a == "--analyze") analyze = true;
     else if (a == "--focus") focus = true;
     else if (a == "--slices") slices = true;
     else if (a == "--lint") lint = true;
-    else if (a == "--model") model_path = next();
-    else if (a == "-j" || a == "--jobs") jobs = std::atoi(next().c_str());
-    else if (a == "--stats-every") tf.stats_every = std::atof(next().c_str());
-    else if (a == "--trace") tf.trace_path = next();
-    else if (a == "--metrics") tf.metrics_path = next();
-    else if (a == "--max-execs") {
-      df.max_execs = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    }
-    else if (a == "--checkpoint") df.checkpoint_path = next();
-    else if (a == "--checkpoint-every") {
-      df.checkpoint_every = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    }
+    else if (a == "--model") model_path = args.Value();
+    else if (a == "-j" || a == "--jobs") jobs = static_cast<int>(args.Count(INT_MAX));
+    else if (a == "--stats-every") tf.stats_every = args.Real();
+    else if (a == "--trace") tf.trace_path = args.Value();
+    else if (a == "--metrics") tf.metrics_path = args.Value();
+    else if (a == "--max-execs") df.max_execs = args.Count();
+    else if (a == "--checkpoint") df.checkpoint_path = args.Value();
+    else if (a == "--checkpoint-every") df.checkpoint_every = args.Count();
     else if (a == "--resume") df.resume = true;
-    else if (a == "--step-budget") {
-      df.step_budget = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    }
-    else if (a == "--hangs-dir") df.hangs_dir = next();
+    else if (a == "--step-budget") df.step_budget = args.Count();
+    else if (a == "--hangs-dir") df.hangs_dir = args.Value();
     else if (a == "--isolate") isf.isolate = true;
-    else if (a == "--faults") isf.faults = next();
+    else if (a == "--faults") isf.faults = args.Value();
     else if (a == "--fault-seed") {
-      isf.fault_seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      isf.fault_seed = args.Count();
       isf.fault_seed_set = true;
     }
-    else if (a == "--lane-timeout") isf.lane_timeout = std::atof(next().c_str());
-    else if (a == "--max-restarts") isf.max_restarts = std::atoi(next().c_str());
-    else if (a == "--crashes-dir") isf.crashes_dir = next();
-    else if (a == "--serve") sf.port = std::atoi(next().c_str());
-    else if (a == "--stall-window") sf.stall_window = std::atof(next().c_str());
+    else if (a == "--lane-timeout") isf.lane_timeout = args.Real();
+    else if (a == "--max-restarts") isf.max_restarts = static_cast<int>(args.Count(INT_MAX));
+    else if (a == "--crashes-dir") isf.crashes_dir = args.Value();
+    else if (a == "--serve") sf.port = static_cast<int>(args.Count(65535));
+    else if (a == "--stall-window") sf.stall_window = args.Real();
     else if (a == "--profile") {
       // fuzz: boolean opt-in to timed self-profiling; explain: takes the
       // profile.json path to join into the explorer.
-      if (cmd == "explain") profile_json = next();
+      if (cmd == "explain") profile_json = args.Value();
       else pf.enabled = true;
     }
-    else if (a == "--profile-strobe") {
-      pf.strobe_period = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    }
-    else if (a == "--diff") diff = next();
-    else if (a == "--folded") folded = next();
+    else if (a == "--diff") diff = args.Value();
+    else if (a == "--folded") folded = args.Value();
+    else args.Unknown();
+  }
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "error: cftcg %s: %s\n", cmd.c_str(), args.error().c_str());
+    return 2;
   }
   // An execution-bounded campaign without an explicit wall budget should run
   // to its execution count, not trip over the 10-second default — that would
